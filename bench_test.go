@@ -469,10 +469,7 @@ func BenchmarkAblationSampleRatio(b *testing.B) {
 	for _, ratio := range []float64{0.01, 0.1, 1.0} {
 		b.Run(fmt.Sprintf("ratio=%g", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := model.TakeSample(strs, ratio, int64(i))
-				for _, f := range dict.AllFormats() {
-					model.EstimateSize(f, s)
-				}
+				model.EstimateEach(model.TakeSample(strs, ratio, int64(i)), 1)
 			}
 		})
 	}

@@ -21,9 +21,13 @@
 // Manager is safe for concurrent use: the trade-off parameter and its
 // feedback-loop state live behind a mutex, so merge workers may call
 // ChooseFormat while another goroutine feeds ObserveFreeMemory. Batch
-// selection over many columns fans out with ChooseFormats, and a single
-// column's 18 size models fan out with ChooseFormatParallel /
-// CandidatesParallel; both are deterministic — parallelism changes
+// selection over many columns fans out with ChooseFormats. A single column
+// has one size model per registered format (dict.NumFormats(), twenty
+// today), but the models share a handful of probes memoised on the sample —
+// three part sets, one Re-Pair run per part set, one trained codec per
+// (part set, scheme), the OnPair and LZ78 parses — each computed once per
+// sample, also when ChooseFormatParallel / CandidatesParallel price the
+// formats on a worker pool. Both are deterministic — parallelism changes
 // scheduling, never the decision.
 package core
 
@@ -77,11 +81,9 @@ func Candidates(stats ColumnStats, costs *model.CostTable) []Candidate {
 	return CandidatesParallel(stats, costs, 1)
 }
 
-// CandidatesParallel is Candidates with the per-format size models fanned
-// out across a bounded worker pool (parallelism <= 1 is serial). The models
-// are independent — the Re-Pair probe, the long pole, runs alongside the
-// cheap closed formulas instead of after them — and the returned slice is
-// identical to the serial evaluation.
+// CandidatesParallel is Candidates with the size models evaluated on a
+// bounded worker pool (parallelism <= 1 is serial); see model.EstimateEach.
+// The returned slice is identical to the serial evaluation.
 func CandidatesParallel(stats ColumnStats, costs *model.CostTable, parallelism int) []Candidate {
 	if stats.Sample == nil {
 		panic("core: ColumnStats.Sample must be set")

@@ -16,9 +16,8 @@ package dict
 // matching size-model registration in internal/model) knows OnPair exists.
 
 import (
-	"sort"
-
 	"strdict/internal/bits"
+	"strdict/internal/tally"
 )
 
 const (
@@ -49,7 +48,7 @@ var OnPair = RegisterFormat(FormatInfo{
 	WireID: onpairWireID,
 	Scheme: SchemeNone,
 	Build: func(strs []string, _ BuildOptions) Dictionary {
-		return newOnPair(strs, OnPairMaxPairs)
+		return newOnPair(strs)
 	},
 	Marshal:   marshalOnPair,
 	Unmarshal: unmarshalOnPair,
@@ -64,102 +63,111 @@ type onpairDict struct {
 	offsets *bits.PackedArray // n+1 entries: string i = syms[offsets[i]:offsets[i+1]]
 }
 
-func newOnPair(strs []string, maxPairs int) *onpairDict {
-	// Working form: one symbol slice per string, initially the raw bytes.
-	seqs := make([][]uint32, len(strs))
+// trainOnPair runs the promotion rounds over strs on flat storage: one
+// symbol buffer holds every string back to back (string i ends at ends[i])
+// and is rewritten in place round by round; pairs are counted and looked up
+// in flat integer-keyed tables reused across rounds.
+func trainOnPair(strs []string) (pairs []uint32, syms []uint16, ends []int) {
+	total := 0
+	ends = make([]int, len(strs))
 	for i, s := range strs {
-		seq := make([]uint32, len(s))
+		total += len(s)
+		ends[i] = total
+	}
+	syms = make([]uint16, 0, total)
+	for _, s := range strs {
 		for j := 0; j < len(s); j++ {
-			seq[j] = uint32(s[j])
+			syms = append(syms, uint16(s[j]))
 		}
-		seqs[i] = seq
 	}
 
-	var pairs []uint32
-	for round := 0; round < onpairRounds && len(pairs) < maxPairs; round++ {
-		freq := make(map[uint32]int)
-		for _, seq := range seqs {
-			for j := 0; j+1 < len(seq); j++ {
-				freq[seq[j]<<16|seq[j+1]]++
+	var freq, selected tally.Table
+	isLeft := make([]bool, 256+OnPairMaxPairs) // symbols that start a selected pair
+	var cands []uint64
+	for round := 0; round < onpairRounds && len(pairs) < OnPairMaxPairs; round++ {
+		freq.Reset()
+		start := 0
+		for _, end := range ends {
+			for j := start; j+1 < end; j++ {
+				freq.Inc(uint32(syms[j])<<16 | uint32(syms[j+1]))
 			}
+			start = end
 		}
-		type cand struct {
-			key uint32
-			f   int
-		}
-		cands := make([]cand, 0, len(freq))
-		for k, f := range freq {
-			if f >= onpairMinFreq {
-				cands = append(cands, cand{k, f})
-			}
-		}
+		// Deterministic order: frequency descending, then key.
+		cands = freq.Ranked(cands[:0], onpairMinFreq)
 		if len(cands) == 0 {
 			break
 		}
-		// Deterministic order: frequency descending, then key, so the build
-		// is bit-identical run to run despite the map iteration above.
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].f != cands[b].f {
-				return cands[a].f > cands[b].f
-			}
-			return cands[a].key < cands[b].key
-		})
 		// Spread the table budget evenly over the remaining rounds instead of
 		// letting an early flood of barely-frequent pairs exhaust it: deep
 		// rounds are where long repeated substrings collapse, and reserving
 		// slots for them both compresses better and keeps the build's
 		// behaviour stable between a sample and the full column (which the
 		// size model relies on).
-		budget := (maxPairs - len(pairs)) / (onpairRounds - round)
+		budget := (OnPairMaxPairs - len(pairs)) / (onpairRounds - round)
 		if budget < 1 {
 			budget = 1
 		}
 		if len(cands) > budget {
 			cands = cands[:budget]
 		}
-		selected := make(map[uint32]uint32, len(cands))
+		selected.Reset()
+		clear(isLeft)
 		for _, c := range cands {
-			selected[c.key] = uint32(256 + len(pairs))
-			pairs = append(pairs, c.key)
+			key, _ := tally.Unrank(c)
+			selected.Set(key, uint32(256+len(pairs)))
+			isLeft[key>>16] = true
+			pairs = append(pairs, key)
 		}
 		// One greedy left-to-right replacement pass per string. The write
 		// index never passes the read index, so rewriting in place is safe.
-		for i, seq := range seqs {
-			out := seq[:0]
-			for j := 0; j < len(seq); {
-				if j+1 < len(seq) {
-					if sym, ok := selected[seq[j]<<16|seq[j+1]]; ok {
-						out = append(out, sym)
+		w, start := 0, 0
+		for i, end := range ends {
+			for j := start; j < end; {
+				if j+1 < end && isLeft[syms[j]] {
+					if sym := selected.Get(uint32(syms[j])<<16 | uint32(syms[j+1])); sym != 0 {
+						syms[w] = uint16(sym)
+						w++
 						j += 2
 						continue
 					}
 				}
-				out = append(out, seq[j])
+				syms[w] = syms[j]
+				w++
 				j++
 			}
-			seqs[i] = out
+			start, ends[i] = end, w
 		}
+		syms = syms[:w]
 	}
+	return pairs, syms, ends
+}
 
-	var total int
-	for _, seq := range seqs {
-		total += len(seq)
-	}
-	flat := make([]uint64, total)
-	offs := make([]uint64, len(strs)+1)
-	pos := 0
-	for i, seq := range seqs {
-		offs[i] = uint64(pos)
-		for _, sym := range seq {
-			flat[pos] = uint64(sym)
-			pos++
+// symWidthOf is the packed bit width of a symbol stream.
+func symWidthOf(syms []uint16) uint {
+	var max uint16
+	for _, v := range syms {
+		if v > max {
+			max = v
 		}
 	}
-	offs[len(strs)] = uint64(pos)
+	return bits.Width(uint64(max))
+}
+
+func newOnPair(strs []string) *onpairDict {
+	pairs, syms, ends := trainOnPair(strs)
+	packed := bits.NewPackedArray(len(syms), symWidthOf(syms))
+	for i, v := range syms {
+		packed.Set(i, uint64(v))
+	}
+	offs := make([]uint64, len(strs)+1)
+	for i, end := range ends {
+		offs[i+1] = uint64(end)
+	}
 	return &onpairDict{
 		n:       len(strs),
 		pairs:   pairs,
-		syms:    bits.PackSlice(flat),
+		syms:    packed,
 		offsets: bits.PackSlice(offs),
 	}
 }
@@ -218,19 +226,14 @@ func (d *onpairDict) ForEach(fn func(id uint32, value []byte) bool) {
 	}
 }
 
-// OnPairStats builds the pair table over strs and reports the components
+// OnPairStats trains the pair table over strs and reports the components
 // the size-prediction model needs: the number of pair-table entries, the
 // total number of encoded symbols, and the packed bit width of the symbol
-// stream. maxPairs <= 0 uses the real build's OnPairMaxPairs cap; the size
-// model passes a reduced cap on partial samples so the table cannot overfit
-// a small sample relative to its full-data budget. Sharing the real build
-// makes the model exact on a full sample.
-func OnPairStats(strs []string, maxPairs int) (pairs, symbols int, symWidth uint) {
-	if maxPairs <= 0 || maxPairs > OnPairMaxPairs {
-		maxPairs = OnPairMaxPairs
-	}
-	d := newOnPair(strs, maxPairs)
-	return len(d.pairs), d.syms.Len(), d.syms.Width()
+// stream. It runs the real build's trainer, which makes the model exact on
+// a full sample, but packs neither the symbol stream nor the offsets.
+func OnPairStats(strs []string) (pairs, symbols int, symWidth uint) {
+	p, syms, _ := trainOnPair(strs)
+	return len(p), len(syms), symWidthOf(syms)
 }
 
 func marshalOnPair(e *enc, dict Dictionary) error {

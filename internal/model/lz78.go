@@ -29,10 +29,7 @@ var (
 // (tokens ~ chars / log chars: a bigger corpus has longer phrases).
 func estimateLZ78(s *Sample) uint64 {
 	phrases, tokens := dict.LZ78Stats(s.Strings)
-	var sampleChars float64
-	for _, str := range s.Strings {
-		sampleChars += float64(len(str))
-	}
+	sampleChars := s.parts(arrayParts).chars
 
 	tokensFull := float64(tokens)
 	phrasesFull := float64(phrases)

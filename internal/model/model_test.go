@@ -105,15 +105,15 @@ func TestSampleSizeRespectsRatio(t *testing.T) {
 	}
 }
 
-func TestEstimateAllCoversFormats(t *testing.T) {
+func TestEstimateEachCoversFormats(t *testing.T) {
 	strs := datagen.Generate("mat", 3000, 1)
-	m := EstimateAll(TakeSample(strs, 1.0, 1))
-	if len(m) != dict.NumFormats() {
-		t.Fatalf("EstimateAll returned %d entries", len(m))
+	sizes := EstimateEach(TakeSample(strs, 1.0, 1), 1)
+	if len(sizes) != dict.NumFormats() {
+		t.Fatalf("EstimateEach returned %d entries", len(sizes))
 	}
-	for f, v := range m {
+	for f, v := range sizes {
 		if v == 0 {
-			t.Errorf("%s: zero estimate", f)
+			t.Errorf("%s: zero estimate", dict.Format(f))
 		}
 	}
 }

@@ -28,11 +28,8 @@ var (
 // character ratio and grows the pair table toward its cap, since promotion
 // frequencies rise linearly with the data.
 func estimateOnPair(s *Sample) uint64 {
-	pairs, symbols, symWidth := dict.OnPairStats(s.Strings, 0)
-	var sampleChars float64
-	for _, str := range s.Strings {
-		sampleChars += float64(len(str))
-	}
+	pairs, symbols, symWidth := dict.OnPairStats(s.Strings)
+	sampleChars := s.parts(arrayParts).chars
 
 	symsFull := float64(symbols)
 	pairsFull := float64(pairs)

@@ -6,86 +6,36 @@ import (
 	"strdict/internal/dict"
 )
 
-// EstimateAllParallel is EstimateAll with the per-format models fanned out
-// across a bounded worker pool. The formats' models are independent — each
-// trains its own codec on the (read-only) sample — and the expensive probes
-// (Re-Pair above all) run alongside the cheap closed formulas instead of
-// after them, so the wall-clock cost approaches the single slowest model.
-// parallelism <= 1 falls back to the serial loop; results are identical
-// either way.
-func EstimateAllParallel(s *Sample, parallelism int) map[dict.Format]uint64 {
-	formats := dict.AllFormats()
-	sizes := EstimateEach(s, parallelism)
-	out := make(map[dict.Format]uint64, len(formats))
-	for i, f := range formats {
-		out[f] = sizes[i]
-	}
-	return out
-}
-
 // EstimateEach returns the predicted size of every format in declaration
-// order (index == dict.Format), evaluating the models on a worker pool of
-// the given size (<= 1 serial).
+// order (index == dict.Format). It is the bulk entry point: parallelism > 1
+// prices the formats on a worker pool of that size. Formats that share a
+// probe train it once — the first worker to ask computes it, the others
+// wait on the sample's memo (see probe) — so the result is identical for
+// every parallelism.
 func EstimateEach(s *Sample, parallelism int) []uint64 {
 	formats := dict.AllFormats()
 	sizes := make([]uint64, len(formats))
-	workers := parallelism
-	if workers > len(formats) {
-		workers = len(formats)
-	}
-	if workers <= 1 {
+	if parallelism <= 1 {
 		for i, f := range formats {
 			sizes[i] = EstimateSize(f, s)
 		}
 		return sizes
 	}
-
-	// One format per task; the long-pole models (Re-Pair, n-gram) are
-	// dispatched first so they overlap the cheap ones maximally.
-	order := longPoleFirst(formats)
-	tasks := make(chan dict.Format, len(order))
-	for _, f := range order {
-		tasks <- f
+	tasks := make(chan int, len(formats))
+	for i := range formats {
+		tasks <- i
 	}
 	close(tasks)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < parallelism && w < len(formats); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for f := range tasks {
-				sizes[f] = EstimateSize(f, s)
+			for i := range tasks {
+				sizes[i] = EstimateSize(formats[i], s)
 			}
 		}()
 	}
 	wg.Wait()
 	return sizes
-}
-
-// longPoleFirst orders formats by descending expected model cost: grammar
-// probes first, then n-gram training, entropy coders, and finally the
-// closed-formula formats.
-func longPoleFirst(formats []dict.Format) []dict.Format {
-	rank := func(f dict.Format) int {
-		switch f.Scheme() {
-		case dict.SchemeRP12, dict.SchemeRP16:
-			return 0
-		case dict.SchemeNG2, dict.SchemeNG3:
-			return 1
-		case dict.SchemeHU:
-			return 2
-		case dict.SchemeBC:
-			return 3
-		default:
-			return 4
-		}
-	}
-	out := append([]dict.Format(nil), formats...)
-	// Stable insertion sort: tiny n, keeps declaration order within a rank.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && rank(out[j]) < rank(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -28,16 +28,16 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 	}
 
-	// EstimateAll must price every registered format on a real sample.
+	// EstimateEach must price every registered format on a real sample.
 	strs := datagen.Generate("engl", 2000, 11)
 	s := TakeSample(strs, 1.0, 1)
-	sizes := EstimateAll(s)
+	sizes := EstimateEach(s, 1)
 	if len(sizes) != dict.NumFormats() {
-		t.Fatalf("EstimateAll returned %d entries, want %d", len(sizes), dict.NumFormats())
+		t.Fatalf("EstimateEach returned %d entries, want %d", len(sizes), dict.NumFormats())
 	}
 	for _, f := range dict.AllFormats() {
 		if sizes[f] == 0 {
-			t.Errorf("EstimateAll priced format %v at zero", f)
+			t.Errorf("EstimateEach priced format %v at zero", f)
 		}
 	}
 }

@@ -13,7 +13,9 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 
 	"strdict/internal/dict"
 )
@@ -23,7 +25,11 @@ import (
 // for 1% samples of very small dictionaries.
 const MinSampleStrings = 5000
 
-// Sample carries everything the size models need about a column.
+// Sample carries everything the size models need about a column. The size
+// models memoise what they derive from it (part sets, trained probes) on the
+// Sample itself, for as long as it lives: treat a Sample as immutable from
+// the first EstimateSize on, and register extension size models
+// (RegisterSizeModel) before it — later changes are not seen.
 type Sample struct {
 	// Exact properties, known a priori from the dictionary input.
 	N        int    // number of strings
@@ -39,6 +45,10 @@ type Sample struct {
 	// Block geometry used when sampling, mirrored from package dict.
 	FCBlockSize  int
 	ColBlockSize int
+
+	// What the size models have derived from the sample so far; see probe.
+	mu     sync.Mutex
+	probes map[any]*probeCell
 }
 
 // TakeSample draws a uniform sample of about ratio*len(strs) strings, but at
@@ -122,42 +132,102 @@ func sampleBlocks(rng *rand.Rand, strs []string, blockSize, wantStrings int) [][
 	return out
 }
 
-// sampleChars returns the summed length of the sampled strings.
-func (s *Sample) sampleChars() uint64 {
-	var c uint64
-	for _, str := range s.Strings {
-		c += uint64(len(str))
+// probe returns the value compute yields for key, computing it on the first
+// request for that key on this sample and serving it from the sample
+// afterwards. Requests for one key from several goroutines run compute once
+// and all wait for it; different keys compute side by side, and a compute
+// may itself request other keys.
+func probe[T any](s *Sample, key any, compute func() T) T {
+	s.mu.Lock()
+	if s.probes == nil {
+		s.probes = make(map[any]*probeCell)
 	}
-	return c
+	c := s.probes[key]
+	if c == nil {
+		c = new(probeCell)
+		s.probes[key] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() { c.val = compute() })
+	v, ok := c.val.(T)
+	if !ok { // compute panicked on an earlier request and spent the cell
+		panic(fmt.Sprintf("model: probe %v failed on an earlier request", key))
+	}
+	return v
 }
 
-// parts converts the sampled strings to byte slices for codec training.
-func (s *Sample) parts() [][]byte {
-	parts := make([][]byte, len(s.Strings))
-	for i, str := range s.Strings {
-		parts[i] = []byte(str)
-	}
-	return parts
+type probeCell struct {
+	once sync.Once
+	val  any
 }
 
-// fcParts returns the stored parts (block-first strings and suffixes) of the
-// sampled blocks, in layout order, for the given front-coding mode.
-// toFirst selects difference-to-first (fc block df) prefixes.
-func (s *Sample) fcParts(toFirst bool) [][]byte {
-	var parts [][]byte
-	for _, block := range s.FCBlocks {
-		if len(block) == 0 {
-			continue
+// partSet names one of the three sets of byte strings the string schemes
+// are trained on.
+type partSet int
+
+const (
+	// arrayParts are the sampled strings themselves.
+	arrayParts partSet = iota
+	// fcParts are the stored parts of the sampled front-coding blocks in
+	// layout order: each block's first string, then every other string's
+	// suffix after the prefix shared with its predecessor.
+	fcParts
+	// fcFirstParts are the same with prefixes taken against the block's
+	// first string (fc block df).
+	fcFirstParts
+)
+
+// sampledParts is a part set with the totals its scheme models scale by.
+type sampledParts struct {
+	parts      [][]byte
+	chars      float64 // characters in parts
+	totalChars float64 // characters the whole column holds in this part set
+}
+
+// parts returns the memoised part set.
+func (s *Sample) parts(ps partSet) *sampledParts {
+	return probe(s, ps, func() *sampledParts {
+		if ps == arrayParts {
+			sp := copyParts(s.Strings)
+			sp.totalChars = float64(s.RawChars)
+			return sp
 		}
-		parts = append(parts, []byte(block[0]))
-		for i := 1; i < len(block); i++ {
-			ref := block[i-1]
-			if toFirst {
-				ref = block[0]
+		var stored []string
+		for _, block := range s.FCBlocks {
+			if len(block) == 0 {
+				continue
 			}
-			pl := dict.CommonPrefixLen(ref, block[i])
-			parts = append(parts, []byte(block[i][pl:]))
+			stored = append(stored, block[0])
+			for i := 1; i < len(block); i++ {
+				ref := block[i-1]
+				if ps == fcFirstParts {
+					ref = block[0]
+				}
+				stored = append(stored, block[i][dict.CommonPrefixLen(ref, block[i]):])
+			}
 		}
+		sp := copyParts(stored)
+		// Anchor the front-coded character count per string.
+		sp.totalChars = sp.chars
+		if len(stored) > 0 {
+			sp.totalChars = sp.chars / float64(len(stored)) * float64(s.N)
+		}
+		return sp
+	})
+}
+
+// copyParts converts strings to byte slices for codec training, all carved
+// out of one buffer.
+func copyParts(strs []string) *sampledParts {
+	total := 0
+	for _, str := range strs {
+		total += len(str)
 	}
-	return parts
+	buf := make([]byte, 0, total)
+	parts := make([][]byte, len(strs))
+	for i, str := range strs {
+		buf = append(buf, str...)
+		parts[i] = buf[len(buf)-len(str) : len(buf) : len(buf)]
+	}
+	return &sampledParts{parts: parts, chars: float64(total)}
 }

@@ -20,13 +20,22 @@ import (
 // Unlike "naively compressing a sample and extrapolating", the models only
 // gather cheap properties (alphabet width, symbol entropy, n-gram coverage,
 // grammar compression rate on the sample, maximum string length, average
-// block size) and evaluate closed formulas over them; no encoded data is
-// materialized.
+// block size) and evaluate closed formulas over them. The properties come
+// from probes that train a codec on the sample but stop at its statistics —
+// code lengths, gram, rule and pair counts, per-part symbol counts: no
+// encoded data is materialized, not even for the sample. (The one exception
+// is the LZ78 extension model, which runs the build's parse on the sample
+// and counts the tokens it keeps.)
+//
+// Probes are memoised on the Sample (see probe), so formats that read the
+// same one — both Re-Pair widths of a part set, every front-coded format's
+// part set — compute it once, whether the caller asks format by format or
+// through EstimateEach. Concurrent calls on one Sample are safe.
 func EstimateSize(f dict.Format, s *Sample) uint64 {
 	// Registered per-format models (extension formats) take precedence; the
 	// built-ins share the trait-driven models below.
 	if fn, ok := sizeModels[f]; ok {
-		return fn(s)
+		return probe(s, f, func() uint64 { return fn(s) })
 	}
 	var size float64
 	switch {
@@ -50,41 +59,27 @@ func EstimateSize(f dict.Format, s *Sample) uint64 {
 		size = estimateFC(f, s)
 
 	default: // array class
-		est := estimateScheme(f.Scheme(), s.parts(), float64(s.RawChars), float64(s.N), true)
+		est := s.schemeEstimate(arrayParts, f.Scheme())
 		size = est.data + est.table + packedBytes(s.N+1, est.data)
 	}
 	return uint64(math.Round(size)) + dict.StructOverhead
 }
 
-// EstimateAll runs every format's model on one sample.
-func EstimateAll(s *Sample) map[dict.Format]uint64 {
-	out := make(map[dict.Format]uint64, dict.NumFormats())
-	for _, f := range dict.AllFormats() {
-		out[f] = EstimateSize(f, s)
+// partSetOf names the part set a built-in format's string scheme encodes.
+func partSetOf(f dict.Format) partSet {
+	switch {
+	case f == dict.FCBlockDF:
+		return fcFirstParts
+	case f.IsFrontCoded():
+		return fcParts
 	}
-	return out
+	return arrayParts
 }
 
 // estimateFC models the three front-coding layouts.
 func estimateFC(f dict.Format, s *Sample) float64 {
 	nblocks := blocksOf(s.N, s.FCBlockSize)
-	toFirst := f == dict.FCBlockDF
-
-	parts := s.fcParts(toFirst)
-	var storedChars float64
-	var blockStrings int
-	for _, p := range parts {
-		storedChars += float64(len(p))
-	}
-	for _, b := range s.FCBlocks {
-		blockStrings += len(b)
-	}
-	// Anchor the front-coded character count per string.
-	if blockStrings > 0 {
-		storedChars = storedChars / float64(blockStrings) * float64(s.N)
-	}
-
-	est := estimateScheme(f.Scheme(), parts, storedChars, float64(s.N), false)
+	est := s.schemeEstimate(partSetOf(f), f.Scheme())
 
 	// Header bytes per the layouts in dict/fc.go.
 	var header float64
@@ -104,20 +99,43 @@ type schemeEstimate struct {
 	table float64
 }
 
-// estimateScheme models the encoded size of totalN parts with totalChars
-// characters, from the sampled parts. orderPreserving mirrors the codec
-// choice in dict: Hu-Tucker for array hu, Huffman for front-coded suffixes.
-func estimateScheme(sc dict.Scheme, parts [][]byte, totalChars, totalN float64, orderPreserving bool) schemeEstimate {
-	var sampleChars, sampleN float64
-	for _, p := range parts {
-		sampleChars += float64(len(p))
-	}
-	sampleN = float64(len(parts))
+type schemeKey struct {
+	ps partSet
+	sc dict.Scheme
+}
+
+// schemeEstimate is the memoised scheme model of one (part set, scheme):
+// every format that encodes that part set with that scheme reads it.
+func (s *Sample) schemeEstimate(ps partSet, sc dict.Scheme) schemeEstimate {
+	return probe(s, schemeKey{ps, sc}, func() schemeEstimate { return s.estimateScheme(ps, sc) })
+}
+
+// trainRepair is the Re-Pair probe; a variable so a test can count its runs.
+var trainRepair = repair.TrainStats
+
+type repairKey partSet
+
+// repairCuts is the memoised Re-Pair probe of a part set: one training run
+// read at the 12-bit cut ([0]) and at the 16-bit end ([1]).
+func (s *Sample) repairCuts(ps partSet) [2]repair.Cut {
+	return probe(s, repairKey(ps), func() [2]repair.Cut {
+		at12, at16 := trainRepair(s.parts(ps).parts)
+		return [2]repair.Cut{at12, at16}
+	})
+}
+
+// estimateScheme models the encoded size of the column's parts from the
+// sampled ones. The codec choice mirrors dict: array dictionaries take the
+// order-preserving Hu-Tucker code, front-coded suffixes Huffman.
+func (s *Sample) estimateScheme(ps partSet, sc dict.Scheme) schemeEstimate {
+	sp := s.parts(ps)
+	parts, totalChars, totalN := sp.parts, sp.totalChars, float64(s.N)
+	orderPreserving := ps == arrayParts
 	// scale maps "bytes on the sample" to "bytes on the column", anchored on
 	// the known exact totals.
 	scale := 1.0
-	if sampleChars+sampleN > 0 {
-		scale = (totalChars + totalN) / (sampleChars + sampleN)
+	if sampleN := float64(len(parts)); sp.chars+sampleN > 0 {
+		scale = (totalChars + totalN) / (sp.chars + sampleN)
 	}
 
 	switch sc {
@@ -176,25 +194,23 @@ func estimateScheme(sc dict.Scheme, parts [][]byte, totalChars, totalN float64, 
 		// Simulate the greedy coder arithmetically: count emitted codes.
 		var sampleBytes float64
 		for _, p := range parts {
-			codes := greedyCodeCount(c, p) + 1 // + EOS
-			sampleBytes += math.Ceil(float64(codes) * 12 / 8)
+			sampleBytes += math.Ceil(float64(c.CodeCount(p)) * 12 / 8)
 		}
 		table := float64(c.GramCount()*(n+24)) + 8
 		return schemeEstimate{data: sampleBytes * scale, table: table}
 
 	case dict.SchemeRP12, dict.SchemeRP16:
-		w := uint(12)
+		w, cut := uint(12), s.repairCuts(ps)[0]
 		if sc == dict.SchemeRP16 {
-			w = 16
+			w, cut = 16, s.repairCuts(ps)[1]
 		}
-		g, seqs := repair.Train(parts, w)
 		var sampleBytes float64
-		for _, seq := range seqs {
-			sampleBytes += math.Ceil(float64(len(seq)+1) * float64(w) / 8)
+		for _, n := range cut.SeqLens {
+			sampleBytes += math.Ceil(float64(n+1) * float64(w) / 8)
 		}
 		// Rules found on the sample scale up with the data until the symbol
 		// space saturates.
-		rules := float64(g.RuleCount()) * scale
+		rules := float64(cut.Rules) * scale
 		if cap := float64(repair.MaxRules(w)); rules > cap {
 			rules = cap
 		}
@@ -203,21 +219,6 @@ func estimateScheme(sc dict.Scheme, parts [][]byte, totalChars, totalN float64, 
 	default:
 		panic("model: unknown scheme")
 	}
-}
-
-// greedyCodeCount counts the 12-bit codes the n-gram coder would emit for p.
-func greedyCodeCount(c *ngram.Codec, p []byte) int {
-	n := c.N()
-	codes := 0
-	for i := 0; i < len(p); {
-		if i+n <= len(p) && c.HasGram(string(p[i:i+n])) {
-			i += n
-		} else {
-			i++
-		}
-		codes++
-	}
-	return codes
 }
 
 func distinctChars(parts [][]byte) int {

@@ -12,9 +12,9 @@ package ngram
 
 import (
 	"fmt"
-	"sort"
 
 	"strdict/internal/bits"
+	"strdict/internal/tally"
 )
 
 // CodeBits is the fixed code width.
@@ -27,46 +27,63 @@ const eosCode = 256
 // MaxGrams is the number of n-gram codes available (2^12 - 256 backup - EOS).
 const MaxGrams = (1 << CodeBits) - 257
 
+// maxN bounds the gram length: a gram is looked up by its bytes packed
+// big-endian into a uint32, which orders keys like the gram strings.
+const maxN = 4
+
 // Codec holds a trained n-gram table.
 type Codec struct {
 	n      int
-	gramOf map[string]uint16 // gram -> code (>= 257)
-	grams  []string          // grams[code-257] = gram
+	codeOf tally.Table // packed gram -> code (>= 257)
+	grams  []string    // grams[code-257] = gram
+}
+
+// pack returns the key of the n-gram at the start of g.
+func pack[S string | []byte](g S, n int) uint32 {
+	var key uint32
+	for i := 0; i < n; i++ {
+		key = key<<8 | uint32(g[i])
+	}
+	return key
 }
 
 // Train builds a codec collecting the most frequent n-grams (overlapping
-// occurrences) of the corpus parts.
+// occurrences) of the corpus parts; among equally frequent grams the
+// lexicographically smaller comes first.
 func Train(n int, parts [][]byte) *Codec {
-	if n < 2 {
-		panic("ngram: n must be at least 2")
+	if n < 2 || n > maxN {
+		panic(fmt.Sprintf("ngram: n must be between 2 and %d", maxN))
 	}
-	counts := make(map[string]uint64)
+	var counts tally.Table
+	mask := uint32(1)<<(8*uint(n)) - 1 // all ones for n == 4
 	for _, p := range parts {
-		for i := 0; i+n <= len(p); i++ {
-			counts[string(p[i:i+n])]++
+		var key uint32
+		for i, b := range p {
+			key = (key<<8 | uint32(b)) & mask
+			if i >= n-1 {
+				counts.Inc(key)
+			}
 		}
 	}
-	type gc struct {
-		g string
-		c uint64
+	ranked := counts.Ranked(nil, 1)
+	if len(ranked) > MaxGrams {
+		ranked = ranked[:MaxGrams]
 	}
-	all := make([]gc, 0, len(counts))
-	for g, c := range counts {
-		all = append(all, gc{g, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	// The gram strings share one backing array.
+	text := make([]byte, 0, n*len(ranked))
+	for _, e := range ranked {
+		key, _ := tally.Unrank(e)
+		for sh := 8 * (n - 1); sh >= 0; sh -= 8 {
+			text = append(text, byte(key>>uint(sh)))
 		}
-		return all[i].g < all[j].g // deterministic
-	})
-	if len(all) > MaxGrams {
-		all = all[:MaxGrams]
 	}
-	c := &Codec{n: n, gramOf: make(map[string]uint16, len(all))}
-	for _, e := range all {
-		c.grams = append(c.grams, e.g)
-		c.gramOf[e.g] = uint16(len(c.grams) - 1 + 257)
+	grams, all := make([]string, len(ranked)), string(text)
+	for i := range grams {
+		grams[i] = all[i*n : (i+1)*n]
+	}
+	c, err := FromGrams(n, grams)
+	if err != nil {
+		panic(err) // distinct n-grams within budget by construction
 	}
 	return c
 }
@@ -76,6 +93,15 @@ func (c *Codec) N() int { return c.n }
 
 // GramCount returns how many grams hold proper codes.
 func (c *Codec) GramCount() int { return len(c.grams) }
+
+// code returns the code of the gram at the start of src, 0 if src is
+// shorter than a gram or the gram has no code.
+func (c *Codec) code(src []byte) uint32 {
+	if len(src) < c.n {
+		return 0
+	}
+	return c.codeOf.Get(pack(src, c.n))
+}
 
 // Encode appends the byte-aligned encoded form of src (EOS-terminated) to dst.
 func (c *Codec) Encode(dst []byte, src []byte) []byte {
@@ -88,17 +114,29 @@ func (c *Codec) Encode(dst []byte, src []byte) []byte {
 // EncodeTo writes the unaligned code sequence for src followed by EOS.
 func (c *Codec) EncodeTo(w *bits.Writer, src []byte) {
 	for i := 0; i < len(src); {
-		if i+c.n <= len(src) {
-			if code, ok := c.gramOf[string(src[i:i+c.n])]; ok {
-				w.WriteBits(uint64(code), CodeBits)
-				i += c.n
-				continue
-			}
+		if code := c.code(src[i:]); code != 0 {
+			w.WriteBits(uint64(code), CodeBits)
+			i += c.n
+			continue
 		}
 		w.WriteBits(uint64(src[i]), CodeBits)
 		i++
 	}
 	w.WriteBits(eosCode, CodeBits)
+}
+
+// CodeCount returns how many codes EncodeTo emits for src, EOS included,
+// without encoding it.
+func (c *Codec) CodeCount(src []byte) int {
+	codes := 1
+	for i := 0; i < len(src); codes++ {
+		if c.code(src[i:]) != 0 {
+			i += c.n
+		} else {
+			i++
+		}
+	}
+	return codes
 }
 
 // Decode appends the decoded string to dst, reading codes until EOS.
@@ -144,12 +182,6 @@ func (c *Codec) Name() string {
 	return "ng"
 }
 
-// HasGram reports whether g holds a proper 12-bit code.
-func (c *Codec) HasGram(g string) bool {
-	_, ok := c.gramOf[g]
-	return ok
-}
-
 // Grams returns the gram table in code order, the codec's serialized form.
 func (c *Codec) Grams() []string {
 	return append([]string(nil), c.grams...)
@@ -157,22 +189,22 @@ func (c *Codec) Grams() []string {
 
 // FromGrams rebuilds a codec from a serialized gram table.
 func FromGrams(n int, grams []string) (*Codec, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("ngram: n must be at least 2")
+	if n < 2 || n > maxN {
+		return nil, fmt.Errorf("ngram: n must be between 2 and %d", maxN)
 	}
 	if len(grams) > MaxGrams {
 		return nil, fmt.Errorf("ngram: %d grams exceed the %d-code budget", len(grams), MaxGrams)
 	}
-	c := &Codec{n: n, gramOf: make(map[string]uint16, len(grams))}
+	c := &Codec{n: n, grams: make([]string, 0, len(grams))}
 	for _, g := range grams {
 		if len(g) != n {
 			return nil, fmt.Errorf("ngram: gram %q has length %d, want %d", g, len(g), n)
 		}
-		if _, dup := c.gramOf[g]; dup {
+		if c.codeOf.Get(pack(g, n)) != 0 {
 			return nil, fmt.Errorf("ngram: duplicate gram %q", g)
 		}
 		c.grams = append(c.grams, g)
-		c.gramOf[g] = uint16(len(c.grams) - 1 + 257)
+		c.codeOf.Set(pack(g, n), uint32(len(c.grams)-1+257))
 	}
 	return c, nil
 }

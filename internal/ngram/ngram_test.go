@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"strdict/internal/bits"
 )
 
 func TestRoundTrip2gram(t *testing.T) {
@@ -95,6 +97,77 @@ func TestDeterministicTraining(t *testing.T) {
 	for i := range a.grams {
 		if a.grams[i] != b.grams[i] {
 			t.Fatalf("gram order differs at %d: %q vs %q", i, a.grams[i], b.grams[i])
+		}
+	}
+}
+
+func TestFromGramsRejectsBadTables(t *testing.T) {
+	for name, c := range map[string]struct {
+		n     int
+		grams []string
+	}{
+		"n too small":  {1, []string{"a"}},
+		"n too large":  {5, []string{"abcde"}},
+		"wrong length": {2, []string{"ab", "abc"}},
+		"duplicate":    {3, []string{"abc", "xyz", "abc"}},
+	} {
+		if _, err := FromGrams(c.n, c.grams); err == nil {
+			t.Errorf("%s: FromGrams accepted %d-grams %q", name, c.n, c.grams)
+		}
+	}
+	c, err := FromGrams(4, []string{"abcd", "\xff\xff\xff\xff"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := []byte("abcd\xff\xff\xff\xffabc")
+	if dec := c.Decode(nil, c.Encode(nil, src)); !bytes.Equal(dec, src) {
+		t.Fatalf("4-gram round trip %q -> %q", src, dec)
+	}
+	if got := c.CodeCount(src); got != 2+3+1 {
+		t.Fatalf("CodeCount = %d, want 6 (two grams, three backups, EOS)", got)
+	}
+}
+
+// TestCodeCountMatchesEncode: the model's stats-only pricing must count
+// exactly the codes the encoder writes.
+func TestCodeCountMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	train := make([]byte, 4096)
+	for i := range train {
+		train[i] = byte('a' + rng.Intn(6))
+	}
+	for n := 2; n <= 4; n++ {
+		c := Train(n, [][]byte{train})
+		for l := 0; l < 40; l++ {
+			src := train[l : 2*l]
+			var w bits.Writer
+			c.EncodeTo(&w, src)
+			if got, want := c.CodeCount(src), int(w.Len()/CodeBits); got != want {
+				t.Fatalf("n=%d len=%d: CodeCount %d, encoder wrote %d codes", n, l, got, want)
+			}
+		}
+	}
+}
+
+// TestTrainAllocs keeps n-gram training on flat storage: the number of
+// allocations is a small constant — the counting table's doublings, the
+// ranking, the gram strings' shared backing, the code table — whether the
+// corpus has a few dozen distinct grams or tens of thousands. A map keyed
+// by gram strings would allocate per distinct gram.
+func TestTrainAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	few, many := make([]byte, 1<<16), make([]byte, 1<<16)
+	for i := range few {
+		few[i] = byte('a' + rng.Intn(4))
+	}
+	rng.Read(many)
+	for name, text := range map[string][]byte{"few grams": few, "many grams": many} {
+		for n := 2; n <= 3; n++ {
+			parts := [][]byte{text}
+			allocs := testing.AllocsPerRun(3, func() { Train(n, parts) })
+			if allocs > 64 {
+				t.Errorf("%s, n=%d: Train made %.0f allocations, want at most 64", name, n, allocs)
+			}
 		}
 	}
 }

@@ -16,7 +16,6 @@
 package repair
 
 import (
-	"container/heap"
 	"fmt"
 
 	"strdict/internal/bits"
@@ -56,9 +55,34 @@ func Train(parts [][]byte, symbolBits uint) (*Grammar, [][]int32) {
 	if symbolBits != 12 && symbolBits != 16 {
 		panic("repair: symbolBits must be 12 or 16")
 	}
-	tr := newTrainer(parts, symbolBits)
-	tr.run()
-	return &Grammar{symbolBits: symbolBits, rules: tr.rules}, tr.sequences(len(parts))
+	tr := newTrainer(parts)
+	tr.run(MaxRules(symbolBits))
+	return &Grammar{symbolBits: symbolBits, rules: tr.rules}, tr.sequences()
+}
+
+// Cut is what a size model reads off a training run stopped at one symbol
+// width: the number of rules created and every part's sequence length.
+type Cut struct {
+	Rules   int
+	SeqLens []int32
+}
+
+// TrainStats trains once and reports the run's state where a 12-bit grammar
+// is full and again at the 16-bit end. Rule creation is deterministic and
+// the width only bounds the rule count, so the 12-bit training is exactly
+// the 16-bit one stopped after MaxRules(12) rules: at12 and at16 equal what
+// Train(parts, 12) and Train(parts, 16) would yield, from a single run and
+// without materializing any symbol sequence.
+func TrainStats(parts [][]byte) (at12, at16 Cut) {
+	tr := newTrainer(parts)
+	tr.run(MaxRules(12))
+	at12 = Cut{Rules: len(tr.rules), SeqLens: tr.seqLens()}
+	tr.run(MaxRules(16))
+	at16 = at12
+	if len(tr.rules) > at12.Rules {
+		at16 = Cut{Rules: len(tr.rules), SeqLens: tr.seqLens()}
+	}
+	return at12, at16
 }
 
 const (
@@ -67,207 +91,287 @@ const (
 	none = int32(-3) // list terminator
 )
 
-// pairRec tracks the occurrences of one active pair.
+// pairRec tracks the occurrences of one active pair. Records live in one
+// flat slice and are referred to by index.
 type pairRec struct {
-	key     uint64
-	count   int32
+	a, b    int32 // the pair's symbols
 	head    int32 // first occurrence position (position of the left symbol)
-	heapIdx int
+	heapIdx int32 // position in trainer.pq, where the pair's count lives
 }
 
-type recHeap []*pairRec
-
-func (h recHeap) Len() int            { return len(h) }
-func (h recHeap) Less(i, j int) bool  { return h[i].count > h[j].count }
-func (h recHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *recHeap) Push(x interface{}) { r := x.(*pairRec); r.heapIdx = len(*h); *h = append(*h, r) }
-func (h *recHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	*h = old[:n-1]
-	return r
+// heapEnt is one queue entry. The count sits here, not in the record, so
+// sifting compares neighbouring array elements only.
+type heapEnt struct {
+	count, rec int32
 }
 
+// position is one cell of the symbol sequence together with its links.
+type position struct {
+	sym              int32
+	next, prev       int32 // neighbours in the sequence, skipping holes
+	nextOcc, prevOcc int32 // neighbours on the pair's occurrence list
+	rec              int32 // record of the pair registered here, or none
+}
+
+// trainer is the Re-Pair working state, all of it flat: the positions, the
+// pair records, an open-addressed index from pair to record, and a binary
+// max-heap of records by count.
+//
+// Which of several equally frequent pairs becomes the next rule is decided
+// by the heap's layout, so up, down and the removal in run perform exactly
+// the sift steps container/heap's Push, Fix and Remove would: the grammar is
+// a pure function of the input, pinned by testdata/rules.golden.
 type trainer struct {
-	seq        []int32
-	next, prev []int32 // active doubly-linked list over positions
-	nextOcc    []int32 // occurrence-list threading, keyed by position
-	prevOcc    []int32
-	recs       map[uint64]*pairRec
-	pq         recHeap
-	rules      []Rule
-	maxSym     int32
+	nParts int
+	pos    []position
+	recs   []pairRec
+	slots  []int32   // open addressing: record index + 1, 0 = empty
+	shift  uint      // 64 - log2(len(slots))
+	pq     []heapEnt // binary max-heap by count
+	rules  []Rule
 }
 
-func pairKey(a, b int32) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-func newTrainer(parts [][]byte, symbolBits uint) *trainer {
-	n := 0
+func newTrainer(parts [][]byte) *trainer {
+	m := len(parts) // one separator after each part
 	for _, p := range parts {
-		n += len(p) + 1 // +1 separator after each part
+		m += len(p)
 	}
-	tr := &trainer{
-		seq:     make([]int32, 0, n),
-		recs:    make(map[uint64]*pairRec),
-		maxSym:  int32(1<<symbolBits) - 1,
-		nextOcc: make([]int32, n),
-		prevOcc: make([]int32, n),
+	tr := &trainer{nParts: len(parts), pos: make([]position, 0, m)}
+	add := func(sym int32) {
+		i := int32(len(tr.pos))
+		tr.pos = append(tr.pos, position{sym: sym, next: i + 1, prev: i - 1, nextOcc: none, prevOcc: none, rec: none})
 	}
 	for _, p := range parts {
 		for _, b := range p {
-			tr.seq = append(tr.seq, int32(b))
+			add(int32(b))
 		}
-		tr.seq = append(tr.seq, sep)
-	}
-	m := len(tr.seq)
-	tr.next = make([]int32, m)
-	tr.prev = make([]int32, m)
-	for i := 0; i < m; i++ {
-		tr.next[i] = int32(i + 1)
-		tr.prev[i] = int32(i - 1)
-		tr.nextOcc[i] = none
-		tr.prevOcc[i] = none
+		add(sep)
 	}
 	if m > 0 {
-		tr.next[m-1] = none
+		tr.pos[m-1].next = none
 	}
+	// Text has far fewer distinct pairs than positions; the tables double
+	// on demand beyond this.
+	slots := 256
+	for slots < m/4 {
+		slots *= 2
+	}
+	tr.resize(slots)
 	// Register every adjacent pair not involving a separator.
 	for i := 0; i+1 < m; i++ {
 		tr.addOcc(int32(i))
 	}
-	heap.Init(&tr.pq)
 	return tr
 }
 
-// registered reports whether position p currently heads a trackable pair.
-func (tr *trainer) registered(p int32) bool {
-	if p < 0 || tr.seq[p] < 0 {
-		return false
+// slot returns the index into slots where the pair (a, b) is or belongs.
+func (tr *trainer) slot(a, b int32) int {
+	mask := len(tr.slots) - 1
+	i := int((uint64(uint32(a))<<32 | uint64(uint32(b))) * 0x9E3779B97F4A7C15 >> tr.shift)
+	for {
+		ri := tr.slots[i]
+		if ri == 0 || (tr.recs[ri-1].a == a && tr.recs[ri-1].b == b) {
+			return i
+		}
+		i = (i + 1) & mask
 	}
-	q := tr.next[p]
-	return q >= 0 && tr.seq[q] >= 0
 }
 
-// addOcc registers the pair starting at position p, if trackable.
-func (tr *trainer) addOcc(p int32) {
-	if !tr.registered(p) {
-		return
+// resize rebuilds the index with n slots (a power of two) and makes room
+// for the n/2 records it may hold before it is resized again. Records of
+// pairs that became rules are left out of the index: such a pair never
+// occurs again.
+func (tr *trainer) resize(n int) {
+	tr.slots = make([]int32, n)
+	tr.recs = append(make([]pairRec, 0, n/2), tr.recs...)
+	tr.pq = append(make([]heapEnt, 0, n/2), tr.pq...)
+	tr.shift = 64
+	for ; n > 1; n >>= 1 {
+		tr.shift--
 	}
-	q := tr.next[p]
-	key := pairKey(tr.seq[p], tr.seq[q])
-	rec := tr.recs[key]
-	if rec == nil {
-		rec = &pairRec{key: key, head: none}
-		tr.recs[key] = rec
-		heap.Push(&tr.pq, rec)
+	for ri := range tr.recs {
+		if r := &tr.recs[ri]; r.heapIdx >= 0 {
+			tr.slots[tr.slot(r.a, r.b)] = int32(ri + 1)
+		}
 	}
-	// Push-front onto the occurrence list.
-	tr.nextOcc[p] = rec.head
-	tr.prevOcc[p] = none
-	if rec.head != none {
-		tr.prevOcc[rec.head] = p
-	}
-	rec.head = p
-	rec.count++
-	heap.Fix(&tr.pq, rec.heapIdx)
 }
 
-// removeOcc unregisters the pair currently starting at position p.
-// It must be called before the symbols at p or next[p] are mutated.
-func (tr *trainer) removeOcc(p int32) {
-	if !tr.registered(p) {
-		return
-	}
-	q := tr.next[p]
-	key := pairKey(tr.seq[p], tr.seq[q])
-	rec := tr.recs[key]
-	if rec == nil {
-		return
-	}
-	if tr.prevOcc[p] != none {
-		tr.nextOcc[tr.prevOcc[p]] = tr.nextOcc[p]
-	} else if rec.head == p {
-		rec.head = tr.nextOcc[p]
-	} else {
-		return // p was not on this list (defensive; should not happen)
-	}
-	if tr.nextOcc[p] != none {
-		tr.prevOcc[tr.nextOcc[p]] = tr.prevOcc[p]
-	}
-	tr.nextOcc[p] = none
-	tr.prevOcc[p] = none
-	rec.count--
-	heap.Fix(&tr.pq, rec.heapIdx)
+func (tr *trainer) less(i, j int) bool { return tr.pq[i].count > tr.pq[j].count }
+
+func (tr *trainer) swap(i, j int) {
+	tr.pq[i], tr.pq[j] = tr.pq[j], tr.pq[i]
+	tr.recs[tr.pq[i].rec].heapIdx = int32(i)
+	tr.recs[tr.pq[j].rec].heapIdx = int32(j)
 }
 
-func (tr *trainer) run() {
-	nextSym := int32(firstRuleSym)
-	for len(tr.pq) > 0 && nextSym <= tr.maxSym {
-		top := tr.pq[0]
-		if top.count < 2 {
+func (tr *trainer) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !tr.less(j, i) {
 			break
 		}
-		a := int32(uint32(top.key >> 32))
-		b := int32(uint32(top.key))
-		tr.rules = append(tr.rules, Rule{Left: a, Right: b})
-		newSym := nextSym
-		nextSym++
-		for top.count > 0 {
-			tr.replaceAt(top.head, newSym)
+		tr.swap(i, j)
+		j = i
+	}
+}
+
+func (tr *trainer) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
 		}
-		// Drop the exhausted record.
-		heap.Remove(&tr.pq, top.heapIdx)
-		delete(tr.recs, top.key)
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && tr.less(j2, j1) {
+			j = j2
+		}
+		if !tr.less(j, i) {
+			break
+		}
+		tr.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// addOcc registers the pair starting at position p, if there is one: both
+// p and its successor must hold symbols.
+func (tr *trainer) addOcc(p int32) {
+	if p < 0 || tr.pos[p].sym < 0 {
+		return
+	}
+	q := tr.pos[p].next
+	if q < 0 || tr.pos[q].sym < 0 {
+		return
+	}
+	a, b := tr.pos[p].sym, tr.pos[q].sym
+	si := tr.slot(a, b)
+	ri := tr.slots[si] - 1
+	if ri < 0 {
+		if 2*len(tr.recs) >= len(tr.slots) {
+			tr.resize(2 * len(tr.slots))
+			si = tr.slot(a, b)
+		}
+		ri = int32(len(tr.recs))
+		tr.recs = append(tr.recs, pairRec{a: a, b: b, head: none, heapIdx: int32(len(tr.pq))})
+		tr.slots[si] = ri + 1
+		tr.pq = append(tr.pq, heapEnt{rec: ri})
+	}
+	rec := &tr.recs[ri]
+	// Push-front onto the occurrence list.
+	at := &tr.pos[p]
+	at.nextOcc, at.prevOcc, at.rec = rec.head, none, ri
+	if rec.head != none {
+		tr.pos[rec.head].prevOcc = p
+	}
+	rec.head = p
+	tr.pq[rec.heapIdx].count++
+	tr.up(int(rec.heapIdx)) // a grown count can only rise
+}
+
+// removeOcc unregisters the pair currently starting at position p, if one
+// is registered there. It must be called before the symbols at p or its
+// successor are mutated.
+func (tr *trainer) removeOcc(p int32) {
+	if p < 0 || tr.pos[p].rec == none {
+		return
+	}
+	at := &tr.pos[p]
+	rec := &tr.recs[at.rec]
+	if at.prevOcc != none {
+		tr.pos[at.prevOcc].nextOcc = at.nextOcc
+	} else {
+		rec.head = at.nextOcc
+	}
+	if at.nextOcc != none {
+		tr.pos[at.nextOcc].prevOcc = at.prevOcc
+	}
+	at.nextOcc, at.prevOcc, at.rec = none, none, none
+	tr.pq[rec.heapIdx].count--
+	tr.down(int(rec.heapIdx), len(tr.pq)) // a shrunk count can only sink
+}
+
+// run creates rules until no pair occurs twice or the grammar holds maxRules
+// rules. It can be called again with a larger bound to continue the run.
+func (tr *trainer) run(maxRules int) {
+	for len(tr.pq) > 0 && len(tr.rules) < maxRules {
+		if tr.pq[0].count < 2 {
+			break
+		}
+		ti := tr.pq[0].rec
+		tr.rules = append(tr.rules, Rule{Left: tr.recs[ti].a, Right: tr.recs[ti].b})
+		newSym := int32(firstRuleSym + len(tr.rules) - 1)
+		for tr.pq[tr.recs[ti].heapIdx].count > 0 {
+			tr.replaceAt(tr.recs[ti].head, newSym)
+		}
+		// Drop the exhausted record from the queue.
+		top := &tr.recs[ti]
+		i, n := int(top.heapIdx), len(tr.pq)-1
+		if i != n {
+			tr.swap(i, n)
+			if !tr.down(i, n) {
+				tr.up(i)
+			}
+		}
+		tr.pq = tr.pq[:n]
+		top.heapIdx = -1
 	}
 }
 
 // replaceAt rewrites the pair starting at position p with newSym, keeping
 // all occurrence lists consistent.
 func (tr *trainer) replaceAt(p, newSym int32) {
-	q := tr.next[p]
-	lp := tr.prev[p]
-	r := tr.next[q]
+	q := tr.pos[p].next
+	lp := tr.pos[p].prev
+	r := tr.pos[q].next
 
 	// Unregister the three pairs whose symbols are about to change:
 	// (left-neighbour, a), (a, b) itself, and (b, right-neighbour).
 	tr.removeOcc(p)
-	if lp != none {
-		tr.removeOcc(lp)
-	}
+	tr.removeOcc(lp)
 	tr.removeOcc(q)
 
-	tr.seq[p] = newSym
-	tr.seq[q] = hole
-	tr.next[p] = r
+	tr.pos[p].sym = newSym
+	tr.pos[q].sym = hole
+	tr.pos[p].next = r
 	if r != none {
-		tr.prev[r] = p
+		tr.pos[r].prev = p
 	}
 
 	// Register the pairs formed with the new symbol.
-	if lp != none {
-		tr.addOcc(lp)
-	}
+	tr.addOcc(lp)
 	tr.addOcc(p)
 }
 
-// sequences extracts the per-part compressed symbol sequences by walking the
-// active list and splitting at separators.
-func (tr *trainer) sequences(nParts int) [][]int32 {
-	out := make([][]int32, 0, nParts)
-	var cur []int32
-	for i := 0; i < len(tr.seq); i++ {
-		s := tr.seq[i]
-		switch {
-		case s == hole:
-			// skip
+// seqLens counts the symbols currently left in each part.
+func (tr *trainer) seqLens() []int32 {
+	lens := make([]int32, tr.nParts)
+	part := 0
+	for i := range tr.pos {
+		switch s := tr.pos[i].sym; {
 		case s == sep:
-			out = append(out, cur)
-			cur = nil
-		default:
-			cur = append(cur, s)
+			part++
+		case s != hole:
+			lens[part]++
+		}
+	}
+	return lens
+}
+
+// sequences extracts the per-part compressed symbol sequences, carved out
+// of one backing array.
+func (tr *trainer) sequences() [][]int32 {
+	flat := make([]int32, 0, len(tr.pos)-tr.nParts)
+	out := make([][]int32, 0, tr.nParts)
+	start := 0
+	for i := range tr.pos {
+		switch s := tr.pos[i].sym; {
+		case s == sep:
+			out = append(out, flat[start:len(flat):len(flat)])
+			start = len(flat)
+		case s != hole:
+			flat = append(flat, s)
 		}
 	}
 	return out

@@ -68,3 +68,14 @@ go test -race -count=1 -run 'TestTortureShort' ./internal/torture/
 # the registry, so a new format cannot dodge coverage.
 go test -count=1 -run 'TestRegistryCompleteness' ./internal/model/
 go test -count=1 -run 'TestWireIDStability|TestRegistryEnumeration|TestAllFormatsAgree' ./internal/dict/
+
+# Selection stays bit-identical: every predicted size against the golden
+# table, the Re-Pair rule/sequence digests, the one-run-serves-both-widths
+# prefix property against the reference trainer, and the serialized bytes of
+# the formats whose build trains a grammar, gram table or pair table
+# (docs/oracles/model.md). The goldens predate the shared probes and flat
+# trainers; a performance change must pass them unmodified.
+go test -count=1 -run 'TestEstimatesGolden' ./internal/model/
+go test -count=1 -run 'TestRulesGolden|TestRepair12IsPrefixOf16' ./internal/repair/
+go test -count=1 -run 'TestBuildGolden' ./internal/dict/
+go test -run '^$' -fuzz FuzzRepairPrefix -fuzztime 5s ./internal/repair/
