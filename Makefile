@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-all bench-recovery bench-formats bench-scan bench-ckpt bench-service check torture
+.PHONY: all build test race vet bench bench-all bench-recovery bench-formats bench-scan bench-ckpt check torture
 
 all: check
 
@@ -37,11 +37,6 @@ bench-scan:
 # Incremental-checkpoint gate alone (it is also part of `make bench`).
 bench-ckpt:
 	sh scripts/bench_incremental_ckpt.sh
-
-# Service scale-out gate: cmd/loadbench ingest throughput, 4 shards vs 1,
-# with a hardware-aware floor; writes BENCH_service.json.
-bench-service:
-	sh scripts/bench_service.sh
 
 # Durability gate: WAL append overhead vs in-memory, plus crash-recovery
 # throughput for the replay-heavy and checkpoint-heavy extremes; writes

@@ -229,10 +229,10 @@ func BenchmarkParallelMerge(b *testing.B) {
 // BenchmarkSnapshotScan measures the versioned read path against the
 // pre-refactor design on two op classes: value point reads (AppendGet —
 // dictionary extract per row) and code reads (Code — the scan inner-loop
-// access ScanEq and RowsByCode make per row). Each class compares the
-// lock-free live column (one atomic version load per call) and a pinned
-// Snapshot against an RWMutex-wrapped baseline reproducing the old
-// lock-per-call column. The code reads are the headline: the op is a few
+// access ScanEq makes per row). Value reads compare the lock-free live
+// column (one atomic version load per call) and a pinned Snapshot, code
+// reads the pinned Snapshot (the only place value IDs live), each against
+// an RWMutex-wrapped baseline reproducing the old lock-per-call column. The code reads are the headline: the op is a few
 // nanoseconds of bit-unpacking, so the RLock/RUnlock pair the old design
 // paid per call is several times the work itself.
 // scripts/bench_read_path.sh records the rwmutex-vs-lockfree ratios in
@@ -295,9 +295,9 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		})
 	}
 
-	// Code reads are the scan inner loop: ScanEq, RowsByCode and
-	// TranslateCodes evaluate predicates directly on value IDs, one tiny
-	// vector access per row. This is where a per-call mutex hurts most —
+	// Code reads are the scan inner loop: ScanEq and the TPC-H plans
+	// evaluate predicates directly on value IDs, one tiny vector access per
+	// row. This is where a per-call mutex hurts most —
 	// the lock is several times the op itself.
 	snap := col.Snapshot()
 	lockedCode := func(i int) uint32 {
@@ -307,14 +307,14 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		return code
 	}
 	freeCode := func(i int) uint32 {
-		code, _ := col.Code(i)
+		code, _ := snap.Code(i)
 		return code
 	}
 	codeReaders := []struct {
 		name string
 		get  func(i int) uint32
 	}{
-		{"lockfree-column", freeCode},
+		{"snapshot", freeCode},
 		{"rwmutex", lockedCode},
 	}
 	for _, r := range codeReaders {
@@ -469,7 +469,7 @@ func BenchmarkAblationSampleRatio(b *testing.B) {
 	for _, ratio := range []float64{0.01, 0.1, 1.0} {
 		b.Run(fmt.Sprintf("ratio=%g", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				model.EstimateEach(model.TakeSample(strs, ratio, int64(i)), 1)
+				model.EstimateEach(model.TakeSample(strs, ratio, int64(i)))
 			}
 		})
 	}

@@ -117,7 +117,8 @@ func TestCodeRangeMatchesStrings(t *testing.T) {
 		c.Append(v)
 	}
 	c.Merge(dict.ArrayHU)
-	lo, hi := c.CodeRange("k0300", "k0600")
+	snap := c.Snapshot()
+	lo, hi := snap.CodeRange("k0300", "k0600")
 	// Count rows whose code is in range; must equal the string comparison.
 	want := 0
 	for _, v := range vals {
@@ -127,7 +128,7 @@ func TestCodeRangeMatchesStrings(t *testing.T) {
 	}
 	got := 0
 	for row := 0; row < c.Len(); row++ {
-		if code, ok := c.Code(row); ok && code >= lo && code < hi {
+		if code, ok := snap.Code(row); ok && code >= lo && code < hi {
 			got++
 		}
 	}
@@ -144,7 +145,8 @@ func TestScanEq(t *testing.T) {
 	}
 	c.Merge(dict.Array)
 	c.Append("x") // one delta row
-	rows := c.ScanEq("x", nil)
+	snap := c.Snapshot()
+	rows := snap.ScanEq("x", nil)
 	want := []int{0, 2, 4}
 	if len(rows) != len(want) {
 		t.Fatalf("rows %v, want %v", rows, want)
@@ -154,7 +156,7 @@ func TestScanEq(t *testing.T) {
 			t.Fatalf("rows %v, want %v", rows, want)
 		}
 	}
-	if rows := c.ScanEq("absent", nil); len(rows) != 0 {
+	if rows := snap.ScanEq("absent", nil); len(rows) != 0 {
 		t.Fatalf("found rows for absent value: %v", rows)
 	}
 }
@@ -166,11 +168,13 @@ func TestStatsCounting(t *testing.T) {
 	c.Merge(dict.Array)
 	c.ResetStats()
 
-	c.Get(0)       // extract
-	c.Get(1)       // extract
-	c.Locate("a")  // locate
-	c.Extract(0)   // extract
-	c.DictValues() // must NOT count
+	c.Get(0) // extract
+	c.Get(1) // extract
+	snap := c.Snapshot()
+	snap.Locate("a") // locate
+	snap.Extract(0)  // extract
+	snap.Release()   // counts reach the column on Release
+	c.DictValues()   // must NOT count
 
 	s := c.Stats()
 	if s.Extracts != 3 {
@@ -191,13 +195,13 @@ func TestRebuildKeepsIDs(t *testing.T) {
 		c.Append(fmt.Sprintf("w%03d", i%37))
 	}
 	c.Merge(dict.Array)
-	idBefore, _ := c.Locate("w010")
+	idBefore, _ := c.Snapshot().Locate("w010")
 	before := make([]string, c.Len())
 	for i := range before {
 		before[i] = c.Get(i)
 	}
 	c.Rebuild(dict.FCBlockRP12)
-	idAfter, _ := c.Locate("w010")
+	idAfter, _ := c.Snapshot().Locate("w010")
 	if idBefore != idAfter {
 		t.Fatalf("value ID changed across rebuild: %d -> %d", idBefore, idAfter)
 	}

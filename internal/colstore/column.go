@@ -13,12 +13,11 @@
 // StringColumn follows an epoch/version design: the entire read state —
 // dictionary, code vector, main row count, and the chain of sealed
 // (immutable) delta segments — lives in one immutable columnVersion struct
-// published through an atomic pointer. Readers (Get, Locate, ScanEq,
-// CodeRange, …) load the pointer once and never take a mutex on the main
-// part; a reader holds a consistent view for the duration of one call by
-// construction, and Snapshot returns that view as an explicit handle so an
-// analytical scan can pin a single (dict, codes) pair across a whole query
-// with zero per-row synchronization.
+// published through an atomic pointer. Readers load the pointer once and
+// never take a mutex on the main part. The live column serves rows and
+// values (Get, AppendGet, Len); everything that produces or consumes a value
+// ID lives on Snapshot, the explicit handle that pins a single (dict, codes)
+// pair across a whole query with zero per-row synchronization.
 //
 // Writes go to the active delta segment, the only mutable structure, guarded
 // by a small per-column mutex whose critical sections are O(1). A merge
@@ -142,8 +141,7 @@ func (v *columnVersion) sealedValue(off int) string {
 //
 // All exported methods are safe for concurrent use. Reads of the main part
 // are lock-free: they load the current columnVersion with one atomic load
-// (see the package comment). Use Snapshot to pin one version across many
-// calls.
+// (see the package comment). Value IDs are only reachable through Snapshot.
 type StringColumn struct {
 	name string
 
@@ -333,70 +331,6 @@ func (c *StringColumn) AppendGet(dst []byte, row int) []byte {
 		return append(dst, v.sealedValue(row-v.nMain)...)
 	}
 	return append(dst, c.activeValue(row)...)
-}
-
-// Code returns the main-part value ID at a row; rows in the delta return
-// ok == false. Query operators compare codes instead of strings wherever
-// possible — the core benefit of domain encoding.
-//
-// Note that value IDs are only stable between merges: a query that needs a
-// consistent cross-call view should hold a Snapshot and use its methods.
-func (c *StringColumn) Code(row int) (uint32, bool) {
-	v := c.version.Load()
-	if row < v.nMain {
-		return uint32(v.codes.Get(row)), true
-	}
-	return 0, false
-}
-
-// Locate returns the value ID of value in the main dictionary (counted as a
-// locate), with the Definition 1 semantics.
-func (c *StringColumn) Locate(value string) (uint32, bool) {
-	c.locates.Add(1)
-	return c.version.Load().dict.Locate(value)
-}
-
-// Extract returns the string for a main-dictionary value ID (counted).
-func (c *StringColumn) Extract(id uint32) string {
-	c.extracts.Add(1)
-	return c.version.Load().dict.Extract(id)
-}
-
-// AppendExtract is the allocation-free variant of Extract (counted).
-func (c *StringColumn) AppendExtract(dst []byte, id uint32) []byte {
-	c.extracts.Add(1)
-	return c.version.Load().dict.AppendExtract(dst, id)
-}
-
-// CodeRange translates a string range [lo, hi) into a value-ID range
-// [loID, hiID) — valid because every dictionary format is order-preserving.
-// Two locates are counted. The pair is resolved against one version load,
-// so a concurrent merge cannot tear it.
-func (c *StringColumn) CodeRange(lo, hi string) (uint32, uint32) {
-	v := c.version.Load()
-	c.locates.Add(2)
-	loID, _ := v.dict.Locate(lo)
-	hiID, _ := v.dict.Locate(hi)
-	return loID, hiID
-}
-
-// ScanEq appends to out the rows whose value equals v. The whole scan runs
-// against one pinned snapshot; a fully merged column is scanned without any
-// mutex operation.
-func (c *StringColumn) ScanEq(v string, out []int) []int {
-	s := c.Snapshot()
-	defer s.Release()
-	return s.ScanEq(v, out)
-}
-
-// ScanRange appends to out the rows whose value lies in [lo, hi). Like
-// ScanEq it runs against one pinned snapshot; the main part is evaluated as
-// a code-interval scan (formats are order-preserving) with zone-map
-// pruning.
-func (c *StringColumn) ScanRange(lo, hi string, out []int) []int {
-	s := c.Snapshot()
-	defer s.Release()
-	return s.ScanRange(lo, hi, out)
 }
 
 // Stats returns the cumulative dictionary access counters.

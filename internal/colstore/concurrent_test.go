@@ -85,7 +85,8 @@ func TestConcurrentMergeStress(t *testing.T) {
 					}
 				}
 				probe := valueOf(iter%writers, (iter*31)%rowsPerWriter)
-				rows = col.ScanEq(probe, rows[:0])
+				snap := col.Snapshot()
+				rows = snap.ScanEq(probe, rows[:0])
 				for _, row := range rows {
 					// The column is append-only, so a row that matched the
 					// scan must still hold the probe value afterwards.
@@ -94,12 +95,13 @@ func TestConcurrentMergeStress(t *testing.T) {
 						return
 					}
 				}
-				if id, ok := col.Locate(probe); ok {
-					if got := col.Extract(id); got != probe {
+				if id, ok := snap.Locate(probe); ok {
+					if got := snap.Extract(id); got != probe {
 						errCh <- fmt.Errorf("reader %d: Locate/Extract mismatch %q vs %q", r, got, probe)
 						return
 					}
 				}
+				snap.Release()
 			}
 		}(r)
 	}

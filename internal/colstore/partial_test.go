@@ -116,9 +116,10 @@ func TestMergePartialIdentityFold(t *testing.T) {
 	if v.nMain != nMain+60 {
 		t.Fatalf("boundary %d, want %d", v.nMain, nMain+60)
 	}
+	snap := c.Snapshot()
 	for row := 0; row < c.Len(); row++ {
 		got := c.Get(row)
-		if id, found := c.Locate(got); !found || c.Extract(id) != got {
+		if id, found := snap.Locate(got); !found || snap.Extract(id) != got {
 			t.Fatalf("row %d (%q) broken after identity fold", row, got)
 		}
 	}

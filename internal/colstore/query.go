@@ -1,13 +1,11 @@
 package colstore
 
-// Query-plan building blocks. Column-store plans work on value IDs (codes)
-// wherever possible: predicates against constants cost one locate, joins
-// translate the smaller dictionary into the other side's code space, and
-// only final result materialization extracts strings. These helpers produce
-// exactly the dictionary access profile the compression manager's time
-// model feeds on. Each helper pins one column version (or an explicit
-// Snapshot) for its whole run, so a concurrent merge can never tear the
-// ID space mid-plan.
+// Query-plan building blocks on value IDs: predicates against constants cost
+// one locate, joins translate one dictionary into the other side's code
+// space, and only final result materialization extracts strings — exactly
+// the dictionary access profile the compression manager's time model feeds
+// on. They exist on Snapshot only (DESIGN.md, "Value IDs are scoped to a
+// Snapshot"); a query gets its snapshots from a View.
 
 // queryChunk is the batch size of the bulk code-decode loops below: large
 // enough to amortize the kernel dispatch, small enough for a stack buffer.
@@ -16,17 +14,13 @@ const queryChunk = 256
 // TranslateCodes maps every value ID of src's dictionary to the matching
 // value ID in dst's dictionary, or -1 when dst does not contain the value.
 // It costs src.DictLen() extracts plus as many locates on dst — the standard
-// dictionary-translation join of column stores. Both dictionaries are pinned
-// via snapshots, so the mapping is resolved against one consistent pair even
-// while merges run. The walk stays in byte-slice space end to end
-// (ForEachValue feeding LocateBytes), so no per-entry string is allocated.
-func TranslateCodes(src, dst *StringColumn) []int64 {
-	ss, ds := src.Snapshot(), dst.Snapshot()
-	defer ss.Release()
-	defer ds.Release()
-	out := make([]int64, ss.DictLen())
-	ss.ForEachValue(func(id uint32, value []byte) bool {
-		if did, found := ds.LocateBytes(value); found {
+// dictionary-translation join of column stores. The walk stays in byte-slice
+// space end to end (ForEachValue feeding LocateBytes), so no per-entry
+// string is allocated.
+func TranslateCodes(src, dst *Snapshot) []int64 {
+	out := make([]int64, src.DictLen())
+	src.ForEachValue(func(id uint32, value []byte) bool {
+		if did, found := dst.LocateBytes(value); found {
 			out[id] = int64(did)
 		} else {
 			out[id] = -1
@@ -36,12 +30,12 @@ func TranslateCodes(src, dst *StringColumn) []int64 {
 	return out
 }
 
-// RowIndexByCode builds an index from value ID to the (single) row holding
-// it. Intended for key columns, where every value occurs exactly once; for
-// repeated values the last row wins. It batch-decodes the code vector of
-// one pinned version — no dictionary operations, no locks.
-func (c *StringColumn) RowIndexByCode() []int32 {
-	v := c.version.Load()
+// RowIndexByCode builds an index from value ID to the (single) main-part row
+// holding it. Intended for key columns, where every value occurs exactly
+// once; for repeated values the last row wins. It batch-decodes the code
+// vector — no dictionary operations.
+func (s *Snapshot) RowIndexByCode() []int32 {
+	v := s.v
 	idx := make([]int32, v.dict.Len())
 	for i := range idx {
 		idx[i] = -1
@@ -60,32 +54,10 @@ func (c *StringColumn) RowIndexByCode() []int32 {
 	return idx
 }
 
-// RowsByCode groups the main-part rows by value ID. It batch-decodes the
-// code vector of one pinned version.
-func (c *StringColumn) RowsByCode() [][]int32 {
-	v := c.version.Load()
-	out := make([][]int32, v.dict.Len())
-	var buf [queryChunk]uint64
-	for row := 0; row < v.nMain; {
-		k := v.nMain - row
-		if k > queryChunk {
-			k = queryChunk
-		}
-		for j, code := range v.codes.AppendRange(buf[:0], row, k) {
-			out[code] = append(out[code], int32(row+j))
-		}
-		row += k
-	}
-	return out
-}
-
 // CodeSet returns the set of value IDs whose strings satisfy pred. pred is
 // evaluated once per distinct value (DictLen extracts), not once per row —
-// the dictionary's second superpower after compression. The dictionary is
-// pinned for the whole evaluation.
-func (c *StringColumn) CodeSet(pred func(string) bool) map[uint32]bool {
-	s := c.Snapshot()
-	defer s.Release()
+// the dictionary's second superpower after compression.
+func (s *Snapshot) CodeSet(pred func(string) bool) map[uint32]bool {
 	out := make(map[uint32]bool)
 	var buf []byte
 	for id := 0; id < s.DictLen(); id++ {

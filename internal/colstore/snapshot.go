@@ -10,31 +10,24 @@ import (
 // Snapshot pins one consistent, immutable view of a StringColumn: the
 // published version (dictionary, code vector, zone maps, sealed delta
 // segments) plus a frozen prefix of the active delta segment captured at
-// snapshot time.
+// snapshot time. It is the only type through which a value ID can be
+// obtained or consumed (DESIGN.md, "Value IDs are scoped to a Snapshot");
+// a query pins each column once, through a View.
 //
-// Contract:
-//
-//   - Consistency: every method observes the same (dict, codes, rows) state;
-//     value IDs, row values and Len never change for the snapshot's
-//     lifetime, no matter how many appends, merges or rebuilds run
-//     concurrently.
-//   - Staleness: the view is the column as of the Snapshot call; rows
-//     appended and formats chosen afterwards are invisible. Take a fresh
-//     snapshot per query.
-//   - No copy: a snapshot is a handful of pointers into structures that are
-//     immutable (or append-only past the captured length). Taking one is
-//     O(1) — a single atomic load when the column has no unsealed rows, a
-//     brief mutex acquisition otherwise — and holding one only pins the old
-//     version's memory until released to the GC.
-//   - Single goroutine: a snapshot is a query handle, not a shared object.
-//     Its trace counters and scratch buffers are plain fields precisely so
-//     scans stop contending on shared atomic cache lines; goroutines that
-//     scan concurrently each take their own snapshot (still O(1)).
+//   - Consistency: value IDs, row values and Len never change for the
+//     snapshot's lifetime, whatever appends, merges or rebuilds run
+//     concurrently; rows appended and formats chosen afterwards are
+//     invisible.
+//   - No copy: taking one is O(1) — a single atomic load when the column
+//     has no unsealed rows, a brief mutex acquisition otherwise — and
+//     holding one only pins the old version's memory until it is dropped.
+//   - Single goroutine: trace counters and scratch buffers are plain fields
+//     so scans stop contending on shared atomic cache lines; goroutines that
+//     scan concurrently each take their own snapshot.
 //
 // Snapshot methods accumulate the dictionary access counters locally and
-// flush them to the column on Release; call Release (idempotent) when the
-// query is done so traced workloads keep exact counts. A dropped,
-// unreleased snapshot only loses its trace counts — never data.
+// flush them to the column on Release (idempotent); a dropped, unreleased
+// snapshot only loses its trace counts — never data.
 type Snapshot struct {
 	col *StringColumn
 	v   *columnVersion
@@ -178,8 +171,7 @@ func (s *Snapshot) AppendGet(dst []byte, row int) []byte {
 }
 
 // Code returns the main-part value ID at a row; rows in the delta return
-// ok == false. IDs from one snapshot are mutually consistent for its whole
-// lifetime — the cross-call guarantee the live column cannot give.
+// ok == false.
 func (s *Snapshot) Code(row int) (uint32, bool) {
 	if row < s.v.nMain {
 		return uint32(s.v.codes.Get(row)), true

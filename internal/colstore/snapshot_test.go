@@ -122,9 +122,9 @@ func TestSnapshotCoversAllThreeParts(t *testing.T) {
 				t.Fatalf("ScanEq(%q) = %v, want %v", h.probe, got, h.rows)
 			}
 		}
-		live := c.ScanEq(h.probe, nil)
-		if fmt.Sprint(live) != fmt.Sprint(got) {
-			t.Fatalf("live ScanEq(%q) = %v, snapshot %v", h.probe, live, got)
+		fresh := c.Snapshot().ScanEq(h.probe, nil)
+		if fmt.Sprint(fresh) != fmt.Sprint(got) {
+			t.Fatalf("fresh snapshot ScanEq(%q) = %v, first snapshot %v", h.probe, fresh, got)
 		}
 	}
 

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"strdict/internal/dict"
 )
@@ -271,6 +272,8 @@ type Store struct {
 	// journal, when non-nil, is inherited by tables created on this store.
 	// Set via SetJournal (see journal.go).
 	journal Journal
+
+	liveViews atomic.Int64 // views opened and not yet released (see view.go)
 }
 
 // NewStore returns an empty store.

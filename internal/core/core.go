@@ -26,9 +26,8 @@
 // today), but the models share a handful of probes memoised on the sample —
 // three part sets, one Re-Pair run per part set, one trained codec per
 // (part set, scheme), the OnPair and LZ78 parses — each computed once per
-// sample, also when ChooseFormatParallel / CandidatesParallel price the
-// formats on a worker pool. Both are deterministic — parallelism changes
-// scheduling, never the decision.
+// sample, also when ChooseFormats prices several columns at once.
+// Parallelism changes scheduling, never the decision.
 package core
 
 import (
@@ -78,20 +77,13 @@ type Candidate struct {
 // models predict dict_size, the cost table supplies the runtime constants.
 // The result is sorted by RelTime ascending.
 func Candidates(stats ColumnStats, costs *model.CostTable) []Candidate {
-	return CandidatesParallel(stats, costs, 1)
-}
-
-// CandidatesParallel is Candidates with the size models evaluated on a
-// bounded worker pool (parallelism <= 1 is serial); see model.EstimateEach.
-// The returned slice is identical to the serial evaluation.
-func CandidatesParallel(stats ColumnStats, costs *model.CostTable, parallelism int) []Candidate {
 	if stats.Sample == nil {
 		panic("core: ColumnStats.Sample must be set")
 	}
 	if stats.LifetimeNs <= 0 {
 		stats.LifetimeNs = 1
 	}
-	sizes := model.EstimateEach(stats.Sample, parallelism)
+	sizes := model.EstimateEach(stats.Sample)
 	out := make([]Candidate, 0, dict.NumFormats())
 	for _, f := range dict.AllFormats() {
 		t := costs.TimeNs(f, stats.Extracts, stats.Locates, stats.NumStrings)
@@ -372,14 +364,7 @@ type Decision struct {
 // column's dictionary is rebuilt (merge of the write-optimized store, aging,
 // initial load), so the format change costs no extra reconstruction.
 func (m *Manager) ChooseFormat(stats ColumnStats) Decision {
-	return m.ChooseFormatParallel(stats, 1)
-}
-
-// ChooseFormatParallel is ChooseFormat with the per-format size models
-// evaluated on a bounded worker pool (CandidatesParallel). Selection inputs
-// and output are identical to the serial path.
-func (m *Manager) ChooseFormatParallel(stats ColumnStats, parallelism int) Decision {
-	cands := CandidatesParallel(stats, m.opts.Costs, parallelism)
+	cands := Candidates(stats, m.opts.Costs)
 	c := m.C()
 	chosen := Select(m.opts.Strategy, c, cands)
 	return Decision{

@@ -28,23 +28,6 @@ func parallelTestStats(cols int) []ColumnStats {
 	return out
 }
 
-// TestCandidatesParallelIdentical asserts the parallel per-format evaluation
-// returns exactly the serial candidate list.
-func TestCandidatesParallelIdentical(t *testing.T) {
-	stats := parallelTestStats(1)[0]
-	costs := model.DefaultCostTable()
-	serial := Candidates(stats, costs)
-	parallel := CandidatesParallel(stats, costs, 8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("len %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("candidate %d: %+v vs %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // TestChooseFormatsMatchesSequential asserts batched concurrent selection
 // decides exactly what per-column sequential selection decides.
 func TestChooseFormatsMatchesSequential(t *testing.T) {

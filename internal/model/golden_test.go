@@ -28,7 +28,7 @@ func TestEstimatesGolden(t *testing.T) {
 		strs := datagen.Generate(name, 20000, 1)
 		for _, ratio := range []float64{0.01, 0.1, 1.0} {
 			for _, seed := range []int64{1, 2} {
-				sizes := EstimateEach(TakeSample(strs, ratio, seed), 1)
+				sizes := EstimateEach(TakeSample(strs, ratio, seed))
 				for _, f := range dict.AllFormats() {
 					fmt.Fprintf(&buf, "%s\t%g\t%d\t%s\t%d\n", name, ratio, seed, f, sizes[f])
 				}

@@ -107,7 +107,7 @@ func TestSampleSizeRespectsRatio(t *testing.T) {
 
 func TestEstimateEachCoversFormats(t *testing.T) {
 	strs := datagen.Generate("mat", 3000, 1)
-	sizes := EstimateEach(TakeSample(strs, 1.0, 1), 1)
+	sizes := EstimateEach(TakeSample(strs, 1.0, 1))
 	if len(sizes) != dict.NumFormats() {
 		t.Fatalf("EstimateEach returned %d entries", len(sizes))
 	}

@@ -19,31 +19,13 @@ func parallelTestStrings() []string {
 	return strs
 }
 
-// TestEstimateEachParallelIdentical asserts that the worker pool, the
-// serial bulk path and a plain EstimateSize loop on a fresh sample predict
-// exactly the same size for every format.
-func TestEstimateEachParallelIdentical(t *testing.T) {
-	strs := parallelTestStrings()
-	serial := EstimateEach(TakeSample(strs, 1.0, 1), 1)
-	parallel := EstimateEach(TakeSample(strs, 1.0, 1), 8)
-	loop := TakeSample(strs, 1.0, 1)
-	for _, f := range dict.AllFormats() {
-		if serial[f] != parallel[f] {
-			t.Errorf("%s: serial %d, parallel %d", f, serial[f], parallel[f])
-		}
-		if one := EstimateSize(f, loop); one != serial[f] {
-			t.Errorf("%s: EstimateSize %d, EstimateEach %d", f, one, serial[f])
-		}
-	}
-}
-
 // TestEstimateSizeConcurrentOnOneSample has several goroutines price every
 // format on one shared Sample at once, each starting at a different format
 // so they collide on different probes: under -race this proves the probe
 // memoisation is race-free, and every goroutine must see the serial sizes.
 func TestEstimateSizeConcurrentOnOneSample(t *testing.T) {
 	strs := parallelTestStrings()
-	want := EstimateEach(TakeSample(strs, 1.0, 1), 1)
+	want := EstimateEach(TakeSample(strs, 1.0, 1))
 	shared := TakeSample(strs, 1.0, 1)
 	formats := dict.AllFormats()
 	var wg sync.WaitGroup
@@ -77,8 +59,7 @@ func TestRepairTrainsOncePerPartSet(t *testing.T) {
 
 	strs := datagen.Generate("url", 8000, 1)
 	for name, price := range map[string]func(*Sample){
-		"EstimateEach serial":   func(s *Sample) { EstimateEach(s, 1) },
-		"EstimateEach parallel": func(s *Sample) { EstimateEach(s, 4) },
+		"EstimateEach": func(s *Sample) { EstimateEach(s) },
 		"EstimateSize loop": func(s *Sample) {
 			for _, f := range dict.AllFormats() {
 				EstimateSize(f, s)

@@ -31,7 +31,7 @@ func TestRegistryCompleteness(t *testing.T) {
 	// EstimateEach must price every registered format on a real sample.
 	strs := datagen.Generate("engl", 2000, 11)
 	s := TakeSample(strs, 1.0, 1)
-	sizes := EstimateEach(s, 1)
+	sizes := EstimateEach(s)
 	if len(sizes) != dict.NumFormats() {
 		t.Fatalf("EstimateEach returned %d entries, want %d", len(sizes), dict.NumFormats())
 	}

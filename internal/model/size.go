@@ -65,6 +65,17 @@ func EstimateSize(f dict.Format, s *Sample) uint64 {
 	return uint64(math.Round(size)) + dict.StructOverhead
 }
 
+// EstimateEach returns the predicted size of every format in declaration
+// order (index == dict.Format) — the bulk entry point of format selection.
+func EstimateEach(s *Sample) []uint64 {
+	formats := dict.AllFormats()
+	sizes := make([]uint64, len(formats))
+	for i, f := range formats {
+		sizes[i] = EstimateSize(f, s)
+	}
+	return sizes
+}
+
 // partSetOf names the part set a built-in format's string scheme encodes.
 func partSetOf(f dict.Format) partSet {
 	switch {

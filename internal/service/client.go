@@ -9,8 +9,8 @@ import (
 	"net/url"
 )
 
-// Client is a thin typed client for the /v1 API — what cmd/loadbench and
-// the tests speak; any HTTP client works against the same endpoints.
+// Client is a thin typed client for the /v1 API — what bench/ and the
+// tests speak; any HTTP client works against the same endpoints.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string

@@ -12,8 +12,8 @@ import (
 	"strdict/internal/colstore"
 	"strdict/internal/core"
 	"strdict/internal/dict"
-	"strdict/internal/model"
 	"strdict/internal/persist"
+	"strdict/internal/tpch"
 )
 
 // Options configures a Server.
@@ -169,16 +169,7 @@ func NewWithStores(stores []*colstore.Store, opts Options) *Server {
 func (srv *Server) chooserFor(sh *shard) func(*colstore.Snapshot, float64) dict.Format {
 	ratio, seed := srv.opts.SampleRatio, srv.opts.Seed
 	return func(snap *colstore.Snapshot, lifetimeNs float64) dict.Format {
-		st := snap.Stats()
-		return sh.mgr.ChooseFormat(core.ColumnStats{
-			Name:              snap.Name(),
-			NumStrings:        uint64(snap.DictLen()),
-			Extracts:          st.Extracts,
-			Locates:           st.Locates,
-			LifetimeNs:        lifetimeNs,
-			ColumnVectorBytes: snap.VectorBytes(),
-			Sample:            model.TakeSample(snap.DictValues(), ratio, seed),
-		}).Format
+		return sh.mgr.ChooseFormat(tpch.SnapshotStatsOf(snap, lifetimeNs, ratio, seed)).Format
 	}
 }
 
@@ -212,7 +203,7 @@ func (srv *Server) ShardFor(tenant, table string) int {
 }
 
 // ShardRows returns the logical rows ingested through the service by shard
-// i — the balance metric loadbench reports.
+// i — the balance metric /v1/stats reports.
 func (srv *Server) ShardRows(i int) uint64 { return srv.shards[i].rows.Load() }
 
 // SetShardReadOnly is the admin override that makes shard i refuse appends

@@ -144,15 +144,7 @@ func (h *harness) opConcurrentBurst() error {
 	for i, c := range h.cols {
 		c.model = append(c.model, vals[i]...)
 	}
-	ic, fc := tb.Int("i"), tb.Float("f")
-	for i := 0; i < k; i++ {
-		iv := h.rng.Int63n(1 << 40)
-		fv := float64(h.rng.Intn(1<<20)) / 16
-		ic.Append(iv)
-		fc.Append(fv)
-		h.intModel = append(h.intModel, iv)
-		h.floatModel = append(h.floatModel, fv)
-	}
+	h.appendNumericRows(k)
 	if err := h.s.Sync(); err != nil {
 		return h.fail("burst: sync: %v", err)
 	}

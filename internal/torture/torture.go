@@ -5,7 +5,7 @@
 // Checkpoint / crash / recover against a persistent store with a
 // fault-injecting filesystem underneath — including incremental checkpoints
 // (dirty one column, assert only its part is rewritten) and checkpoints
-// killed mid-flight by a fault — and checks five oracles after every step:
+// killed mid-flight by a fault — and checks six oracles after every step:
 //
 //  1. engine vs a naive in-memory model store (per-column value slices),
 //  2. kernel ScanEq/ScanRange/CountEq vs their scalar oracles with zone
@@ -16,7 +16,10 @@
 //     rows ≤ appended rows, recovered prefix bit-identical),
 //  5. the HTTP service layer (internal/service fronting the same store) vs
 //     the model and a pinned engine snapshot, including the
-//     zero-leaked-snapshots invariant after quiescence.
+//     zero-leaked-snapshots invariant after quiescence,
+//  6. a two-column dictionary-translation join read through one
+//     colstore.View vs the model, while full merges with a format change
+//     publish on both columns.
 //
 // Every run is reproducible from its seed alone: the same seed replays the
 // same schema, corpora, operations and fault plans. On failure the seed is
@@ -158,8 +161,10 @@ func Run(cfg Config) error {
 		switch pick := h.rng.Intn(100); {
 		case pick < 28:
 			err = h.opAppendBatch()
-		case pick < 42:
+		case pick < 41:
 			err = h.opConcurrentBurst()
+		case pick < 42:
+			err = h.opViewJoin()
 		case pick < 50:
 			err = h.opFullMerge()
 		case pick < 58:
@@ -257,20 +262,38 @@ func (h *harness) raiseFloors() {
 	h.intFloor = len(h.intModel)
 }
 
-// opAppendBatch appends a random batch to every column (strings, int, and
-// float rows move together so table rows stay aligned).
+// opAppendBatch appends a random batch to every column.
 func (h *harness) opAppendBatch() error {
 	k := 1 + h.rng.Intn(400)
+	vals := make([][]string, len(h.cols))
+	for i, c := range h.cols {
+		vals[i] = c.nextValues(h.rng, k)
+	}
+	h.appendRows(vals)
+	h.logf("step %d: append %d rows/col", h.step, k)
+	h.raiseFloors()
+	return nil
+}
+
+// appendRows appends one aligned batch to engine and model: vals[i] to
+// string column i, and as many fresh int and float rows (strings, int, and
+// float rows move together so table rows stay aligned).
+func (h *harness) appendRows(vals [][]string) {
 	tb := h.s.Table("t")
-	for _, c := range h.cols {
-		vals := c.nextValues(h.rng, k)
+	for i, c := range h.cols {
 		ec := tb.Str(c.name)
-		for _, v := range vals {
+		for _, v := range vals[i] {
 			ec.Append(v)
 		}
-		c.model = append(c.model, vals...)
+		c.model = append(c.model, vals[i]...)
 	}
-	ic, fc := tb.Int("i"), tb.Float("f")
+	h.appendNumericRows(len(vals[0]))
+}
+
+// appendNumericRows appends k random rows to the int and float columns and
+// their models.
+func (h *harness) appendNumericRows(k int) {
+	ic, fc := h.s.Table("t").Int("i"), h.s.Table("t").Float("f")
 	for i := 0; i < k; i++ {
 		iv := h.rng.Int63n(1 << 40)
 		fv := float64(h.rng.Intn(1<<20)) / 16
@@ -279,9 +302,6 @@ func (h *harness) opAppendBatch() error {
 		h.intModel = append(h.intModel, iv)
 		h.floatModel = append(h.floatModel, fv)
 	}
-	h.logf("step %d: append %d rows/col", h.step, k)
-	h.raiseFloors()
-	return nil
 }
 
 // opFullMerge fully merges a random column into a random format.

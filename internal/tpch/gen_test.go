@@ -82,7 +82,7 @@ func TestGenLineStatusRule(t *testing.T) {
 func TestGenVocabularies(t *testing.T) {
 	s := store(t)
 	seg := map[string]bool{}
-	ct := s.Table("customer").Str("c_mktsegment")
+	ct := s.Table("customer").Str("c_mktsegment").Snapshot()
 	for i := 0; i < ct.DictLen(); i++ {
 		seg[ct.Extract(uint32(i))] = true
 	}
@@ -102,14 +102,14 @@ func TestGenVocabularies(t *testing.T) {
 func TestGenBrandTypeGrammar(t *testing.T) {
 	s := store(t)
 	pt := s.Table("part")
-	brand := pt.Str("p_brand")
+	brand := pt.Str("p_brand").Snapshot()
 	for i := 0; i < brand.DictLen(); i++ {
 		b := brand.Extract(uint32(i))
 		if !strings.HasPrefix(b, "Brand#") || len(b) != 8 {
 			t.Fatalf("malformed brand %q", b)
 		}
 	}
-	typ := pt.Str("p_type")
+	typ := pt.Str("p_type").Snapshot()
 	for i := 0; i < typ.DictLen(); i++ {
 		if parts := strings.Split(typ.Extract(uint32(i)), " "); len(parts) != 3 {
 			t.Fatalf("malformed type %q", typ.Extract(uint32(i)))
@@ -125,11 +125,12 @@ func TestGenPartsuppReferences(t *testing.T) {
 	if pst.Rows() != 4*pt.Rows() {
 		t.Fatalf("partsupp rows %d, want 4x parts (%d)", pst.Rows(), 4*pt.Rows())
 	}
+	partKeys, suppKeys := pt.Str("p_partkey").Snapshot(), st.Str("s_suppkey").Snapshot()
 	for row := 0; row < pst.Rows(); row += 97 {
-		if _, found := pt.Str("p_partkey").Locate(pst.Str("ps_partkey").Get(row)); !found {
+		if _, found := partKeys.Locate(pst.Str("ps_partkey").Get(row)); !found {
 			t.Fatal("dangling ps_partkey")
 		}
-		if _, found := st.Str("s_suppkey").Locate(pst.Str("ps_suppkey").Get(row)); !found {
+		if _, found := suppKeys.Locate(pst.Str("ps_suppkey").Get(row)); !found {
 			t.Fatal("dangling ps_suppkey")
 		}
 	}

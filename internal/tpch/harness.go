@@ -46,16 +46,11 @@ func TraceWorkload(s *colstore.Store, reps int) time.Duration {
 	return time.Since(start)
 }
 
-// ColumnStatsOf assembles the compression manager's input for one column
-// from its traced access counters and a sample of its dictionary. All reads
-// go through one pinned snapshot, so the statistics describe a single
-// consistent column state.
-func ColumnStatsOf(c *colstore.StringColumn, lifetimeNs float64, sampleRatio float64, seed int64) core.ColumnStats {
-	return SnapshotStatsOf(c.Snapshot(), lifetimeNs, sampleRatio, seed)
-}
-
-// SnapshotStatsOf is ColumnStatsOf against an explicit pinned snapshot —
-// the form a merge-time Chooser uses.
+// SnapshotStatsOf assembles the compression manager's input for one column
+// from its traced access counters and a sample of its dictionary, all read
+// from one pinned snapshot — the form a merge-time Chooser is handed. The
+// access counters are the column's flushed totals, so release the snapshots
+// of the workload being described first.
 func SnapshotStatsOf(s *colstore.Snapshot, lifetimeNs float64, sampleRatio float64, seed int64) core.ColumnStats {
 	st := s.Stats()
 	return core.ColumnStats{
@@ -76,7 +71,9 @@ func SnapshotStatsOf(s *colstore.Snapshot, lifetimeNs float64, sampleRatio float
 func Reconfigure(s *colstore.Store, mgr *core.Manager, lifetimeNs float64, sampleRatio float64, seed int64) map[string]dict.Format {
 	out := make(map[string]dict.Format)
 	for _, c := range s.StringColumns() {
-		decision := mgr.ChooseFormat(ColumnStatsOf(c, lifetimeNs, sampleRatio, seed))
+		snap := c.Snapshot()
+		decision := mgr.ChooseFormat(SnapshotStatsOf(snap, lifetimeNs, sampleRatio, seed))
+		snap.Release()
 		c.Rebuild(decision.Format)
 		out[c.Name()] = decision.Format
 	}

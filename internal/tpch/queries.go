@@ -21,14 +21,27 @@ type Query struct {
 	Run    func(*colstore.Store) *Result
 }
 
-// Queries returns the 22 queries in order.
+// plans are the 22 physical plans in query order. A plan reads the store
+// through one colstore.View and nothing else.
+var plans = [...]func(*colstore.View) *Result{
+	plan1, plan2, plan3, plan4, plan5, plan6, plan7, plan8, plan9, plan10, plan11,
+	plan12, plan13, plan14, plan15, plan16, plan17, plan18, plan19, plan20, plan21, plan22,
+}
+
+// Queries returns the 22 queries in order. Each Run opens one view on the
+// store, runs the plan on it and releases it, so every value ID in a plan
+// comes from one dictionary version per column and no plan can leave a
+// snapshot pinned.
 func Queries() []Query {
-	return []Query{
-		{1, q1}, {2, q2}, {3, q3}, {4, q4}, {5, q5}, {6, q6}, {7, q7},
-		{8, q8}, {9, q9}, {10, q10}, {11, q11}, {12, q12}, {13, q13},
-		{14, q14}, {15, q15}, {16, q16}, {17, q17}, {18, q18}, {19, q19},
-		{20, q20}, {21, q21}, {22, q22},
+	qs := make([]Query, len(plans))
+	for i, plan := range plans {
+		qs[i] = Query{Number: i + 1, Run: func(s *colstore.Store) *Result {
+			view := s.View()
+			defer view.Release()
+			return plan(view)
+		}}
 	}
+	return qs
 }
 
 // RunAll executes all 22 queries once and returns their results.
@@ -55,24 +68,17 @@ func sortRows(rows [][]string, limit int, less func(a, b []string) bool) [][]str
 	return rows
 }
 
-// eqCode locates a constant in a column's dictionary (one locate).
-func eqCode(c *colstore.StringColumn, v string) (uint32, bool) {
-	return c.Locate(v)
-}
-
 // codeStreamChunk is the AppendCodeRange window width: one kernel call
 // decodes this many main-part codes at once.
 const codeStreamChunk = 256
 
 // codeStream batch-decodes a string column's main-part value IDs for the
-// row loops of the query plans: one pinned snapshot for the whole scan and
-// one AppendCodeRange kernel call per 256 rows, instead of one
-// Vector.Get interface call per row. code is a drop-in for
-// StringColumn.Code — delta rows (at or past MainRows) report ok=false with
-// the same semantics. The window refills from whatever row misses, so
-// filtered and restarted loops work too; ascending scans hit the window
-// ~256 times per refill. Call release when the plan is done with the
-// stream.
+// row loops of the query plans: one AppendCodeRange kernel call per 256
+// rows on the view's snapshot of the column, instead of one Vector.Get
+// interface call per row. code is a drop-in for Snapshot.Code — delta rows
+// (at or past MainRows) report ok=false with the same semantics. The window
+// refills from whatever row misses, so filtered and restarted loops work
+// too; ascending scans hit the window ~256 times per refill.
 type codeStream struct {
 	snap   *colstore.Snapshot
 	nMain  int
@@ -80,12 +86,9 @@ type codeStream struct {
 	start  int // window covers rows [start, start+len(window))
 }
 
-func newCodeStream(c *colstore.StringColumn) *codeStream {
-	snap := c.Snapshot()
+func newCodeStream(snap *colstore.Snapshot) *codeStream {
 	return &codeStream{snap: snap, nMain: snap.MainRows()}
 }
-
-func (cs *codeStream) release() { cs.snap.Release() }
 
 func (cs *codeStream) code(row int) (uint32, bool) {
 	if row >= cs.nMain {
@@ -103,15 +106,37 @@ func (cs *codeStream) code(row int) (uint32, bool) {
 	return uint32(cs.window[0]), true
 }
 
+// rowFlags evaluates pred on col's value ID at each of a table's rows: a
+// dimension-table predicate resolved once per row, not once per probe.
+func rowFlags(rows int, col *colstore.Snapshot, pred func(code uint32) bool) []bool {
+	out := make([]bool, rows)
+	cs := newCodeStream(col)
+	for row := range out {
+		code, _ := cs.code(row)
+		out[row] = pred(code)
+	}
+	return out
+}
+
+// keyRow resolves a foreign-key value ID to the row of the key column that
+// holds the same value, or -1 if there is none: toKey is the foreign key's
+// TranslateCodes into the key column, rowByCode the key's RowIndexByCode.
+func keyRow(toKey []int64, rowByCode []int32, code uint32) int32 {
+	if kc := toKey[code]; kc >= 0 {
+		return rowByCode[kc]
+	}
+	return -1
+}
+
 // keysOfNationsInRegion returns the n_nationkey codes (in the nation table's
 // n_nationkey dictionary) of all nations in the named region, along with a
 // map from that code to the nation's name.
-func keysOfNationsInRegion(s *colstore.Store, region string) (map[uint32]bool, map[uint32]string) {
-	rt, nt := s.Table("region"), s.Table("nation")
+func keysOfNationsInRegion(view *colstore.View, region string) (map[uint32]bool, map[uint32]string) {
+	rt, nt := view.Table("region"), view.Table("nation")
 	regionKeyByRow := rt.Str("r_regionkey")
 	rname := rt.Str("r_name")
 	var regionKey string
-	rcode, found := eqCode(rname, region)
+	rcode, found := rname.Locate(region)
 	if found {
 		csRName := newCodeStream(rname)
 		for row := 0; row < rt.Rows(); row++ {
@@ -119,17 +144,14 @@ func keysOfNationsInRegion(s *colstore.Store, region string) (map[uint32]bool, m
 				regionKey = regionKeyByRow.Get(row)
 			}
 		}
-		csRName.release()
 	}
 	keys := make(map[uint32]bool)
 	names := make(map[uint32]string)
 	nrk := nt.Str("n_regionkey")
 	nk := nt.Str("n_nationkey")
 	nn := nt.Str("n_name")
-	want, haveRegion := eqCode(nrk, regionKey)
+	want, haveRegion := nrk.Locate(regionKey)
 	csNRK, csNK := newCodeStream(nrk), newCodeStream(nk)
-	defer csNRK.release()
-	defer csNK.release()
 	for row := 0; row < nt.Rows(); row++ {
 		if code, ok := csNRK.code(row); ok && haveRegion && code == want {
 			kc, _ := csNK.code(row)
@@ -142,17 +164,15 @@ func keysOfNationsInRegion(s *colstore.Store, region string) (map[uint32]bool, m
 
 // nationKeyCode returns the n_nationkey code of a nation by name, along
 // with the nation's name for result labelling.
-func nationKeyCode(s *colstore.Store, name string) (uint32, string, bool) {
-	nt := s.Table("nation")
+func nationKeyCode(view *colstore.View, name string) (uint32, string, bool) {
+	nt := view.Table("nation")
 	nn := nt.Str("n_name")
 	nk := nt.Str("n_nationkey")
-	ncode, found := eqCode(nn, name)
+	ncode, found := nn.Locate(name)
 	if !found {
 		return 0, "", false
 	}
 	csNN, csNK := newCodeStream(nn), newCodeStream(nk)
-	defer csNN.release()
-	defer csNK.release()
 	for row := 0; row < nt.Rows(); row++ {
 		if code, ok := csNN.code(row); ok && code == ncode {
 			kc, _ := csNK.code(row)
@@ -183,11 +203,10 @@ func parseF(s string) float64 {
 
 // rowToNationCode maps every row of a *_nationkey column to its value ID in
 // the nation table's n_nationkey dictionary (-1 if absent).
-func rowToNationCode(s *colstore.Store, col *colstore.StringColumn) []int64 {
-	toNation := colstore.TranslateCodes(col, s.Table("nation").Str("n_nationkey"))
+func rowToNationCode(view *colstore.View, col *colstore.Snapshot) []int64 {
+	toNation := colstore.TranslateCodes(col, view.Table("nation").Str("n_nationkey"))
 	out := make([]int64, col.Len())
 	cs := newCodeStream(col)
-	defer cs.release()
 	for row := range out {
 		code, _ := cs.code(row)
 		out[row] = toNation[code]

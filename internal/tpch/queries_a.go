@@ -11,7 +11,7 @@ import (
 	"strdict/internal/colstore"
 )
 
-// q1 — Pricing Summary Report: scan lineitem up to a ship-date cutoff,
+// plan1 — Pricing Summary Report: scan lineitem up to a ship-date cutoff,
 // aggregate by (returnflag, linestatus).
 //
 // Reference SQL:
@@ -22,27 +22,22 @@ import (
 //	       avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)
 //	from lineitem where l_shipdate <= date '1998-12-01' - interval '90' day
 //	group by l_returnflag, l_linestatus order by l_returnflag, l_linestatus
-func q1(s *colstore.Store) *Result {
-	lt := s.Table("lineitem")
+func plan1(view *colstore.View) *Result {
+	lt := view.Table("lineitem")
 	ship := lt.Int("l_shipdate")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
 	tax := lt.Float("l_tax")
-	rf := lt.Str("l_returnflag")
-	ls := lt.Str("l_linestatus")
+	srf := lt.Str("l_returnflag")
+	sls := lt.Str("l_linestatus")
 	cutoff := Date("1998-12-01") - 90
 
-	// Both grouping columns are scanned through one snapshot each, so codes
-	// stay consistent with the final Extract even if a merge republishes the
-	// column mid-query. Main-part codes come out of the vector in chunks of
-	// groupChunk via AppendCodeRange instead of one Vector.Get per row; the
-	// (rare) unmerged delta rows keep the per-row Code fallback with its
-	// original "delta rows group as code 0" behavior.
+	// Main-part codes come out of the vector in chunks of groupChunk via
+	// AppendCodeRange instead of one Vector.Get per row; the (rare) unmerged
+	// delta rows keep the per-row Code fallback with its original "delta
+	// rows group as code 0" behavior.
 	const groupChunk = 256
-	srf, sls := rf.Snapshot(), ls.Snapshot()
-	defer srf.Release()
-	defer sls.Release()
 	nMain := srf.MainRows()
 	if m := sls.MainRows(); m < nMain {
 		nMain = m
@@ -116,7 +111,7 @@ func q1(s *colstore.Store) *Result {
 		"count_order"}, Rows: rows}
 }
 
-// q2 — Minimum Cost Supplier: for BRASS parts of size 15, the cheapest
+// plan2 — Minimum Cost Supplier: for BRASS parts of size 15, the cheapest
 // European supplier per part.
 //
 // Reference SQL:
@@ -131,22 +126,21 @@ func q1(s *colstore.Store) *Result {
 //	       and s_nationkey = n_nationkey and n_regionkey = r_regionkey
 //	       and r_name = 'EUROPE')
 //	order by s_acctbal desc, n_name, s_name, p_partkey limit 100
-func q2(s *colstore.Store) *Result {
+func plan2(view *colstore.View) *Result {
 	const (
 		size   = 15
 		suffix = "BRASS"
 		region = "EUROPE"
 	)
-	nationKeys, nationNames := keysOfNationsInRegion(s, region)
+	nationKeys, nationNames := keysOfNationsInRegion(view, region)
 
 	// European suppliers: supplier row -> nation code, via translating
 	// s_nationkey into the nation table's n_nationkey code space.
-	st := s.Table("supplier")
+	st := view.Table("supplier")
 	snk := st.Str("s_nationkey")
-	toNation := colstore.TranslateCodes(snk, s.Table("nation").Str("n_nationkey"))
+	toNation := colstore.TranslateCodes(snk, view.Table("nation").Str("n_nationkey"))
 	suppNation := make([]int64, st.Rows()) // row -> n_nationkey code or -1
 	csSnk := newCodeStream(snk)
-	defer csSnk.release()
 	for row := 0; row < st.Rows(); row++ {
 		code, _ := csSnk.code(row)
 		nc := toNation[code]
@@ -159,13 +153,12 @@ func q2(s *colstore.Store) *Result {
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 
 	// Qualifying parts.
-	pt := s.Table("part")
+	pt := view.Table("part")
 	ptype := pt.Str("p_type")
 	psize := pt.Int("p_size")
 	typeOK := ptype.CodeSet(func(v string) bool { return strings.HasSuffix(v, suffix) })
 	partOK := make([]bool, pt.Rows())
 	csPType := newCodeStream(ptype)
-	defer csPType.release()
 	for row := 0; row < pt.Rows(); row++ {
 		code, _ := csPType.code(row)
 		partOK[row] = typeOK[code] && psize.Get(row) == size
@@ -173,7 +166,7 @@ func q2(s *colstore.Store) *Result {
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
 	// partsupp: min supply cost per part among European suppliers.
-	pst := s.Table("partsupp")
+	pst := view.Table("partsupp")
 	psPart := pst.Str("ps_partkey")
 	psSupp := pst.Str("ps_suppkey")
 	cost := pst.Float("ps_supplycost")
@@ -187,24 +180,14 @@ func q2(s *colstore.Store) *Result {
 	}
 	minCost := make(map[uint32]*best) // by ps_partkey code
 	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	defer csPsPart.release()
-	defer csPsSupp.release()
 	for row := 0; row < pst.Rows(); row++ {
 		pc, _ := csPsPart.code(row)
-		partCode := psPartToPart[pc]
-		if partCode < 0 {
-			continue
-		}
-		partRow := partRowByCode[partCode]
+		partRow := keyRow(psPartToPart, partRowByCode, pc)
 		if partRow < 0 || !partOK[partRow] {
 			continue
 		}
 		sc, _ := csPsSupp.code(row)
-		suppCode := psSuppToSupp[sc]
-		if suppCode < 0 {
-			continue
-		}
-		suppRow := suppRowByCode[suppCode]
+		suppRow := keyRow(psSuppToSupp, suppRowByCode, sc)
 		if suppRow < 0 || suppNation[suppRow] < 0 {
 			continue
 		}
@@ -245,7 +228,7 @@ func q2(s *colstore.Store) *Result {
 		"s_phone", "s_comment"}, Rows: rows}
 }
 
-// q3 — Shipping Priority: top 10 unshipped orders of BUILDING customers by
+// plan3 — Shipping Priority: top 10 unshipped orders of BUILDING customers by
 // revenue.
 //
 // Reference SQL:
@@ -258,43 +241,32 @@ func q2(s *colstore.Store) *Result {
 //	  and l_shipdate > date '1995-03-15'
 //	group by l_orderkey, o_orderdate, o_shippriority
 //	order by revenue desc, o_orderdate limit 10
-func q3(s *colstore.Store) *Result {
+func plan3(view *colstore.View) *Result {
 	cutoff := Date("1995-03-15")
-	ct := s.Table("customer")
+	ct := view.Table("customer")
 	seg := ct.Str("c_mktsegment")
-	segCode, segFound := eqCode(seg, "BUILDING")
-	custOK := make([]bool, ct.Rows())
-	csSeg := newCodeStream(seg)
-	defer csSeg.release()
-	for row := 0; row < ct.Rows(); row++ {
-		code, _ := csSeg.code(row)
-		custOK[row] = segFound && code == segCode
-	}
+	segCode, segFound := seg.Locate("BUILDING")
+	custOK := rowFlags(ct.Rows(), seg, func(code uint32) bool { return segFound && code == segCode })
 	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
 
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
 	shipPrio := ot.Int("o_shippriority")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	orderPass := make([]bool, ot.Rows())
 	csOCust := newCodeStream(ocust)
-	defer csOCust.release()
 	for row := 0; row < ot.Rows(); row++ {
 		if odate.Get(row) >= cutoff {
 			continue
 		}
 		cc, _ := csOCust.code(row)
-		custCode := oCustToCust[cc]
-		if custCode < 0 {
-			continue
-		}
-		custRow := custRowByCode[custCode]
+		custRow := keyRow(oCustToCust, custRowByCode, cc)
 		orderPass[row] = custRow >= 0 && custOK[custRow]
 	}
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
@@ -302,7 +274,6 @@ func q3(s *colstore.Store) *Result {
 	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
 	revenue := make(map[int64]float64) // by o_orderkey code
 	csLok := newCodeStream(lok)
-	defer csLok.release()
 	for row := 0; row < lt.Rows(); row++ {
 		if ship.Get(row) <= cutoff {
 			continue
@@ -339,7 +310,7 @@ func q3(s *colstore.Store) *Result {
 		"l_orderkey", "revenue", "o_orderdate", "o_shippriority"}, Rows: rows}
 }
 
-// q4 — Order Priority Checking: orders of 1993Q3 with at least one late
+// plan4 — Order Priority Checking: orders of 1993Q3 with at least one late
 // lineitem, counted per priority.
 //
 // Reference SQL:
@@ -350,18 +321,17 @@ func q3(s *colstore.Store) *Result {
 //	  and exists (select * from lineitem where l_orderkey = o_orderkey
 //	       and l_commitdate < l_receiptdate)
 //	group by o_orderpriority order by o_orderpriority
-func q4(s *colstore.Store) *Result {
+func plan4(view *colstore.View) *Result {
 	lo, hi := Date("1993-07-01"), Date("1993-10-01")
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	commit := lt.Int("l_commitdate")
 	recv := lt.Int("l_receiptdate")
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
 
 	lateOrder := make(map[int64]bool) // o_orderkey codes with commit < receipt
 	csLok := newCodeStream(lok)
-	defer csLok.release()
 	for row := 0; row < lt.Rows(); row++ {
 		if commit.Get(row) < recv.Get(row) {
 			lc, _ := csLok.code(row)
@@ -376,8 +346,6 @@ func q4(s *colstore.Store) *Result {
 	okey := ot.Str("o_orderkey")
 	counts := make(map[uint32]int)
 	csOkey, csPrio := newCodeStream(okey), newCodeStream(prio)
-	defer csOkey.release()
-	defer csPrio.release()
 	for row := 0; row < ot.Rows(); row++ {
 		d := odate.Get(row)
 		if d < lo || d >= hi {
@@ -399,7 +367,7 @@ func q4(s *colstore.Store) *Result {
 	return &Result{Query: 4, Columns: []string{"o_orderpriority", "order_count"}, Rows: rows}
 }
 
-// q5 — Local Supplier Volume: revenue in ASIA from orders of 1994 where the
+// plan5 — Local Supplier Volume: revenue in ASIA from orders of 1994 where the
 // customer and supplier share a nation.
 //
 // Reference SQL:
@@ -412,25 +380,25 @@ func q4(s *colstore.Store) *Result {
 //	  and r_name = 'ASIA' and o_orderdate >= date '1994-01-01'
 //	  and o_orderdate < date '1995-01-01'
 //	group by n_name order by revenue desc
-func q5(s *colstore.Store) *Result {
+func plan5(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
-	nationKeys, nationNames := keysOfNationsInRegion(s, "ASIA")
+	nationKeys, nationNames := keysOfNationsInRegion(view, "ASIA")
 
-	ct := s.Table("customer")
-	custNation := rowToNationCode(s, ct.Str("c_nationkey"))
+	ct := view.Table("customer")
+	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
 	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
 
-	st := s.Table("supplier")
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	st := view.Table("supplier")
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	lsk := lt.Str("l_suppkey")
 	ext := lt.Float("l_extendedprice")
@@ -440,16 +408,9 @@ func q5(s *colstore.Store) *Result {
 
 	revenue := make(map[int64]float64) // by nation code
 	csLok, csLsk, csOCust := newCodeStream(lok), newCodeStream(lsk), newCodeStream(ocust)
-	defer csLok.release()
-	defer csLsk.release()
-	defer csOCust.release()
 	for row := 0; row < lt.Rows(); row++ {
 		lc, _ := csLok.code(row)
-		oc := liOrderToOrder[lc]
-		if oc < 0 {
-			continue
-		}
-		orow := orderRowByCode[oc]
+		orow := keyRow(liOrderToOrder, orderRowByCode, lc)
 		if orow < 0 {
 			continue
 		}
@@ -457,11 +418,7 @@ func q5(s *colstore.Store) *Result {
 			continue
 		}
 		scRaw, _ := csLsk.code(row)
-		sc := liSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		srow := suppRowByCode[sc]
+		srow := keyRow(liSuppToSupp, suppRowByCode, scRaw)
 		if srow < 0 {
 			continue
 		}
@@ -470,11 +427,7 @@ func q5(s *colstore.Store) *Result {
 			continue
 		}
 		ccRaw, _ := csOCust.code(int(orow))
-		cc := oCustToCust[ccRaw]
-		if cc < 0 {
-			continue
-		}
-		crow := custRowByCode[cc]
+		crow := keyRow(oCustToCust, custRowByCode, ccRaw)
 		if crow < 0 || custNation[crow] != sn {
 			continue
 		}
@@ -489,16 +442,16 @@ func q5(s *colstore.Store) *Result {
 	return &Result{Query: 5, Columns: []string{"n_name", "revenue"}, Rows: rows}
 }
 
-// q6 — Forecasting Revenue Change: pure numeric scan of lineitem.
+// plan6 — Forecasting Revenue Change: pure numeric scan of lineitem.
 //
 // Reference SQL:
 //
 //	select sum(l_extendedprice*l_discount) from lineitem
 //	where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01'
 //	  and l_discount between 0.05 and 0.07 and l_quantity < 24
-func q6(s *colstore.Store) *Result {
+func plan6(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	ship := lt.Int("l_shipdate")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
@@ -514,7 +467,7 @@ func q6(s *colstore.Store) *Result {
 	return &Result{Query: 6, Columns: []string{"revenue"}, Rows: [][]string{{f2(revenue)}}}
 }
 
-// q7 — Volume Shipping: revenue shipped between FRANCE and GERMANY in
+// plan7 — Volume Shipping: revenue shipped between FRANCE and GERMANY in
 // 1995-1996, by supplier nation, customer nation and year.
 //
 // Reference SQL:
@@ -531,28 +484,27 @@ func q6(s *colstore.Store) *Result {
 //	         (n1.n_name='GERMANY' and n2.n_name='FRANCE'))
 //	    and l_shipdate between date '1995-01-01' and date '1996-12-31')
 //	group by supp_nation, cust_nation, l_year order by 1, 2, 3
-func q7(s *colstore.Store) *Result {
+func plan7(view *colstore.View) *Result {
 	lo, hi := Date("1995-01-01"), Date("1996-12-31")
-	fr, frName, okFR := nationKeyCode(s, "FRANCE")
-	de, deName, okDE := nationKeyCode(s, "GERMANY")
+	fr, frName, okFR := nationKeyCode(view, "FRANCE")
+	de, deName, okDE := nationKeyCode(view, "GERMANY")
 	if !okFR || !okDE {
 		return &Result{Query: 7}
 	}
 	names := map[uint32]string{fr: frName, de: deName}
-	_ = names
 
-	ct := s.Table("customer")
-	custNation := rowToNationCode(s, ct.Str("c_nationkey"))
+	ct := view.Table("customer")
+	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
 	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
-	st := s.Table("supplier")
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	st := view.Table("supplier")
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	lsk := lt.Str("l_suppkey")
 	ship := lt.Int("l_shipdate")
@@ -567,39 +519,24 @@ func q7(s *colstore.Store) *Result {
 	}
 	volume := make(map[gk]float64)
 	csLok, csLsk, csOCust := newCodeStream(lok), newCodeStream(lsk), newCodeStream(ocust)
-	defer csLok.release()
-	defer csLsk.release()
-	defer csOCust.release()
 	for row := 0; row < lt.Rows(); row++ {
 		d := ship.Get(row)
 		if d < lo || d > hi {
 			continue
 		}
 		scRaw, _ := csLsk.code(row)
-		sc := liSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		srow := suppRowByCode[sc]
+		srow := keyRow(liSuppToSupp, suppRowByCode, scRaw)
 		if srow < 0 {
 			continue
 		}
 		sn := suppNation[srow]
 		lcRaw, _ := csLok.code(row)
-		oc := liOrderToOrder[lcRaw]
-		if oc < 0 {
-			continue
-		}
-		orow := orderRowByCode[oc]
+		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
 		if orow < 0 {
 			continue
 		}
 		ccRaw, _ := csOCust.code(int(orow))
-		cc := oCustToCust[ccRaw]
-		if cc < 0 {
-			continue
-		}
-		crow := custRowByCode[cc]
+		crow := keyRow(oCustToCust, custRowByCode, ccRaw)
 		if crow < 0 {
 			continue
 		}
@@ -627,7 +564,7 @@ func q7(s *colstore.Store) *Result {
 	return &Result{Query: 7, Columns: []string{"supp_nation", "cust_nation", "l_year", "revenue"}, Rows: rows}
 }
 
-// q8 — National Market Share: BRAZIL's share of ECONOMY ANODIZED STEEL
+// plan8 — National Market Share: BRAZIL's share of ECONOMY ANODIZED STEEL
 // revenue in AMERICA, by year.
 //
 // Reference SQL:
@@ -643,39 +580,33 @@ func q7(s *colstore.Store) *Result {
 //	        and o_orderdate between date '1995-01-01' and date '1996-12-31'
 //	        and p_type = 'ECONOMY ANODIZED STEEL')
 //	group by o_year order by o_year
-func q8(s *colstore.Store) *Result {
+func plan8(view *colstore.View) *Result {
 	lo, hi := Date("1995-01-01"), Date("1996-12-31")
-	amKeys, _ := keysOfNationsInRegion(s, "AMERICA")
-	br, _, okBR := nationKeyCode(s, "BRAZIL")
+	amKeys, _ := keysOfNationsInRegion(view, "AMERICA")
+	br, _, okBR := nationKeyCode(view, "BRAZIL")
 	if !okBR {
 		return &Result{Query: 8}
 	}
 
-	pt := s.Table("part")
+	pt := view.Table("part")
 	ptype := pt.Str("p_type")
-	typeCode, typeFound := eqCode(ptype, "ECONOMY ANODIZED STEEL")
-	partOK := make([]bool, pt.Rows())
-	csPType := newCodeStream(ptype)
-	defer csPType.release()
-	for row := 0; row < pt.Rows(); row++ {
-		code, _ := csPType.code(row)
-		partOK[row] = typeFound && code == typeCode
-	}
+	typeCode, typeFound := ptype.Locate("ECONOMY ANODIZED STEEL")
+	partOK := rowFlags(pt.Rows(), ptype, func(code uint32) bool { return typeFound && code == typeCode })
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
-	ct := s.Table("customer")
-	custNation := rowToNationCode(s, ct.Str("c_nationkey"))
+	ct := view.Table("customer")
+	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
 	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
-	st := s.Table("supplier")
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	st := view.Table("supplier")
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	lpk := lt.Str("l_partkey")
 	lsk := lt.Str("l_suppkey")
@@ -689,26 +620,14 @@ func q8(s *colstore.Store) *Result {
 	brazil := make(map[int]float64)
 	csLok, csLpk, csLsk := newCodeStream(lok), newCodeStream(lpk), newCodeStream(lsk)
 	csOCust := newCodeStream(ocust)
-	defer csLok.release()
-	defer csLpk.release()
-	defer csLsk.release()
-	defer csOCust.release()
 	for row := 0; row < lt.Rows(); row++ {
 		pcRaw, _ := csLpk.code(row)
-		pc := liPartToPart[pcRaw]
-		if pc < 0 {
-			continue
-		}
-		prow := partRowByCode[pc]
+		prow := keyRow(liPartToPart, partRowByCode, pcRaw)
 		if prow < 0 || !partOK[prow] {
 			continue
 		}
 		lcRaw, _ := csLok.code(row)
-		oc := liOrderToOrder[lcRaw]
-		if oc < 0 {
-			continue
-		}
-		orow := orderRowByCode[oc]
+		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
 		if orow < 0 {
 			continue
 		}
@@ -717,11 +636,7 @@ func q8(s *colstore.Store) *Result {
 			continue
 		}
 		ccRaw, _ := csOCust.code(int(orow))
-		cc := oCustToCust[ccRaw]
-		if cc < 0 {
-			continue
-		}
-		crow := custRowByCode[cc]
+		crow := keyRow(oCustToCust, custRowByCode, ccRaw)
 		if crow < 0 {
 			continue
 		}
@@ -730,11 +645,7 @@ func q8(s *colstore.Store) *Result {
 			continue
 		}
 		scRaw, _ := csLsk.code(row)
-		sc := liSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		srow := suppRowByCode[sc]
+		srow := keyRow(liSuppToSupp, suppRowByCode, scRaw)
 		if srow < 0 {
 			continue
 		}
@@ -758,7 +669,7 @@ func q8(s *colstore.Store) *Result {
 	return &Result{Query: 8, Columns: []string{"o_year", "mkt_share"}, Rows: rows}
 }
 
-// q9 — Product Type Profit: profit of parts whose name contains "green",
+// plan9 — Product Type Profit: profit of parts whose name contains "green",
 // by supplier nation and year.
 //
 // Reference SQL:
@@ -772,33 +683,26 @@ func q8(s *colstore.Store) *Result {
 //	    and o_orderkey = l_orderkey and s_nationkey = n_nationkey
 //	    and p_name like '%green%')
 //	group by nation, o_year order by nation, o_year desc
-func q9(s *colstore.Store) *Result {
-	pt := s.Table("part")
+func plan9(view *colstore.View) *Result {
+	pt := view.Table("part")
 	pname := pt.Str("p_name")
 	greenParts := pname.CodeSet(func(v string) bool { return strings.Contains(v, "green") })
-	partOK := make([]bool, pt.Rows())
-	csPName := newCodeStream(pname)
-	defer csPName.release()
-	for row := 0; row < pt.Rows(); row++ {
-		code, _ := csPName.code(row)
-		partOK[row] = greenParts[code]
-	}
+	partOK := rowFlags(pt.Rows(), pname, func(code uint32) bool { return greenParts[code] })
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
-	st := s.Table("supplier")
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	st := view.Table("supplier")
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
-	nt := s.Table("nation")
+	nt := view.Table("nation")
 	nationName := make(map[int64]string)
 	csNK := newCodeStream(nt.Str("n_nationkey"))
 	for row := 0; row < nt.Rows(); row++ {
 		kc, _ := csNK.code(row)
 		nationName[int64(kc)] = nt.Str("n_name").Get(row)
 	}
-	csNK.release()
 
 	// ps_supplycost lookup per (part, supp) pair.
-	pst := s.Table("partsupp")
+	pst := view.Table("partsupp")
 	psPart := pst.Str("ps_partkey")
 	psSupp := pst.Str("ps_suppkey")
 	psCost := pst.Float("ps_supplycost")
@@ -812,14 +716,12 @@ func q9(s *colstore.Store) *Result {
 		scRaw, _ := csPsSupp.code(row)
 		costOf[pair{psPartToPart[pcRaw], psSuppToSupp[scRaw]}] = psCost.Get(row)
 	}
-	csPsPart.release()
-	csPsSupp.release()
 
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	lpk := lt.Str("l_partkey")
 	lsk := lt.Str("l_suppkey")
@@ -836,9 +738,6 @@ func q9(s *colstore.Store) *Result {
 	}
 	profit := make(map[gk]float64)
 	csLok, csLpk, csLsk := newCodeStream(lok), newCodeStream(lpk), newCodeStream(lsk)
-	defer csLok.release()
-	defer csLpk.release()
-	defer csLsk.release()
 	for row := 0; row < lt.Rows(); row++ {
 		pcRaw, _ := csLpk.code(row)
 		pc := liPartToPart[pcRaw]
@@ -859,11 +758,7 @@ func q9(s *colstore.Store) *Result {
 			continue
 		}
 		lcRaw, _ := csLok.code(row)
-		oc := liOrderToOrder[lcRaw]
-		if oc < 0 {
-			continue
-		}
-		orow := orderRowByCode[oc]
+		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
 		if orow < 0 {
 			continue
 		}
@@ -884,7 +779,7 @@ func q9(s *colstore.Store) *Result {
 	return &Result{Query: 9, Columns: []string{"nation", "o_year", "sum_profit"}, Rows: rows}
 }
 
-// q10 — Returned Item Reporting: top 20 customers by lost revenue in 1993Q4.
+// plan10 — Returned Item Reporting: top 20 customers by lost revenue in 1993Q4.
 //
 // Reference SQL:
 //
@@ -895,50 +790,42 @@ func q9(s *colstore.Store) *Result {
 //	  and o_orderdate >= date '1993-10-01' and o_orderdate < date '1994-01-01'
 //	  and l_returnflag = 'R' and c_nationkey = n_nationkey
 //	group by ... order by revenue desc limit 20
-func q10(s *colstore.Store) *Result {
+func plan10(view *colstore.View) *Result {
 	lo, hi := Date("1993-10-01"), Date("1994-01-01")
-	ct := s.Table("customer")
+	ct := view.Table("customer")
 	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
-	custNation := rowToNationCode(s, ct.Str("c_nationkey"))
-	nt := s.Table("nation")
+	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
+	nt := view.Table("nation")
 	nationName := make(map[int64]string)
 	csNK := newCodeStream(nt.Str("n_nationkey"))
 	for row := 0; row < nt.Rows(); row++ {
 		kc, _ := csNK.code(row)
 		nationName[int64(kc)] = nt.Str("n_name").Get(row)
 	}
-	csNK.release()
 
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	lret := lt.Str("l_returnflag")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	retCode, retFound := eqCode(lret, "R")
+	retCode, retFound := lret.Locate("R")
 	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
 
 	revenue := make(map[int64]float64) // by c_custkey code
 	csLok, csLret, csOCust := newCodeStream(lok), newCodeStream(lret), newCodeStream(ocust)
-	defer csLok.release()
-	defer csLret.release()
-	defer csOCust.release()
 	for row := 0; row < lt.Rows(); row++ {
 		rc, _ := csLret.code(row)
 		if !retFound || rc != retCode {
 			continue
 		}
 		lcRaw, _ := csLok.code(row)
-		oc := liOrderToOrder[lcRaw]
-		if oc < 0 {
-			continue
-		}
-		orow := orderRowByCode[oc]
+		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
 		if orow < 0 {
 			continue
 		}
@@ -973,7 +860,7 @@ func q10(s *colstore.Store) *Result {
 		"c_phone", "c_comment"}, Rows: rows}
 }
 
-// q11 — Important Stock Identification: GERMANY's part stock values above
+// plan11 — Important Stock Identification: GERMANY's part stock values above
 // a fraction of the total.
 //
 // Reference SQL:
@@ -986,16 +873,16 @@ func q10(s *colstore.Store) *Result {
 //	having sum(ps_supplycost*ps_availqty) >
 //	  (select sum(ps_supplycost*ps_availqty) * 0.0001 from ... same joins ...)
 //	order by value desc
-func q11(s *colstore.Store) *Result {
-	de, _, okDE := nationKeyCode(s, "GERMANY")
+func plan11(view *colstore.View) *Result {
+	de, _, okDE := nationKeyCode(view, "GERMANY")
 	if !okDE {
 		return &Result{Query: 11}
 	}
-	st := s.Table("supplier")
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	st := view.Table("supplier")
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 
-	pst := s.Table("partsupp")
+	pst := view.Table("partsupp")
 	psPart := pst.Str("ps_partkey")
 	psSupp := pst.Str("ps_suppkey")
 	qty := pst.Int("ps_availqty")
@@ -1005,15 +892,9 @@ func q11(s *colstore.Store) *Result {
 	value := make(map[uint32]float64) // by ps_partkey code
 	var total float64
 	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	defer csPsPart.release()
-	defer csPsSupp.release()
 	for row := 0; row < pst.Rows(); row++ {
 		scRaw, _ := csPsSupp.code(row)
-		sc := psSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		srow := suppRowByCode[sc]
+		srow := keyRow(psSuppToSupp, suppRowByCode, scRaw)
 		if srow < 0 || suppNation[srow] != int64(de) {
 			continue
 		}

@@ -8,7 +8,7 @@ import (
 	"strdict/internal/colstore"
 )
 
-// q12 — Shipping Modes and Order Priority: late lineitems of 1994 received
+// plan12 — Shipping Modes and Order Priority: late lineitems of 1994 received
 // by MAIL or SHIP, split into urgent and non-urgent order counts.
 //
 // Reference SQL:
@@ -21,31 +21,28 @@ import (
 //	  and l_commitdate < l_receiptdate and l_shipdate < l_commitdate
 //	  and l_receiptdate >= date '1994-01-01' and l_receiptdate < date '1995-01-01'
 //	group by l_shipmode order by l_shipmode
-func q12(s *colstore.Store) *Result {
+func plan12(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	mode := lt.Str("l_shipmode")
 	ship := lt.Int("l_shipdate")
 	commit := lt.Int("l_commitdate")
 	recv := lt.Int("l_receiptdate")
 	lok := lt.Str("l_orderkey")
 
-	mailCode, mailOK := eqCode(mode, "MAIL")
-	shipCode, shipOK := eqCode(mode, "SHIP")
+	mailCode, mailOK := mode.Locate("MAIL")
+	shipCode, shipOK := mode.Locate("SHIP")
 
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	prio := ot.Str("o_orderpriority")
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	urgent, urgentOK := eqCode(prio, "1-URGENT")
-	high, highOK := eqCode(prio, "2-HIGH")
+	urgent, urgentOK := prio.Locate("1-URGENT")
+	high, highOK := prio.Locate("2-HIGH")
 
 	type counts struct{ hi, lo int }
 	byMode := make(map[uint32]*counts)
 	csMode, csLok, csPrio := newCodeStream(mode), newCodeStream(lok), newCodeStream(prio)
-	defer csMode.release()
-	defer csLok.release()
-	defer csPrio.release()
 	for row := 0; row < lt.Rows(); row++ {
 		mc, _ := csMode.code(row)
 		if !(mailOK && mc == mailCode) && !(shipOK && mc == shipCode) {
@@ -59,11 +56,7 @@ func q12(s *colstore.Store) *Result {
 			continue
 		}
 		lcRaw, _ := csLok.code(row)
-		oc := liOrderToOrder[lcRaw]
-		if oc < 0 {
-			continue
-		}
-		orow := orderRowByCode[oc]
+		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
 		if orow < 0 {
 			continue
 		}
@@ -88,7 +81,7 @@ func q12(s *colstore.Store) *Result {
 	return &Result{Query: 12, Columns: []string{"l_shipmode", "high_line_count", "low_line_count"}, Rows: rows}
 }
 
-// q13 — Customer Distribution: histogram of order counts per customer,
+// plan13 — Customer Distribution: histogram of order counts per customer,
 // excluding orders whose comment matches "special ... requests".
 //
 // Reference SQL:
@@ -99,21 +92,19 @@ func q12(s *colstore.Store) *Result {
 //	    and o_comment not like '%special%requests%'
 //	  group by c_custkey) as c_orders (c_custkey, c_count)
 //	group by c_count order by custdist desc, c_count desc
-func q13(s *colstore.Store) *Result {
-	ot := s.Table("orders")
+func plan13(view *colstore.View) *Result {
+	ot := view.Table("orders")
 	ocom := ot.Str("o_comment")
 	excluded := ocom.CodeSet(func(v string) bool {
 		i := strings.Index(v, "special")
 		return i >= 0 && strings.Contains(v[i:], "requests")
 	})
-	ct := s.Table("customer")
+	ct := view.Table("customer")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 
 	perCust := make(map[int64]int)
 	csOCom, csOCust := newCodeStream(ocom), newCodeStream(ocust)
-	defer csOCom.release()
-	defer csOCust.release()
 	for row := 0; row < ot.Rows(); row++ {
 		cc, _ := csOCom.code(row)
 		if excluded[cc] {
@@ -143,7 +134,7 @@ func q13(s *colstore.Store) *Result {
 	return &Result{Query: 13, Columns: []string{"c_count", "custdist"}, Rows: rows}
 }
 
-// q14 — Promotion Effect: share of September 1995 revenue from PROMO parts.
+// plan14 — Promotion Effect: share of September 1995 revenue from PROMO parts.
 //
 // Reference SQL:
 //
@@ -153,21 +144,15 @@ func q13(s *colstore.Store) *Result {
 //	from lineitem, part
 //	where l_partkey = p_partkey and l_shipdate >= date '1995-09-01'
 //	  and l_shipdate < date '1995-10-01'
-func q14(s *colstore.Store) *Result {
+func plan14(view *colstore.View) *Result {
 	lo, hi := Date("1995-09-01"), Date("1995-10-01")
-	pt := s.Table("part")
+	pt := view.Table("part")
 	ptype := pt.Str("p_type")
 	promo := ptype.CodeSet(func(v string) bool { return strings.HasPrefix(v, "PROMO") })
-	partPromo := make([]bool, pt.Rows())
-	csPType := newCodeStream(ptype)
-	for row := 0; row < pt.Rows(); row++ {
-		code, _ := csPType.code(row)
-		partPromo[row] = promo[code]
-	}
-	csPType.release()
+	partPromo := rowFlags(pt.Rows(), ptype, func(code uint32) bool { return promo[code] })
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lpk := lt.Str("l_partkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
@@ -176,18 +161,13 @@ func q14(s *colstore.Store) *Result {
 
 	var promoRev, totalRev float64
 	csLpk := newCodeStream(lpk)
-	defer csLpk.release()
 	for row := 0; row < lt.Rows(); row++ {
 		d := ship.Get(row)
 		if d < lo || d >= hi {
 			continue
 		}
 		pcRaw, _ := csLpk.code(row)
-		pc := liPartToPart[pcRaw]
-		if pc < 0 {
-			continue
-		}
-		prow := partRowByCode[pc]
+		prow := keyRow(liPartToPart, partRowByCode, pcRaw)
 		if prow < 0 {
 			continue
 		}
@@ -204,7 +184,7 @@ func q14(s *colstore.Store) *Result {
 	return &Result{Query: 14, Columns: []string{"promo_revenue"}, Rows: [][]string{{f2(share)}}}
 }
 
-// q15 — Top Supplier: suppliers with the maximum revenue in 1996Q1.
+// plan15 — Top Supplier: suppliers with the maximum revenue in 1996Q1.
 //
 // Reference SQL:
 //
@@ -217,10 +197,10 @@ func q14(s *colstore.Store) *Result {
 //	from supplier, revenue where s_suppkey = supplier_no
 //	  and total_revenue = (select max(total_revenue) from revenue)
 //	order by s_suppkey
-func q15(s *colstore.Store) *Result {
+func plan15(view *colstore.View) *Result {
 	lo, hi := Date("1996-01-01"), Date("1996-04-01")
-	st := s.Table("supplier")
-	lt := s.Table("lineitem")
+	st := view.Table("supplier")
+	lt := view.Table("lineitem")
 	lsk := lt.Str("l_suppkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
@@ -230,7 +210,6 @@ func q15(s *colstore.Store) *Result {
 
 	revenue := make(map[int64]float64) // by s_suppkey code
 	csLsk := newCodeStream(lsk)
-	defer csLsk.release()
 	for row := 0; row < lt.Rows(); row++ {
 		d := ship.Get(row)
 		if d < lo || d >= hi {
@@ -266,7 +245,7 @@ func q15(s *colstore.Store) *Result {
 		"s_suppkey", "s_name", "s_address", "s_phone", "total_revenue"}, Rows: rows}
 }
 
-// q16 — Parts/Supplier Relationship: distinct supplier counts per
+// plan16 — Parts/Supplier Relationship: distinct supplier counts per
 // (brand, type, size) for a filtered part set, excluding complained-about
 // suppliers.
 //
@@ -281,13 +260,13 @@ func q15(s *colstore.Store) *Result {
 //	       where s_comment like '%Customer%Complaints%')
 //	group by p_brand, p_type, p_size
 //	order by supplier_cnt desc, p_brand, p_type, p_size
-func q16(s *colstore.Store) *Result {
+func plan16(view *colstore.View) *Result {
 	sizes := map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}
-	pt := s.Table("part")
+	pt := view.Table("part")
 	brand := pt.Str("p_brand")
 	ptype := pt.Str("p_type")
 	psize := pt.Int("p_size")
-	excludedBrand, brandOK := eqCode(brand, "Brand#45")
+	excludedBrand, brandOK := brand.Locate("Brand#45")
 	badTypes := ptype.CodeSet(func(v string) bool { return strings.HasPrefix(v, "MEDIUM POLISHED") })
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
@@ -300,24 +279,16 @@ func q16(s *colstore.Store) *Result {
 		brandCodes[row], _ = csBrand.code(row)
 		ptypeCodes[row], _ = csPType.code(row)
 	}
-	csBrand.release()
-	csPType.release()
 
-	st := s.Table("supplier")
+	st := view.Table("supplier")
 	scom := st.Str("s_comment")
 	badSupp := scom.CodeSet(func(v string) bool {
 		return strings.Contains(v, "Customer Complaints")
 	})
-	suppBad := make([]bool, st.Rows())
-	csSCom := newCodeStream(scom)
-	for row := 0; row < st.Rows(); row++ {
-		code, _ := csSCom.code(row)
-		suppBad[row] = badSupp[code]
-	}
-	csSCom.release()
+	suppBad := rowFlags(st.Rows(), scom, func(code uint32) bool { return badSupp[code] })
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 
-	pst := s.Table("partsupp")
+	pst := view.Table("partsupp")
 	psPart := pst.Str("ps_partkey")
 	psSupp := pst.Str("ps_suppkey")
 	psPartToPart := colstore.TranslateCodes(psPart, pt.Str("p_partkey"))
@@ -329,15 +300,9 @@ func q16(s *colstore.Store) *Result {
 	}
 	suppliers := make(map[gk]map[int64]bool)
 	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	defer csPsPart.release()
-	defer csPsSupp.release()
 	for row := 0; row < pst.Rows(); row++ {
 		pcRaw, _ := csPsPart.code(row)
-		pc := psPartToPart[pcRaw]
-		if pc < 0 {
-			continue
-		}
-		prow := int(partRowByCode[pc])
+		prow := int(keyRow(psPartToPart, partRowByCode, pcRaw))
 		if prow < 0 {
 			continue
 		}
@@ -383,7 +348,7 @@ func q16(s *colstore.Store) *Result {
 	return &Result{Query: 16, Columns: []string{"p_brand", "p_type", "p_size", "supplier_cnt"}, Rows: rows}
 }
 
-// q17 — Small-Quantity-Order Revenue: average yearly revenue lost if small
+// plan17 — Small-Quantity-Order Revenue: average yearly revenue lost if small
 // orders of Brand#23 MED BOX parts were not taken.
 //
 // Reference SQL:
@@ -393,15 +358,15 @@ func q16(s *colstore.Store) *Result {
 //	  and p_container = 'MED BOX'
 //	  and l_quantity < (select 0.2 * avg(l_quantity) from lineitem
 //	       where l_partkey = p_partkey)
-func q17(s *colstore.Store) *Result {
-	pt := s.Table("part")
+func plan17(view *colstore.View) *Result {
+	pt := view.Table("part")
 	brand := pt.Str("p_brand")
 	cont := pt.Str("p_container")
-	brandCode, brandOK := eqCode(brand, "Brand#23")
-	contCode, contOK := eqCode(cont, "MED BOX")
+	brandCode, brandOK := brand.Locate("Brand#23")
+	contCode, contOK := cont.Locate("MED BOX")
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lpk := lt.Str("l_partkey")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
@@ -416,8 +381,6 @@ func q17(s *colstore.Store) *Result {
 		cc, _ := csCont.code(row)
 		partPass[row] = brandOK && contOK && bc == brandCode && cc == contCode
 	}
-	csBrand.release()
-	csCont.release()
 
 	// avg quantity per qualifying part
 	sumQty := make(map[int64]float64)
@@ -430,7 +393,6 @@ func q17(s *colstore.Store) *Result {
 		return prow >= 0 && partPass[prow]
 	}
 	csLpk := newCodeStream(lpk)
-	defer csLpk.release()
 	for row := 0; row < lt.Rows(); row++ {
 		pcRaw, _ := csLpk.code(row)
 		pc := liPartToPart[pcRaw]
@@ -454,7 +416,7 @@ func q17(s *colstore.Store) *Result {
 	return &Result{Query: 17, Columns: []string{"avg_yearly"}, Rows: [][]string{{f2(total / 7)}}}
 }
 
-// q18 — Large Volume Customer: orders whose lineitem quantities exceed 300.
+// plan18 — Large Volume Customer: orders whose lineitem quantities exceed 300.
 //
 // Reference SQL:
 //
@@ -464,17 +426,16 @@ func q17(s *colstore.Store) *Result {
 //	       group by l_orderkey having sum(l_quantity) > 300)
 //	  and c_custkey = o_custkey and o_orderkey = l_orderkey
 //	group by ... order by o_totalprice desc, o_orderdate limit 100
-func q18(s *colstore.Store) *Result {
-	lt := s.Table("lineitem")
+func plan18(view *colstore.View) *Result {
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	qty := lt.Float("l_quantity")
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
 	sumQty := make(map[int64]float64) // by o_orderkey code
 	csLok := newCodeStream(lok)
-	defer csLok.release()
 	for row := 0; row < lt.Rows(); row++ {
 		lcRaw, _ := csLok.code(row)
 		if oc := liOrderToOrder[lcRaw]; oc >= 0 {
@@ -482,13 +443,12 @@ func q18(s *colstore.Store) *Result {
 		}
 	}
 
-	ct := s.Table("customer")
+	ct := view.Table("customer")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
 
 	csOCust := newCodeStream(ocust)
-	defer csOCust.release()
 	var rows [][]string
 	for oc, q := range sumQty {
 		if q <= 300 {
@@ -520,7 +480,7 @@ func q18(s *colstore.Store) *Result {
 		"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"}, Rows: rows}
 }
 
-// q19 — Discounted Revenue: three brand/container/quantity disjuncts.
+// plan19 — Discounted Revenue: three brand/container/quantity disjuncts.
 //
 // Reference SQL:
 //
@@ -532,8 +492,8 @@ func q18(s *colstore.Store) *Result {
 //	   or (... 'Brand#34', LG containers, quantity 20..30, size 1..15 ...)
 //	  and l_shipmode in ('AIR','REG AIR')
 //	  and l_shipinstruct = 'DELIVER IN PERSON'
-func q19(s *colstore.Store) *Result {
-	pt := s.Table("part")
+func plan19(view *colstore.View) *Result {
+	pt := view.Table("part")
 	brand := pt.Str("p_brand")
 	cont := pt.Str("p_container")
 	size := pt.Int("p_size")
@@ -548,9 +508,9 @@ func q19(s *colstore.Store) *Result {
 	lg := cont.CodeSet(func(v string) bool {
 		return v == "LG CASE" || v == "LG BOX" || v == "LG PACK" || v == "LG PKG"
 	})
-	b12, _ := eqCode(brand, "Brand#12")
-	b23, _ := eqCode(brand, "Brand#23")
-	b34, _ := eqCode(brand, "Brand#34")
+	b12, _ := brand.Locate("Brand#12")
+	b23, _ := brand.Locate("Brand#23")
+	b34, _ := brand.Locate("Brand#34")
 
 	// Part-side codes, batch-decoded once for the partkey-ordered probes.
 	brandCodes := make([]uint32, pt.Rows())
@@ -560,26 +520,21 @@ func q19(s *colstore.Store) *Result {
 		brandCodes[row], _ = csBrand.code(row)
 		contCodes[row], _ = csCont.code(row)
 	}
-	csBrand.release()
-	csCont.release()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lpk := lt.Str("l_partkey")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
 	mode := lt.Str("l_shipmode")
 	instr := lt.Str("l_shipinstruct")
-	air, _ := eqCode(mode, "AIR")
-	regair, _ := eqCode(mode, "REG AIR")
-	deliver, _ := eqCode(instr, "DELIVER IN PERSON")
+	air, _ := mode.Locate("AIR")
+	regair, _ := mode.Locate("REG AIR")
+	deliver, _ := instr.Locate("DELIVER IN PERSON")
 	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
 
 	var revenue float64
 	csMode, csInstr, csLpk := newCodeStream(mode), newCodeStream(instr), newCodeStream(lpk)
-	defer csMode.release()
-	defer csInstr.release()
-	defer csLpk.release()
 	for row := 0; row < lt.Rows(); row++ {
 		mc, _ := csMode.code(row)
 		ic, _ := csInstr.code(row)
@@ -587,11 +542,7 @@ func q19(s *colstore.Store) *Result {
 			continue
 		}
 		pcRaw, _ := csLpk.code(row)
-		pc := liPartToPart[pcRaw]
-		if pc < 0 {
-			continue
-		}
-		prow := int(partRowByCode[pc])
+		prow := int(keyRow(liPartToPart, partRowByCode, pcRaw))
 		if prow < 0 {
 			continue
 		}
@@ -608,7 +559,7 @@ func q19(s *colstore.Store) *Result {
 	return &Result{Query: 19, Columns: []string{"revenue"}, Rows: [][]string{{f2(revenue)}}}
 }
 
-// q20 — Potential Part Promotion: CANADA suppliers with excess stock of
+// plan20 — Potential Part Promotion: CANADA suppliers with excess stock of
 // forest* parts relative to 1994 shipments.
 //
 // Reference SQL:
@@ -621,27 +572,21 @@ func q19(s *colstore.Store) *Result {
 //	             and l_shipdate >= date '1994-01-01'
 //	             and l_shipdate < date '1995-01-01'))
 //	  and s_nationkey = n_nationkey and n_name = 'CANADA' order by s_name
-func q20(s *colstore.Store) *Result {
+func plan20(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
-	ca, _, okCA := nationKeyCode(s, "CANADA")
+	ca, _, okCA := nationKeyCode(view, "CANADA")
 	if !okCA {
 		return &Result{Query: 20}
 	}
-	pt := s.Table("part")
+	pt := view.Table("part")
 	pname := pt.Str("p_name")
 	forest := pname.CodeSet(func(v string) bool { return strings.HasPrefix(v, "forest") })
-	partForest := make([]bool, pt.Rows())
-	csPName := newCodeStream(pname)
-	for row := 0; row < pt.Rows(); row++ {
-		code, _ := csPName.code(row)
-		partForest[row] = forest[code]
-	}
-	csPName.release()
+	partForest := rowFlags(pt.Rows(), pname, func(code uint32) bool { return forest[code] })
 	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
 
 	// Shipped quantity in 1994 per (part, supp) in partsupp code spaces.
-	st := s.Table("supplier")
-	lt := s.Table("lineitem")
+	st := view.Table("supplier")
+	lt := view.Table("lineitem")
 	lpk := lt.Str("l_partkey")
 	lsk := lt.Str("l_suppkey")
 	ship := lt.Int("l_shipdate")
@@ -660,10 +605,8 @@ func q20(s *colstore.Store) *Result {
 		scRaw, _ := csLsk.code(row)
 		shipped[pair{liPartToPart[pcRaw], liSuppToSupp[scRaw]}] += qty.Get(row)
 	}
-	csLpk.release()
-	csLsk.release()
 
-	pst := s.Table("partsupp")
+	pst := view.Table("partsupp")
 	psPart := pst.Str("ps_partkey")
 	psSupp := pst.Str("ps_suppkey")
 	avail := pst.Int("ps_availqty")
@@ -672,8 +615,6 @@ func q20(s *colstore.Store) *Result {
 
 	candidates := make(map[int64]bool) // s_suppkey codes
 	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	defer csPsPart.release()
-	defer csPsSupp.release()
 	for row := 0; row < pst.Rows(); row++ {
 		pcRaw, _ := csPsPart.code(row)
 		pc := psPartToPart[pcRaw]
@@ -694,7 +635,7 @@ func q20(s *colstore.Store) *Result {
 		}
 	}
 
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 	var rows [][]string
 	for sc := range candidates {
@@ -711,7 +652,7 @@ func q20(s *colstore.Store) *Result {
 	return &Result{Query: 20, Columns: []string{"s_name", "s_address"}, Rows: rows}
 }
 
-// q21 — Suppliers Who Kept Orders Waiting: SAUDI ARABIA suppliers that were
+// plan21 — Suppliers Who Kept Orders Waiting: SAUDI ARABIA suppliers that were
 // the only late supplier of a multi-supplier order.
 //
 // Reference SQL:
@@ -725,21 +666,21 @@ func q20(s *colstore.Store) *Result {
 //	       and l3.l_suppkey <> l1.l_suppkey and l3.l_receiptdate > l3.l_commitdate)
 //	  and s_nationkey = n_nationkey and n_name = 'SAUDI ARABIA'
 //	group by s_name order by numwait desc, s_name limit 100
-func q21(s *colstore.Store) *Result {
-	sa, _, okSA := nationKeyCode(s, "SAUDI ARABIA")
+func plan21(view *colstore.View) *Result {
+	sa, _, okSA := nationKeyCode(view, "SAUDI ARABIA")
 	if !okSA {
 		return &Result{Query: 21}
 	}
-	st := s.Table("supplier")
-	suppNation := rowToNationCode(s, st.Str("s_nationkey"))
+	st := view.Table("supplier")
+	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
 	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	status := ot.Str("o_orderstatus")
-	fCode, fOK := eqCode(status, "F")
+	fCode, fOK := status.Locate("F")
 	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	lt := s.Table("lineitem")
+	lt := view.Table("lineitem")
 	lok := lt.Str("l_orderkey")
 	lsk := lt.Str("l_suppkey")
 	commit := lt.Int("l_commitdate")
@@ -751,9 +692,6 @@ func q21(s *colstore.Store) *Result {
 	suppsOf := make(map[int64]map[int64]bool)
 	lateOf := make(map[int64]map[int64]bool)
 	csLok, csLsk, csStatus := newCodeStream(lok), newCodeStream(lsk), newCodeStream(status)
-	defer csLok.release()
-	defer csLsk.release()
-	defer csStatus.release()
 	for row := 0; row < lt.Rows(); row++ {
 		lcRaw, _ := csLok.code(row)
 		oc := liOrderToOrder[lcRaw]
@@ -812,7 +750,7 @@ func q21(s *colstore.Store) *Result {
 	return &Result{Query: 21, Columns: []string{"s_name", "numwait"}, Rows: rows}
 }
 
-// q22 — Global Sales Opportunity: well-funded customers from seven country
+// plan22 — Global Sales Opportunity: well-funded customers from seven country
 // codes without orders.
 //
 // Reference SQL:
@@ -825,9 +763,9 @@ func q21(s *colstore.Store) *Result {
 //	         where c_acctbal > 0.00 and substring(...) in (...))
 //	    and not exists (select * from orders where o_custkey = c_custkey))
 //	group by cntrycode order by cntrycode
-func q22(s *colstore.Store) *Result {
+func plan22(view *colstore.View) *Result {
 	codes := map[string]bool{"13": true, "31": true, "23": true, "29": true, "30": true, "18": true, "17": true}
-	ct := s.Table("customer")
+	ct := view.Table("customer")
 	phone := ct.Str("c_phone")
 	bal := ct.Float("c_acctbal")
 
@@ -837,7 +775,6 @@ func q22(s *colstore.Store) *Result {
 	var sum float64
 	var n int
 	csPhone := newCodeStream(phone)
-	defer csPhone.release()
 	for row := 0; row < ct.Rows(); row++ {
 		pc, _ := csPhone.code(row)
 		if inCodes[pc] && bal.Get(row) > 0 {
@@ -851,7 +788,7 @@ func q22(s *colstore.Store) *Result {
 	avg := sum / float64(n)
 
 	// Customers with at least one order.
-	ot := s.Table("orders")
+	ot := view.Table("orders")
 	ocust := ot.Str("o_custkey")
 	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 	hasOrder := make(map[int64]bool)
@@ -862,7 +799,6 @@ func q22(s *colstore.Store) *Result {
 			hasOrder[cc] = true
 		}
 	}
-	csOCust.release()
 
 	type agg struct {
 		n   int
@@ -871,7 +807,6 @@ func q22(s *colstore.Store) *Result {
 	byCode := make(map[string]*agg)
 	custKey := ct.Str("c_custkey")
 	csCustKey := newCodeStream(custKey)
-	defer csCustKey.release()
 	var buf []byte
 	for row := 0; row < ct.Rows(); row++ {
 		pc, _ := csPhone.code(row)

@@ -1,0 +1,102 @@
+package tpch
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"strdict/internal/colstore"
+	"strdict/internal/dict"
+)
+
+// TestAccessProfile pins the dictionary access profile of one workload pass
+// — the extracts and locates each column sees — to the numbers recorded
+// before the plans moved onto colstore.View. The profile is the compression
+// manager's time-model input, so a plan change that shifts it shifts every
+// chosen format; it also proves every plan flushes its trace counters.
+func TestAccessProfile(t *testing.T) {
+	want := map[string]colstore.AccessStats{
+		"region.r_regionkey":      {Extracts: 3, Locates: 0},
+		"region.r_name":           {Extracts: 0, Locates: 3},
+		"region.r_comment":        {Extracts: 0, Locates: 0},
+		"nation.n_nationkey":      {Extracts: 0, Locates: 204},
+		"nation.n_name":           {Extracts: 65, Locates: 6},
+		"nation.n_regionkey":      {Extracts: 0, Locates: 3},
+		"nation.n_comment":        {Extracts: 0, Locates: 0},
+		"supplier.s_suppkey":      {Extracts: 1, Locates: 240},
+		"supplier.s_name":         {Extracts: 1, Locates: 0},
+		"supplier.s_address":      {Extracts: 1, Locates: 0},
+		"supplier.s_nationkey":    {Extracts: 104, Locates: 0},
+		"supplier.s_phone":        {Extracts: 1, Locates: 0},
+		"supplier.s_comment":      {Extracts: 20, Locates: 0},
+		"customer.c_custkey":      {Extracts: 88, Locates: 1600},
+		"customer.c_name":         {Extracts: 88, Locates: 0},
+		"customer.c_address":      {Extracts: 88, Locates: 0},
+		"customer.c_nationkey":    {Extracts: 100, Locates: 0},
+		"customer.c_phone":        {Extracts: 397, Locates: 0},
+		"customer.c_mktsegment":   {Extracts: 0, Locates: 1},
+		"customer.c_comment":      {Extracts: 88, Locates: 0},
+		"part.p_partkey":          {Extracts: 0, Locates: 4000},
+		"part.p_name":             {Extracts: 800, Locates: 0},
+		"part.p_mfgr":             {Extracts: 0, Locates: 0},
+		"part.p_brand":            {Extracts: 49, Locates: 5},
+		"part.p_type":             {Extracts: 460, Locates: 1},
+		"part.p_container":        {Extracts: 120, Locates: 1},
+		"part.p_comment":          {Extracts: 0, Locates: 0},
+		"partsupp.ps_partkey":     {Extracts: 1600, Locates: 0},
+		"partsupp.ps_suppkey":     {Extracts: 100, Locates: 0},
+		"partsupp.ps_comment":     {Extracts: 0, Locates: 0},
+		"orders.o_orderkey":       {Extracts: 22, Locates: 30000},
+		"orders.o_custkey":        {Extracts: 1600, Locates: 0},
+		"orders.o_orderstatus":    {Extracts: 0, Locates: 1},
+		"orders.o_orderpriority":  {Extracts: 5, Locates: 2},
+		"orders.o_clerk":          {Extracts: 0, Locates: 0},
+		"orders.o_comment":        {Extracts: 2978, Locates: 0},
+		"lineitem.l_orderkey":     {Extracts: 30000, Locates: 0},
+		"lineitem.l_partkey":      {Extracts: 2400, Locates: 0},
+		"lineitem.l_suppkey":      {Extracts: 140, Locates: 0},
+		"lineitem.l_returnflag":   {Extracts: 4, Locates: 1},
+		"lineitem.l_linestatus":   {Extracts: 4, Locates: 0},
+		"lineitem.l_shipinstruct": {Extracts: 0, Locates: 1},
+		"lineitem.l_shipmode":     {Extracts: 2, Locates: 4},
+		"lineitem.l_comment":      {Extracts: 0, Locates: 0},
+	}
+	s := Load(Config{ScaleFactor: 0.002, Seed: 2, InitialFormat: dict.FCInline})
+	TraceWorkload(s, 1)
+	cols := s.StringColumns()
+	if len(cols) != len(want) {
+		t.Fatalf("%d string columns, profile has %d", len(cols), len(want))
+	}
+	for _, c := range cols {
+		if got := c.Stats(); got != want[c.Name()] {
+			t.Errorf("%s: %+v, want %+v", c.Name(), got, want[c.Name()])
+		}
+	}
+}
+
+// TestNoViewLiveAfterRunAll is the query layer's pin invariant, the analogue
+// of the service's PinnedSnapshots()==0 at idle: with a merge daemon
+// republishing columns under the read workload, every query still releases
+// its view (and with it every snapshot it pinned) by the time it returns.
+func TestNoViewLiveAfterRunAll(t *testing.T) {
+	s := Load(Config{ScaleFactor: 0.002, Seed: 2, InitialFormat: dict.FCInline})
+	sched := colstore.NewMergeScheduler(s, 50)
+	sched.Interval = time.Millisecond
+	sched.Chooser = func(snap *colstore.Snapshot, _ float64) dict.Format {
+		if snap.Format() == dict.FCInline { // every merge changes the format
+			return dict.Array
+		}
+		return dict.FCInline
+	}
+	sched.Start(context.Background())
+	for round := 0; round < 2; round++ {
+		RefreshInsert(s, int64(round), 0.2)
+		RunAll(s)
+		if live := s.LiveViews(); live != 0 {
+			t.Fatalf("round %d: %d views still live after RunAll", round, live)
+		}
+	}
+	if err := sched.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

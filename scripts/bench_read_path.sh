@@ -31,9 +31,9 @@ END {
     }
     printf "  },\n"
     printf "  \"speedup_code_vs_rwmutex\": %.3f,\n", \
-        nsop["scan/code/rwmutex/serial"] / nsop["scan/code/lockfree-column/serial"]
+        nsop["scan/code/rwmutex/serial"] / nsop["scan/code/snapshot/serial"]
     printf "  \"speedup_code_parallel_vs_rwmutex\": %.3f,\n", \
-        nsop["scan/code/rwmutex/parallel"] / nsop["scan/code/lockfree-column/parallel"]
+        nsop["scan/code/rwmutex/parallel"] / nsop["scan/code/snapshot/parallel"]
     printf "  \"speedup_value_vs_rwmutex\": %.3f,\n", \
         nsop["scan/value/rwmutex/serial"] / nsop["scan/value/lockfree-column/serial"]
     printf "  \"snapshot_speedup_value_vs_rwmutex\": %.3f\n", \

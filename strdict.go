@@ -32,7 +32,9 @@
 //
 //	mgr := strdict.NewManager(strdict.ManagerOptions{DesiredFreeBytes: 4 << 30})
 //	mgr.ObserveFreeMemory(currentFree) // feed periodically
-//	dec := mgr.ChooseFormat(strdict.ColumnStatsOf(col, lifetimeNs, 0.01, seed))
+//	snap := col.Snapshot()
+//	dec := mgr.ChooseFormat(strdict.ColumnStatsOfSnapshot(snap, lifetimeNs, 0.01, seed))
+//	snap.Release()
 //	col.Rebuild(dec.Format)
 package strdict
 
@@ -48,6 +50,7 @@ import (
 	"strdict/internal/model"
 	"strdict/internal/persist"
 	"strdict/internal/service"
+	"strdict/internal/tpch"
 )
 
 // Format identifies a registered dictionary variant.
@@ -207,28 +210,13 @@ type Float64Column = colstore.Float64Column
 // NewStore returns an empty store.
 func NewStore() *Store { return colstore.NewStore() }
 
-// ColumnStatsOf assembles the manager's input for a column from its traced
-// access counters, lifetime, and a dictionary sample. It pins one snapshot
-// for all reads, so the statistics describe a single column state even while
-// merges run.
-func ColumnStatsOf(c *StringColumn, lifetimeNs float64, sampleRatio float64, seed int64) ColumnStats {
-	return ColumnStatsOfSnapshot(c.Snapshot(), lifetimeNs, sampleRatio, seed)
-}
-
-// ColumnStatsOfSnapshot is ColumnStatsOf against an explicit pinned
-// snapshot — the form merge-time Choosers use, since the scheduler hands
-// them the snapshot it decided on.
+// ColumnStatsOfSnapshot assembles the manager's input for a column from its
+// traced access counters, lifetime, and a dictionary sample, all read from
+// one pinned snapshot — the form merge-time Choosers use, since the
+// scheduler hands them the snapshot it decided on. Outside a Chooser, pin
+// with StringColumn.Snapshot and Release afterwards.
 func ColumnStatsOfSnapshot(s *Snapshot, lifetimeNs float64, sampleRatio float64, seed int64) ColumnStats {
-	st := s.Stats()
-	return ColumnStats{
-		Name:              s.Name(),
-		NumStrings:        uint64(s.DictLen()),
-		Extracts:          st.Extracts,
-		Locates:           st.Locates,
-		LifetimeNs:        lifetimeNs,
-		ColumnVectorBytes: s.VectorBytes(),
-		Sample:            model.TakeSample(s.DictValues(), sampleRatio, seed),
-	}
+	return tpch.SnapshotStatsOf(s, lifetimeNs, sampleRatio, seed)
 }
 
 // Reconfigure asks the manager for a format for every string column of the
@@ -247,7 +235,9 @@ func ReconfigureParallel(s *Store, mgr *Manager, lifetimeNs float64, sampleRatio
 	cols := s.StringColumns()
 	chosen := make([]Format, len(cols))
 	reconfigureColumn := func(i int) {
-		decision := mgr.ChooseFormat(ColumnStatsOf(cols[i], lifetimeNs, sampleRatio, seed))
+		snap := cols[i].Snapshot()
+		decision := mgr.ChooseFormat(ColumnStatsOfSnapshot(snap, lifetimeNs, sampleRatio, seed))
+		snap.Release()
 		cols[i].RebuildWithOptions(decision.Format, colstore.MergeOptions{})
 		chosen[i] = decision.Format
 	}
