@@ -150,10 +150,9 @@ func BenchmarkFigure11FormatDistribution(b *testing.B) {
 // is flushed through the merge scheduler, whose chooser runs the manager's
 // full 18-format evaluation per column (the Re-Pair probes being the long
 // pole). workers=1 is the serial baseline; the parallel variant fans columns
-// across the scheduler pool and dictionary builds across blocks. The
-// resulting per-column formats and dictionary bytes are verified identical
-// across worker counts once, before timing, so the speedup is measured on
-// provably equivalent work.
+// across the scheduler pool. The resulting per-column formats and dictionary
+// bytes are verified identical across worker counts once, before timing, so
+// the speedup is measured on provably equivalent work.
 func BenchmarkParallelMerge(b *testing.B) {
 	const rowsPerCol = 6000
 	distributions := []string{"url", "src", "engl", "mat", "asc", "1gram", "hash", "rand1"}
@@ -182,7 +181,6 @@ func BenchmarkParallelMerge(b *testing.B) {
 		mgr := strdict.NewManager(strdict.ManagerOptions{DesiredFreeBytes: 1 << 30})
 		sched := strdict.NewMergeScheduler(store, 1)
 		sched.Parallelism = workers
-		sched.BuildParallelism = workers
 		sched.Chooser = func(snap *strdict.Snapshot, lifetimeNs float64) strdict.Format {
 			return mgr.ChooseFormat(strdict.ColumnStatsOfSnapshot(snap, lifetimeNs, 1.0, 1)).Format
 		}
@@ -234,11 +232,10 @@ func BenchmarkParallelMerge(b *testing.B) {
 // reads the pinned Snapshot (the only place value IDs live), each against
 // an RWMutex-wrapped baseline reproducing the old lock-per-call column. The code reads are the headline: the op is a few
 // nanoseconds of bit-unpacking, so the RLock/RUnlock pair the old design
-// paid per call is several times the work itself.
-// scripts/bench_read_path.sh records the rwmutex-vs-lockfree ratios in
-// BENCH_read_path.json. The working set is deliberately cache-resident:
-// with a memory-latency-bound column every variant converges on DRAM
-// latency and the synchronization difference disappears into noise.
+// paid per call is several times the work itself. The working set is
+// deliberately cache-resident: with a memory-latency-bound column every
+// variant converges on DRAM latency and the synchronization difference
+// disappears into noise.
 func BenchmarkSnapshotScan(b *testing.B) {
 	const rows = 4096
 	uniq := datagen.Generate("engl", 512, 1)
@@ -343,8 +340,9 @@ func BenchmarkSnapshotScan(b *testing.B) {
 // are reported per variant: rewritten-rows/merge (main-part rows re-encoded
 // per merge, the write-amplification the partial path removes) and
 // stall-p99-ns (99th-percentile Append latency, dominated by backpressure
-// waits at the high-water mark). scripts/bench_partial_merge.sh records
-// both in BENCH_partial_merge.json and gates on them.
+// waits at the high-water mark). The identity-fold rewrite count is
+// asserted in internal/colstore/partial_test.go; end to end it is
+// colstore.rows_rewritten_per_row_folded in the bench/ harness.
 func BenchmarkPartialMergePolicy(b *testing.B) {
 	const domain = 2000
 	vals := make([]string, domain)
@@ -534,13 +532,11 @@ func tpchStringCorpus(table, column string, n int) []string {
 	return strs
 }
 
-// BenchmarkNewFormats is the registered-extension gate behind
-// scripts/bench_formats.sh: it measures the onpair and lz78 extension
-// formats against the survey's strongest general-purpose compressors
-// (array rp 16, fc block rp 16) on synthetic and TPC-H corpora. Each
+// BenchmarkNewFormats measures the onpair and lz78 extension formats
+// against the survey's strongest general-purpose compressors (array rp 16,
+// fc block rp 16) on synthetic and TPC-H corpora. Each
 // sub-benchmark reports the compression rate (compressed bytes / raw bytes)
-// alongside extract and locate per-op costs; the script collects them into
-// BENCH_formats.json.
+// alongside extract and locate per-op costs.
 func BenchmarkNewFormats(b *testing.B) {
 	corpora := []struct {
 		name string

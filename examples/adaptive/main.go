@@ -33,9 +33,9 @@ func main() {
 
 	// The background merge daemon: due columns merge in parallel on a
 	// GOMAXPROCS-sized pool on the daemon's own timer, each consulting the
-	// manager for its format at merge time; dictionary builds fan out across
-	// blocks too. The high-water mark throttles ingest if the daemon falls
-	// behind, so the delta can never grow without bound.
+	// manager for its format at merge time. The high-water mark throttles
+	// ingest if the daemon falls behind, so the delta can never grow without
+	// bound.
 	// PartialMerges keeps hot columns cheap: under backpressure the daemon
 	// folds only the oldest sealed segments (format unchanged) instead of
 	// rebuilding the whole main part; full merges — and the manager's format
@@ -46,7 +46,6 @@ func main() {
 		Interval:          5 * time.Millisecond,
 		HighWaterMark:     40_000,
 		Parallelism:       runtime.GOMAXPROCS(0),
-		BuildParallelism:  runtime.GOMAXPROCS(0),
 		PartialMerges:     true,
 		AdaptiveInterval:  true,
 	})
@@ -83,8 +82,7 @@ func main() {
 	fmt.Printf("c after pressure: %.4f\n", mgr.C())
 
 	lifetime := 60e9 // one minute between merges
-	workers := runtime.GOMAXPROCS(0)
-	cfg := strdict.ReconfigureParallel(store, mgr, lifetime, 1.0, 1, workers)
+	cfg := strdict.Reconfigure(store, mgr, lifetime, 1.0, 1)
 	fmt.Println("\nchosen formats under memory pressure:")
 	for col, f := range cfg {
 		fmt.Printf("  %-18s -> %s\n", col, f)
@@ -99,7 +97,7 @@ func main() {
 	}
 	fmt.Printf("c after recovery: %.4f\n", mgr.C())
 
-	cfg = strdict.ReconfigureParallel(store, mgr, lifetime, 1.0, 1, workers)
+	cfg = strdict.Reconfigure(store, mgr, lifetime, 1.0, 1)
 	fmt.Println("\nchosen formats with plenty of memory:")
 	for col, f := range cfg {
 		fmt.Printf("  %-18s -> %s\n", col, f)

@@ -20,19 +20,14 @@
 // pair across a whole query with zero per-row synchronization.
 //
 // Writes go to the active delta segment, the only mutable structure, guarded
-// by a small per-column mutex whose critical sections are O(1). A merge
-// first seals the active segment — moves it, frozen, into the published
-// version's sealed chain and starts a fresh active segment — then builds the
-// merged dictionary and re-encoded code vector off to the side with no lock
-// held, and finally publishes the new version with one atomic store. Appends
-// racing the build land in the new active segment and are untouched by the
-// publish: the boundary between published rows and active rows only moves at
-// seal time, which holds the append mutex. Merge/MergePartial/Rebuild/seal
-// serialize on mergeMu, so there is exactly one publisher at a time; readers
-// are never blocked, not even for a swap. A partial merge (MergePartial)
-// folds only the oldest sealed segments, advancing the main/sealed boundary
-// without draining the whole delta — the hot-column path that avoids paying
-// a full dictionary rebuild per backpressure kick.
+// by a small per-column mutex whose critical sections are O(1). Sealing moves
+// it, frozen, into the published version's sealed chain and starts a fresh
+// one; the boundary between published rows and active rows only moves at seal
+// time, which holds the append mutex. Every new main part — full merge,
+// partial merge, format rebuild — comes from (*StringColumn).fold, which
+// documents the seal-build-publish protocol once. Its callers serialize on
+// mergeMu, so there is exactly one publisher at a time; readers are never
+// blocked, not even for a swap.
 //
 // Backpressure: a merge daemon (see MergeScheduler.Start) may install a
 // high-water mark; Append then blocks once the active segment reaches that
@@ -57,14 +52,6 @@ import (
 type AccessStats struct {
 	Extracts uint64
 	Locates  uint64
-}
-
-// MergeOptions tunes a merge's dictionary reconstruction.
-type MergeOptions struct {
-	// BuildParallelism is passed through to dict.BuildOptions: the number of
-	// goroutines encoding independent dictionary parts during the rebuild.
-	// <= 1 builds serially; the resulting dictionary is bit-identical.
-	BuildParallelism int
 }
 
 // MergeResult reports what a merge actually did, so schedulers can keep
@@ -392,24 +379,90 @@ func (c *StringColumn) sealActive() *columnVersion {
 	return nv
 }
 
-// Merge folds the delta part into the main part, rebuilding the dictionary
-// in the given format. This is the reconstruction point where the
-// compression manager's decision is applied for free.
-func (c *StringColumn) Merge(format dict.Format) MergeResult {
-	return c.MergeWithOptions(format, MergeOptions{})
+// fold is the one producer of main parts, the reconstruction point where the
+// compression manager's format decision is applied for free: it folds the
+// oldest k sealed segments of v into the main part, with the dictionary in
+// the given format. v must be the current version and the caller must hold
+// mergeMu, so v stays current until fold publishes its successor.
+//
+// Everything is built off to the side against the immutable v — no lock
+// held, readers keep scanning v — and published with one atomic store. The
+// row boundary (main + sealed) does not move, so no append lock is needed:
+// rows appended since the last seal stay in the active segment, and segments
+// newer than the folded prefix keep their positions and their segment-local
+// codes. A Snapshot taken at any point observes either v or its successor,
+// never a mix.
+//
+// The dictionary is rebuilt iff the folded segments bring new values, the
+// format changes, or compact is set; otherwise it is shared with v. Every
+// code is rewritten into one freshly packed vector iff new values shifted
+// the IDs (order preservation) or compact is set; otherwise the main vector
+// is shared and the folded rows are appended as one part (intcomp.Concat)
+// with their own zones. A call with nothing to fold and nothing to rebuild
+// publishes nothing.
+func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact bool) MergeResult {
+	folded := v.sealed[:k]
+	foldRows := 0
+	for _, seg := range folded {
+		foldRows += len(seg.rows)
+	}
+	if foldRows == 0 && !compact && format == v.dict.Format() {
+		return MergeResult{}
+	}
+	oldVals := dictValuesOf(v.dict)
+	merged := unionSorted(oldVals, distinctSegmentValues(folded))
+	rewrite := compact || len(merged) != len(oldVals)
+	rebuild := rewrite || format != v.dict.Format()
+
+	// Codes in the merged ID space: every row below the new boundary when
+	// rewriting, only the folded rows otherwise.
+	remapped := 0
+	var oldToNew []uint32
+	if rewrite {
+		remapped, oldToNew = v.nMain, remapSorted(oldVals, merged)
+	}
+	codes := make([]uint64, remapped, remapped+foldRows)
+	for row := range codes {
+		codes[row] = uint64(oldToNew[v.codes.Get(row)])
+	}
+	for _, seg := range folded {
+		segToNew := remapSorted(seg.vals, merged)
+		for _, dc := range seg.rows {
+			codes = append(codes, uint64(segToNew[dc]))
+		}
+	}
+
+	nv := &columnVersion{
+		dict:  v.dict,
+		codes: v.codes,
+		nMain: v.nMain + foldRows,
+		zones: v.zones,
+		// Copied, not resliced, so the folded segments become garbage.
+		sealed:     append([]*deltaSegment(nil), v.sealed[k:]...),
+		sealedRows: v.sealedRows - foldRows,
+	}
+	if rebuild {
+		nv.dict = dict.BuildUnchecked(format, merged) // the expensive part
+	}
+	switch {
+	case rewrite:
+		nv.codes = intcomp.PackAuto(codes)
+		nv.zones = buildZonesAt(codes, 0)
+	case foldRows > 0:
+		nv.codes = intcomp.Concat(v.codes, intcomp.PackAuto(codes))
+		nv.zones = append(v.zones[:len(v.zones):len(v.zones)], buildZonesAt(codes, v.nMain)...)
+	}
+	c.version.Store(nv)
+	c.journalMainPart(nv.dict, nv.codes, nv.nMain)
+	return MergeResult{Folded: foldRows, Rewritten: len(codes), DictBuilt: rebuild}
 }
 
-// MergeWithOptions is Merge with construction tuning. The merge first seals
-// the active delta segment, then builds the merged dictionary and re-encoded
-// code vector off to the side — no lock held, readers keep scanning the old
-// version — and finally publishes the new version with one atomic store.
-// Rows appended during the build land in the new active segment and keep
-// their positions; with no concurrent appends the result is identical to the
-// serial merge.
-//
-// A merge that would change nothing — empty delta and unchanged format — is
-// skipped and reports a zero MergeResult.
-func (c *StringColumn) MergeWithOptions(format dict.Format, opts MergeOptions) MergeResult {
+// Merge folds the whole delta part into the main part, rebuilding the
+// dictionary in the given format and repacking the code vector (see fold).
+// The active segment is sealed first; rows appended during the build keep
+// their positions. A merge that would change nothing — empty delta and
+// unchanged format — is skipped and reports a zero MergeResult.
+func (c *StringColumn) Merge(format dict.Format) MergeResult {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
 
@@ -417,72 +470,21 @@ func (c *StringColumn) MergeWithOptions(format dict.Format, opts MergeOptions) M
 	if v.sealedRows == 0 && format == v.dict.Format() {
 		return MergeResult{}
 	}
-	oldVals := dictValuesOf(v.dict)
-	merged := unionSorted(oldVals, distinctSegmentValues(v.sealed))
-
-	// Remap old main codes and per-segment delta codes to the merged ID
-	// space.
-	oldToNew := remapSorted(oldVals, merged)
-	n := v.rows()
-	newCodes := make([]uint64, n)
-	for row := 0; row < v.nMain; row++ {
-		newCodes[row] = uint64(oldToNew[v.codes.Get(row)])
-	}
-	off := v.nMain
-	for _, seg := range v.sealed {
-		segToNew := remapSorted(seg.vals, merged)
-		for ri, dc := range seg.rows {
-			newCodes[off+ri] = uint64(segToNew[dc])
-		}
-		off += len(seg.rows)
-	}
-
-	// The expensive part, off to the side: no reader or writer is blocked.
-	newDict := dict.BuildUncheckedWithOptions(format, merged,
-		dict.BuildOptions{Parallelism: opts.BuildParallelism})
-	newVec := intcomp.PackAuto(newCodes)
-
-	// Publish. The row boundary (main + sealed) is unchanged, so no append
-	// lock is needed; rows appended since the seal stay in the active
-	// segment.
-	c.version.Store(&columnVersion{
-		dict:  newDict,
-		codes: newVec,
-		nMain: n,
-		zones: buildZonesAt(newCodes, 0),
-	})
-	c.journalMainPart(newDict, newVec, n)
-	return MergeResult{Folded: v.sealedRows, Rewritten: n, DictBuilt: true}
+	return c.fold(v, len(v.sealed), format, true)
 }
 
 // MergePartial folds only the oldest k sealed delta segments into the main
-// part, keeping the current dictionary format. See MergePartialWithOptions.
-func (c *StringColumn) MergePartial(k int) MergeResult {
-	return c.MergePartialWithOptions(k, MergeOptions{})
-}
-
-// MergePartialWithOptions folds the oldest k sealed delta segments into the
-// main part, advancing the main/sealed boundary without draining the whole
-// delta. The active segment is sealed first — releasing any appender blocked
-// on backpressure — and becomes the newest sealed segment; it and every
-// segment newer than the folded prefix are untouched (their per-segment code
-// spaces need no remap, since sealed-segment codes are local to each
-// segment). The dictionary format is never changed: partial folds are the
-// hot-column path where paying a format decision (and the full rebuild it
-// may imply) per backpressure kick is exactly the cost being avoided.
-//
-// When the folded segments introduce no new distinct values the dictionary
-// is reused as-is and the main code vector is extended with one appended
-// part (intcomp.Concat) — only the folded rows are re-encoded. Otherwise the
-// dictionary is rebuilt in the same format over the union and every row
-// below the new boundary is remapped, exactly like a full merge restricted
-// to the folded prefix.
+// part (see fold), advancing the main/sealed boundary without draining the
+// whole delta. The active segment is sealed first — releasing any appender
+// blocked on backpressure — and becomes the newest sealed segment. The
+// dictionary format is never changed: partial folds are the hot-column path
+// where paying a format decision (and the full rebuild it may imply) per
+// backpressure kick is exactly the cost being avoided; when the folded
+// segments bring no new value, only the folded rows are re-encoded.
 //
 // k <= 0 is a no-op; k is clamped to the number of sealed segments (after
-// the seal). The publish follows the same seal-build-swap protocol as
-// MergeWithOptions: readers are never blocked, and a Snapshot taken at any
-// point observes either the old or the new boundary, never a mix.
-func (c *StringColumn) MergePartialWithOptions(k int, opts MergeOptions) MergeResult {
+// the seal).
+func (c *StringColumn) MergePartial(k int) MergeResult {
 	if k <= 0 {
 		return MergeResult{}
 	}
@@ -490,83 +492,20 @@ func (c *StringColumn) MergePartialWithOptions(k int, opts MergeOptions) MergeRe
 	defer c.mergeMu.Unlock()
 
 	v := c.sealActive()
-	if len(v.sealed) == 0 {
-		return MergeResult{}
-	}
 	if k > len(v.sealed) {
 		k = len(v.sealed)
 	}
-	fold := v.sealed[:k]
-	keep := v.sealed[k:len(v.sealed):len(v.sealed)]
-	foldRows := 0
-	for _, seg := range fold {
-		foldRows += len(seg.rows)
-	}
+	return c.fold(v, k, v.dict.Format(), false)
+}
 
-	oldVals := dictValuesOf(v.dict)
-	merged := unionSorted(oldVals, distinctSegmentValues(fold))
-	nMain := v.nMain + foldRows
-
-	var newDict dict.Dictionary
-	var newVec intcomp.Vector
-	var newZones []zone
-	rewritten := foldRows
-	dictBuilt := false
-	if len(merged) == len(oldVals) {
-		// No new distinct values: the dictionary and every main-row code are
-		// unchanged. Encode only the folded rows and append them as a new
-		// vector part — the main vector is shared, not rewritten.
-		newDict = v.dict
-		tail := make([]uint64, foldRows)
-		off := 0
-		for _, seg := range fold {
-			segToNew := remapSorted(seg.vals, merged)
-			for ri, dc := range seg.rows {
-				tail[off+ri] = uint64(segToNew[dc])
-			}
-			off += len(seg.rows)
-		}
-		newVec = intcomp.Concat(v.codes, intcomp.PackAuto(tail))
-		// The existing main rows (and their zones) are untouched; only the
-		// folded tail needs summarizing.
-		newZones = append(v.zones[:len(v.zones):len(v.zones)], buildZonesAt(tail, v.nMain)...)
-	} else {
-		// New values shift IDs (order preservation): rebuild the dictionary
-		// in the same format and remap everything below the new boundary.
-		oldToNew := remapSorted(oldVals, merged)
-		newCodes := make([]uint64, nMain)
-		for row := 0; row < v.nMain; row++ {
-			newCodes[row] = uint64(oldToNew[v.codes.Get(row)])
-		}
-		off := v.nMain
-		for _, seg := range fold {
-			segToNew := remapSorted(seg.vals, merged)
-			for ri, dc := range seg.rows {
-				newCodes[off+ri] = uint64(segToNew[dc])
-			}
-			off += len(seg.rows)
-		}
-		newDict = dict.BuildUncheckedWithOptions(v.dict.Format(), merged,
-			dict.BuildOptions{Parallelism: opts.BuildParallelism})
-		newVec = intcomp.PackAuto(newCodes)
-		newZones = buildZonesAt(newCodes, 0)
-		rewritten = nMain
-		dictBuilt = true
-	}
-
-	// Publish: the boundary advances past the folded segments; newer sealed
-	// segments keep their positions because the folded prefix covered
-	// exactly the rows between the old and new boundary.
-	c.version.Store(&columnVersion{
-		dict:       newDict,
-		codes:      newVec,
-		nMain:      nMain,
-		zones:      newZones,
-		sealed:     keep,
-		sealedRows: v.sealedRows - foldRows,
-	})
-	c.journalMainPart(newDict, newVec, nMain)
-	return MergeResult{Folded: foldRows, Rewritten: rewritten, DictBuilt: dictBuilt}
+// Rebuild reconstructs the main dictionary in a new format without touching
+// the delta or the code vector (see fold; used when reconfiguring an
+// already-merged store — code IDs are unchanged because all formats are
+// order-preserving). Rebuilding to the current format is a no-op.
+func (c *StringColumn) Rebuild(format dict.Format) {
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
+	c.fold(c.version.Load(), 0, format, false)
 }
 
 // distinctSegmentValues returns the sorted distinct values across the given
@@ -626,41 +565,6 @@ func dedupeSorted(s []string) []string {
 		}
 	}
 	return out
-}
-
-// Rebuild reconstructs the main dictionary in a new format without touching
-// the delta (used when reconfiguring an already-merged store; code IDs are
-// unchanged because all formats are order-preserving). Like Merge, the build
-// happens against the immutable current version, with one atomic store as
-// the only publication step.
-func (c *StringColumn) Rebuild(format dict.Format) {
-	c.RebuildWithOptions(format, MergeOptions{})
-}
-
-// RebuildWithOptions is Rebuild with construction tuning.
-func (c *StringColumn) RebuildWithOptions(format dict.Format, opts MergeOptions) {
-	c.mergeMu.Lock()
-	defer c.mergeMu.Unlock()
-
-	v := c.version.Load()
-	if format == v.dict.Format() {
-		return
-	}
-	newDict := dict.BuildUncheckedWithOptions(format, dictValuesOf(v.dict),
-		dict.BuildOptions{Parallelism: opts.BuildParallelism})
-
-	// v is still current: versions are only published under mergeMu. The
-	// code vector (and so its zones) is unchanged: formats are
-	// order-preserving, so a format rebuild keeps every ID.
-	c.version.Store(&columnVersion{
-		dict:       newDict,
-		codes:      v.codes,
-		nMain:      v.nMain,
-		zones:      v.zones,
-		sealed:     v.sealed,
-		sealedRows: v.sealedRows,
-	})
-	c.journalMainPart(newDict, v.codes, v.nMain)
 }
 
 // DictBytes returns the main dictionary's memory footprint.

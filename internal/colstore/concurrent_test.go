@@ -30,7 +30,6 @@ func TestConcurrentMergeStress(t *testing.T) {
 
 	sched := NewMergeScheduler(s, 400)
 	sched.Parallelism = 2
-	sched.BuildParallelism = 2
 	// Rotate through a few formats so merges also exercise format changes.
 	formats := []dict.Format{dict.FCBlock, dict.Array, dict.FCInline, dict.ArrayBC}
 	var mergeCount atomic.Int64
@@ -315,8 +314,8 @@ func TestSnapshotReadersVsDaemon(t *testing.T) {
 }
 
 // TestParallelMergeIdenticalDictionaries asserts the acceptance invariant:
-// merging a store serially or on the worker pool (including parallel
-// dictionary builds) yields identical dictionary bytes per column.
+// merging a store serially or on the worker pool yields identical
+// dictionary bytes per column.
 func TestParallelMergeIdenticalDictionaries(t *testing.T) {
 	build := func() *Store {
 		s := NewStore()
@@ -352,7 +351,6 @@ func TestParallelMergeIdenticalDictionaries(t *testing.T) {
 	parStore := build()
 	parSched := NewMergeScheduler(parStore, 1)
 	parSched.Parallelism = 4
-	parSched.BuildParallelism = 4
 	parSched.Chooser = chooser
 	parSched.Flush()
 

@@ -61,9 +61,6 @@ type MergeScheduler struct {
 	// Parallelism bounds the worker pool merging due columns; 0 means
 	// GOMAXPROCS, 1 restores the serial path.
 	Parallelism int
-	// BuildParallelism is handed to each column merge's dictionary build
-	// (dict.BuildOptions.Parallelism); <= 1 builds each dictionary serially.
-	BuildParallelism int
 
 	// PartialMerges enables the partial-fold path: backpressure kicks (and
 	// timer passes over columns appending at or above the hot rate) fold
@@ -550,10 +547,9 @@ func (m *MergeScheduler) mergeColumn(c *StringColumn, mode mergeMode) bool {
 	// measures merge-to-merge distance independent of build duration (and
 	// the injected test clocks only need to advance between passes).
 	start := m.now()
-	opts := MergeOptions{BuildParallelism: m.BuildParallelism}
 
 	if m.usePartial(c, mode) {
-		res := c.MergePartialWithOptions(m.partialFoldCount(c), opts)
+		res := c.MergePartial(m.partialFoldCount(c))
 		m.record(name, start, res, false)
 		m.reportJournalErr(name)
 		return res.Folded > 0
@@ -569,7 +565,7 @@ func (m *MergeScheduler) mergeColumn(c *StringColumn, mode mergeMode) bool {
 		format = m.Chooser(snap, lifetime)
 		snap.Release()
 	}
-	res := c.MergeWithOptions(format, opts)
+	res := c.Merge(format)
 	m.record(name, start, res, true)
 	m.reportJournalErr(name)
 	return res.Folded > 0

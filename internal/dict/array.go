@@ -16,12 +16,12 @@ type arrayDict struct {
 	c       codec
 }
 
-func newArrayDict(f Format, strs []string, opts BuildOptions) *arrayDict {
+func newArrayDict(f Format, strs []string) *arrayDict {
 	parts := make([][]byte, len(strs))
 	for i, s := range strs {
 		parts[i] = []byte(s)
 	}
-	c, encs := buildCodec(f.Scheme(), parts, true, opts.Parallelism)
+	c, encs := buildCodec(f.Scheme(), parts, true)
 
 	var total int
 	for _, e := range encs {

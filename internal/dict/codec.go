@@ -147,58 +147,51 @@ func (w repairCodec) decodeNext(dst, enc []byte) ([]byte, int) {
 }
 func (w repairCodec) tableBytes() uint64 { return w.g.TableBytes() }
 
-// partEncoder produces the byte-aligned encoded form of part i. Encoders
-// close over an immutable trained codec and own no shared mutable state, so
-// distinct indices may be encoded concurrently; the result depends only on i.
-type partEncoder func(i int) []byte
-
-// trainCodec trains the scheme's model on all parts (inherently serial — the
-// model must see the whole corpus) and returns the codec plus an encoder for
-// individual parts.
+// buildCodec trains the scheme's model on parts and returns the codec along
+// with the byte-aligned encoded form of every part, in order.
 //
 // orderPreserving selects Hu-Tucker (order-preserving, slightly larger) over
 // Huffman for SchemeHU: array dictionaries want it so locate can compare in
 // the encoded domain; front-coded suffixes are walked decoded, so they take
 // the better-compressing Huffman code instead.
-func trainCodec(s Scheme, parts [][]byte, orderPreserving bool) (codec, partEncoder) {
+func buildCodec(s Scheme, parts [][]byte, orderPreserving bool) (codec, [][]byte) {
+	var c codec
+	var enc func(i int) []byte // byte-aligned encoded form of part i
 	switch s {
 	case SchemeNone:
-		c := rawCodec{}
-		return c, func(i int) []byte { return c.encodeProbe(nil, parts[i]) }
+		raw := rawCodec{}
+		c, enc = raw, func(i int) []byte { return raw.encodeProbe(nil, parts[i]) }
 	case SchemeBC:
-		c := bitcomp.Train(parts)
-		return bcCodec{c}, func(i int) []byte { return c.Encode(nil, parts[i]) }
+		bc := bitcomp.Train(parts)
+		c, enc = bcCodec{bc}, func(i int) []byte { return bc.Encode(nil, parts[i]) }
 	case SchemeHU:
 		if orderPreserving {
-			c := hutucker.Train(parts)
-			return huTuckerCodec{c}, func(i int) []byte { return c.Encode(nil, parts[i]) }
+			ht := hutucker.Train(parts)
+			c, enc = huTuckerCodec{ht}, func(i int) []byte { return ht.Encode(nil, parts[i]) }
+		} else {
+			hf := huffman.Train(parts)
+			c, enc = huffmanCodec{hf}, func(i int) []byte { return hf.Encode(nil, parts[i]) }
 		}
-		c := huffman.Train(parts)
-		return huffmanCodec{c}, func(i int) []byte { return c.Encode(nil, parts[i]) }
 	case SchemeNG2, SchemeNG3:
 		n := 2
 		if s == SchemeNG3 {
 			n = 3
 		}
-		c := ngram.Train(n, parts)
-		return ngramCodec{c}, func(i int) []byte { return c.Encode(nil, parts[i]) }
+		ng := ngram.Train(n, parts)
+		c, enc = ngramCodec{ng}, func(i int) []byte { return ng.Encode(nil, parts[i]) }
 	case SchemeRP12, SchemeRP16:
 		width := uint(12)
 		if s == SchemeRP16 {
 			width = 16
 		}
 		g, seqs := repair.Train(parts, width)
-		return repairCodec{g}, func(i int) []byte { return g.EncodeSeq(nil, seqs[i]) }
+		c, enc = repairCodec{g}, func(i int) []byte { return g.EncodeSeq(nil, seqs[i]) }
 	default:
 		panic("dict: unknown scheme")
 	}
-}
-
-// buildCodec trains the scheme's model on parts and returns the codec along
-// with the byte-aligned encoded form of every part, in order. parallelism
-// bounds the worker pool used for the per-part encoding (<= 1 is serial);
-// the encoded output is identical either way.
-func buildCodec(s Scheme, parts [][]byte, orderPreserving bool, parallelism int) (codec, [][]byte) {
-	c, enc := trainCodec(s, parts, orderPreserving)
-	return c, encodeParts(enc, len(parts), parallelism)
+	encs := make([][]byte, len(parts))
+	for i := range encs {
+		encs[i] = enc(i)
+	}
+	return c, encs
 }

@@ -198,41 +198,28 @@ var ErrNUL = errors.New("dict: input strings must not contain NUL bytes")
 // Build constructs a dictionary of the given format over strs, which must be
 // strictly ascending, unique and NUL-free.
 func Build(f Format, strs []string) (Dictionary, error) {
-	return BuildWithOptions(f, strs, BuildOptions{})
-}
-
-// BuildWithOptions is Build with construction tuning: opts.Parallelism > 1
-// encodes independent parts (front-coding blocks, array entries) on a
-// bounded worker pool. The resulting dictionary is bit-identical to the
-// serial build.
-func BuildWithOptions(f Format, strs []string, opts BuildOptions) (Dictionary, error) {
 	if err := Validate(strs); err != nil {
 		return nil, err
 	}
-	return build(f, strs, opts)
+	return build(f, strs)
 }
 
 // BuildUnchecked is Build without input validation, for callers (such as the
 // column-store merge) that construct sorted unique inputs by design.
 func BuildUnchecked(f Format, strs []string) Dictionary {
-	return BuildUncheckedWithOptions(f, strs, BuildOptions{})
-}
-
-// BuildUncheckedWithOptions is BuildWithOptions without input validation.
-func BuildUncheckedWithOptions(f Format, strs []string, opts BuildOptions) Dictionary {
-	d, err := build(f, strs, opts)
+	d, err := build(f, strs)
 	if err != nil {
 		panic(err) // build itself never fails on validated input
 	}
 	return d
 }
 
-func build(f Format, strs []string, opts BuildOptions) (Dictionary, error) {
+func build(f Format, strs []string) (Dictionary, error) {
 	info, ok := formatInfo(f)
 	if !ok {
 		return nil, fmt.Errorf("dict: unknown format %d", int(f))
 	}
-	return info.Build(strs, opts), nil
+	return info.Build(strs), nil
 }
 
 // Validate checks the input contract of Build.
@@ -336,5 +323,5 @@ func BuildWithFCBlockSize(f Format, strs []string, blockSize int) (Dictionary, e
 	if !ok || info.BuildBlock == nil {
 		return nil, fmt.Errorf("dict: %s is not a front-coding format", f)
 	}
-	return info.BuildBlock(strs, blockSize, BuildOptions{}), nil
+	return info.BuildBlock(strs, blockSize), nil
 }

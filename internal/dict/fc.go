@@ -38,7 +38,7 @@ type fcDict struct {
 	c         codec
 }
 
-func newFCDict(f Format, mode fcMode, strs []string, blockSize int, opts BuildOptions) *fcDict {
+func newFCDict(f Format, mode fcMode, strs []string, blockSize int) *fcDict {
 	n := len(strs)
 	nblocks := (n + blockSize - 1) / blockSize
 
@@ -64,10 +64,7 @@ func newFCDict(f Format, mode fcMode, strs []string, blockSize int, opts BuildOp
 		}
 	}
 
-	// Blocks are independent by construction, so the per-part encoding fans
-	// out across the build worker pool; the serial assembly below consumes
-	// encs in index order, keeping the layout bit-identical.
-	c, encs := buildCodec(f.Scheme(), parts, false, opts.Parallelism)
+	c, encs := buildCodec(f.Scheme(), parts, false)
 
 	d := &fcDict{format: f, mode: mode, blockSize: blockSize, n: n, c: c}
 	blockOffs := make([]uint64, nblocks+1)

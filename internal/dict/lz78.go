@@ -25,7 +25,7 @@ var LZ78 = RegisterFormat(FormatInfo{
 	Name:   "lz78",
 	WireID: lz78WireID,
 	Scheme: SchemeNone,
-	Build: func(strs []string, _ BuildOptions) Dictionary {
+	Build: func(strs []string) Dictionary {
 		return newLZ78(strs)
 	},
 	Marshal:   marshalLZ78,

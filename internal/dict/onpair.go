@@ -47,7 +47,7 @@ var OnPair = RegisterFormat(FormatInfo{
 	Name:   "onpair",
 	WireID: onpairWireID,
 	Scheme: SchemeNone,
-	Build: func(strs []string, _ BuildOptions) Dictionary {
+	Build: func(strs []string) Dictionary {
 		return newOnPair(strs)
 	},
 	Marshal:   marshalOnPair,

@@ -45,11 +45,11 @@ type FormatInfo struct {
 
 	// Build constructs the dictionary over validated input (strictly
 	// ascending, unique, NUL-free strings).
-	Build func(strs []string, opts BuildOptions) Dictionary
+	Build func(strs []string) Dictionary
 
 	// BuildBlock, optional, builds with a non-default front-coding block
 	// size. Nil for formats without a tunable block layout.
-	BuildBlock func(strs []string, blockSize int, opts BuildOptions) Dictionary
+	BuildBlock func(strs []string, blockSize int) Dictionary
 
 	// Marshal appends the format's payload sections (everything between the
 	// serialization header and the CRC footer) for a dictionary this format
@@ -168,8 +168,8 @@ func registerBuiltins() bool {
 			Name:   name,
 			WireID: uint16(c),
 			Scheme: sc,
-			Build: func(strs []string, opts BuildOptions) Dictionary {
-				return newArrayDict(c, strs, opts)
+			Build: func(strs []string) Dictionary {
+				return newArrayDict(c, strs)
 			},
 			Marshal:   marshalArray,
 			Unmarshal: func(d *dec) (Dictionary, error) { return unmarshalArray(d, c, sc) },
@@ -181,11 +181,11 @@ func registerBuiltins() bool {
 			WireID:     uint16(c),
 			Scheme:     sc,
 			FrontCoded: true,
-			Build: func(strs []string, opts BuildOptions) Dictionary {
-				return newFCDict(c, mode, strs, DefaultFCBlockSize, opts)
+			Build: func(strs []string) Dictionary {
+				return newFCDict(c, mode, strs, DefaultFCBlockSize)
 			},
-			BuildBlock: func(strs []string, blockSize int, opts BuildOptions) Dictionary {
-				return newFCDict(c, mode, strs, blockSize, opts)
+			BuildBlock: func(strs []string, blockSize int) Dictionary {
+				return newFCDict(c, mode, strs, blockSize)
 			},
 			Marshal:   marshalFC,
 			Unmarshal: func(d *dec) (Dictionary, error) { return unmarshalFC(d, c, sc, mode) },
@@ -203,7 +203,7 @@ func registerBuiltins() bool {
 		Name:   "array fixed",
 		WireID: uint16(ArrayFixed),
 		Scheme: SchemeNone,
-		Build: func(strs []string, _ BuildOptions) Dictionary {
+		Build: func(strs []string) Dictionary {
 			return newArrayFixed(strs)
 		},
 		Marshal:   marshalArrayFixed,
@@ -222,7 +222,7 @@ func registerBuiltins() bool {
 		Name:   "column bc",
 		WireID: uint16(ColumnBC),
 		Scheme: SchemeNone,
-		Build: func(strs []string, _ BuildOptions) Dictionary {
+		Build: func(strs []string) Dictionary {
 			return newColumnBC(strs, DefaultColumnBCBlockSize)
 		},
 		Marshal:   marshalColumnBC,

@@ -126,7 +126,7 @@ func TestRegisterFormatValidation(t *testing.T) {
 	ok := FormatInfo{
 		Name:      "test-dup",
 		WireID:    9999,
-		Build:     func([]string, BuildOptions) Dictionary { return nil },
+		Build:     func([]string) Dictionary { return nil },
 		Marshal:   func(*enc, Dictionary) error { return nil },
 		Unmarshal: func(*dec) (Dictionary, error) { return nil, nil },
 	}

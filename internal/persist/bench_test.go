@@ -1,6 +1,8 @@
 package persist
 
-// Durability benchmarks, consumed by scripts/bench_recovery.sh:
+// Durability benchmarks (the gated numbers — persist.wal_bytes_per_user_byte,
+// persist.recover_ms, persist.checkpoint_bytes, persist.parts_written — are
+// per-layer metrics of the bench/ harness; these isolate one layer):
 //
 //   - BenchmarkAppendDurability compares a plain in-memory column append
 //     with the same append journaled to the WAL (group commit, and the
@@ -9,10 +11,9 @@ package persist
 //     replay-heavy (all rows in the WAL) and checkpoint-heavy (all rows in
 //     part files) — the two recovery extremes.
 //
-// BenchmarkIncrementalCheckpoint is consumed by
-// scripts/bench_incremental_ckpt.sh instead: it measures bytes written per
-// checkpoint on a 16-column store with everything dirty vs one column dirty,
-// and the script gates on the byte reduction.
+// BenchmarkIncrementalCheckpoint measures bytes written per checkpoint on a
+// 16-column store with everything dirty vs one column dirty; the >= 4x byte
+// reduction is asserted by TestIncrementalCheckpointWritesOnlyDirtyColumns.
 
 import (
 	"fmt"

@@ -27,8 +27,8 @@ import (
 // part files the checkpoint actually wrote versus re-referenced from the
 // previous manifest, and how many bytes hit disk. A store-wide checkpoint
 // with one dirty column out of N reports PartsWritten == 1 and
-// PartsReused == N-1 — the incremental-checkpoint invariant the bench gate
-// (scripts/bench_incremental_ckpt.sh) holds us to.
+// PartsReused == N-1 — the incremental-checkpoint invariant
+// TestIncrementalCheckpointWritesOnlyDirtyColumns holds us to.
 type CheckpointStats struct {
 	// PartsWritten is the number of p%08d.part files written.
 	PartsWritten int

@@ -37,7 +37,7 @@ func newGossip(shards []*shard, budget uint64) *gossip {
 // step runs one gossip round: publish, then aggregate and observe.
 func (g *gossip) step() {
 	for i, sh := range g.shards {
-		g.board[i].Store(sh.store.Bytes())
+		g.board[i].Store(sh.bytes())
 	}
 	var used uint64
 	for i := range g.board {

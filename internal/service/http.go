@@ -290,7 +290,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ID:      sh.id,
 			Health:  healthString(sh.health()),
 			Rows:    sh.rows.Load(),
-			Bytes:   sh.store.Bytes(),
+			Bytes:   sh.bytes(),
 			C:       sh.mgr.C(),
 			Formats: map[string]int{},
 		}

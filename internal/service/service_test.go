@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"strdict/internal/colstore"
 	"strdict/internal/dict"
@@ -298,5 +299,38 @@ func TestWrappedStores(t *testing.T) {
 	}
 	if live := srv.PinnedSnapshots(); live != 0 {
 		t.Fatalf("pin leak: %d", live)
+	}
+}
+
+// TestStatsRacesAppends holds the shard-lock rule for Store.Bytes: numeric
+// columns are plain slices that shard.apply grows under the shard's write
+// lock, so /v1/stats (and the gossip loop, which makes the same call) must
+// size the store under the read side. Run with -race: before the read lock
+// was taken, this loop reported (*Int64Column).Bytes racing Append.
+func TestStatsRacesAppends(t *testing.T) {
+	_, cl := newTestServer(t, Options{Shards: 1, GossipInterval: time.Millisecond})
+	item := oneItem("acme", "orders", []string{"alpha", "beta"})
+	if _, err := cl.Append([]AppendItem{item}); err != nil { // creates the table
+		t.Fatalf("append: %v", err)
+	}
+
+	const rounds = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if _, err := cl.Append([]AppendItem{item}); err != nil {
+				done <- fmt.Errorf("append %d: %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < rounds; i++ {
+		if _, err := cl.Stats(); err != nil {
+			t.Fatalf("stats %d: %v", i, err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

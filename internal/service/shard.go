@@ -64,6 +64,14 @@ func healthString(h persist.HealthState) string {
 	}
 }
 
+// bytes sizes the shard's store under the read lock: numeric columns are
+// plain slices that apply grows under the write lock.
+func (sh *shard) bytes() uint64 {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.store.Bytes()
+}
+
 // errReadOnly marks append rejections that map to 503.
 type errReadOnly struct{ shard int }
 

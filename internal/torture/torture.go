@@ -1,7 +1,7 @@
 // Package torture is a deterministic, seed-driven differential harness for
 // the whole engine: it generates random schemas and corpora (via
 // internal/datagen), drives randomized — and partially concurrent —
-// interleavings of Append / Merge / MergePartial / Snapshot reads /
+// interleavings of Append / Merge / MergePartial / Rebuild / Snapshot reads /
 // Checkpoint / crash / recover against a persistent store with a
 // fault-injecting filesystem underneath — including incremental checkpoints
 // (dirty one column, assert only its part is rewritten) and checkpoints
@@ -167,8 +167,10 @@ func Run(cfg Config) error {
 			err = h.opViewJoin()
 		case pick < 50:
 			err = h.opFullMerge()
-		case pick < 58:
+		case pick < 57:
 			err = h.opPartialMerge()
+		case pick < 58:
+			err = h.opRebuild()
 		case pick < 64:
 			err = h.opCheckpoint()
 		case pick < 71:
@@ -326,6 +328,21 @@ func (h *harness) opPartialMerge() error {
 	res := h.s.Table("t").Str(c.name).MergePartial(k)
 	h.logf("step %d: partial merge %s k=%d (folded %d)", h.step, c.name, k, res.Folded)
 	return h.checkHealthy("partial merge")
+}
+
+// opRebuild re-formats a random column's main dictionary in place. Values
+// and row order do not move, so the model is untouched; what it exercises is
+// the journal: Rebuild publishes a main part while sealed and active delta
+// rows are still pending, and a later crash must recover that part plus the
+// WAL rows beyond it.
+func (h *harness) opRebuild() error {
+	c := h.cols[h.rng.Intn(len(h.cols))]
+	formats := dict.AllFormats()
+	f := formats[h.rng.Intn(len(formats))]
+	ec := h.s.Table("t").Str(c.name)
+	ec.Rebuild(f)
+	h.logf("step %d: rebuild %s -> %v (delta %d rows pending)", h.step, c.name, f, ec.DeltaRows())
+	return h.checkHealthy("rebuild")
 }
 
 // opCheckpoint persists every column and truncates covered WAL segments.

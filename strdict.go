@@ -40,8 +40,6 @@ package strdict
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"strdict/internal/colstore"
@@ -95,16 +93,6 @@ type Dictionary = dict.Dictionary
 // Build constructs a dictionary of the given format over strs, which must
 // be strictly ascending, unique and NUL-free.
 func Build(f Format, strs []string) (Dictionary, error) { return dict.Build(f, strs) }
-
-// BuildOptions tunes dictionary construction; Parallelism > 1 encodes
-// independent parts (front-coding blocks, array entries) on a bounded worker
-// pool. The result is bit-identical to the serial build.
-type BuildOptions = dict.BuildOptions
-
-// BuildWithOptions is Build with construction tuning.
-func BuildWithOptions(f Format, strs []string, opts BuildOptions) (Dictionary, error) {
-	return dict.BuildWithOptions(f, strs, opts)
-}
 
 // AllFormats returns every format in declaration order.
 func AllFormats() []Format { return dict.AllFormats() }
@@ -223,57 +211,7 @@ func ColumnStatsOfSnapshot(s *Snapshot, lifetimeNs float64, sampleRatio float64,
 // store and rebuilds the dictionaries accordingly, returning the chosen
 // format per column.
 func Reconfigure(s *Store, mgr *Manager, lifetimeNs float64, sampleRatio float64, seed int64) map[string]Format {
-	return ReconfigureParallel(s, mgr, lifetimeNs, sampleRatio, seed, 1)
-}
-
-// ReconfigureParallel is Reconfigure with the per-column work — sampling,
-// the all-formats model evaluation, and the dictionary rebuild — fanned out
-// across a bounded worker pool (parallelism <= 1 is serial). The trade-off
-// parameter is read once per column from the live manager; decisions and
-// rebuilt dictionaries are identical to the serial path.
-func ReconfigureParallel(s *Store, mgr *Manager, lifetimeNs float64, sampleRatio float64, seed int64, parallelism int) map[string]Format {
-	cols := s.StringColumns()
-	chosen := make([]Format, len(cols))
-	reconfigureColumn := func(i int) {
-		snap := cols[i].Snapshot()
-		decision := mgr.ChooseFormat(ColumnStatsOfSnapshot(snap, lifetimeNs, sampleRatio, seed))
-		snap.Release()
-		cols[i].RebuildWithOptions(decision.Format, colstore.MergeOptions{})
-		chosen[i] = decision.Format
-	}
-
-	workers := parallelism
-	if workers > len(cols) {
-		workers = len(cols)
-	}
-	if workers <= 1 {
-		for i := range cols {
-			reconfigureColumn(i)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(cols) {
-						return
-					}
-					reconfigureColumn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	out := make(map[string]Format, len(cols))
-	for i, c := range cols {
-		out[c.Name()] = chosen[i]
-	}
-	return out
+	return tpch.Reconfigure(s, mgr, lifetimeNs, sampleRatio, seed)
 }
 
 // PersistentStore is a Store whose contents survive process crashes: row
@@ -371,9 +309,6 @@ func Unmarshal(data []byte) (Dictionary, error) { return dict.Unmarshal(data) }
 // graceful shutdown; or call Tick cooperatively from the ingest path.
 type MergeScheduler = colstore.MergeScheduler
 
-// MergeOptions tunes a merge's dictionary reconstruction.
-type MergeOptions = colstore.MergeOptions
-
 // MergeResult reports what a merge actually did: how many delta rows it
 // folded into the main part, how many main-part rows it rewrote doing so,
 // and whether it rebuilt the dictionary.
@@ -401,10 +336,8 @@ type DaemonOptions struct {
 	// HighWaterMark, when > 0, throttles Append once a column's unsealed
 	// delta reaches this many rows (backpressure).
 	HighWaterMark int
-	// Parallelism bounds the merge worker pool (0 = GOMAXPROCS) and
-	// BuildParallelism the per-dictionary build pool (<= 1 serial).
-	Parallelism      int
-	BuildParallelism int
+	// Parallelism bounds the merge worker pool (0 = GOMAXPROCS).
+	Parallelism int
 	// SampleRatio and Seed parameterize the dictionary sampling behind each
 	// merge-time format decision; ratio <= 0 defaults to 0.01.
 	SampleRatio float64
@@ -445,7 +378,6 @@ func StartMergeDaemon(ctx context.Context, s *Store, mgr *Manager, opts DaemonOp
 	sched.Interval = opts.Interval
 	sched.HighWaterMark = opts.HighWaterMark
 	sched.Parallelism = opts.Parallelism
-	sched.BuildParallelism = opts.BuildParallelism
 	sched.PartialMerges = opts.PartialMerges
 	sched.HotRowsPerSec = opts.HotRowsPerSec
 	sched.AdaptiveInterval = opts.AdaptiveInterval
