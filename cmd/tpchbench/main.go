@@ -33,7 +33,7 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per configuration measurement")
 	sample := flag.Float64("sample", 0.01, "sampling ratio for the size models")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker pool for per-column format selection (1 = serial)")
+		"daemon figure only: worker pool merging due columns (1 = serial)")
 	partial := flag.Bool("partial", false,
 		"daemon figure only: fold hot columns partially instead of full merges")
 	persistDir := flag.String("persist", "",

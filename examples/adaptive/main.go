@@ -11,7 +11,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"strdict"
@@ -41,14 +40,12 @@ func main() {
 	// rebuilding the whole main part; full merges — and the manager's format
 	// choice — land once a column cools down or at Close. AdaptiveInterval
 	// retunes the timer from the observed append rates.
-	sched := strdict.StartMergeDaemon(context.Background(), store, mgr, strdict.DaemonOptions{
-		DeltaRowThreshold: 20_000,
-		Interval:          5 * time.Millisecond,
-		HighWaterMark:     40_000,
-		Parallelism:       runtime.GOMAXPROCS(0),
-		PartialMerges:     true,
-		AdaptiveInterval:  true,
-	})
+	sched := strdict.NewMergeScheduler(store, 20_000)
+	sched.Interval = 5 * time.Millisecond
+	sched.HighWaterMark = 40_000
+	sched.PartialMerges = true
+	sched.AdaptiveInterval = true
+	strdict.StartMergeDaemon(context.Background(), sched, mgr)
 
 	// The ingest loop contains no merge calls at all — merges overlap it on
 	// the daemon goroutine while every reader stays lock-free on the

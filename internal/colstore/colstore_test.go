@@ -171,10 +171,10 @@ func TestStatsCounting(t *testing.T) {
 	c.Get(0) // extract
 	c.Get(1) // extract
 	snap := c.Snapshot()
-	snap.Locate("a") // locate
-	snap.Extract(0)  // extract
-	snap.Release()   // counts reach the column on Release
-	c.DictValues()   // must NOT count
+	snap.Locate("a")  // locate
+	snap.Extract(0)   // extract
+	snap.DictValues() // must NOT count
+	snap.Release()    // counts reach the column on Release
 
 	s := c.Stats()
 	if s.Extracts != 3 {
@@ -262,7 +262,9 @@ func TestDictValuesSorted(t *testing.T) {
 		c.Append(v)
 	}
 	c.Merge(dict.FCInline)
-	vals := c.DictValues()
+	snap := c.Snapshot()
+	defer snap.Release()
+	vals := snap.DictValues()
 	if !sort.StringsAreSorted(vals) {
 		t.Fatalf("dict values not sorted: %v", vals)
 	}

@@ -333,14 +333,9 @@ func (c *StringColumn) ResetStats() {
 	c.zonesSkipped.Store(0)
 }
 
-// DictValues materializes the sorted distinct values of the main dictionary.
-// It bypasses the access counters: it is maintenance machinery (merge,
-// sampling), not query work.
-func (c *StringColumn) DictValues() []string {
-	return dictValuesOf(c.version.Load().dict)
-}
-
-// dictValuesOf walks an (immutable) dictionary outside any lock.
+// dictValuesOf walks an (immutable) dictionary outside any lock. It bypasses
+// the access counters: it is maintenance machinery (merge, sampling), not
+// query work.
 func dictValuesOf(d dict.Dictionary) []string {
 	out := make([]string, d.Len())
 	d.ForEach(func(id uint32, value []byte) bool {

@@ -63,15 +63,11 @@ type MergeScheduler struct {
 	Parallelism int
 
 	// PartialMerges enables the partial-fold path: backpressure kicks (and
-	// timer passes over columns appending at or above the hot rate) fold
+	// timer passes over hot columns, see usePartial) fold
 	// only enough oldest sealed segments to bring the delta back under the
 	// threshold, instead of draining it with a full rebuild. Flush (and
 	// therefore Close) always merges fully. Set before Start.
 	PartialMerges bool
-	// HotRowsPerSec is the append rate at or above which a column counts as
-	// hot for the partial policy; <= 0 derives DeltaRowThreshold rows/sec
-	// (the column refills a whole delta every second). Set before Start.
-	HotRowsPerSec float64
 	// AdaptiveInterval derives the daemon's timer period from observed
 	// append rates: the period targets two passes per delta fill for the
 	// hottest column, quantized to a power-of-two ladder within
@@ -495,7 +491,9 @@ func (m *MergeScheduler) mergeColumns(due []*StringColumn, mode mergeMode) []str
 
 // usePartial decides the merge kind for one due column: partial when the
 // pass was a backpressure kick (the stalled appender is hotness made
-// manifest) or when the column's append rate marks it hot; full otherwise.
+// manifest) or when the column is hot — it appends at least
+// DeltaRowThreshold rows/sec, refilling a whole delta every second; full
+// otherwise.
 func (m *MergeScheduler) usePartial(c *StringColumn, mode mergeMode) bool {
 	if !m.PartialMerges || mode == modeFlush {
 		return false
@@ -503,11 +501,7 @@ func (m *MergeScheduler) usePartial(c *StringColumn, mode mergeMode) bool {
 	if mode == modeKick {
 		return true
 	}
-	hot := m.HotRowsPerSec
-	if hot <= 0 {
-		hot = float64(m.DeltaRowThreshold)
-	}
-	return m.AppendRate(c.Name()) >= hot
+	return m.AppendRate(c.Name()) >= float64(m.DeltaRowThreshold)
 }
 
 // partialFoldCount picks how many oldest sealed segments a partial fold

@@ -130,7 +130,7 @@ func (s *Snapshot) DictBytes() uint64 { return s.v.dict.Bytes() }
 func (s *Snapshot) VectorBytes() uint64 { return s.v.codes.Bytes() }
 
 // DictValues materializes the sorted distinct values of the pinned
-// dictionary. Like StringColumn.DictValues it bypasses the access counters.
+// dictionary; see dictValuesOf for why the access counters do not move.
 func (s *Snapshot) DictValues() []string { return dictValuesOf(s.v.dict) }
 
 // Stats returns the column's cumulative access counters. The counters are

@@ -20,14 +20,12 @@
 //
 // Manager is safe for concurrent use: the trade-off parameter and its
 // feedback-loop state live behind a mutex, so merge workers may call
-// ChooseFormat while another goroutine feeds ObserveFreeMemory. Batch
-// selection over many columns fans out with ChooseFormats. A single column
-// has one size model per registered format (dict.NumFormats(), twenty
+// ChooseFormat while another goroutine feeds ObserveFreeMemory. A single
+// column has one size model per registered format (dict.NumFormats(), twenty
 // today), but the models share a handful of probes memoised on the sample —
 // three part sets, one Re-Pair run per part set, one trained codec per
 // (part set, scheme), the OnPair and LZ78 parses — each computed once per
-// sample, also when ChooseFormats prices several columns at once.
-// Parallelism changes scheduling, never the decision.
+// sample.
 package core
 
 import (
@@ -35,7 +33,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"strdict/internal/dict"
 	"strdict/internal/model"
@@ -240,19 +237,6 @@ type Options struct {
 	// DesiredFreeBytes is the reference input of the feedback loop: the
 	// amount of free memory the manager steers towards.
 	DesiredFreeBytes uint64
-	// Smoothing is the EWMA factor applied to free-memory observations to
-	// avoid over-shooting (0 < Smoothing <= 1; 1 = no smoothing).
-	// Default 0.3.
-	Smoothing float64
-	// Step is the multiplicative adjustment applied to c per observation
-	// outside the dead band. Default 0.25 (i.e. ×1.25 or ÷1.25).
-	Step float64
-	// DeadBandFrac is the fraction of DesiredFreeBytes around the target
-	// within which c is left unchanged. Default 0.05.
-	DeadBandFrac float64
-	// MinC and MaxC clamp the trade-off parameter. Defaults 1e-3 and 10,
-	// the range the paper sweeps in Figure 10.
-	MinC, MaxC float64
 	// InitialC is the starting trade-off. Default 1.
 	InitialC float64
 	// Strategy is the dividing-function strategy. Default StrategyTilt,
@@ -263,21 +247,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.Smoothing <= 0 || o.Smoothing > 1 {
-		o.Smoothing = 0.3
-	}
-	if o.Step <= 0 {
-		o.Step = 0.25
-	}
-	if o.DeadBandFrac <= 0 {
-		o.DeadBandFrac = 0.05
-	}
-	if o.MinC <= 0 {
-		o.MinC = 1e-3
-	}
-	if o.MaxC <= 0 {
-		o.MaxC = 10
-	}
 	if o.InitialC <= 0 {
 		o.InitialC = 1
 	}
@@ -313,14 +282,26 @@ func (m *Manager) C() float64 {
 	return m.c
 }
 
+// MinC and MaxC clamp the trade-off parameter to the range the paper sweeps
+// in Figure 10.
+const MinC, MaxC = 1e-3, 10.0
+
 // SetC overrides the trade-off parameter, clamped to [MinC, MaxC]. Used by
 // the off-line evaluation to sweep configurations, and available as a manual
 // override knob.
 func (m *Manager) SetC(c float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.c = math.Min(math.Max(c, m.opts.MinC), m.opts.MaxC)
+	m.c = math.Min(math.Max(c, MinC), MaxC)
 }
+
+// The feedback loop's shape is fixed: the paper's manager takes the desired
+// free memory from outside and nothing else (Section 5, Figure 8).
+const (
+	smoothing = 0.3  // EWMA factor on observations: one outlier cannot make c over-shoot
+	step      = 0.25 // c moves ×1.25 or ÷1.25 per observation outside the dead band
+	deadBand  = 0.05 // fraction of DesiredFreeBytes around the target within which c rests
+)
 
 // ObserveFreeMemory feeds one free-memory measurement into the feedback
 // loop: the measurement is smoothed, compared against the desired amount of
@@ -334,20 +315,19 @@ func (m *Manager) ObserveFreeMemory(freeBytes uint64) float64 {
 		m.smoothedFree = f
 		m.haveObs = true
 	} else {
-		a := m.opts.Smoothing
-		m.smoothedFree = a*f + (1-a)*m.smoothedFree
+		m.smoothedFree = smoothing*f + (1-smoothing)*m.smoothedFree
 	}
 	desired := float64(m.opts.DesiredFreeBytes)
-	band := desired * m.opts.DeadBandFrac
+	band := desired * deadBand
 	switch {
 	case m.smoothedFree < desired-band:
 		// Memory pressure: favour smaller dictionaries.
-		m.c /= 1 + m.opts.Step
+		m.c /= 1 + step
 	case m.smoothedFree > desired+band:
 		// Plenty of memory: favour faster dictionaries.
-		m.c *= 1 + m.opts.Step
+		m.c *= 1 + step
 	}
-	m.c = math.Min(math.Max(m.c, m.opts.MinC), m.opts.MaxC)
+	m.c = math.Min(math.Max(m.c, MinC), MaxC)
 	return m.c
 }
 
@@ -373,53 +353,4 @@ func (m *Manager) ChooseFormat(stats ColumnStats) Decision {
 		Strategy:   m.opts.Strategy,
 		Candidates: cands,
 	}
-}
-
-// ChooseFormats runs the per-column selection for a batch of columns
-// concurrently on a bounded worker pool (parallelism <= 1 is serial,
-// 0 or negative values included). The global trade-off parameter is read
-// once, so every decision of the batch sees the same c even while the
-// feedback loop keeps running; results are returned in input order and are
-// identical to calling ChooseFormat per column under a frozen c.
-func (m *Manager) ChooseFormats(stats []ColumnStats, parallelism int) []Decision {
-	c := m.C()
-	decide := func(i int) Decision {
-		cands := Candidates(stats[i], m.opts.Costs)
-		chosen := Select(m.opts.Strategy, c, cands)
-		return Decision{
-			Format:     chosen.Format,
-			C:          c,
-			Strategy:   m.opts.Strategy,
-			Candidates: cands,
-		}
-	}
-
-	out := make([]Decision, len(stats))
-	workers := parallelism
-	if workers > len(stats) {
-		workers = len(stats)
-	}
-	if workers <= 1 {
-		for i := range stats {
-			out[i] = decide(i)
-		}
-		return out
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(stats) {
-					return
-				}
-				out[i] = decide(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }

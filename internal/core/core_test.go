@@ -207,7 +207,7 @@ func TestManagerClampsC(t *testing.T) {
 
 func TestManagerSmoothingAvoidsOvershoot(t *testing.T) {
 	// A single outlier observation inside a stable regime must not flip c.
-	m := NewManager(Options{DesiredFreeBytes: 1 << 30, Smoothing: 0.1})
+	m := NewManager(Options{DesiredFreeBytes: 1 << 30})
 	for i := 0; i < 50; i++ {
 		m.ObserveFreeMemory(1 << 30) // exactly at target: dead band
 	}

@@ -64,6 +64,9 @@ func TestOnlineManagerSimulation(t *testing.T) {
 		mgr.ObserveFreeMemory(free)
 		for _, c := range cols {
 			st := c.Stats()
+			snap := c.Snapshot()
+			values := snap.DictValues()
+			snap.Release()
 			dec := mgr.ChooseFormat(ColumnStats{
 				Name:              c.Name(),
 				NumStrings:        uint64(c.DictLen()),
@@ -71,7 +74,7 @@ func TestOnlineManagerSimulation(t *testing.T) {
 				Locates:           st.Locates,
 				LifetimeNs:        1e9,
 				ColumnVectorBytes: c.VectorBytes(),
-				Sample:            model.TakeSample(c.DictValues(), 1.0, 1),
+				Sample:            model.TakeSample(values, 1.0, 1),
 			})
 			c.Rebuild(dec.Format)
 			c.ResetStats()

@@ -28,26 +28,6 @@ func parallelTestStats(cols int) []ColumnStats {
 	return out
 }
 
-// TestChooseFormatsMatchesSequential asserts batched concurrent selection
-// decides exactly what per-column sequential selection decides.
-func TestChooseFormatsMatchesSequential(t *testing.T) {
-	stats := parallelTestStats(6)
-	mgr := NewManager(Options{DesiredFreeBytes: 1 << 30})
-	mgr.SetC(0.5)
-
-	want := make([]Decision, len(stats))
-	for i := range stats {
-		want[i] = mgr.ChooseFormat(stats[i])
-	}
-	got := mgr.ChooseFormats(stats, 4)
-	for i := range stats {
-		if got[i].Format != want[i].Format || got[i].C != want[i].C {
-			t.Fatalf("column %d: got %s (c=%g), want %s (c=%g)",
-				i, got[i].Format, got[i].C, want[i].Format, want[i].C)
-		}
-	}
-}
-
 // TestManagerConcurrentFeedbackAndSelection exercises the shared-state
 // contract: merge workers select formats while the feedback loop adjusts c.
 // Run under -race this pins the Manager's goroutine safety.

@@ -92,6 +92,9 @@ func (d *fcDict) ForEach(fn func(id uint32, value []byte) bool) {
 				return
 			}
 			for j := 1; j < k; j++ {
+				if pos >= len(d.data) {
+					return // corrupt stream ran off the data area
+				}
 				pl := int(d.data[pos])
 				pos++
 				if pl > len(buf) {

@@ -3,6 +3,8 @@ package dict
 import (
 	"fmt"
 	"testing"
+
+	"strdict/internal/bits"
 )
 
 func TestForEachMatchesExtract(t *testing.T) {
@@ -83,5 +85,51 @@ func BenchmarkSequentialScan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestForEachTruncatedFC: a front-coding blob whose data area ends after the
+// block's first string still has well-formed headers and block pointers, so
+// Unmarshal accepts it. Every reader must then survive the walk past the end
+// of the data — ForEach in inline mode used to index one byte beyond it.
+func TestForEachTruncatedFC(t *testing.T) {
+	for _, tc := range []struct {
+		format Format
+		cut    int // header bytes + the encoded first string "a\x00"
+	}{
+		{FCBlock, 2 + 2},
+		{FCBlockDF, 4 + 2*5 + 2},
+		{FCInline, 2},
+	} {
+		built, err := Build(tc.format, []string{"a", "b", "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := built.(*fcDict)
+		fd.data = fd.data[:tc.cut]
+		fd.blockPtrs = bits.PackSlice([]uint64{0, uint64(tc.cut)})
+		blob, err := Marshal(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Unmarshal(blob)
+		if err != nil {
+			t.Fatalf("%s: truncated blob rejected (%v); the test needs a blob Unmarshal accepts", tc.format, err)
+		}
+		for id := 0; id < d.Len(); id++ {
+			d.Extract(uint32(id))
+		}
+		d.Locate("b")
+		LocateBytes(d, []byte("b"))
+		var first string
+		d.ForEach(func(id uint32, value []byte) bool {
+			if id == 0 {
+				first = string(value)
+			}
+			return true
+		})
+		if first != "a" {
+			t.Errorf("%s: ForEach(0) = %q, want %q", tc.format, first, "a")
+		}
 	}
 }

@@ -99,6 +99,8 @@ func FuzzUnmarshal(f *testing.F) {
 			d.Extract(uint32(i))
 		}
 		d.Locate("probe")
+		LocateBytes(d, []byte("probe"))
+		d.ForEach(func(id uint32, value []byte) bool { return int(id) < n })
 	})
 }
 

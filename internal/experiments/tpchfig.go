@@ -21,7 +21,7 @@ type TPCHConfig struct {
 	MeasureReps int       // repetitions per configuration measurement
 	CValues     []float64 // trade-off sweep (paper: log range 1e-3..10)
 	SampleRatio float64   // sampling ratio for the size models
-	Parallelism int       // worker pool for per-column selection (<= 1 serial)
+	Parallelism int       // the daemon figure's merge pool (0 = GOMAXPROCS)
 
 	// PartialMerges lets the daemon experiments fold only the oldest sealed
 	// segments of hot columns instead of rebuilding whole main parts.
@@ -43,7 +43,7 @@ func (c *TPCHConfig) FillDefaults() {
 		c.CValues = LogRange(1e-3, 10, 13)
 	}
 	if c.SampleRatio <= 0 {
-		c.SampleRatio = 0.01
+		c.SampleRatio = model.DefaultSampleRatio
 	}
 }
 
@@ -130,20 +130,13 @@ func (e *TPCHExperiment) statsOf(tc tracedColumn) core.ColumnStats {
 }
 
 // Decide returns the manager's per-column format choices for one c without
-// rebuilding anything. The per-column selections run on the configured
-// worker pool (Cfg.Parallelism); the choices are identical to the serial
-// evaluation.
+// rebuilding anything.
 func (e *TPCHExperiment) Decide(c float64) map[string]dict.Format {
 	mgr := core.NewManager(core.Options{DesiredFreeBytes: 1 << 30, Costs: e.costs})
 	mgr.SetC(c)
-	stats := make([]core.ColumnStats, len(e.traced))
-	for i, tc := range e.traced {
-		stats[i] = e.statsOf(tc)
-	}
-	decisions := mgr.ChooseFormats(stats, e.Cfg.Parallelism)
 	out := make(map[string]dict.Format, len(e.traced))
-	for i, tc := range e.traced {
-		out[tc.col.Name()] = decisions[i].Format
+	for _, tc := range e.traced {
+		out[tc.col.Name()] = mgr.ChooseFormat(e.statsOf(tc)).Format
 	}
 	return out
 }

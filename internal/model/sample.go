@@ -25,6 +25,11 @@ import (
 // for 1% samples of very small dictionaries.
 const MinSampleStrings = 5000
 
+// DefaultSampleRatio is the production sampling ratio of Section 4.2.2: the
+// size models see max(1 %, MinSampleStrings) of a dictionary. Off-line
+// experiments that sweep the ratio pass their own.
+const DefaultSampleRatio = 0.01
+
 // Sample carries everything the size models need about a column. The size
 // models memoise what they derive from it (part sets, trained probes) on the
 // Sample itself, for as long as it lives: treat a Sample as immutable from

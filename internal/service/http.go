@@ -201,6 +201,11 @@ type querySnap struct {
 
 func (qs *querySnap) release() { qs.srv.unpin(qs.snap) }
 
+// MaxScanRows caps the row indices a single /v1/scan response carries, so
+// one unselective predicate cannot make the server encode (and the client
+// decode) a row list the size of the table.
+const MaxScanRows = 10000
+
 // handleScan returns the row indices matching eq=<value> or
 // lo=<lo>&hi=<hi> (half-open range), capped at MaxScanRows indices; the
 // uncapped match count is always reported.
@@ -223,8 +228,8 @@ func (srv *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	count := len(rows)
 	truncated := false
-	if count > srv.opts.MaxScanRows {
-		rows = rows[:srv.opts.MaxScanRows]
+	if count > MaxScanRows {
+		rows = rows[:MaxScanRows]
 		truncated = true
 	}
 	if rows == nil {
@@ -324,7 +329,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"pins_total":    srv.pinsTotal.Load(),
 		"gossip_rounds": srv.gossipRounds(),
 		"memory_budget": srv.opts.MemoryBudget,
-		"max_scan_rows": srv.opts.MaxScanRows,
+		"max_scan_rows": MaxScanRows,
 		"shards_total":  len(srv.shards),
 	})
 }

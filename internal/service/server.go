@@ -12,47 +12,35 @@ import (
 	"strdict/internal/colstore"
 	"strdict/internal/core"
 	"strdict/internal/dict"
+	"strdict/internal/model"
 	"strdict/internal/persist"
 	"strdict/internal/tpch"
 )
 
-// Options configures a Server.
+// Options configures a Server. The rest of the path from an append to a
+// chosen format is fixed: scheduler-default merge interval, no high-water
+// mark, persist-default fsync cadence, model.DefaultSampleRatio with seed 0.
 type Options struct {
 	// Shards is the number of independent shards; <= 0 selects 1.
 	Shards int
 	// Dir is the root directory; each shard journals under
 	// Dir/shard-NNNN. Empty disables persistence (in-memory shards).
 	Dir string
-	// FsyncInterval is passed to each shard's journal (0 = persist
-	// default). The service calls Sync once per shard per append batch
-	// regardless — that call is the group commit the API promises.
-	FsyncInterval time.Duration
 	// MemoryBudget is the server-wide memory target the gossip loop steers
-	// the shards' compression trade-off towards. Default 1 GiB.
+	// the shards' compression trade-off towards — the one quantity the
+	// paper's manager takes from outside. Default 1 GiB.
 	MemoryBudget uint64
 	// GossipInterval is the cadence of the memory-pressure exchange;
 	// 0 selects 100ms, < 0 disables gossip.
 	GossipInterval time.Duration
-	// DeltaRowThreshold triggers a shard's merge daemon once a column's
-	// delta holds this many rows; <= 0 selects 64k.
-	DeltaRowThreshold int
-	// HighWaterMark, when > 0, blocks appends once a column's unsealed
-	// delta reaches this many rows (backpressure).
-	HighWaterMark int
-	// MergeInterval is each merge daemon's timer period (0 = scheduler
-	// default).
-	MergeInterval time.Duration
 	// NoDaemons disables merge daemons and gossip: the server is a pure
 	// request-driven front end (tests, torture harness).
 	NoDaemons bool
-	// MaxScanRows caps the row indices a single /v1/scan response carries
-	// (the full match count is still reported). <= 0 selects 10000.
-	MaxScanRows int
-	// SampleRatio and Seed parameterize the dictionary sampling behind
-	// merge-time format decisions; ratio <= 0 selects 0.01.
-	SampleRatio float64
-	Seed        int64
 }
+
+// deltaRowThreshold is the delta size, in rows, at which a shard's daemon
+// merges a column; every workload in bench/ runs at it, none needed another.
+const deltaRowThreshold = 64 << 10
 
 func (o *Options) fillDefaults() {
 	if o.Shards <= 0 {
@@ -63,15 +51,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.GossipInterval == 0 {
 		o.GossipInterval = 100 * time.Millisecond
-	}
-	if o.DeltaRowThreshold <= 0 {
-		o.DeltaRowThreshold = 64 << 10
-	}
-	if o.MaxScanRows <= 0 {
-		o.MaxScanRows = 10000
-	}
-	if o.SampleRatio <= 0 {
-		o.SampleRatio = 0.01
 	}
 }
 
@@ -105,9 +84,9 @@ func New(opts Options) (*Server, error) {
 		sh := &shard{id: i}
 		if opts.Dir != "" {
 			sh.dir = filepath.Join(opts.Dir, fmt.Sprintf("shard-%04d", i))
-			ps, err := persist.Open(sh.dir, persist.Options{
-				FsyncInterval: opts.FsyncInterval,
-			})
+			// Default fsync cadence: the per-batch Sync (handleAppend) is
+			// the group commit the API promises.
+			ps, err := persist.Open(sh.dir, persist.Options{})
 			if err != nil {
 				cancel()
 				srv.closeShards()
@@ -125,11 +104,14 @@ func New(opts Options) (*Server, error) {
 			DesiredFreeBytes: opts.MemoryBudget / 8,
 		})
 		if !opts.NoDaemons {
-			sh.sched = colstore.NewMergeScheduler(sh.store, opts.DeltaRowThreshold)
-			sh.sched.Interval = opts.MergeInterval
-			sh.sched.HighWaterMark = opts.HighWaterMark
+			sh.sched = colstore.NewMergeScheduler(sh.store, deltaRowThreshold)
 			sh.sched.PartialMerges = true
-			sh.sched.Chooser = srv.chooserFor(sh)
+			// Merge-time format choice: column statistics from the pinned
+			// snapshot, decision from the shard's own Manager (whose c the
+			// gossip loop keeps adjusting).
+			sh.sched.Chooser = func(snap *colstore.Snapshot, lifetimeNs float64) dict.Format {
+				return sh.mgr.ChooseFormat(tpch.SnapshotStatsOf(snap, lifetimeNs, model.DefaultSampleRatio, 0)).Format
+			}
 			sh.sched.Start(ctx)
 		}
 		srv.shards = append(srv.shards, sh)
@@ -161,16 +143,6 @@ func NewWithStores(stores []*colstore.Store, opts Options) *Server {
 	}
 	srv.routes()
 	return srv
-}
-
-// chooserFor builds the merge-time format chooser for one shard: column
-// statistics from the pinned snapshot, decision from the shard's own
-// Manager (whose c the gossip loop keeps adjusting).
-func (srv *Server) chooserFor(sh *shard) func(*colstore.Snapshot, float64) dict.Format {
-	ratio, seed := srv.opts.SampleRatio, srv.opts.Seed
-	return func(snap *colstore.Snapshot, lifetimeNs float64) dict.Format {
-		return sh.mgr.ChooseFormat(tpch.SnapshotStatsOf(snap, lifetimeNs, ratio, seed)).Format
-	}
 }
 
 // Handler returns the server's HTTP handler (the /v1 API).

@@ -302,6 +302,56 @@ func TestWrappedStores(t *testing.T) {
 	}
 }
 
+// TestScanTruncation takes /v1/scan's cap branch: a predicate matching more
+// than MaxScanRows rows returns exactly the first MaxScanRows indices the
+// engine's scan yields, flags the truncation, and still reports the full
+// match count.
+func TestScanTruncation(t *testing.T) {
+	st := colstore.NewStore()
+	c := st.AddTable("t").AddString("c", dict.Array)
+	const rows = MaxScanRows + MaxScanRows/2
+	for i := 0; i < rows; i++ {
+		if i == rows/2 {
+			c.Merge(dict.FCBlock) // matches span the main part and the delta
+		}
+		if i%4 == 0 {
+			c.Append("cold")
+		} else {
+			c.Append("hot")
+		}
+	}
+	srv := NewWithStores([]*colstore.Store{st}, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := &Client{Base: ts.URL, HTTP: ts.Client()}
+
+	snap := c.Snapshot()
+	want := snap.ScanEq("hot", nil)
+	snap.Release()
+	if len(want) <= MaxScanRows {
+		t.Fatalf("fixture matches %d rows, need more than %d", len(want), MaxScanRows)
+	}
+	sc, err := cl.ScanEq("", "t", "c", "hot")
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if !sc.Truncated || sc.Count != len(want) || len(sc.Rows) != MaxScanRows {
+		t.Fatalf("scan: truncated=%v count=%d rows=%d, want true, %d, %d",
+			sc.Truncated, sc.Count, len(sc.Rows), len(want), MaxScanRows)
+	}
+	for i, r := range sc.Rows {
+		if r != want[i] {
+			t.Fatalf("row %d = %d, engine scan has %d", i, r, want[i])
+		}
+	}
+	under, err := cl.ScanEq("", "t", "c", "cold")
+	if err != nil || under.Truncated || len(under.Rows) != under.Count {
+		t.Fatalf("uncapped scan: truncated=%v count=%d rows=%d err=%v",
+			under.Truncated, under.Count, len(under.Rows), err)
+	}
+}
+
 // TestStatsRacesAppends holds the shard-lock rule for Store.Bytes: numeric
 // columns are plain slices that shard.apply grows under the shard's write
 // lock, so /v1/stats (and the gossip loop, which makes the same call) must

@@ -58,6 +58,8 @@ func TestUpdateWorkloadAvoidsExpensiveConstruction(t *testing.T) {
 	comments := s.Table("orders").Str("o_comment")
 
 	stats := func(lifetime time.Duration) core.ColumnStats {
+		snap := comments.Snapshot()
+		defer snap.Release()
 		return core.ColumnStats{
 			Name:              comments.Name(),
 			NumStrings:        uint64(comments.DictLen()),
@@ -65,7 +67,7 @@ func TestUpdateWorkloadAvoidsExpensiveConstruction(t *testing.T) {
 			Locates:           1,
 			LifetimeNs:        float64(lifetime),
 			ColumnVectorBytes: comments.VectorBytes(),
-			Sample:            model.TakeSample(comments.DictValues(), 1.0, 1),
+			Sample:            model.TakeSample(snap.DictValues(), 1.0, 1),
 		}
 	}
 	mgr := core.NewManager(core.Options{DesiredFreeBytes: 1 << 30})

@@ -36,11 +36,13 @@
 //	dec := mgr.ChooseFormat(strdict.ColumnStatsOfSnapshot(snap, lifetimeNs, 0.01, seed))
 //	snap.Release()
 //	col.Rebuild(dec.Format)
+//
+// To have this happen at every background merge, configure a MergeScheduler
+// and hand it to StartMergeDaemon(ctx, sched, mgr).
 package strdict
 
 import (
 	"context"
-	"time"
 
 	"strdict/internal/colstore"
 	"strdict/internal/core"
@@ -326,74 +328,20 @@ func NewMergeScheduler(s *Store, deltaRowThreshold int) *MergeScheduler {
 	return colstore.NewMergeScheduler(s, deltaRowThreshold)
 }
 
-// DaemonOptions configures StartMergeDaemon.
-type DaemonOptions struct {
-	// DeltaRowThreshold triggers a merge once a column's delta holds this
-	// many rows; <= 0 defaults to 64k rows.
-	DeltaRowThreshold int
-	// Interval is the daemon's timer period; 0 uses the scheduler default.
-	Interval time.Duration
-	// HighWaterMark, when > 0, throttles Append once a column's unsealed
-	// delta reaches this many rows (backpressure).
-	HighWaterMark int
-	// Parallelism bounds the merge worker pool (0 = GOMAXPROCS).
-	Parallelism int
-	// SampleRatio and Seed parameterize the dictionary sampling behind each
-	// merge-time format decision; ratio <= 0 defaults to 0.01.
-	SampleRatio float64
-	Seed        int64
-	// PartialMerges lets the daemon fold only the oldest sealed delta
-	// segments of a hot column instead of rebuilding its whole main part:
-	// backpressure kicks and columns appending faster than HotRowsPerSec
-	// take the partial path (format preserved), while timer merges on
-	// cooling columns and shutdown flushes stay full (manager consulted).
-	PartialMerges bool
-	// HotRowsPerSec is the append rate above which a timer merge goes
-	// partial; <= 0 derives a rate from DeltaRowThreshold. Ignored unless
-	// PartialMerges is set.
-	HotRowsPerSec float64
-	// AdaptiveInterval retunes the daemon timer from observed append rates:
-	// hot stores tick faster (down to Interval/8), idle stores back off (up
-	// to Interval*8).
-	AdaptiveInterval bool
-	// OnMergeError, when non-nil, is invoked (from merge pool workers) when
-	// a merge leaves the store's journal with a sticky durability failure —
-	// the daemon reports rather than swallows checkpoint/WAL errors. The
-	// same error is reported once, not once per merged column.
-	OnMergeError func(column string, err error)
-}
-
-// StartMergeDaemon wires a MergeScheduler to a Manager and starts it as a
-// long-running background daemon: merges run on the daemon's own timer (and
-// immediately under backpressure), each consulting the manager on a pinned
-// snapshot of the column, with no cooperative Tick calls from the ingest
-// path. A nil manager keeps every column's current format. Stop it with
-// Close (drains all deltas) or by cancelling ctx.
-func StartMergeDaemon(ctx context.Context, s *Store, mgr *Manager, opts DaemonOptions) *MergeScheduler {
-	threshold := opts.DeltaRowThreshold
-	if threshold <= 0 {
-		threshold = 64 << 10
-	}
-	sched := NewMergeScheduler(s, threshold)
-	sched.Interval = opts.Interval
-	sched.HighWaterMark = opts.HighWaterMark
-	sched.Parallelism = opts.Parallelism
-	sched.PartialMerges = opts.PartialMerges
-	sched.HotRowsPerSec = opts.HotRowsPerSec
-	sched.AdaptiveInterval = opts.AdaptiveInterval
-	sched.OnError = opts.OnMergeError
+// StartMergeDaemon starts a scheduler the caller has configured (see
+// MergeScheduler's fields) as a background daemon wired to a Manager: merges
+// run on the daemon's own timer (and immediately under backpressure), each
+// consulting the manager on a pinned snapshot of the column sampled at the
+// paper's production ratio, with no cooperative Tick calls from the ingest
+// path. A nil manager leaves the scheduler's Chooser as it is. Stop it with
+// sched.Close (drains all deltas) or by cancelling ctx.
+func StartMergeDaemon(ctx context.Context, sched *MergeScheduler, mgr *Manager) {
 	if mgr != nil {
-		ratio := opts.SampleRatio
-		if ratio <= 0 {
-			ratio = 0.01
-		}
-		seed := opts.Seed
 		sched.Chooser = func(snap *Snapshot, lifetimeNs float64) Format {
-			return mgr.ChooseFormat(ColumnStatsOfSnapshot(snap, lifetimeNs, ratio, seed)).Format
+			return mgr.ChooseFormat(ColumnStatsOfSnapshot(snap, lifetimeNs, model.DefaultSampleRatio, 0)).Format
 		}
 	}
 	sched.Start(ctx)
-	return sched
 }
 
 // ServiceServer is the sharded multi-tenant store service: N independent
@@ -406,9 +354,9 @@ func StartMergeDaemon(ctx context.Context, s *Store, mgr *Manager, opts DaemonOp
 // daemons and closes the journals.
 type ServiceServer = service.Server
 
-// ServiceOptions configures Serve: shard count, journal directory and fsync
-// cadence, the server-wide memory budget the gossip loop steers towards,
-// merge-daemon tuning, and the scan-response row cap.
+// ServiceOptions configures Serve: shard count, journal directory, the
+// server-wide memory budget the gossip loop steers towards and its cadence,
+// and whether the background daemons run at all.
 type ServiceOptions = service.Options
 
 // ServiceClient is the typed client for the service's /v1 JSON API: Append
@@ -423,7 +371,7 @@ type ServiceAppendItem = service.AppendItem
 type ServiceAppendResult = service.AppendResult
 
 // ServiceScanResult is a scan response: the uncapped match count plus at
-// most ServiceOptions.MaxScanRows row indices.
+// most service.MaxScanRows (10,000) row indices.
 type ServiceScanResult = service.ScanResult
 
 // Serve opens a sharded store server. With ServiceOptions.Dir set, every

@@ -99,7 +99,7 @@ func ExampleBuild() {
 }
 
 // TestFacadeDaemonReportsMergeError: the merge daemon surfaces a sticky
-// journal failure through DaemonOptions.OnMergeError instead of swallowing
+// journal failure through MergeScheduler.OnError instead of swallowing
 // it — here a permanently failing checkpoint write injected via the FaultFS
 // seam in StoreOptions.
 func TestFacadeDaemonReportsMergeError(t *testing.T) {
@@ -117,16 +117,15 @@ func TestFacadeDaemonReportsMergeError(t *testing.T) {
 	col := s.AddTable("t").AddString("c", strdict.Array)
 
 	reported := make(chan error, 1)
-	sched := strdict.StartMergeDaemon(context.Background(), s.Store, nil, strdict.DaemonOptions{
-		DeltaRowThreshold: 4,
-		Interval:          time.Millisecond,
-		OnMergeError: func(column string, err error) {
-			select {
-			case reported <- fmt.Errorf("%s: %w", column, err):
-			default:
-			}
-		},
-	})
+	sched := strdict.NewMergeScheduler(s.Store, 4)
+	sched.Interval = time.Millisecond
+	sched.OnError = func(column string, err error) {
+		select {
+		case reported <- fmt.Errorf("%s: %w", column, err):
+		default:
+		}
+	}
+	strdict.StartMergeDaemon(context.Background(), sched, nil)
 	defer sched.Close()
 
 	ffs.FailAll(strdict.OpCreate, errors.New("disk full"),
