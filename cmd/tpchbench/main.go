@@ -8,8 +8,6 @@
 //	-figure both (default) runs both on one shared trace
 //	-figure strategies   ablation: const vs rel vs tilt end to end
 //	-figure workload     traced per-column dictionary operation counts
-//	-figure daemon       online refresh stream with the background merge
-//	                     daemon adapting formats at every merge
 //
 // Usage:
 //
@@ -20,48 +18,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"strdict/internal/experiments"
 )
 
 func main() {
-	figure := flag.String("figure", "both", "figure to regenerate: 10, 11, both, strategies, workload or daemon")
+	figure := flag.String("figure", "both", "figure to regenerate: 10, 11, both, strategies or workload")
 	sf := flag.Float64("sf", 0.02, "TPC-H scale factor")
 	seed := flag.Int64("seed", 1, "random seed")
 	trace := flag.Int("trace", 2, "workload repetitions for the trace")
 	reps := flag.Int("reps", 3, "repetitions per configuration measurement")
 	sample := flag.Float64("sample", 0.01, "sampling ratio for the size models")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"daemon figure only: worker pool merging due columns (1 = serial)")
-	partial := flag.Bool("partial", false,
-		"daemon figure only: fold hot columns partially instead of full merges")
-	persistDir := flag.String("persist", "",
-		"run the durability report against this directory (WAL + checkpoints + recovery) instead of a figure")
 	flag.Parse()
 
-	cfg := experiments.TPCHConfig{
-		ScaleFactor:   *sf,
-		Seed:          *seed,
-		TraceReps:     *trace,
-		MeasureReps:   *reps,
-		SampleRatio:   *sample,
-		Parallelism:   *parallel,
-		PartialMerges: *partial,
-	}
-	if *persistDir != "" {
-		if err := experiments.PersistReport(os.Stdout, cfg, *persistDir); err != nil {
-			fmt.Fprintf(os.Stderr, "persist report: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *figure == "daemon" {
-		// No offline trace: the daemon report is the online protocol.
-		experiments.DaemonReport(os.Stdout, cfg, *reps)
-		return
-	}
-	e := experiments.NewTPCHExperiment(cfg)
+	e := experiments.NewTPCHExperiment(experiments.TPCHConfig{
+		ScaleFactor: *sf,
+		Seed:        *seed,
+		TraceReps:   *trace,
+		MeasureReps: *reps,
+		SampleRatio: *sample,
+	})
 	switch *figure {
 	case "10":
 		experiments.Figure10(os.Stdout, e)

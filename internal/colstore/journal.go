@@ -26,17 +26,16 @@ import (
 type Journal interface {
 	JournalAddTable(table string)
 	JournalAddString(table, column string, format dict.Format)
-	JournalAddInt64(table, column string)
-	JournalAddFloat64(table, column string)
+	JournalAddNumeric(table, column string, kind NumericKind)
 
 	// JournalAppend records one appended row. column is the full column
-	// name (table.column), as reported by Name(). For numeric columns these
+	// name (table.column), as reported by Name(). A numeric row arrives as
+	// its kind and 8-byte word (see Numeric), and for numeric columns these
 	// calls double as the journal's dirtiness signal: a checkpoint rewrites
 	// a numeric column's part file iff appends arrived since it was last
 	// written (the part snapshots the full value slice).
 	JournalAppend(column string, value string)
-	JournalAppendInt64(column string, value int64)
-	JournalAppendFloat64(column string, value float64)
+	JournalAppendNumeric(column string, kind NumericKind, word uint64)
 
 	// JournalMainPart records a newly published read-optimized main part:
 	// the dictionary, the compressed code vector and the number of main rows
@@ -82,15 +81,19 @@ func (s *Store) SetJournal(j Journal) {
 	}
 }
 
-// setJournal installs the column's journal under both mutexes, so the
-// append path (appendMu) and the merge/rebuild path (mergeMu) each read it
-// under the lock they already hold.
-func (c *StringColumn) setJournal(j Journal) {
+// announce installs the column's journal and tells it the column exists.
+// The journal is set under both mutexes, so the append path (appendMu) and
+// the merge/rebuild path (mergeMu) each read it under the lock they already
+// hold.
+func (c *StringColumn) announce(j Journal, table, name string) {
 	c.mergeMu.Lock()
 	c.appendMu.Lock()
 	c.journal = j
 	c.appendMu.Unlock()
 	c.mergeMu.Unlock()
+	if j != nil {
+		j.JournalAddString(table, name, c.Format())
+	}
 }
 
 // journalMainPart emits a main-part publication if a journal is attached.

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -39,19 +40,25 @@ func (j *recJournal) JournalAddTable(table string) { j.ev("table " + table) }
 func (j *recJournal) JournalAddString(table, col string, f dict.Format) {
 	j.ev(fmt.Sprintf("str %s.%s %s", table, col, f))
 }
-func (j *recJournal) JournalAddInt64(table, col string)   { j.ev("int " + table + "." + col) }
-func (j *recJournal) JournalAddFloat64(table, col string) { j.ev("float " + table + "." + col) }
+func (j *recJournal) JournalAddNumeric(table, col string, kind NumericKind) {
+	if kind == Float64Kind {
+		j.ev("float " + table + "." + col)
+	} else {
+		j.ev("int " + table + "." + col)
+	}
+}
 
 func (j *recJournal) JournalAppend(col string, value string) {
 	j.mu.Lock()
 	j.appends[col] = append(j.appends[col], value)
 	j.mu.Unlock()
 }
-func (j *recJournal) JournalAppendInt64(col string, v int64) {
-	j.JournalAppend(col, fmt.Sprint(v))
-}
-func (j *recJournal) JournalAppendFloat64(col string, v float64) {
-	j.JournalAppend(col, fmt.Sprint(v))
+func (j *recJournal) JournalAppendNumeric(col string, kind NumericKind, word uint64) {
+	if kind == Float64Kind {
+		j.JournalAppend(col, fmt.Sprint(math.Float64frombits(word)))
+	} else {
+		j.JournalAppend(col, fmt.Sprint(int64(word)))
+	}
 }
 
 func (j *recJournal) JournalMainPart(col string, d dict.Dictionary, codes intcomp.Vector, nMain int) {

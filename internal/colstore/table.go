@@ -19,119 +19,112 @@ import (
 type Table struct {
 	Name string
 
-	mu        sync.RWMutex
-	strCols   map[string]*StringColumn
-	intCols   map[string]*Int64Column
-	floatCols map[string]*Float64Column
-	order     []string // column names in definition order
+	mu    sync.RWMutex
+	cols  map[string]column // every column, whatever its type, by name
+	order []string          // column names in definition order
 
 	// journal, when non-nil, is inherited by columns defined on this table
 	// and receives their DDL events. Set by Store.AddTable / SetJournal.
 	journal Journal
 }
 
+// column is what a table needs of a column regardless of its type.
+type column interface {
+	Len() int
+	Bytes() uint64
+	// announce installs j as the column's journal and, when j is non-nil,
+	// emits the column's DDL event.
+	announce(j Journal, table, name string)
+}
+
 // NewTable returns an empty table.
 func NewTable(name string) *Table {
-	return &Table{
-		Name:      name,
-		strCols:   make(map[string]*StringColumn),
-		intCols:   make(map[string]*Int64Column),
-		floatCols: make(map[string]*Float64Column),
+	return &Table{Name: name, cols: make(map[string]column)}
+}
+
+func addColumn[C column](t *Table, name string, c C) C {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.cols[name] = c
+	t.order = append(t.order, name)
+	c.announce(t.journal, t.Name, name)
+	return c
+}
+
+// lookupColumn returns the column of that name if it has type C.
+func lookupColumn[C any](t *Table, name string) (C, bool) {
+	t.mu.RLock()
+	c, ok := t.cols[name].(C)
+	t.mu.RUnlock()
+	return c, ok
+}
+
+// mustColumn panics on unknown names, which are programming errors in
+// hand-written query plans.
+func mustColumn[C any](t *Table, kind, name string) C {
+	c, ok := lookupColumn[C](t, name)
+	if !ok {
+		panic(fmt.Sprintf("colstore: no %s column %s.%s", kind, t.Name, name))
 	}
+	return c
+}
+
+// columnsOf returns the table's columns of type C in definition order.
+func columnsOf[C any](t *Table) []C {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []C
+	for _, name := range t.order {
+		if c, ok := t.cols[name].(C); ok {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // AddString defines a string column with an initial dictionary format.
 func (t *Table) AddString(name string, format dict.Format) *StringColumn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := NewStringColumn(t.Name+"."+name, format)
-	c.journal = t.journal
-	t.strCols[name] = c
-	t.order = append(t.order, name)
-	if t.journal != nil {
-		t.journal.JournalAddString(t.Name, name, format)
-	}
-	return c
+	return addColumn(t, name, NewStringColumn(t.Name+"."+name, format))
 }
 
 // AddInt64 defines a numeric column.
 func (t *Table) AddInt64(name string) *Int64Column {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := NewInt64Column(t.Name + "." + name)
-	c.journal = t.journal
-	t.intCols[name] = c
-	t.order = append(t.order, name)
-	if t.journal != nil {
-		t.journal.JournalAddInt64(t.Name, name)
-	}
-	return c
+	return addColumn(t, name, &Int64Column{name: t.Name + "." + name})
 }
 
 // AddFloat64 defines a float column.
 func (t *Table) AddFloat64(name string) *Float64Column {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := NewFloat64Column(t.Name + "." + name)
-	c.journal = t.journal
-	t.floatCols[name] = c
-	t.order = append(t.order, name)
-	if t.journal != nil {
-		t.journal.JournalAddFloat64(t.Name, name)
-	}
-	return c
+	return addColumn(t, name, &Float64Column{name: t.Name + "." + name})
 }
 
-// Str returns a string column; it panics on unknown names, which are
-// programming errors in hand-written query plans.
+// Str returns a string column, panicking on unknown names.
 func (t *Table) Str(name string) *StringColumn {
-	c, ok := t.LookupString(name)
-	if !ok {
-		panic(fmt.Sprintf("colstore: no string column %s.%s", t.Name, name))
-	}
-	return c
+	return mustColumn[*StringColumn](t, "string", name)
 }
 
-// Int returns a numeric column.
+// Int returns a numeric column, panicking on unknown names.
 func (t *Table) Int(name string) *Int64Column {
-	c, ok := t.LookupInt64(name)
-	if !ok {
-		panic(fmt.Sprintf("colstore: no int column %s.%s", t.Name, name))
-	}
-	return c
+	return mustColumn[*Int64Column](t, "int", name)
 }
 
-// Float returns a float column.
+// Float returns a float column, panicking on unknown names.
 func (t *Table) Float(name string) *Float64Column {
-	c, ok := t.LookupFloat64(name)
-	if !ok {
-		panic(fmt.Sprintf("colstore: no float column %s.%s", t.Name, name))
-	}
-	return c
+	return mustColumn[*Float64Column](t, "float", name)
 }
 
 // LookupString returns a string column by name without panicking.
 func (t *Table) LookupString(name string) (*StringColumn, bool) {
-	t.mu.RLock()
-	c, ok := t.strCols[name]
-	t.mu.RUnlock()
-	return c, ok
+	return lookupColumn[*StringColumn](t, name)
 }
 
 // LookupInt64 returns a numeric column by name without panicking.
 func (t *Table) LookupInt64(name string) (*Int64Column, bool) {
-	t.mu.RLock()
-	c, ok := t.intCols[name]
-	t.mu.RUnlock()
-	return c, ok
+	return lookupColumn[*Int64Column](t, name)
 }
 
 // LookupFloat64 returns a float column by name without panicking.
 func (t *Table) LookupFloat64(name string) (*Float64Column, bool) {
-	t.mu.RLock()
-	c, ok := t.floatCols[name]
-	t.mu.RUnlock()
-	return c, ok
+	return lookupColumn[*Float64Column](t, name)
 }
 
 // ColumnNames returns the column names in definition order.
@@ -144,60 +137,26 @@ func (t *Table) ColumnNames() []string {
 }
 
 // StringColumns returns the table's string columns in definition order.
-func (t *Table) StringColumns() []*StringColumn {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*StringColumn
-	for _, name := range t.order {
-		if c, ok := t.strCols[name]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+func (t *Table) StringColumns() []*StringColumn { return columnsOf[*StringColumn](t) }
 
-// Int64Columns returns the table's numeric columns in definition order.
-func (t *Table) Int64Columns() []*Int64Column {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*Int64Column
-	for _, name := range t.order {
-		if c, ok := t.intCols[name]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+// Int64Columns returns the table's int columns in definition order.
+func (t *Table) Int64Columns() []*Int64Column { return columnsOf[*Int64Column](t) }
 
 // Float64Columns returns the table's float columns in definition order.
-func (t *Table) Float64Columns() []*Float64Column {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*Float64Column
-	for _, name := range t.order {
-		if c, ok := t.floatCols[name]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+func (t *Table) Float64Columns() []*Float64Column { return columnsOf[*Float64Column](t) }
+
+// NumericColumns returns the table's int and float columns in definition
+// order, without their element types.
+func (t *Table) NumericColumns() []Numeric { return columnsOf[Numeric](t) }
 
 // Rows returns the number of rows, taken from the first column.
 func (t *Table) Rows() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, name := range t.order {
-		if c, ok := t.strCols[name]; ok {
-			return c.Len()
-		}
-		if c, ok := t.intCols[name]; ok {
-			return c.Len()
-		}
-		if c, ok := t.floatCols[name]; ok {
-			return c.Len()
-		}
+	if len(t.order) == 0 {
+		return 0
 	}
-	return 0
+	return t.cols[t.order[0]].Len()
 }
 
 // MergeAll merges every string column's delta into its main part, keeping
@@ -213,13 +172,7 @@ func (t *Table) Bytes() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var b uint64
-	for _, c := range t.strCols {
-		b += c.Bytes()
-	}
-	for _, c := range t.intCols {
-		b += c.Bytes()
-	}
-	for _, c := range t.floatCols {
+	for _, c := range t.cols {
 		b += c.Bytes()
 	}
 	return b
@@ -234,25 +187,8 @@ func (t *Table) setJournal(j Journal) {
 	if j != nil {
 		j.JournalAddTable(t.Name)
 	}
-	for _, colName := range t.order {
-		if c, ok := t.strCols[colName]; ok {
-			c.setJournal(j)
-			if j != nil {
-				j.JournalAddString(t.Name, colName, c.Format())
-			}
-		}
-		if c, ok := t.intCols[colName]; ok {
-			c.journal = j
-			if j != nil {
-				j.JournalAddInt64(t.Name, colName)
-			}
-		}
-		if c, ok := t.floatCols[colName]; ok {
-			c.journal = j
-			if j != nil {
-				j.JournalAddFloat64(t.Name, colName)
-			}
-		}
+	for _, name := range t.order {
+		t.cols[name].announce(j, t.Name, name)
 	}
 }
 

@@ -21,11 +21,6 @@ type TPCHConfig struct {
 	MeasureReps int       // repetitions per configuration measurement
 	CValues     []float64 // trade-off sweep (paper: log range 1e-3..10)
 	SampleRatio float64   // sampling ratio for the size models
-	Parallelism int       // the daemon figure's merge pool (0 = GOMAXPROCS)
-
-	// PartialMerges lets the daemon experiments fold only the oldest sealed
-	// segments of hot columns instead of rebuilding whole main parts.
-	PartialMerges bool
 }
 
 // FillDefaults applies the documented defaults.

@@ -40,9 +40,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"path/filepath"
 
+	"strdict/internal/colstore"
 	"strdict/internal/dict"
 	"strdict/internal/intcomp"
 )
@@ -112,18 +112,33 @@ func encStringPart(d dict.Dictionary, codes intcomp.Vector) ([]byte, error) {
 	return appendPartFooter(buf), nil
 }
 
-func encInt64Part(vals []int64) []byte {
-	buf := appendPartHeader(make([]byte, 0, 18+8*len(vals)), partInt, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+// numericWire maps a numeric kind to its on-disk identity: the part kind
+// (also the manifest's kind byte; the DDL record kind follows from it in
+// addColumn) and the append record kind. The bytes predate
+// colstore.NumericKind and never change.
+func numericWire(k colstore.NumericKind) (part uint8, appendRec byte) {
+	if k == colstore.Float64Kind {
+		return partFloat, recAppendFloat
 	}
-	return appendPartFooter(buf)
+	return partInt, recAppendInt
 }
 
-func encFloat64Part(vals []float64) []byte {
-	buf := appendPartHeader(make([]byte, 0, 18+8*len(vals)), partFloat, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// addNumeric is numericWire's inverse: it defines the column a numeric part
+// kind read from disk stands for.
+func addNumeric(t *colstore.Table, part uint8, name string) colstore.Numeric {
+	if part == partFloat {
+		return t.AddFloat64(name)
+	}
+	return t.AddInt64(name)
+}
+
+// encNumericPart encodes the first n rows of a numeric column, reading the
+// words straight off the column.
+func encNumericPart(c colstore.Numeric, n int) []byte {
+	part, _ := numericWire(c.Kind())
+	buf := appendPartHeader(make([]byte, 0, 18+8*n), part, uint64(n))
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, c.Word(i))
 	}
 	return appendPartFooter(buf)
 }
@@ -177,26 +192,16 @@ func decStringPart(body []byte, rows uint64) (dict.Dictionary, intcomp.Vector, e
 	return d, codes, nil
 }
 
-func decInt64Part(body []byte, rows uint64) ([]int64, error) {
+// decNumericPart installs a numeric part's rows on the freshly defined,
+// empty column c.
+func decNumericPart(c colstore.Numeric, body []byte, rows uint64) error {
 	if rows > uint64(len(body))/8 || uint64(len(body)) != rows*8 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	vals := make([]int64, rows)
-	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	return vals, nil
-}
-
-func decFloat64Part(body []byte, rows uint64) ([]float64, error) {
-	if rows > uint64(len(body))/8 || uint64(len(body)) != rows*8 {
-		return nil, ErrCorrupt
-	}
-	vals := make([]float64, rows)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	return vals, nil
+	c.RestoreWords(int(rows), func(row int) uint64 {
+		return binary.LittleEndian.Uint64(body[8*row:])
+	})
+	return nil
 }
 
 // Manifest encoding.

@@ -343,7 +343,11 @@ func TestGCQuarantinesOrphanPart(t *testing.T) {
 	// Plant an orphan with a sequence far beyond the referenced parts, as a
 	// crashed checkpoint would leave it.
 	orphan := filepath.Join(dir, fmt.Sprintf("p%08d.part", 90))
-	if err := os.WriteFile(orphan, encInt64Part([]int64{1, 2, 3}), 0o644); err != nil {
+	part, err := os.ReadFile(filepath.Join(dir, "p00000000.part"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, part, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,7 +11,6 @@ package persist
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -121,7 +120,9 @@ func (j *journal) JournalAddTable(table string) {
 	j.w.append(encDDLTable(table), false, 0)
 }
 
-func (j *journal) addColumnLocked(kind uint8, format dict.Format, table, column string) {
+func (j *journal) addColumn(kind uint8, format dict.Format, table, column string) {
+	j.regMu.Lock()
+	defer j.regMu.Unlock()
 	name := table + "." + column
 	if _, ok := j.byName[name]; ok {
 		return
@@ -145,21 +146,12 @@ func (j *journal) addColumnLocked(kind uint8, format dict.Format, table, column 
 }
 
 func (j *journal) JournalAddString(table, column string, format dict.Format) {
-	j.regMu.Lock()
-	defer j.regMu.Unlock()
-	j.addColumnLocked(partStr, format, table, column)
+	j.addColumn(partStr, format, table, column)
 }
 
-func (j *journal) JournalAddInt64(table, column string) {
-	j.regMu.Lock()
-	defer j.regMu.Unlock()
-	j.addColumnLocked(partInt, 0, table, column)
-}
-
-func (j *journal) JournalAddFloat64(table, column string) {
-	j.regMu.Lock()
-	defer j.regMu.Unlock()
-	j.addColumnLocked(partFloat, 0, table, column)
+func (j *journal) JournalAddNumeric(table, column string, kind colstore.NumericKind) {
+	part, _ := numericWire(kind)
+	j.addColumn(part, 0, table, column)
 }
 
 func (j *journal) lookup(name string) *colState {
@@ -179,17 +171,11 @@ func (j *journal) JournalAppend(column string, value string) {
 	}
 }
 
-func (j *journal) JournalAppendInt64(column string, value int64) {
+func (j *journal) JournalAppendNumeric(column string, kind colstore.NumericKind, word uint64) {
 	if st := j.lookup(column); st != nil {
 		st.dirtyRows.Add(1)
-		j.w.append(encAppendU64(recAppendInt, st.id, uint64(value)), true, st.id)
-	}
-}
-
-func (j *journal) JournalAppendFloat64(column string, value float64) {
-	if st := j.lookup(column); st != nil {
-		st.dirtyRows.Add(1)
-		j.w.append(encAppendU64(recAppendFloat, st.id, math.Float64bits(value)), true, st.id)
+		_, rec := numericWire(kind)
+		j.w.append(encAppendU64(rec, st.id, word), true, st.id)
 	}
 }
 
@@ -306,14 +292,8 @@ func (j *journal) checkpointAll() error {
 				return err
 			}
 		}
-		for _, ic := range t.Int64Columns() {
-			if err := j.checkpointInt64Locked(ic); err != nil {
-				j.setCkptErrLocked(err)
-				return err
-			}
-		}
-		for _, fc := range t.Float64Columns() {
-			if err := j.checkpointFloat64Locked(fc); err != nil {
+		for _, c := range t.NumericColumns() {
+			if err := j.checkpointNumericLocked(c); err != nil {
 				j.setCkptErrLocked(err)
 				return err
 			}
@@ -326,7 +306,9 @@ func (j *journal) checkpointAll() error {
 	return nil
 }
 
-func (j *journal) checkpointInt64Locked(c *colstore.Int64Column) error {
+// checkpointNumericLocked writes a numeric column's rows to a fresh part
+// file if any arrived since its last one. Caller holds mu.
+func (j *journal) checkpointNumericLocked(c colstore.Numeric) error {
 	st := j.lookup(c.Name())
 	if st == nil {
 		return nil
@@ -338,37 +320,7 @@ func (j *journal) checkpointInt64Locked(c *colstore.Int64Column) error {
 	if dr == 0 && uint64(n) == st.persisted && (st.file != "" || n == 0) {
 		return nil
 	}
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = c.Get(i)
-	}
-	file, err := j.writePartLocked(encInt64Part(vals))
-	if err != nil {
-		return err
-	}
-	st.persisted = uint64(n)
-	st.file = file
-	if dr != 0 {
-		st.dirtyRows.Add(^(dr - 1))
-	}
-	return nil
-}
-
-func (j *journal) checkpointFloat64Locked(c *colstore.Float64Column) error {
-	st := j.lookup(c.Name())
-	if st == nil {
-		return nil
-	}
-	dr := st.dirtyRows.Load()
-	n := c.Len()
-	if dr == 0 && uint64(n) == st.persisted && (st.file != "" || n == 0) {
-		return nil
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = c.Get(i)
-	}
-	file, err := j.writePartLocked(encFloat64Part(vals))
+	file, err := j.writePartLocked(encNumericPart(c, n))
 	if err != nil {
 		return err
 	}

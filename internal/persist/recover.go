@@ -23,7 +23,7 @@ package persist
 // would have served for every durable row.
 
 import (
-	"math"
+	"encoding/binary"
 	"path/filepath"
 	"sort"
 
@@ -87,25 +87,16 @@ type recovered struct {
 // columns indexes live colstore columns by journal id during replay.
 type liveCols struct {
 	str   map[uint32]*colstore.StringColumn
-	ints  map[uint32]*colstore.Int64Column
-	flts  map[uint32]*colstore.Float64Column
+	num   map[uint32]colstore.Numeric
 	table map[string]*colstore.Table
 }
 
 func (lc *liveCols) colLen(st *colState) uint64 {
-	switch st.kind {
-	case partStr:
-		if c := lc.str[st.id]; c != nil {
-			return uint64(c.Len())
-		}
-	case partInt:
-		if c := lc.ints[st.id]; c != nil {
-			return uint64(c.Len())
-		}
-	case partFloat:
-		if c := lc.flts[st.id]; c != nil {
-			return uint64(c.Len())
-		}
+	if c := lc.str[st.id]; c != nil {
+		return uint64(c.Len())
+	}
+	if c := lc.num[st.id]; c != nil {
+		return uint64(c.Len())
 	}
 	return 0
 }
@@ -125,8 +116,7 @@ func recoverDir(dir string, fsys FS) (*recovered, error) {
 	}
 	lc := &liveCols{
 		str:   make(map[uint32]*colstore.StringColumn),
-		ints:  make(map[uint32]*colstore.Int64Column),
-		flts:  make(map[uint32]*colstore.Float64Column),
+		num:   make(map[uint32]colstore.Numeric),
 		table: make(map[string]*colstore.Table),
 	}
 
@@ -166,16 +156,7 @@ func recoverDir(dir string, fsys FS) (*recovered, error) {
 		// Fresh directory, or every manifest unreadable: start empty and
 		// let the WAL rebuild what it can.
 		r.store = colstore.NewStore()
-		clear(r.byName)
-		clear(r.byID)
-		clear(r.tables)
-		clear(lc.str)
-		clear(lc.ints)
-		clear(lc.flts)
-		clear(lc.table)
-		r.nextID = 0
-		r.info.CheckpointRows = 0
-		r.manifestWalSeq = 0
+		r.reset(lc, 0)
 	}
 
 	// Steps 2+3: scan and replay the WAL.
@@ -202,6 +183,20 @@ func recoverDir(dir string, fsys FS) (*recovered, error) {
 	return r, nil
 }
 
+// reset discards whatever a manifest load built so far, for the next
+// attempt or the empty start.
+func (r *recovered) reset(lc *liveCols, manifestWalSeq uint64) {
+	clear(r.byName)
+	clear(r.byID)
+	clear(r.tables)
+	clear(lc.str)
+	clear(lc.num)
+	clear(lc.table)
+	r.nextID = 0
+	r.info.CheckpointRows = 0
+	r.manifestWalSeq = manifestWalSeq
+}
+
 // tryLoadManifest builds a store from one manifest, failing if the manifest
 // or any referenced part file does not verify. On failure the partially
 // built state is discarded by the caller re-running with fresh maps.
@@ -219,16 +214,7 @@ func (r *recovered) tryLoadManifest(dir string, seq uint64, lc *liveCols) (*cols
 	}
 
 	store := colstore.NewStore()
-	clear(r.byName)
-	clear(r.byID)
-	clear(r.tables)
-	clear(lc.str)
-	clear(lc.ints)
-	clear(lc.flts)
-	clear(lc.table)
-	r.nextID = 0
-	r.info.CheckpointRows = 0
-	r.manifestWalSeq = walSeq
+	r.reset(lc, walSeq)
 
 	for _, mc := range cols {
 		name := mc.table + "." + mc.column
@@ -278,26 +264,14 @@ func (r *recovered) tryLoadManifest(dir string, seq uint64, lc *liveCols) (*cols
 				c.RestoreMain(d, codes)
 			}
 			lc.str[mc.id] = c
-		case partInt:
-			c := t.AddInt64(mc.column)
+		case partInt, partFloat:
+			c := addNumeric(t, mc.kind, mc.column)
 			if body != nil {
-				vals, err := decInt64Part(body, rows)
-				if err != nil {
+				if err := decNumericPart(c, body, rows); err != nil {
 					return nil, err
 				}
-				c.RestoreVals(vals)
 			}
-			lc.ints[mc.id] = c
-		case partFloat:
-			c := t.AddFloat64(mc.column)
-			if body != nil {
-				vals, err := decFloat64Part(body, rows)
-				if err != nil {
-					return nil, err
-				}
-				c.RestoreVals(vals)
-			}
-			lc.flts[mc.id] = c
+			lc.num[mc.id] = c
 		default:
 			return nil, ErrCorrupt
 		}
@@ -424,25 +398,22 @@ func (r *recovered) apply(p []byte, cnt map[uint32]uint64, lc *liveCols) {
 		if len(p) < 5 {
 			return
 		}
-		id := leU32(p[1:])
+		id := binary.LittleEndian.Uint32(p[1:])
 		if c := lc.str[id]; c != nil && r.applyAt(id, cnt, uint64(c.Len())) {
 			c.Append(string(p[5:]))
 		}
-	case recAppendInt:
+	case recAppendInt, recAppendFloat:
 		if len(p) != 13 {
 			return
 		}
-		id := leU32(p[1:])
-		if c := lc.ints[id]; c != nil && r.applyAt(id, cnt, uint64(c.Len())) {
-			c.Append(int64(leU64(p[5:])))
-		}
-	case recAppendFloat:
-		if len(p) != 13 {
+		id := binary.LittleEndian.Uint32(p[1:])
+		c := lc.num[id]
+		if c == nil {
 			return
 		}
-		id := leU32(p[1:])
-		if c := lc.flts[id]; c != nil && r.applyAt(id, cnt, uint64(c.Len())) {
-			c.Append(math.Float64frombits(leU64(p[5:])))
+		// A record of the other numeric kind is not this column's row.
+		if _, rec := numericWire(c.Kind()); rec == p[0] && r.applyAt(id, cnt, uint64(c.Len())) {
+			c.AppendWord(binary.LittleEndian.Uint64(p[5:]))
 		}
 	case recSeal, recMerge, recHeader:
 		// Seal ends a segment; merge markers are bookkeeping only (the
@@ -500,12 +471,12 @@ func (r *recovered) applyDDLColumn(p []byte, lc *liveCols) {
 		}
 		kind = partStr
 		lc.str[id] = t.AddString(column, f)
-	case recDDLInt:
-		kind = partInt
-		lc.ints[id] = t.AddInt64(column)
 	default:
-		kind = partFloat
-		lc.flts[id] = t.AddFloat64(column)
+		kind = partInt
+		if p[0] == recDDLFloat {
+			kind = partFloat
+		}
+		lc.num[id] = addNumeric(t, kind, column)
 	}
 	st := &colState{id: id, kind: kind, format: f, table: table, column: column}
 	r.byName[name] = st
@@ -513,12 +484,4 @@ func (r *recovered) applyDDLColumn(p []byte, lc *liveCols) {
 	if id >= r.nextID {
 		r.nextID = id + 1
 	}
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(leU32(b)) | uint64(leU32(b[4:]))<<32
 }

@@ -69,8 +69,8 @@ func (c *Client) get(path string, q url.Values, out any) error {
 	return c.do(req, out)
 }
 
-// AppendItem is one batched-append element: aligned column values for a
-// (tenant, table).
+// AppendItem is one batched-append element: n aligned rows for one
+// (tenant, table), given column-wise. Client and server share the type.
 type AppendItem struct {
 	Tenant string               `json:"tenant"`
 	Table  string               `json:"table"`
@@ -79,7 +79,7 @@ type AppendItem struct {
 	Floats map[string][]float64 `json:"floats,omitempty"`
 }
 
-// AppendResult mirrors the per-item outcome of a batch.
+// AppendResult is the per-item outcome of a batch.
 type AppendResult struct {
 	OK    bool   `json:"ok"`
 	Shard int    `json:"shard"`
@@ -90,7 +90,7 @@ type AppendResult struct {
 // when the call errors with a *StatusError carrying 400/503 — mixed
 // batches report per item.
 func (c *Client) Append(items []AppendItem) ([]AppendResult, error) {
-	body, err := json.Marshal(map[string]any{"appends": items})
+	body, err := json.Marshal(appendRequest{Appends: items})
 	if err != nil {
 		return nil, err
 	}
@@ -99,15 +99,11 @@ func (c *Client) Append(items []AppendItem) ([]AppendResult, error) {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	var out struct {
-		Results []AppendResult `json:"results"`
-	}
+	var out appendResponse
 	err = c.do(req, &out)
 	if se, ok := err.(*StatusError); ok {
 		// Recover per-item results from the error body when present.
-		var parsed struct {
-			Results []AppendResult `json:"results"`
-		}
+		var parsed appendResponse
 		if json.Unmarshal([]byte(se.Body), &parsed) == nil {
 			return parsed.Results, err
 		}

@@ -11,27 +11,23 @@ import (
 	"strdict/internal/persist"
 )
 
-// appendItem is one element of a batched append: n aligned rows for one
-// (tenant, table), given column-wise.
-type appendItem struct {
-	Tenant string               `json:"tenant"`
-	Table  string               `json:"table"`
-	Strs   map[string][]string  `json:"strs,omitempty"`
-	Ints   map[string][]int64   `json:"ints,omitempty"`
-	Floats map[string][]float64 `json:"floats,omitempty"`
-}
-
 // rows validates the item and returns its row count: every column must
-// carry the same number of values, at least one row, with valid names.
-func (it *appendItem) rows() (int, error) {
+// carry the same number of values, at least one row, with valid names that
+// are distinct across the three maps (a table has one column per name).
+func (it *AppendItem) rows() (int, error) {
 	if !validName(it.Tenant, true) || !validName(it.Table, false) {
 		return 0, fmt.Errorf("invalid tenant %q / table %q", it.Tenant, it.Table)
 	}
 	n := -1
+	seen := make(map[string]bool, len(it.Strs)+len(it.Ints)+len(it.Floats))
 	check := func(col string, k int) error {
 		if !validName(col, false) {
 			return fmt.Errorf("invalid column name %q", col)
 		}
+		if seen[col] {
+			return fmt.Errorf("column %q is named twice", col)
+		}
+		seen[col] = true
 		if n == -1 {
 			n = k
 		} else if k != n {
@@ -39,20 +35,15 @@ func (it *appendItem) rows() (int, error) {
 		}
 		return nil
 	}
-	for col, vals := range it.Strs {
-		if err := check(col, len(vals)); err != nil {
-			return 0, err
-		}
+	err := eachColumn(it.Strs, check)
+	if err == nil {
+		err = eachColumn(it.Ints, check)
 	}
-	for col, vals := range it.Ints {
-		if err := check(col, len(vals)); err != nil {
-			return 0, err
-		}
+	if err == nil {
+		err = eachColumn(it.Floats, check)
 	}
-	for col, vals := range it.Floats {
-		if err := check(col, len(vals)); err != nil {
-			return 0, err
-		}
+	if err != nil {
+		return 0, err
 	}
 	if n <= 0 {
 		return 0, fmt.Errorf("append item for %q carries no rows", it.Table)
@@ -60,18 +51,22 @@ func (it *appendItem) rows() (int, error) {
 	return n, nil
 }
 
-type appendRequest struct {
-	Appends []appendItem `json:"appends"`
+// eachColumn calls f with the name and row count of every column in cols.
+func eachColumn[V any](cols map[string][]V, f func(col string, rows int) error) error {
+	for col, vals := range cols {
+		if err := f(col, len(vals)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-type appendResult struct {
-	OK    bool   `json:"ok"`
-	Shard int    `json:"shard"`
-	Error string `json:"error,omitempty"`
+type appendRequest struct {
+	Appends []AppendItem `json:"appends"`
 }
 
 type appendResponse struct {
-	Results []appendResult `json:"results"`
+	Results []AppendResult `json:"results"`
 	Rows    int            `json:"rows"`
 }
 
@@ -110,7 +105,7 @@ func (srv *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	results := make([]appendResult, len(req.Appends))
+	results := make([]AppendResult, len(req.Appends))
 	rowCounts := make([]int, len(req.Appends))
 	byShard := make(map[int][]int) // shard -> item indices, batch order preserved
 	for i := range req.Appends {
@@ -122,7 +117,7 @@ func (srv *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			rowCounts[i] = n
 			byShard[shardID] = append(byShard[shardID], i)
 		} else {
-			results[i] = appendResult{OK: false, Shard: -1, Error: err.Error()}
+			results[i] = AppendResult{OK: false, Shard: -1, Error: err.Error()}
 		}
 		results[i].Shard = shardID
 	}
@@ -136,10 +131,10 @@ func (srv *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			sh.mu.Lock()
 			for _, i := range items {
 				if err := sh.apply(&req.Appends[i], rowCounts[i]); err != nil {
-					results[i] = appendResult{OK: false, Shard: sh.id, Error: err.Error()}
+					results[i] = AppendResult{OK: false, Shard: sh.id, Error: err.Error()}
 					roFailed[i] = errors.As(err, &errReadOnly{})
 				} else {
-					results[i] = appendResult{OK: true, Shard: sh.id}
+					results[i] = AppendResult{OK: true, Shard: sh.id}
 				}
 			}
 			sh.mu.Unlock()
@@ -147,7 +142,7 @@ func (srv *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			if err := sh.sync(); err != nil {
 				for _, i := range items {
 					if results[i].OK {
-						results[i] = appendResult{OK: false, Shard: sh.id, Error: "sync: " + err.Error()}
+						results[i] = AppendResult{OK: false, Shard: sh.id, Error: "sync: " + err.Error()}
 					}
 				}
 			}
@@ -296,7 +291,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Health:  healthString(sh.health()),
 			Rows:    sh.rows.Load(),
 			Bytes:   sh.bytes(),
-			C:       sh.mgr.C(),
+			C:       srv.mgr.C(),
 			Formats: map[string]int{},
 		}
 		for _, name := range sh.store.TableNames() {
@@ -327,18 +322,11 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"shards":        out,
 		"pins_live":     srv.pinsLive.Load(),
 		"pins_total":    srv.pinsTotal.Load(),
-		"gossip_rounds": srv.gossipRounds(),
+		"gossip_rounds": srv.gossipRounds.Load(),
 		"memory_budget": srv.opts.MemoryBudget,
 		"max_scan_rows": MaxScanRows,
 		"shards_total":  len(srv.shards),
 	})
-}
-
-func (srv *Server) gossipRounds() uint64 {
-	if srv.gossip == nil {
-		return 0
-	}
-	return srv.gossip.rounds.Load()
 }
 
 // handleHealth aggregates the per-shard durability states; the response is

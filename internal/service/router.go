@@ -2,14 +2,14 @@
 // multi-tenant store server behind a stdlib net/http JSON API.
 //
 // A Router hashes (tenant, table) across N shards. Each shard owns its own
-// colstore, compression Manager, merge daemon, and persist journal under a
-// per-shard directory, so shards share no locks: ingest and format
-// selection scale with the shard count. Appends are batched and grouped per
-// shard (one WAL group commit per shard per batch); every query pins
+// colstore, merge daemon, and persist journal under a per-shard directory,
+// so ingest and format selection scale with the shard count. Appends are
+// batched and grouped per shard (one WAL group commit per shard per batch),
+// and an item lands on all of its columns or on none; every query pins
 // exactly one Snapshot per touched shard and releases it when the response
-// is written, on error paths included. Shards exchange memory-pressure
-// observations through an in-process gossip board that feeds each shard's
-// selection trade-off c — the paper's Figure-8 feedback loop, scaled out.
+// is written, on error paths included. The shards select formats with one
+// compression Manager, whose trade-off c a gossip loop steers from their
+// summed memory footprint — the paper's Figure-8 feedback loop.
 package service
 
 import "hash/fnv"

@@ -62,7 +62,12 @@ type Server struct {
 	shards []*shard
 	mux    *http.ServeMux
 	cancel context.CancelFunc
-	gossip *gossip
+
+	// mgr is the server's one compression Manager: every shard's merge
+	// daemon selects formats with its trade-off c, which the gossip loop
+	// adjusts from the summed footprint of all shards.
+	mgr          *core.Manager
+	gossipRounds atomic.Uint64 // completed gossip rounds (introspection)
 
 	// pinsLive / pinsTotal prove the snapshot-per-request lifecycle: every
 	// query pins exactly one snapshot per touched shard, and pinsLive must
@@ -72,12 +77,18 @@ type Server struct {
 	pinsTotal atomic.Uint64
 }
 
+// newManager returns the server's Manager: it rests once an eighth of the
+// memory budget is free.
+func newManager(opts Options) *core.Manager {
+	return core.NewManager(core.Options{DesiredFreeBytes: opts.MemoryBudget / 8})
+}
+
 // New opens a server with opts.Shards independent shards. With a Dir, each
 // shard recovers its journal from Dir/shard-NNNN; without one the shards
 // are in-memory.
 func New(opts Options) (*Server, error) {
 	opts.fillDefaults()
-	srv := &Server{opts: opts}
+	srv := &Server{opts: opts, mgr: newManager(opts)}
 	ctx, cancel := context.WithCancel(context.Background())
 	srv.cancel = cancel
 	for i := 0; i < opts.Shards; i++ {
@@ -97,28 +108,21 @@ func New(opts Options) (*Server, error) {
 		} else {
 			sh.store = colstore.NewStore()
 		}
-		sh.mgr = core.NewManager(core.Options{
-			// Each shard steers towards its slice of the global budget;
-			// gossip replaces the local observation with the cluster-wide
-			// one every round.
-			DesiredFreeBytes: opts.MemoryBudget / 8,
-		})
 		if !opts.NoDaemons {
 			sh.sched = colstore.NewMergeScheduler(sh.store, deltaRowThreshold)
 			sh.sched.PartialMerges = true
 			// Merge-time format choice: column statistics from the pinned
-			// snapshot, decision from the shard's own Manager (whose c the
+			// snapshot, decision from the server's Manager (whose c the
 			// gossip loop keeps adjusting).
 			sh.sched.Chooser = func(snap *colstore.Snapshot, lifetimeNs float64) dict.Format {
-				return sh.mgr.ChooseFormat(tpch.SnapshotStatsOf(snap, lifetimeNs, model.DefaultSampleRatio, 0)).Format
+				return srv.mgr.ChooseFormat(tpch.SnapshotStatsOf(snap, lifetimeNs, model.DefaultSampleRatio, 0)).Format
 			}
 			sh.sched.Start(ctx)
 		}
 		srv.shards = append(srv.shards, sh)
 	}
 	if !opts.NoDaemons && opts.GossipInterval > 0 {
-		srv.gossip = newGossip(srv.shards, opts.MemoryBudget)
-		go srv.gossip.run(ctx, opts.GossipInterval)
+		go srv.gossip(ctx, opts.GossipInterval)
 	}
 	srv.routes()
 	return srv, nil
@@ -133,13 +137,9 @@ func NewWithStores(stores []*colstore.Store, opts Options) *Server {
 	opts.Shards = len(stores)
 	opts.NoDaemons = true
 	opts.fillDefaults()
-	srv := &Server{opts: opts, cancel: func() {}}
+	srv := &Server{opts: opts, cancel: func() {}, mgr: newManager(opts)}
 	for i, st := range stores {
-		srv.shards = append(srv.shards, &shard{
-			id:    i,
-			store: st,
-			mgr:   core.NewManager(core.Options{DesiredFreeBytes: opts.MemoryBudget / 8}),
-		})
+		srv.shards = append(srv.shards, &shard{id: i, store: st})
 	}
 	srv.routes()
 	return srv

@@ -384,3 +384,59 @@ func TestStatsRacesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectedAppendLeavesTableAligned holds the append contract: an item is
+// applied to all of its columns or to none. An item whose column set has the
+// schema's arity but names an unknown column — in any of the three maps, or
+// one name in two of them — is rejected before the first row lands, and the
+// next valid item lands aligned.
+func TestRejectedAppendLeavesTableAligned(t *testing.T) {
+	st := colstore.NewStore()
+	srv := NewWithStores([]*colstore.Store{st}, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := &Client{Base: ts.URL, HTTP: ts.Client()}
+
+	valid := func() AppendItem {
+		return AppendItem{
+			Table:  "t",
+			Strs:   map[string][]string{"a": {"x"}, "b": {"y"}},
+			Ints:   map[string][]int64{"i": {1}},
+			Floats: map[string][]float64{"f": {0.5}},
+		}
+	}
+	if res, err := cl.Append([]AppendItem{valid()}); err != nil || !res[0].OK {
+		t.Fatalf("creating append: %+v err=%v", res, err)
+	}
+	tb := st.Table("t")
+	lens := func() [4]int {
+		return [4]int{tb.Str("a").Len(), tb.Str("b").Len(), tb.Int("i").Len(), tb.Float("f").Len()}
+	}
+
+	bad := map[string]AppendItem{"strs": valid(), "ints": valid(), "floats": valid(), "twice-named": valid()}
+	bad["twice-named"].Ints["a"] = bad["twice-named"].Ints["i"]
+	delete(bad["twice-named"].Ints, "i")
+	bad["strs"].Strs["z"] = bad["strs"].Strs["b"]
+	delete(bad["strs"].Strs, "b")
+	bad["ints"].Ints["j"] = bad["ints"].Ints["i"]
+	delete(bad["ints"].Ints, "i")
+	bad["floats"].Floats["g"] = bad["floats"].Floats["f"]
+	delete(bad["floats"].Floats, "f")
+	for kind, item := range bad {
+		res, err := cl.Append([]AppendItem{item})
+		if err == nil || len(res) != 1 || res[0].OK {
+			t.Fatalf("unknown %s column: results %+v err=%v, want a rejected item", kind, res, err)
+		}
+		if got := lens(); got != [4]int{1, 1, 1, 1} {
+			t.Fatalf("unknown %s column: rejected item moved column lengths to %v (a b i f)", kind, got)
+		}
+	}
+
+	if res, err := cl.Append([]AppendItem{valid()}); err != nil || !res[0].OK {
+		t.Fatalf("valid append after rejections: %+v err=%v", res, err)
+	}
+	if got := lens(); got != [4]int{2, 2, 2, 2} || tb.Rows() != 2 {
+		t.Fatalf("after a valid append: lengths %v (a b i f), Rows %d, want all 2", got, tb.Rows())
+	}
+}

@@ -7,15 +7,14 @@ import (
 	"sync/atomic"
 
 	"strdict/internal/colstore"
-	"strdict/internal/core"
 	"strdict/internal/dict"
 	"strdict/internal/persist"
 )
 
 // shard is one independent slice of the server: its own store (persistent
-// or wrapped), its own compression Manager and merge daemon, its own
-// journal directory. Shards share no mutable state — the only cross-shard
-// coupling is the gossip board.
+// or wrapped), its own merge daemon, its own journal directory. Shards share
+// no mutable state but the server's compression Manager, whose trade-off c
+// every shard's merge daemon selects formats with.
 type shard struct {
 	id  int
 	dir string
@@ -29,7 +28,6 @@ type shard struct {
 
 	store *colstore.Store
 	ps    *persist.Store // nil for wrapped (NewWithStores) shards
-	mgr   *core.Manager
 	sched *colstore.MergeScheduler
 
 	// forcedRO is the admin/test override that makes the shard refuse
@@ -81,9 +79,11 @@ func (e errReadOnly) Error() string {
 
 // apply lands one batch item (n aligned rows across the item's columns) on
 // the shard, creating the table on first touch. Caller-supplied column sets
-// must match the table's schema exactly on every later append, so rows stay
-// aligned. Called under sh.mu.
-func (sh *shard) apply(it *appendItem, n int) error {
+// must match the table's schema exactly on every later append, and an item
+// is applied to all of its columns or to none — every named column is
+// resolved before the first row lands — so rows stay aligned. Called under
+// sh.mu.
+func (sh *shard) apply(it *AppendItem, n int) error {
 	if sh.health() == persist.StateReadOnly {
 		return errReadOnly{sh.id}
 	}
@@ -101,41 +101,45 @@ func (sh *shard) apply(it *appendItem, n int) error {
 			tb.AddFloat64(col)
 		}
 	}
-	strCols := tb.StringColumns()
-	intCols := tb.Int64Columns()
-	floatCols := tb.Float64Columns()
-	if len(it.Strs) != len(strCols) || len(it.Ints) != len(intCols) || len(it.Floats) != len(floatCols) {
+	// The item's names are distinct (AppendItem.rows), so as many names as
+	// the table has columns, each resolving, is the exact schema.
+	if len(it.Strs)+len(it.Ints)+len(it.Floats) != len(tb.ColumnNames()) {
 		return fmt.Errorf("append to %q: column set does not match table schema", name)
 	}
-	for col, vals := range it.Strs {
-		c, ok := tb.LookupString(col)
-		if !ok {
-			return fmt.Errorf("append to %q: no string column %q", name, col)
-		}
-		for _, v := range vals {
-			c.Append(v)
-		}
+	writes, err := bind(nil, "string", it.Strs, tb.LookupString)
+	if err == nil {
+		writes, err = bind(writes, "int", it.Ints, tb.LookupInt64)
 	}
-	for col, vals := range it.Ints {
-		c, ok := tb.LookupInt64(col)
-		if !ok {
-			return fmt.Errorf("append to %q: no int column %q", name, col)
-		}
-		for _, v := range vals {
-			c.Append(v)
-		}
+	if err == nil {
+		writes, err = bind(writes, "float", it.Floats, tb.LookupFloat64)
 	}
-	for col, vals := range it.Floats {
-		c, ok := tb.LookupFloat64(col)
-		if !ok {
-			return fmt.Errorf("append to %q: no float column %q", name, col)
-		}
-		for _, v := range vals {
-			c.Append(v)
-		}
+	if err != nil {
+		return fmt.Errorf("append to %q: %w", name, err)
+	}
+	for _, write := range writes {
+		write()
 	}
 	sh.rows.Add(uint64(n))
 	return nil
+}
+
+// bind resolves an item's columns of one type against the table and adds one
+// write per column — the function that appends the column's values — to
+// writes. It appends no row itself: apply runs the writes once every column
+// of the item has resolved.
+func bind[V any, C interface{ Append(V) }](writes []func(), kind string, cols map[string][]V, lookup func(string) (C, bool)) ([]func(), error) {
+	for col, vals := range cols {
+		c, ok := lookup(col)
+		if !ok {
+			return nil, fmt.Errorf("no %s column %q", kind, col)
+		}
+		writes = append(writes, func() {
+			for _, v := range vals {
+				c.Append(v)
+			}
+		})
+	}
+	return writes, nil
 }
 
 // sync is the per-batch WAL group commit: one fsync covering every row the

@@ -12,8 +12,8 @@ go build ./...
 # simplicity PR landed at (ROADMAP aim 2, net-negative LOC). A PR that
 # removes code lowers the literal; nothing raises it silently.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 23462 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 23462"
+if [ "$lines" -gt 23044 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 23044"
     exit 1
 fi
 

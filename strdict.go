@@ -347,16 +347,16 @@ func StartMergeDaemon(ctx context.Context, sched *MergeScheduler, mgr *Manager) 
 // ServiceServer is the sharded multi-tenant store service: N independent
 // shards (each its own Store, merge daemon and journal), a deterministic
 // (tenant, table) -> shard routing function, and an HTTP JSON API with
-// batched group-committed appends and snapshot-pinned queries. An
-// in-process gossip loop exchanges memory pressure between shards and
-// steers each shard's compression trade-off towards ServiceOptions.
-// MemoryBudget. Mount Handler on any net/http server; Close drains the
+// batched group-committed appends (an item lands on all of its columns or
+// on none) and snapshot-pinned queries. The shards select formats with one
+// compression Manager; a gossip loop sums their memory footprints and
+// steers its trade-off towards ServiceOptions.MemoryBudget. Mount Handler on any net/http server; Close drains the
 // daemons and closes the journals.
 type ServiceServer = service.Server
 
 // ServiceOptions configures Serve: shard count, journal directory, the
-// server-wide memory budget the gossip loop steers towards and its cadence,
-// and whether the background daemons run at all.
+// server-wide memory budget the gossip loop steers the shared Manager
+// towards and its cadence, and whether the background daemons run at all.
 type ServiceOptions = service.Options
 
 // ServiceClient is the typed client for the service's /v1 JSON API: Append
