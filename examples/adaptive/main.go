@@ -38,13 +38,11 @@ func main() {
 	// PartialMerges keeps hot columns cheap: under backpressure the daemon
 	// folds only the oldest sealed segments (format unchanged) instead of
 	// rebuilding the whole main part; full merges — and the manager's format
-	// choice — land once a column cools down or at Close. AdaptiveInterval
-	// retunes the timer from the observed append rates.
+	// choice — land once a column cools down or at Close.
 	sched := strdict.NewMergeScheduler(store, 20_000)
 	sched.Interval = 5 * time.Millisecond
 	sched.HighWaterMark = 40_000
 	sched.PartialMerges = true
-	sched.AdaptiveInterval = true
 	strdict.StartMergeDaemon(context.Background(), sched, mgr)
 
 	// The ingest loop contains no merge calls at all — merges overlap it on

@@ -236,82 +236,6 @@ func TestDaemonStartCloseStress(t *testing.T) {
 	checkNoGoroutineLeak(t, baseline)
 }
 
-// TestDaemonAdaptiveInterval drives the adaptive timer with an injected
-// clock and ticker: a burst of appends must shrink the period toward the
-// fast rung, and a long idle stretch must stretch it toward the slow rung.
-func TestDaemonAdaptiveInterval(t *testing.T) {
-	s := NewStore()
-	col := s.AddTable("t").AddString("c", dict.Array)
-
-	m := NewMergeScheduler(s, 1000)
-	// Atomic clock: the test advances it while the daemon may be mid-pass.
-	var clock atomic.Int64
-	clock.Store(time.Unix(1000, 0).UnixNano())
-	now := func() time.Time { return time.Unix(0, clock.Load()) }
-	m.now = now
-	m.Interval = 800 * time.Millisecond
-	m.AdaptiveInterval = true
-
-	ticks := make(chan time.Time)
-	intervals := make(chan time.Duration, 64)
-	m.newTicker = func(d time.Duration) (<-chan time.Time, func()) {
-		intervals <- d
-		return ticks, func() {}
-	}
-	m.Start(context.Background())
-	defer m.Close()
-
-	nextInterval := func(what string) time.Duration {
-		t.Helper()
-		select {
-		case d := <-intervals:
-			return d
-		case <-time.After(10 * time.Second):
-			t.Fatalf("timed out waiting for %s", what)
-			return 0
-		}
-	}
-	if d := nextInterval("initial ticker"); d != 800*time.Millisecond {
-		t.Fatalf("initial interval %v, want 800ms", d)
-	}
-
-	// Rate observations are driven synchronously through Tick (which shares
-	// tickMu with the daemon) so the injected clock only moves while no pass
-	// is in flight; daemon ticks then just trigger the re-arm check.
-	m.Tick() // baseline observation at t0
-	clock.Add(int64(time.Second))
-	for i := 0; i < 10_000; i++ {
-		col.Append(fmt.Sprintf("h%05d", i))
-	}
-	m.Tick() // observes 10k rows/s (and merges the now-due column)
-	ticks <- now()
-	// Fill time at 10k rows/s with threshold 1000 is 0.1s; half of that is
-	// under the fastest rung, so the daemon must re-arm at base/8 = 100ms.
-	if d := nextInterval("fast rung"); d != 100*time.Millisecond {
-		t.Fatalf("hot interval %v, want 100ms", d)
-	}
-
-	// Idle: the EWMA decays toward zero, so the period must climb to the
-	// slow rung (8 * base). Each pass may step the ladder at most a few
-	// rungs, so allow many idle passes.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		clock.Add(int64(time.Second))
-		m.Tick()       // synchronous decay observation
-		ticks <- now() // daemon re-arm check
-		select {
-		case d := <-intervals:
-			if d == 8*800*time.Millisecond {
-				return
-			}
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle store never reached the slow rung")
-		}
-	}
-}
-
 // TestBackpressureRemovedOnClose: an Append blocked on the high-water mark
 // must be released when Close removes backpressure, even if no merge ran.
 func TestBackpressureRemovedOnClose(t *testing.T) {

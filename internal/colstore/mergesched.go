@@ -36,8 +36,7 @@ const DefaultMergeInterval = 50 * time.Millisecond
 // where paying a full dictionary rebuild per kick is exactly the
 // access-latency cost adaptive compression tries to avoid. Hotness comes
 // from a per-column append-rate estimate (exponentially weighted, updated
-// each pass) that can also drive the daemon timer (AdaptiveInterval): idle
-// stores wake rarely, hot stores merge continuously.
+// each pass).
 //
 // Due columns merge concurrently on a bounded worker pool (Parallelism
 // workers, GOMAXPROCS by default); each column's merge follows the
@@ -68,15 +67,8 @@ type MergeScheduler struct {
 	// threshold, instead of draining it with a full rebuild. Flush (and
 	// therefore Close) always merges fully. Set before Start.
 	PartialMerges bool
-	// AdaptiveInterval derives the daemon's timer period from observed
-	// append rates: the period targets two passes per delta fill for the
-	// hottest column, quantized to a power-of-two ladder within
-	// [Interval/8, Interval*8]. Set before Start.
-	AdaptiveInterval bool
-
-	// Interval is the daemon's timer period (the adaptive ladder's base when
-	// AdaptiveInterval is set); 0 means DefaultMergeInterval. Set before
-	// Start.
+	// Interval is the daemon's timer period; 0 means DefaultMergeInterval.
+	// Set before Start.
 	Interval time.Duration
 	// HighWaterMark, when > 0, makes Append block once a column's active
 	// (unsealed) delta reaches this many rows, kicking the daemon for an
@@ -253,11 +245,10 @@ func (m *MergeScheduler) Start(ctx context.Context) {
 }
 
 // run is the daemon loop.
-func (m *MergeScheduler) run(ctx context.Context, done chan struct{}, base time.Duration, newTicker func(time.Duration) (<-chan time.Time, func())) {
+func (m *MergeScheduler) run(ctx context.Context, done chan struct{}, interval time.Duration, newTicker func(time.Duration) (<-chan time.Time, func())) {
 	defer close(done)
-	cur := base
-	tick, stop := newTicker(cur)
-	defer func() { stop() }()
+	tick, stop := newTicker(interval)
+	defer stop()
 	for {
 		select {
 		case <-ctx.Done():
@@ -274,47 +265,7 @@ func (m *MergeScheduler) run(ctx context.Context, done chan struct{}, base time.
 		case <-tick:
 			m.tickAt(m.DeltaRowThreshold, modeTimer)
 		}
-		if m.AdaptiveInterval {
-			if want := m.adaptiveInterval(base); want != cur {
-				stop()
-				tick, stop = newTicker(want)
-				cur = want
-			}
-		}
 	}
-}
-
-// adaptiveInterval derives the timer period from the hottest column's
-// append rate: two passes per delta fill, quantized to the power-of-two
-// ladder [base/8, base*8]. With no rate measurements yet it stays at base;
-// a fully idle store settles on the slowest rung.
-func (m *MergeScheduler) adaptiveInterval(base time.Duration) time.Duration {
-	maxRate, seen := 0.0, false
-	m.mu.Lock()
-	for _, st := range m.stats {
-		if st.rateValid {
-			seen = true
-			if st.ratePerSec > maxRate {
-				maxRate = st.ratePerSec
-			}
-		}
-	}
-	m.mu.Unlock()
-	if !seen {
-		return base
-	}
-	if maxRate <= 0 {
-		return 8 * base
-	}
-	desired := time.Duration(float64(m.DeltaRowThreshold) / (2 * maxRate) * float64(time.Second))
-	best := base / 8
-	if best <= 0 {
-		best = base
-	}
-	for r := best * 2; r <= 8*base && r <= desired; r *= 2 {
-		best = r
-	}
-	return best
 }
 
 // Kick requests an immediate merge pass from a running daemon. It never

@@ -5,19 +5,83 @@ package colstore
 // space, and only final result materialization extracts strings — exactly
 // the dictionary access profile the compression manager's time model feeds
 // on. They exist on Snapshot only (DESIGN.md, "Value IDs are scoped to a
-// Snapshot"); a query gets its snapshots from a View.
+// Snapshot"); a query gets its snapshots from a View, and reads whole
+// columns of value IDs and whole foreign-key joins through the two TableView
+// operators below, Codes and Join.
 
-// queryChunk is the batch size of the bulk code-decode loops below: large
-// enough to amortize the kernel dispatch, small enough for a stack buffer.
+// queryChunk is the batch size of the bulk code-decode loop (mainCodes):
+// large enough to amortize the kernel dispatch, small enough to stay in L1.
 const queryChunk = 256
 
-// TranslateCodes maps every value ID of src's dictionary to the matching
+// NoCode is the value ID Codes reports for a row that has none: it is no ID
+// of any dictionary, so it equals no located constant and is in no CodeSet.
+const NoCode = ^uint32(0)
+
+// Codes returns the value ID of a string column at each of the view's
+// Rows() rows, batch-decoded from the code vector with no dictionary
+// operation. Rows past the column's MainRows are in the delta and have no
+// value ID: they read NoCode, never an alias of ID 0.
+func (tv *TableView) Codes(name string) []uint32 {
+	out := make([]uint32, tv.rows)
+	nMain := tv.Str(name).mainCodes(tv.rows, func(start int, codes []uint64) {
+		for j, code := range codes {
+			out[start+j] = uint32(code)
+		}
+	})
+	for row := nMain; row < len(out); row++ {
+		out[row] = NoCode
+	}
+	return out
+}
+
+// Join resolves a foreign key: for each of the view's Rows() rows, the row
+// of key whose keyCol holds the same value as this table's fk column, or -1
+// when there is none — the value is absent from keyCol's main part, or the
+// fk row is in the delta and has no value ID. Key rows are main-part rows
+// below key.Rows(); where keyCol repeats a value the last such row wins. It
+// costs one dictionary translation (DictLen(fk) extracts on fk and as many
+// locates on keyCol) and no other dictionary operation.
+func (tv *TableView) Join(fk string, key *TableView, keyCol string) []int32 {
+	fs, ks := tv.Str(fk), key.Str(keyCol)
+	rowByKeyCode := ks.rowIndexByCode(key.rows)
+	rowByCode := make([]int32, fs.DictLen()) // fk value ID -> key row
+	for code, keyCode := range translateCodes(fs, ks) {
+		rowByCode[code] = -1
+		if keyCode >= 0 {
+			rowByCode[code] = rowByKeyCode[keyCode]
+		}
+	}
+	out := make([]int32, tv.rows)
+	nMain := fs.mainCodes(tv.rows, func(start int, codes []uint64) {
+		for j, code := range codes {
+			out[start+j] = rowByCode[code]
+		}
+	})
+	for row := nMain; row < len(out); row++ {
+		out[row] = -1
+	}
+	return out
+}
+
+// mainCodes batch-decodes the value IDs of the main-part rows below limit,
+// a chunk at a time: fn sees the IDs of rows start, start+1, ... in codes.
+// It returns the number of rows decoded and costs no dictionary operation.
+func (s *Snapshot) mainCodes(limit int, fn func(start int, codes []uint64)) int {
+	nMain := min(s.v.nMain, limit)
+	var buf [queryChunk]uint64
+	for row := 0; row < nMain; row += queryChunk {
+		fn(row, s.v.codes.AppendRange(buf[:0], row, min(queryChunk, nMain-row)))
+	}
+	return nMain
+}
+
+// translateCodes maps every value ID of src's dictionary to the matching
 // value ID in dst's dictionary, or -1 when dst does not contain the value.
 // It costs src.DictLen() extracts plus as many locates on dst — the standard
 // dictionary-translation join of column stores. The walk stays in byte-slice
 // space end to end (ForEachValue feeding LocateBytes), so no per-entry
 // string is allocated.
-func TranslateCodes(src, dst *Snapshot) []int64 {
+func translateCodes(src, dst *Snapshot) []int64 {
 	out := make([]int64, src.DictLen())
 	src.ForEachValue(func(id uint32, value []byte) bool {
 		if did, found := dst.LocateBytes(value); found {
@@ -30,27 +94,20 @@ func TranslateCodes(src, dst *Snapshot) []int64 {
 	return out
 }
 
-// RowIndexByCode builds an index from value ID to the (single) main-part row
-// holding it. Intended for key columns, where every value occurs exactly
-// once; for repeated values the last row wins. It batch-decodes the code
-// vector — no dictionary operations.
-func (s *Snapshot) RowIndexByCode() []int32 {
-	v := s.v
-	idx := make([]int32, v.dict.Len())
+// rowIndexByCode builds an index from value ID to the (single) main-part row
+// below limit holding it, or -1. Intended for key columns, where every value
+// occurs exactly once; for repeated values the last row wins. It
+// batch-decodes the code vector — no dictionary operations.
+func (s *Snapshot) rowIndexByCode(limit int) []int32 {
+	idx := make([]int32, s.v.dict.Len())
 	for i := range idx {
 		idx[i] = -1
 	}
-	var buf [queryChunk]uint64
-	for row := 0; row < v.nMain; {
-		k := v.nMain - row
-		if k > queryChunk {
-			k = queryChunk
+	s.mainCodes(limit, func(start int, codes []uint64) {
+		for j, code := range codes {
+			idx[code] = int32(start + j)
 		}
-		for j, code := range v.codes.AppendRange(buf[:0], row, k) {
-			idx[code] = int32(row + j)
-		}
-		row += k
-	}
+	})
 	return idx
 }
 

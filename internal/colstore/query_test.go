@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestTranslateCodes(t *testing.T) {
 	src := loadColumn(t, dict.Array, []string{"b", "d", "f"})
 	dst := loadColumn(t, dict.FCBlock, []string{"a", "b", "c", "d", "e"})
 	ss, ds := src.Snapshot(), dst.Snapshot()
-	tr := TranslateCodes(ss, ds)
+	tr := translateCodes(ss, ds)
 	ss.Release()
 	ds.Release()
 	// src dict: b=0 d=1 f=2; dst dict: a..e -> b=1, d=3, f absent.
@@ -46,7 +47,7 @@ func TestTranslateCodes(t *testing.T) {
 
 func TestRowIndexByCode(t *testing.T) {
 	c := loadColumn(t, dict.Array, []string{"k3", "k1", "k2"})
-	idx := c.Snapshot().RowIndexByCode()
+	idx := c.Snapshot().rowIndexByCode(c.Len())
 	// dict: k1=0 (row 1), k2=1 (row 2), k3=2 (row 0)
 	want := []int32{1, 2, 0}
 	for i := range want {
@@ -85,7 +86,7 @@ func TestTranslateCodesAcrossFormats(t *testing.T) {
 		for _, f2 := range []dict.Format{dict.FCBlock, dict.ColumnBC} {
 			src := loadColumn(t, f1, vals[:150]).Snapshot()
 			dst := loadColumn(t, f2, vals[50:]).Snapshot()
-			tr := TranslateCodes(src, dst)
+			tr := translateCodes(src, dst)
 			for id := 0; id < src.DictLen(); id++ {
 				v := src.Extract(uint32(id))
 				if did := tr[id]; did >= 0 {
@@ -149,5 +150,125 @@ func TestViewPinsEachColumnOnce(t *testing.T) {
 	}
 	if live := s.LiveViews(); live != 0 {
 		t.Fatalf("LiveViews = %d after Release", live)
+	}
+}
+
+// TestCodesAndJoinAgainstModel checks the two TableView operators against a
+// brute-force model over random columns: Codes equals Snapshot.Code row by
+// row (NoCode where a row has no value ID), Join equals "the last main-part
+// row of the key column holding the same value, else -1" — with keys absent
+// from the key column, repeated keys, an unmerged tail on either side, an
+// empty main part, and rows appended (and merged) after the view fixed its
+// row counts, which the outputs must not cover.
+func TestCodesAndJoinAgainstModel(t *testing.T) {
+	shapes := []struct {
+		name                             string
+		fkMain, fkTail, keyMain, keyTail int
+		late                             int // rows appended after the view opened
+		mergeLate                        bool
+	}{
+		{name: "merged", fkMain: 700, keyMain: 300},
+		{name: "fk tail", fkMain: 400, fkTail: 300, keyMain: 300},
+		{name: "key tail", fkMain: 700, keyMain: 150, keyTail: 150},
+		{name: "empty main", fkTail: 500, keyTail: 200},
+		{name: "late appends", fkMain: 500, fkTail: 50, keyMain: 200, keyTail: 20, late: 300},
+		{name: "late appends merged", fkMain: 500, fkTail: 50, keyMain: 200, keyTail: 20, late: 300, mergeLate: true},
+	}
+	formats := []dict.Format{dict.Array, dict.FCBlock, dict.ColumnBC, dict.ArrayRP12}
+	rng := rand.New(rand.NewSource(23))
+	value := func() string { return fmt.Sprintf("key%05d", rng.Intn(400)) } // repeats, and misses on either side
+	for _, sh := range shapes {
+		for i, format := range formats {
+			keyFormat := formats[(i+1)%len(formats)]
+			s := NewStore()
+			fk := s.AddTable("f").AddString("fk", format)
+			key := s.AddTable("k").AddString("key", keyFormat)
+			var fkModel, keyModel []string
+			fill := func(c *StringColumn, model *[]string, n int) {
+				for ; n > 0; n-- {
+					v := value()
+					c.Append(v)
+					*model = append(*model, v)
+				}
+			}
+			fill(fk, &fkModel, sh.fkMain)
+			fill(key, &keyModel, sh.keyMain)
+			if sh.fkMain > 0 {
+				fk.Merge(format)
+			}
+			if sh.keyMain > 0 {
+				key.Merge(keyFormat)
+			}
+			fill(fk, &fkModel, sh.fkTail)
+			fill(key, &keyModel, sh.keyTail)
+
+			view := s.View()
+			ft, kt := view.Table("f"), view.Table("k")
+			fill(fk, &fkModel, sh.late)
+			fill(key, &keyModel, sh.late)
+			if sh.mergeLate {
+				fk.Merge(format)
+				key.Merge(keyFormat)
+			}
+			fkN, keyN := sh.fkMain+sh.fkTail, sh.keyMain+sh.keyTail
+			if ft.Rows() != fkN || kt.Rows() != keyN {
+				t.Fatalf("%s/%s: view rows %d and %d, want %d and %d", sh.name, format, ft.Rows(), kt.Rows(), fkN, keyN)
+			}
+
+			codes := ft.Codes("fk")
+			joined := ft.Join("fk", kt, "key")
+			if len(codes) != fkN || len(joined) != fkN {
+				t.Fatalf("%s/%s: %d codes and %d joined rows, want %d each", sh.name, format, len(codes), len(joined), fkN)
+			}
+			lastRowOf := make(map[string]int32)
+			for row := 0; row < keyN && row < kt.Str("key").MainRows(); row++ {
+				lastRowOf[keyModel[row]] = int32(row)
+			}
+			for row := range codes {
+				wantCode, hasCode := ft.Str("fk").Code(row)
+				wantRow, found := lastRowOf[fkModel[row]]
+				if !hasCode {
+					wantCode = NoCode
+				}
+				if !hasCode || !found {
+					wantRow = -1
+				}
+				if codes[row] != wantCode || joined[row] != wantRow {
+					t.Fatalf("%s/%s: row %d (%q): code %d joins key row %d, want code %d and key row %d",
+						sh.name, format, row, fkModel[row], codes[row], joined[row], wantCode, wantRow)
+				}
+			}
+			view.Release()
+		}
+	}
+}
+
+// TestJoinCost: a join costs one dictionary translation — DictLen(fk)
+// extracts on the foreign key, as many locates on the key — and Codes costs
+// no dictionary operation at all.
+func TestJoinCost(t *testing.T) {
+	s := NewStore()
+	fk := s.AddTable("f").AddString("fk", dict.FCBlock)
+	key := s.AddTable("k").AddString("key", dict.Array)
+	for i := 0; i < 300; i++ {
+		fk.Append(fmt.Sprintf("k%03d", i%40))
+	}
+	for i := 0; i < 50; i++ {
+		key.Append(fmt.Sprintf("k%03d", i))
+	}
+	fk.Merge(dict.FCBlock)
+	key.Merge(dict.Array)
+	s.ResetStats()
+
+	view := s.View()
+	view.Table("f").Codes("fk")
+	view.Table("k").Codes("key")
+	view.Table("f").Join("fk", view.Table("k"), "key")
+	view.Release()
+	if st := fk.Stats(); st != (AccessStats{Extracts: 40}) {
+		t.Errorf("fk side: %+v, want 40 extracts and no locates", st)
+	}
+	if st := key.Stats(); st != (AccessStats{Locates: 40}) {
+		t.Errorf("key side: %+v, want 40 locates and no extracts", st)
 	}
 }

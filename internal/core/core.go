@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync"
 
+	"strdict/internal/colstore"
 	"strdict/internal/dict"
 	"strdict/internal/model"
 )
@@ -57,6 +58,24 @@ type ColumnStats struct {
 	ColumnVectorBytes uint64
 	// Sample is the sampled dictionary content for the size models.
 	Sample *model.Sample
+}
+
+// SnapshotStats assembles the manager's input for one column from its traced
+// access counters and a sample of its dictionary, all read from one pinned
+// snapshot — the form a merge-time Chooser is handed. The access counters
+// are the column's flushed totals, so release the snapshots of the workload
+// being described first.
+func SnapshotStats(s *colstore.Snapshot, lifetimeNs float64, sampleRatio float64, seed int64) ColumnStats {
+	st := s.Stats()
+	return ColumnStats{
+		Name:              s.Name(),
+		NumStrings:        uint64(s.DictLen()),
+		Extracts:          st.Extracts,
+		Locates:           st.Locates,
+		LifetimeNs:        lifetimeNs,
+		ColumnVectorBytes: s.VectorBytes(),
+		Sample:            model.TakeSample(s.DictValues(), sampleRatio, seed),
+	}
 }
 
 // Candidate is one format's predicted position in the space/time plane.

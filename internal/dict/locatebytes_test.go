@@ -59,8 +59,8 @@ func TestLocateBytesMatchesLocate(t *testing.T) {
 
 // TestLocateBytesZeroAlloc: the raw-scheme array formats answer byte-slice
 // probes by comparing the stored bytes in place, without allocating — the
-// property TranslateCodes' inner loop depends on. (Front-coding formats
-// still need a small decode buffer per probe.)
+// property the dictionary translation inside colstore's Join depends on.
+// (Front-coding formats still need a small decode buffer per probe.)
 func TestLocateBytesZeroAlloc(t *testing.T) {
 	values, _ := locateBytesCorpus()
 	for _, f := range []Format{Array, ArrayFixed} {

@@ -14,7 +14,6 @@ import (
 	"strdict/internal/dict"
 	"strdict/internal/model"
 	"strdict/internal/persist"
-	"strdict/internal/tpch"
 )
 
 // Options configures a Server. The rest of the path from an append to a
@@ -115,7 +114,7 @@ func New(opts Options) (*Server, error) {
 			// snapshot, decision from the server's Manager (whose c the
 			// gossip loop keeps adjusting).
 			sh.sched.Chooser = func(snap *colstore.Snapshot, lifetimeNs float64) dict.Format {
-				return srv.mgr.ChooseFormat(tpch.SnapshotStatsOf(snap, lifetimeNs, model.DefaultSampleRatio, 0)).Format
+				return srv.mgr.ChooseFormat(core.SnapshotStats(snap, lifetimeNs, model.DefaultSampleRatio, 0)).Format
 			}
 			sh.sched.Start(ctx)
 		}

@@ -6,12 +6,12 @@ import (
 )
 
 // opViewJoin is oracle 6: a two-column dictionary-translation join
-// (TranslateCodes + RowIndexByCode, the TPC-H plans' join) read through one
-// colstore.View per round, while a full merge with a format change publishes
-// on both columns and shifts their value IDs. Every round fetches each
-// column from the view at each use, so only the view's pin-once contract
-// keeps the IDs of one round in one dictionary version; the result is
-// compared row by row against the same join over the model.
+// (TableView.Join, the TPC-H plans' join) read through one colstore.View
+// per round, while a full merge with a format change publishes on both
+// columns and shifts their value IDs. The join and the check around it fetch
+// each column from the view at each use, so only the view's pin-once
+// contract keeps the IDs of one round in one dictionary version; the result
+// is compared row by row against the same join over the model.
 func (h *harness) opViewJoin() error {
 	ai := h.rng.Intn(len(h.cols))
 	bi := (ai + 1) % len(h.cols)
@@ -71,8 +71,12 @@ func (h *harness) opViewJoin() error {
 	return nil
 }
 
-// viewJoinRound runs the join once on a fresh view: for every main-part row
-// of a, the last main-part row of b holding the same value (-1 if none).
+// viewJoinRound runs the join once on a fresh view: for every row of a, the
+// last main-part row of b holding the same value (-1 if none, or if the row
+// of a is not in its main part). Each row's value ID is read twice — in
+// bulk through Codes before the loop, from the view's snapshot inside it —
+// so a view that pinned a second version of a mid-round shows up as
+// shifted IDs on every later row.
 func (h *harness) viewJoinRound(a, b *column) error {
 	view := h.s.View()
 	defer view.Release()
@@ -80,22 +84,26 @@ func (h *harness) viewJoinRound(a, b *column) error {
 	if tv.Rows() != len(a.model) {
 		return h.fail("view join: view rows %d, model %d", tv.Rows(), len(a.model))
 	}
-	aToB := colstore.TranslateCodes(tv.Str(a.name), tv.Str(b.name))
-	bRowByCode := tv.Str(b.name).RowIndexByCode()
+	joined := tv.Join(a.name, tv, b.name)
+	codes := tv.Codes(a.name)
 
 	want := make(map[string]int32)
 	for row, v := range b.model[:tv.Str(b.name).MainRows()] {
 		want[v] = int32(row)
 	}
-	for row, v := range a.model[:tv.Str(a.name).MainRows()] {
-		code, _ := tv.Str(a.name).Code(row)
-		got := int32(-1)
-		if bc := aToB[code]; bc >= 0 {
-			got = bRowByCode[bc]
+	for row, v := range a.model {
+		code, hasCode := tv.Str(a.name).Code(row)
+		if !hasCode {
+			code = colstore.NoCode
 		}
+		if codes[row] != code {
+			return h.fail("view join: %s row %d (%q) has value ID %d in Codes, %d in the view's snapshot",
+				a.name, row, v, codes[row], code)
+		}
+		got := joined[row]
 		wantRow, ok := want[v]
-		if !ok {
-			wantRow = -1
+		if !ok || !hasCode {
+			wantRow = -1 // absent from b's main part, or a row without a value ID
 		}
 		if got != wantRow {
 			return h.fail("view join: %s row %d (%q) joins %s row %d, model says %d",

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkRunAll times one pass over all 22 queries against a merged
-// store — the number the batch code-decode path (codeStream /
-// AppendCodeRange) is meant to move.
+// store — the number the colstore operators the plans are written on
+// (TableView.Codes and Join) are meant to move.
 func BenchmarkRunAll(b *testing.B) {
 	s := Load(Config{ScaleFactor: 0.02, Seed: 7, InitialFormat: dict.FCInline})
 	b.ResetTimer()

@@ -7,7 +7,6 @@ import (
 	"strdict/internal/colstore"
 	"strdict/internal/core"
 	"strdict/internal/dict"
-	"strdict/internal/model"
 )
 
 // RunWorkload executes all 22 queries reps times and returns the summed
@@ -46,24 +45,6 @@ func TraceWorkload(s *colstore.Store, reps int) time.Duration {
 	return time.Since(start)
 }
 
-// SnapshotStatsOf assembles the compression manager's input for one column
-// from its traced access counters and a sample of its dictionary, all read
-// from one pinned snapshot — the form a merge-time Chooser is handed. The
-// access counters are the column's flushed totals, so release the snapshots
-// of the workload being described first.
-func SnapshotStatsOf(s *colstore.Snapshot, lifetimeNs float64, sampleRatio float64, seed int64) core.ColumnStats {
-	st := s.Stats()
-	return core.ColumnStats{
-		Name:              s.Name(),
-		NumStrings:        uint64(s.DictLen()),
-		Extracts:          st.Extracts,
-		Locates:           st.Locates,
-		LifetimeNs:        lifetimeNs,
-		ColumnVectorBytes: s.VectorBytes(),
-		Sample:            model.TakeSample(s.DictValues(), sampleRatio, seed),
-	}
-}
-
 // Reconfigure asks the manager for a format for every string column of the
 // store (as would happen at the columns' next merge) and rebuilds the
 // dictionaries accordingly. It returns the chosen format per column, the
@@ -72,7 +53,7 @@ func Reconfigure(s *colstore.Store, mgr *core.Manager, lifetimeNs float64, sampl
 	out := make(map[string]dict.Format)
 	for _, c := range s.StringColumns() {
 		snap := c.Snapshot()
-		decision := mgr.ChooseFormat(SnapshotStatsOf(snap, lifetimeNs, sampleRatio, seed))
+		decision := mgr.ChooseFormat(core.SnapshotStats(snap, lifetimeNs, sampleRatio, seed))
 		snap.Release()
 		c.Rebuild(decision.Format)
 		out[c.Name()] = decision.Format

@@ -58,128 +58,106 @@ func RunAll(s *colstore.Store) []*Result {
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// sortRows orders rows by the given less function and truncates to limit
-// (limit <= 0 keeps everything).
-func sortRows(rows [][]string, limit int, less func(a, b []string) bool) [][]string {
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+// sortKey is one order-by key: a result column compared as a string, or —
+// numeric — as the number its two-decimal string parses to; ascending
+// unless desc.
+type sortKey struct {
+	col           int
+	numeric, desc bool
+}
+
+func str(col int) sortKey { return sortKey{col: col} }
+func num(col int) sortKey { return sortKey{col: col, numeric: true} }
+
+func (k sortKey) down() sortKey {
+	k.desc = true
+	return k
+}
+
+// orderBy sorts rows by the keys, most significant first, and truncates to
+// limit (limit <= 0 keeps everything). The first key whose two strings
+// differ decides — a numeric key by the numbers they parse to — so equal
+// strings are never parsed.
+func orderBy(rows [][]string, limit int, keys ...sortKey) [][]string {
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			a, b := rows[i][k.col], rows[j][k.col]
+			if a == b {
+				continue
+			}
+			if k.desc {
+				a, b = b, a
+			}
+			if k.numeric {
+				return parseF(a) < parseF(b)
+			}
+			return a < b
+		}
+		return false
+	})
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
 	return rows
 }
 
-// codeStreamChunk is the AppendCodeRange window width: one kernel call
-// decodes this many main-part codes at once.
-const codeStreamChunk = 256
-
-// codeStream batch-decodes a string column's main-part value IDs for the
-// row loops of the query plans: one AppendCodeRange kernel call per 256
-// rows on the view's snapshot of the column, instead of one Vector.Get
-// interface call per row. code is a drop-in for Snapshot.Code — delta rows
-// (at or past MainRows) report ok=false with the same semantics. The window
-// refills from whatever row misses, so filtered and restarted loops work
-// too; ascending scans hit the window ~256 times per refill.
-type codeStream struct {
-	snap   *colstore.Snapshot
-	nMain  int
-	window []uint64
-	start  int // window covers rows [start, start+len(window))
-}
-
-func newCodeStream(snap *colstore.Snapshot) *codeStream {
-	return &codeStream{snap: snap, nMain: snap.MainRows()}
-}
-
-func (cs *codeStream) code(row int) (uint32, bool) {
-	if row >= cs.nMain {
-		return 0, false
-	}
-	if off := row - cs.start; off >= 0 && off < len(cs.window) {
-		return uint32(cs.window[off]), true
-	}
-	n := cs.nMain - row
-	if n > codeStreamChunk {
-		n = codeStreamChunk
-	}
-	cs.window = cs.snap.AppendCodeRange(cs.window[:0], row, n)
-	cs.start = row
-	return uint32(cs.window[0]), true
-}
-
-// rowFlags evaluates pred on col's value ID at each of a table's rows: a
-// dimension-table predicate resolved once per row, not once per probe.
-func rowFlags(rows int, col *colstore.Snapshot, pred func(code uint32) bool) []bool {
-	out := make([]bool, rows)
-	cs := newCodeStream(col)
-	for row := range out {
-		code, _ := cs.code(row)
-		out[row] = pred(code)
+// rowsIn resolves a CodeSet predicate once per row of its table instead of
+// once per probe from the other side of a join: out[row] reports whether
+// the row's value ID is in set.
+func rowsIn(codes []uint32, set map[uint32]bool) []bool {
+	out := make([]bool, len(codes))
+	for row, code := range codes {
+		out[row] = set[code]
 	}
 	return out
 }
 
-// keyRow resolves a foreign-key value ID to the row of the key column that
-// holds the same value, or -1 if there is none: toKey is the foreign key's
-// TranslateCodes into the key column, rowByCode the key's RowIndexByCode.
-func keyRow(toKey []int64, rowByCode []int32, code uint32) int32 {
-	if kc := toKey[code]; kc >= 0 {
-		return rowByCode[kc]
-	}
-	return -1
-}
-
-// keysOfNationsInRegion returns the n_nationkey codes (in the nation table's
-// n_nationkey dictionary) of all nations in the named region, along with a
-// map from that code to the nation's name.
-func keysOfNationsInRegion(view *colstore.View, region string) (map[uint32]bool, map[uint32]string) {
+// nationsInRegion flags, by nation row, the nations of the named region and
+// returns their names.
+func nationsInRegion(view *colstore.View, region string) ([]bool, []string) {
 	rt, nt := view.Table("region"), view.Table("nation")
-	regionKeyByRow := rt.Str("r_regionkey")
-	rname := rt.Str("r_name")
 	var regionKey string
-	rcode, found := rname.Locate(region)
-	if found {
-		csRName := newCodeStream(rname)
-		for row := 0; row < rt.Rows(); row++ {
-			if code, ok := csRName.code(row); ok && code == rcode {
-				regionKey = regionKeyByRow.Get(row)
+	if rcode, found := rt.Str("r_name").Locate(region); found {
+		for row, code := range rt.Codes("r_name") {
+			if code == rcode {
+				regionKey = rt.Str("r_regionkey").Get(row)
 			}
 		}
 	}
-	keys := make(map[uint32]bool)
-	names := make(map[uint32]string)
-	nrk := nt.Str("n_regionkey")
-	nk := nt.Str("n_nationkey")
-	nn := nt.Str("n_name")
-	want, haveRegion := nrk.Locate(regionKey)
-	csNRK, csNK := newCodeStream(nrk), newCodeStream(nk)
-	for row := 0; row < nt.Rows(); row++ {
-		if code, ok := csNRK.code(row); ok && haveRegion && code == want {
-			kc, _ := csNK.code(row)
-			keys[kc] = true
-			names[kc] = nn.Get(row)
+	inRegion := make([]bool, nt.Rows())
+	names := make([]string, nt.Rows())
+	want, haveRegion := nt.Str("n_regionkey").Locate(regionKey)
+	for row, code := range nt.Codes("n_regionkey") {
+		if haveRegion && code == want {
+			inRegion[row] = true
+			names[row] = nt.Str("n_name").Get(row)
 		}
 	}
-	return keys, names
+	return inRegion, names
 }
 
-// nationKeyCode returns the n_nationkey code of a nation by name, along
-// with the nation's name for result labelling.
-func nationKeyCode(view *colstore.View, name string) (uint32, string, bool) {
+// nationRow returns the nation table's row of a nation by name.
+func nationRow(view *colstore.View, name string) (int32, bool) {
 	nt := view.Table("nation")
-	nn := nt.Str("n_name")
-	nk := nt.Str("n_nationkey")
-	ncode, found := nn.Locate(name)
-	if !found {
-		return 0, "", false
-	}
-	csNN, csNK := newCodeStream(nn), newCodeStream(nk)
-	for row := 0; row < nt.Rows(); row++ {
-		if code, ok := csNN.code(row); ok && code == ncode {
-			kc, _ := csNK.code(row)
-			return kc, name, true
+	if ncode, found := nt.Str("n_name").Locate(name); found {
+		for row, code := range nt.Codes("n_name") {
+			if code == ncode {
+				return int32(row), true
+			}
 		}
 	}
-	return 0, "", false
+	return -1, false
+}
+
+// nationNames returns every nation's name by nation row; a row of -1 (a
+// *_nationkey that joins to no nation) reads "".
+func nationNames(view *colstore.View) map[int32]string {
+	nt := view.Table("nation")
+	names := make(map[int32]string, nt.Rows())
+	for row := 0; row < nt.Rows(); row++ {
+		names[int32(row)] = nt.Str("n_name").Get(row)
+	}
+	return names
 }
 
 // yearOf converts a day number to its calendar year.
@@ -191,25 +169,10 @@ func yearOf(day int64) int {
 	return y
 }
 
-func strconvItoa(v int) string { return strconv.Itoa(v) }
-
 func parseF(s string) float64 {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		panic("tpch: bad float in result row: " + s)
 	}
 	return v
-}
-
-// rowToNationCode maps every row of a *_nationkey column to its value ID in
-// the nation table's n_nationkey dictionary (-1 if absent).
-func rowToNationCode(view *colstore.View, col *colstore.Snapshot) []int64 {
-	toNation := colstore.TranslateCodes(col, view.Table("nation").Str("n_nationkey"))
-	out := make([]int64, col.Len())
-	cs := newCodeStream(col)
-	for row := range out {
-		code, _ := cs.code(row)
-		out[row] = toNation[code]
-	}
-	return out
 }

@@ -1,11 +1,13 @@
 package tpch
 
 // TPC-H queries 1-11. Each is a hand-written physical plan over the
-// colstore engine: constants cost one dictionary locate, joins run on value
-// IDs via dictionary translation, and result strings are extracted only for
-// surviving groups/rows.
+// colstore engine: constants cost one dictionary locate, foreign-key joins
+// run on value IDs via dictionary translation (TableView.Join) and give key
+// rows, columns are read as value IDs in bulk (TableView.Codes), and result
+// strings are extracted only for surviving groups/rows.
 
 import (
+	"strconv"
 	"strings"
 
 	"strdict/internal/colstore"
@@ -29,86 +31,49 @@ func plan1(view *colstore.View) *Result {
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
 	tax := lt.Float("l_tax")
-	srf := lt.Str("l_returnflag")
-	sls := lt.Str("l_linestatus")
+	rf, ls := lt.Codes("l_returnflag"), lt.Codes("l_linestatus")
 	cutoff := Date("1998-12-01") - 90
-
-	// Main-part codes come out of the vector in chunks of groupChunk via
-	// AppendCodeRange instead of one Vector.Get per row; the (rare) unmerged
-	// delta rows keep the per-row Code fallback with its original "delta
-	// rows group as code 0" behavior.
-	const groupChunk = 256
-	nMain := srf.MainRows()
-	if m := sls.MainRows(); m < nMain {
-		nMain = m
-	}
 
 	type agg struct {
 		qty, base, discounted, charge, discSum float64
 		n                                      int
 	}
 	groups := make(map[uint64]*agg)
-	var rfBuf, lsBuf [groupChunk]uint64
-	total := lt.Rows()
-	for base := 0; base < total; base += groupChunk {
-		k := total - base
-		if k > groupChunk {
-			k = groupChunk
+	for row := range rf {
+		// A row without value IDs (unmerged delta) falls in no group.
+		if ship.Get(row) > cutoff || rf[row] == colstore.NoCode || ls[row] == colstore.NoCode {
+			continue
 		}
-		var rfCodes, lsCodes []uint64
-		if base+k <= nMain {
-			rfCodes = srf.AppendCodeRange(rfBuf[:0], base, k)
-			lsCodes = sls.AppendCodeRange(lsBuf[:0], base, k)
+		gk := uint64(rf[row])<<32 | uint64(ls[row])
+		a := groups[gk]
+		if a == nil {
+			a = &agg{}
+			groups[gk] = a
 		}
-		for j := 0; j < k; j++ {
-			row := base + j
-			if ship.Get(row) > cutoff {
-				continue
-			}
-			var gk uint64
-			if rfCodes != nil {
-				gk = rfCodes[j]<<32 | lsCodes[j]
-			} else {
-				rc, _ := srf.Code(row)
-				lc, _ := sls.Code(row)
-				gk = uint64(rc)<<32 | uint64(lc)
-			}
-			a := groups[gk]
-			if a == nil {
-				a = &agg{}
-				groups[gk] = a
-			}
-			q, e, d, t := qty.Get(row), ext.Get(row), disc.Get(row), tax.Get(row)
-			a.qty += q
-			a.base += e
-			a.discounted += e * (1 - d)
-			a.charge += e * (1 - d) * (1 + t)
-			a.discSum += d
-			a.n++
-		}
+		q, e, d, t := qty.Get(row), ext.Get(row), disc.Get(row), tax.Get(row)
+		a.qty += q
+		a.base += e
+		a.discounted += e * (1 - d)
+		a.charge += e * (1 - d) * (1 + t)
+		a.discSum += d
+		a.n++
 	}
 
 	var rows [][]string
 	for k, a := range groups {
 		n := float64(a.n)
 		rows = append(rows, []string{
-			srf.Extract(uint32(k >> 32)),
-			sls.Extract(uint32(k & 0xffffffff)),
+			lt.Str("l_returnflag").Extract(uint32(k >> 32)),
+			lt.Str("l_linestatus").Extract(uint32(k & 0xffffffff)),
 			f2(a.qty), f2(a.base), f2(a.discounted), f2(a.charge),
 			f2(a.qty / n), f2(a.base / n), f2(a.discSum / n),
-			strconvItoa(a.n),
+			strconv.Itoa(a.n),
 		})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool {
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		return a[1] < b[1]
-	})
 	return &Result{Query: 1, Columns: []string{
 		"l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
 		"sum_disc_price", "sum_charge", "avg_qty", "avg_price", "avg_disc",
-		"count_order"}, Rows: rows}
+		"count_order"}, Rows: orderBy(rows, 0, str(0), str(1))}
 }
 
 // plan2 — Minimum Cost Supplier: for BRASS parts of size 15, the cheapest
@@ -132,100 +97,58 @@ func plan2(view *colstore.View) *Result {
 		suffix = "BRASS"
 		region = "EUROPE"
 	)
-	nationKeys, nationNames := keysOfNationsInRegion(view, region)
-
-	// European suppliers: supplier row -> nation code, via translating
-	// s_nationkey into the nation table's n_nationkey code space.
+	inRegion, nationName := nationsInRegion(view, region)
 	st := view.Table("supplier")
-	snk := st.Str("s_nationkey")
-	toNation := colstore.TranslateCodes(snk, view.Table("nation").Str("n_nationkey"))
-	suppNation := make([]int64, st.Rows()) // row -> n_nationkey code or -1
-	csSnk := newCodeStream(snk)
-	for row := 0; row < st.Rows(); row++ {
-		code, _ := csSnk.code(row)
-		nc := toNation[code]
-		if nc >= 0 && nationKeys[uint32(nc)] {
-			suppNation[row] = nc
-		} else {
-			suppNation[row] = -1
-		}
-	}
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	suppNation := st.Join("s_nationkey", view.Table("nation"), "n_nationkey")
 
 	// Qualifying parts.
 	pt := view.Table("part")
-	ptype := pt.Str("p_type")
 	psize := pt.Int("p_size")
-	typeOK := ptype.CodeSet(func(v string) bool { return strings.HasSuffix(v, suffix) })
-	partOK := make([]bool, pt.Rows())
-	csPType := newCodeStream(ptype)
-	for row := 0; row < pt.Rows(); row++ {
-		code, _ := csPType.code(row)
-		partOK[row] = typeOK[code] && psize.Get(row) == size
-	}
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
+	typeOK := rowsIn(pt.Codes("p_type"),
+		pt.Str("p_type").CodeSet(func(v string) bool { return strings.HasSuffix(v, suffix) }))
 
-	// partsupp: min supply cost per part among European suppliers.
+	// partsupp: min supply cost per part among the region's suppliers.
 	pst := view.Table("partsupp")
-	psPart := pst.Str("ps_partkey")
-	psSupp := pst.Str("ps_suppkey")
 	cost := pst.Float("ps_supplycost")
-	psPartToPart := colstore.TranslateCodes(psPart, pt.Str("p_partkey"))
-	psSuppToSupp := colstore.TranslateCodes(psSupp, st.Str("s_suppkey"))
+	psPart := pst.Join("ps_partkey", pt, "p_partkey")
+	psSupp := pst.Join("ps_suppkey", st, "s_suppkey")
 
 	type best struct {
 		cost    float64
 		suppRow int32
-		partRow int32
 	}
-	minCost := make(map[uint32]*best) // by ps_partkey code
-	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	for row := 0; row < pst.Rows(); row++ {
-		pc, _ := csPsPart.code(row)
-		partRow := keyRow(psPartToPart, partRowByCode, pc)
-		if partRow < 0 || !partOK[partRow] {
+	minCost := make(map[int32]best) // by part row
+	for row, partRow := range psPart {
+		if partRow < 0 || !typeOK[partRow] || psize.Get(int(partRow)) != size {
 			continue
 		}
-		sc, _ := csPsSupp.code(row)
-		suppRow := keyRow(psSuppToSupp, suppRowByCode, sc)
-		if suppRow < 0 || suppNation[suppRow] < 0 {
+		suppRow := psSupp[row]
+		if suppRow < 0 || suppNation[suppRow] < 0 || !inRegion[suppNation[suppRow]] {
 			continue
 		}
 		c := cost.Get(row)
-		if b, ok := minCost[pc]; !ok || c < b.cost {
-			minCost[pc] = &best{cost: c, suppRow: suppRow, partRow: partRow}
+		if b, ok := minCost[partRow]; !ok || c < b.cost {
+			minCost[partRow] = best{cost: c, suppRow: suppRow}
 		}
 	}
 
-	bal := st.Float("s_acctbal")
 	var rows [][]string
-	for _, b := range minCost {
+	for partRow, b := range minCost {
+		prow, srow := int(partRow), int(b.suppRow)
 		rows = append(rows, []string{
-			f2(bal.Get(int(b.suppRow))),
-			st.Str("s_name").Get(int(b.suppRow)),
-			nationNames[uint32(suppNation[b.suppRow])],
-			pt.Str("p_partkey").Get(int(b.partRow)),
-			pt.Str("p_mfgr").Get(int(b.partRow)),
-			st.Str("s_address").Get(int(b.suppRow)),
-			st.Str("s_phone").Get(int(b.suppRow)),
-			st.Str("s_comment").Get(int(b.suppRow)),
+			f2(st.Float("s_acctbal").Get(srow)),
+			st.Str("s_name").Get(srow),
+			nationName[suppNation[srow]],
+			pt.Str("p_partkey").Get(prow),
+			pt.Str("p_mfgr").Get(prow),
+			st.Str("s_address").Get(srow),
+			st.Str("s_phone").Get(srow),
+			st.Str("s_comment").Get(srow),
 		})
 	}
-	rows = sortRows(rows, 100, func(a, b []string) bool {
-		if a[0] != b[0] {
-			return parseF(a[0]) > parseF(b[0])
-		}
-		if a[2] != b[2] {
-			return a[2] < b[2]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[3] < b[3]
-	})
 	return &Result{Query: 2, Columns: []string{
 		"s_acctbal", "s_name", "n_name", "p_partkey", "p_mfgr", "s_address",
-		"s_phone", "s_comment"}, Rows: rows}
+		"s_phone", "s_comment"}, Rows: orderBy(rows, 100, num(0).down(), str(2), str(1), str(3))}
 }
 
 // plan3 — Shipping Priority: top 10 unshipped orders of BUILDING customers by
@@ -244,70 +167,40 @@ func plan2(view *colstore.View) *Result {
 func plan3(view *colstore.View) *Result {
 	cutoff := Date("1995-03-15")
 	ct := view.Table("customer")
-	seg := ct.Str("c_mktsegment")
-	segCode, segFound := seg.Locate("BUILDING")
-	custOK := rowFlags(ct.Rows(), seg, func(code uint32) bool { return segFound && code == segCode })
-	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
+	segCode, segFound := ct.Str("c_mktsegment").Locate("BUILDING")
+	seg := ct.Codes("c_mktsegment")
 
 	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
-	shipPrio := ot.Int("o_shippriority")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	orderPass := make([]bool, ot.Rows())
-	csOCust := newCodeStream(ocust)
-	for row := 0; row < ot.Rows(); row++ {
-		if odate.Get(row) >= cutoff {
-			continue
-		}
-		cc, _ := csOCust.code(row)
-		custRow := keyRow(oCustToCust, custRowByCode, cc)
-		orderPass[row] = custRow >= 0 && custOK[custRow]
-	}
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
+	oCust := ot.Join("o_custkey", ct, "c_custkey")
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	revenue := make(map[int64]float64) // by o_orderkey code
-	csLok := newCodeStream(lok)
-	for row := 0; row < lt.Rows(); row++ {
-		if ship.Get(row) <= cutoff {
+	revenue := make(map[int32]float64) // by order row
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
+		if ship.Get(row) <= cutoff || orow < 0 || odate.Get(int(orow)) >= cutoff {
 			continue
 		}
-		lc, _ := csLok.code(row)
-		oc := liOrderToOrder[lc]
-		if oc < 0 {
+		if crow := oCust[orow]; crow < 0 || !segFound || seg[crow] != segCode {
 			continue
 		}
-		orow := orderRowByCode[oc]
-		if orow < 0 || !orderPass[orow] {
-			continue
-		}
-		revenue[oc] += ext.Get(row) * (1 - disc.Get(row))
+		revenue[orow] += ext.Get(row) * (1 - disc.Get(row))
 	}
 
 	var rows [][]string
-	for oc, rev := range revenue {
-		orow := int(orderRowByCode[oc])
+	for orow, rev := range revenue {
 		rows = append(rows, []string{
-			ot.Str("o_orderkey").Extract(uint32(oc)),
+			ot.Str("o_orderkey").Get(int(orow)),
 			f2(rev),
-			DateString(odate.Get(orow)),
-			strconvItoa(int(shipPrio.Get(orow))),
+			DateString(odate.Get(int(orow))),
+			strconv.Itoa(int(ot.Int("o_shippriority").Get(int(orow)))),
 		})
 	}
-	rows = sortRows(rows, 10, func(a, b []string) bool {
-		if a[1] != b[1] {
-			return parseF(a[1]) > parseF(b[1])
-		}
-		return a[2] < b[2]
-	})
 	return &Result{Query: 3, Columns: []string{
-		"l_orderkey", "revenue", "o_orderdate", "o_shippriority"}, Rows: rows}
+		"l_orderkey", "revenue", "o_orderdate", "o_shippriority"},
+		Rows: orderBy(rows, 10, num(1).down(), str(2))}
 }
 
 // plan4 — Order Priority Checking: orders of 1993Q3 with at least one late
@@ -324,47 +217,30 @@ func plan3(view *colstore.View) *Result {
 func plan4(view *colstore.View) *Result {
 	lo, hi := Date("1993-07-01"), Date("1993-10-01")
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
 	commit := lt.Int("l_commitdate")
 	recv := lt.Int("l_receiptdate")
 	ot := view.Table("orders")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
 
-	lateOrder := make(map[int64]bool) // o_orderkey codes with commit < receipt
-	csLok := newCodeStream(lok)
-	for row := 0; row < lt.Rows(); row++ {
-		if commit.Get(row) < recv.Get(row) {
-			lc, _ := csLok.code(row)
-			if oc := liOrderToOrder[lc]; oc >= 0 {
-				lateOrder[oc] = true
-			}
+	late := make([]bool, ot.Rows()) // order rows with a commit < receipt lineitem
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
+		if orow >= 0 && commit.Get(row) < recv.Get(row) {
+			late[orow] = true
 		}
 	}
 
 	odate := ot.Int("o_orderdate")
-	prio := ot.Str("o_orderpriority")
-	okey := ot.Str("o_orderkey")
 	counts := make(map[uint32]int)
-	csOkey, csPrio := newCodeStream(okey), newCodeStream(prio)
-	for row := 0; row < ot.Rows(); row++ {
-		d := odate.Get(row)
-		if d < lo || d >= hi {
-			continue
+	for row, pc := range ot.Codes("o_orderpriority") {
+		if d := odate.Get(row); d >= lo && d < hi && late[row] && pc != colstore.NoCode {
+			counts[pc]++
 		}
-		kc, _ := csOkey.code(row)
-		if !lateOrder[int64(kc)] {
-			continue
-		}
-		pc, _ := csPrio.code(row)
-		counts[pc]++
 	}
 
 	var rows [][]string
 	for pc, n := range counts {
-		rows = append(rows, []string{prio.Extract(pc), strconvItoa(n)})
+		rows = append(rows, []string{ot.Str("o_orderpriority").Extract(pc), strconv.Itoa(n)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return a[0] < b[0] })
-	return &Result{Query: 4, Columns: []string{"o_orderpriority", "order_count"}, Rows: rows}
+	return &Result{Query: 4, Columns: []string{"o_orderpriority", "order_count"}, Rows: orderBy(rows, 0, str(0))}
 }
 
 // plan5 — Local Supplier Volume: revenue in ASIA from orders of 1994 where the
@@ -382,64 +258,47 @@ func plan4(view *colstore.View) *Result {
 //	group by n_name order by revenue desc
 func plan5(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
-	nationKeys, nationNames := keysOfNationsInRegion(view, "ASIA")
-
+	inRegion, nationName := nationsInRegion(view, "ASIA")
+	nt := view.Table("nation")
 	ct := view.Table("customer")
-	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
-	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
-
+	custNation := ct.Join("c_nationkey", nt, "n_nationkey")
 	st := view.Table("supplier")
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
-
+	suppNation := st.Join("s_nationkey", nt, "n_nationkey")
 	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
+	oCust := ot.Join("o_custkey", ct, "c_custkey")
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
-	lsk := lt.Str("l_suppkey")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
-
-	revenue := make(map[int64]float64) // by nation code
-	csLok, csLsk, csOCust := newCodeStream(lok), newCodeStream(lsk), newCodeStream(ocust)
-	for row := 0; row < lt.Rows(); row++ {
-		lc, _ := csLok.code(row)
-		orow := keyRow(liOrderToOrder, orderRowByCode, lc)
+	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
+	revenue := make(map[int32]float64) // by nation row
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		if orow < 0 {
 			continue
 		}
 		if d := odate.Get(int(orow)); d < lo || d >= hi {
 			continue
 		}
-		scRaw, _ := csLsk.code(row)
-		srow := keyRow(liSuppToSupp, suppRowByCode, scRaw)
+		srow := liSupp[row]
 		if srow < 0 {
 			continue
 		}
 		sn := suppNation[srow]
-		if sn < 0 || !nationKeys[uint32(sn)] {
+		if sn < 0 || !inRegion[sn] {
 			continue
 		}
-		ccRaw, _ := csOCust.code(int(orow))
-		crow := keyRow(oCustToCust, custRowByCode, ccRaw)
-		if crow < 0 || custNation[crow] != sn {
+		if crow := oCust[orow]; crow < 0 || custNation[crow] != sn {
 			continue
 		}
 		revenue[sn] += ext.Get(row) * (1 - disc.Get(row))
 	}
 
 	var rows [][]string
-	for nc, rev := range revenue {
-		rows = append(rows, []string{nationNames[uint32(nc)], f2(rev)})
+	for sn, rev := range revenue {
+		rows = append(rows, []string{nationName[sn], f2(rev)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return parseF(a[1]) > parseF(b[1]) })
-	return &Result{Query: 5, Columns: []string{"n_name", "revenue"}, Rows: rows}
+	return &Result{Query: 5, Columns: []string{"n_name", "revenue"}, Rows: orderBy(rows, 0, num(1).down())}
 }
 
 // plan6 — Forecasting Revenue Change: pure numeric scan of lineitem.
@@ -486,82 +345,53 @@ func plan6(view *colstore.View) *Result {
 //	group by supp_nation, cust_nation, l_year order by 1, 2, 3
 func plan7(view *colstore.View) *Result {
 	lo, hi := Date("1995-01-01"), Date("1996-12-31")
-	fr, frName, okFR := nationKeyCode(view, "FRANCE")
-	de, deName, okDE := nationKeyCode(view, "GERMANY")
+	fr, okFR := nationRow(view, "FRANCE")
+	de, okDE := nationRow(view, "GERMANY")
 	if !okFR || !okDE {
 		return &Result{Query: 7}
 	}
-	names := map[uint32]string{fr: frName, de: deName}
+	names := map[int32]string{fr: "FRANCE", de: "GERMANY"}
 
+	nt := view.Table("nation")
 	ct := view.Table("customer")
-	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
-	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
+	custNation := ct.Join("c_nationkey", nt, "n_nationkey")
 	st := view.Table("supplier")
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	suppNation := st.Join("s_nationkey", nt, "n_nationkey")
 	ot := view.Table("orders")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
+	oCust := ot.Join("o_custkey", ct, "c_custkey")
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
-	lsk := lt.Str("l_suppkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
+	liOrder := lt.Join("l_orderkey", ot, "o_orderkey")
 
 	type gk struct {
-		suppN, custN uint32
+		suppN, custN int32
 		year         int
 	}
 	volume := make(map[gk]float64)
-	csLok, csLsk, csOCust := newCodeStream(lok), newCodeStream(lsk), newCodeStream(ocust)
-	for row := 0; row < lt.Rows(); row++ {
+	for row, srow := range lt.Join("l_suppkey", st, "s_suppkey") {
 		d := ship.Get(row)
-		if d < lo || d > hi {
+		if d < lo || d > hi || srow < 0 || liOrder[row] < 0 {
 			continue
 		}
-		scRaw, _ := csLsk.code(row)
-		srow := keyRow(liSuppToSupp, suppRowByCode, scRaw)
-		if srow < 0 {
-			continue
-		}
-		sn := suppNation[srow]
-		lcRaw, _ := csLok.code(row)
-		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
-		if orow < 0 {
-			continue
-		}
-		ccRaw, _ := csOCust.code(int(orow))
-		crow := keyRow(oCustToCust, custRowByCode, ccRaw)
+		crow := oCust[liOrder[row]]
 		if crow < 0 {
 			continue
 		}
-		cn := custNation[crow]
-		pair := (sn == int64(fr) && cn == int64(de)) || (sn == int64(de) && cn == int64(fr))
-		if !pair {
-			continue
+		sn, cn := suppNation[srow], custNation[crow]
+		if (sn == fr && cn == de) || (sn == de && cn == fr) {
+			volume[gk{sn, cn, yearOf(d)}] += ext.Get(row) * (1 - disc.Get(row))
 		}
-		volume[gk{uint32(sn), uint32(cn), yearOf(d)}] += ext.Get(row) * (1 - disc.Get(row))
 	}
 
 	var rows [][]string
 	for k, v := range volume {
-		rows = append(rows, []string{names[k.suppN], names[k.custN], strconvItoa(k.year), f2(v)})
+		rows = append(rows, []string{names[k.suppN], names[k.custN], strconv.Itoa(k.year), f2(v)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool {
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-	return &Result{Query: 7, Columns: []string{"supp_nation", "cust_nation", "l_year", "revenue"}, Rows: rows}
+	return &Result{Query: 7, Columns: []string{"supp_nation", "cust_nation", "l_year", "revenue"},
+		Rows: orderBy(rows, 0, str(0), str(1), str(2))}
 }
 
 // plan8 — National Market Share: BRAZIL's share of ECONOMY ANODIZED STEEL
@@ -582,77 +412,49 @@ func plan7(view *colstore.View) *Result {
 //	group by o_year order by o_year
 func plan8(view *colstore.View) *Result {
 	lo, hi := Date("1995-01-01"), Date("1996-12-31")
-	amKeys, _ := keysOfNationsInRegion(view, "AMERICA")
-	br, _, okBR := nationKeyCode(view, "BRAZIL")
+	inRegion, _ := nationsInRegion(view, "AMERICA")
+	br, okBR := nationRow(view, "BRAZIL")
 	if !okBR {
 		return &Result{Query: 8}
 	}
 
 	pt := view.Table("part")
-	ptype := pt.Str("p_type")
-	typeCode, typeFound := ptype.Locate("ECONOMY ANODIZED STEEL")
-	partOK := rowFlags(pt.Rows(), ptype, func(code uint32) bool { return typeFound && code == typeCode })
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
+	typeCode, typeFound := pt.Str("p_type").Locate("ECONOMY ANODIZED STEEL")
+	ptype := pt.Codes("p_type")
 
+	nt := view.Table("nation")
 	ct := view.Table("customer")
-	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
-	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
+	custNation := ct.Join("c_nationkey", nt, "n_nationkey")
 	st := view.Table("supplier")
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	suppNation := st.Join("s_nationkey", nt, "n_nationkey")
 	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
+	oCust := ot.Join("o_custkey", ct, "c_custkey")
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
-	lpk := lt.Str("l_partkey")
-	lsk := lt.Str("l_suppkey")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
+	liOrder := lt.Join("l_orderkey", ot, "o_orderkey")
+	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
 
 	total := make(map[int]float64)
 	brazil := make(map[int]float64)
-	csLok, csLpk, csLsk := newCodeStream(lok), newCodeStream(lpk), newCodeStream(lsk)
-	csOCust := newCodeStream(ocust)
-	for row := 0; row < lt.Rows(); row++ {
-		pcRaw, _ := csLpk.code(row)
-		prow := keyRow(liPartToPart, partRowByCode, pcRaw)
-		if prow < 0 || !partOK[prow] {
+	for row, prow := range lt.Join("l_partkey", pt, "p_partkey") {
+		if prow < 0 || !typeFound || ptype[prow] != typeCode || liOrder[row] < 0 {
 			continue
 		}
-		lcRaw, _ := csLok.code(row)
-		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
-		if orow < 0 {
-			continue
-		}
-		d := odate.Get(int(orow))
+		d := odate.Get(int(liOrder[row]))
 		if d < lo || d > hi {
 			continue
 		}
-		ccRaw, _ := csOCust.code(int(orow))
-		crow := keyRow(oCustToCust, custRowByCode, ccRaw)
-		if crow < 0 {
-			continue
-		}
-		cn := custNation[crow]
-		if cn < 0 || !amKeys[uint32(cn)] {
-			continue
-		}
-		scRaw, _ := csLsk.code(row)
-		srow := keyRow(liSuppToSupp, suppRowByCode, scRaw)
-		if srow < 0 {
+		crow := oCust[liOrder[row]]
+		if crow < 0 || custNation[crow] < 0 || !inRegion[custNation[crow]] || liSupp[row] < 0 {
 			continue
 		}
 		v := ext.Get(row) * (1 - disc.Get(row))
 		y := yearOf(d)
 		total[y] += v
-		if suppNation[srow] == int64(br) {
+		if suppNation[liSupp[row]] == br {
 			brazil[y] += v
 		}
 	}
@@ -663,10 +465,9 @@ func plan8(view *colstore.View) *Result {
 		if t > 0 {
 			share = brazil[y] / t
 		}
-		rows = append(rows, []string{strconvItoa(y), f2(share)})
+		rows = append(rows, []string{strconv.Itoa(y), f2(share)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return a[0] < b[0] })
-	return &Result{Query: 8, Columns: []string{"o_year", "mkt_share"}, Rows: rows}
+	return &Result{Query: 8, Columns: []string{"o_year", "mkt_share"}, Rows: orderBy(rows, 0, str(0))}
 }
 
 // plan9 — Product Type Profit: profit of parts whose name contains "green",
@@ -685,98 +486,53 @@ func plan8(view *colstore.View) *Result {
 //	group by nation, o_year order by nation, o_year desc
 func plan9(view *colstore.View) *Result {
 	pt := view.Table("part")
-	pname := pt.Str("p_name")
-	greenParts := pname.CodeSet(func(v string) bool { return strings.Contains(v, "green") })
-	partOK := rowFlags(pt.Rows(), pname, func(code uint32) bool { return greenParts[code] })
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
+	green := rowsIn(pt.Codes("p_name"),
+		pt.Str("p_name").CodeSet(func(v string) bool { return strings.Contains(v, "green") }))
 
 	st := view.Table("supplier")
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
-	nt := view.Table("nation")
-	nationName := make(map[int64]string)
-	csNK := newCodeStream(nt.Str("n_nationkey"))
-	for row := 0; row < nt.Rows(); row++ {
-		kc, _ := csNK.code(row)
-		nationName[int64(kc)] = nt.Str("n_name").Get(row)
-	}
+	suppNation := st.Join("s_nationkey", view.Table("nation"), "n_nationkey")
+	nationName := nationNames(view)
 
-	// ps_supplycost lookup per (part, supp) pair.
+	// ps_supplycost lookup per (part row, supplier row) pair.
 	pst := view.Table("partsupp")
-	psPart := pst.Str("ps_partkey")
-	psSupp := pst.Str("ps_suppkey")
 	psCost := pst.Float("ps_supplycost")
-	type pair struct{ p, s int64 }
+	psSupp := pst.Join("ps_suppkey", st, "s_suppkey")
+	type pair struct{ p, s int32 }
 	costOf := make(map[pair]float64, pst.Rows())
-	psPartToPart := colstore.TranslateCodes(psPart, pt.Str("p_partkey"))
-	psSuppToSupp := colstore.TranslateCodes(psSupp, st.Str("s_suppkey"))
-	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	for row := 0; row < pst.Rows(); row++ {
-		pcRaw, _ := csPsPart.code(row)
-		scRaw, _ := csPsSupp.code(row)
-		costOf[pair{psPartToPart[pcRaw], psSuppToSupp[scRaw]}] = psCost.Get(row)
+	for row, prow := range pst.Join("ps_partkey", pt, "p_partkey") {
+		costOf[pair{prow, psSupp[row]}] = psCost.Get(row)
 	}
 
 	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
-	lpk := lt.Str("l_partkey")
-	lsk := lt.Str("l_suppkey")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
+	liOrder := lt.Join("l_orderkey", ot, "o_orderkey")
+	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
 
 	type gk struct {
-		nation int64
+		nation int32
 		year   int
 	}
 	profit := make(map[gk]float64)
-	csLok, csLpk, csLsk := newCodeStream(lok), newCodeStream(lpk), newCodeStream(lsk)
-	for row := 0; row < lt.Rows(); row++ {
-		pcRaw, _ := csLpk.code(row)
-		pc := liPartToPart[pcRaw]
-		if pc < 0 {
+	for row, prow := range lt.Join("l_partkey", pt, "p_partkey") {
+		srow, orow := liSupp[row], liOrder[row]
+		if prow < 0 || !green[prow] || srow < 0 || orow < 0 {
 			continue
 		}
-		prow := partRowByCode[pc]
-		if prow < 0 || !partOK[prow] {
-			continue
-		}
-		scRaw, _ := csLsk.code(row)
-		sc := liSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		srow := suppRowByCode[sc]
-		if srow < 0 {
-			continue
-		}
-		lcRaw, _ := csLok.code(row)
-		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
-		if orow < 0 {
-			continue
-		}
-		amount := ext.Get(row)*(1-disc.Get(row)) - costOf[pair{pc, sc}]*qty.Get(row)
+		amount := ext.Get(row)*(1-disc.Get(row)) - costOf[pair{prow, srow}]*qty.Get(row)
 		profit[gk{suppNation[srow], yearOf(odate.Get(int(orow)))}] += amount
 	}
 
 	var rows [][]string
 	for k, v := range profit {
-		rows = append(rows, []string{nationName[k.nation], strconvItoa(k.year), f2(v)})
+		rows = append(rows, []string{nationName[k.nation], strconv.Itoa(k.year), f2(v)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool {
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		return a[1] > b[1]
-	})
-	return &Result{Query: 9, Columns: []string{"nation", "o_year", "sum_profit"}, Rows: rows}
+	return &Result{Query: 9, Columns: []string{"nation", "o_year", "sum_profit"},
+		Rows: orderBy(rows, 0, str(0), str(1).down())}
 }
 
 // plan10 — Returned Item Reporting: top 20 customers by lost revenue in 1993Q4.
@@ -793,58 +549,37 @@ func plan9(view *colstore.View) *Result {
 func plan10(view *colstore.View) *Result {
 	lo, hi := Date("1993-10-01"), Date("1994-01-01")
 	ct := view.Table("customer")
-	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
-	custNation := rowToNationCode(view, ct.Str("c_nationkey"))
-	nt := view.Table("nation")
-	nationName := make(map[int64]string)
-	csNK := newCodeStream(nt.Str("n_nationkey"))
-	for row := 0; row < nt.Rows(); row++ {
-		kc, _ := csNK.code(row)
-		nationName[int64(kc)] = nt.Str("n_name").Get(row)
-	}
+	custNation := ct.Join("c_nationkey", view.Table("nation"), "n_nationkey")
+	nationName := nationNames(view)
 
 	ot := view.Table("orders")
 	odate := ot.Int("o_orderdate")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
+	oCust := ot.Join("o_custkey", ct, "c_custkey")
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
-	lret := lt.Str("l_returnflag")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	retCode, retFound := lret.Locate("R")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
+	retCode, retFound := lt.Str("l_returnflag").Locate("R")
+	ret := lt.Codes("l_returnflag")
 
-	revenue := make(map[int64]float64) // by c_custkey code
-	csLok, csLret, csOCust := newCodeStream(lok), newCodeStream(lret), newCodeStream(ocust)
-	for row := 0; row < lt.Rows(); row++ {
-		rc, _ := csLret.code(row)
-		if !retFound || rc != retCode {
-			continue
-		}
-		lcRaw, _ := csLok.code(row)
-		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
-		if orow < 0 {
+	revenue := make(map[int32]float64) // by customer row
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
+		if !retFound || ret[row] != retCode || orow < 0 {
 			continue
 		}
 		if d := odate.Get(int(orow)); d < lo || d >= hi {
 			continue
 		}
-		ccRaw, _ := csOCust.code(int(orow))
-		cc := oCustToCust[ccRaw]
-		if cc < 0 {
-			continue
+		if crow := oCust[orow]; crow >= 0 {
+			revenue[crow] += ext.Get(row) * (1 - disc.Get(row))
 		}
-		revenue[cc] += ext.Get(row) * (1 - disc.Get(row))
 	}
 
 	var rows [][]string
-	for cc, rev := range revenue {
-		crow := int(custRowByCode[cc])
+	for custRow, rev := range revenue {
+		crow := int(custRow)
 		rows = append(rows, []string{
-			ct.Str("c_custkey").Extract(uint32(cc)),
+			ct.Str("c_custkey").Get(crow),
 			ct.Str("c_name").Get(crow),
 			f2(rev),
 			f2(ct.Float("c_acctbal").Get(crow)),
@@ -854,10 +589,9 @@ func plan10(view *colstore.View) *Result {
 			ct.Str("c_comment").Get(crow),
 		})
 	}
-	rows = sortRows(rows, 20, func(a, b []string) bool { return parseF(a[2]) > parseF(b[2]) })
 	return &Result{Query: 10, Columns: []string{
 		"c_custkey", "c_name", "revenue", "c_acctbal", "n_name", "c_address",
-		"c_phone", "c_comment"}, Rows: rows}
+		"c_phone", "c_comment"}, Rows: orderBy(rows, 20, num(2).down())}
 }
 
 // plan11 — Important Stock Identification: GERMANY's part stock values above
@@ -874,33 +608,26 @@ func plan10(view *colstore.View) *Result {
 //	  (select sum(ps_supplycost*ps_availqty) * 0.0001 from ... same joins ...)
 //	order by value desc
 func plan11(view *colstore.View) *Result {
-	de, _, okDE := nationKeyCode(view, "GERMANY")
+	de, okDE := nationRow(view, "GERMANY")
 	if !okDE {
 		return &Result{Query: 11}
 	}
 	st := view.Table("supplier")
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	suppNation := st.Join("s_nationkey", view.Table("nation"), "n_nationkey")
 
 	pst := view.Table("partsupp")
-	psPart := pst.Str("ps_partkey")
-	psSupp := pst.Str("ps_suppkey")
 	qty := pst.Int("ps_availqty")
 	cost := pst.Float("ps_supplycost")
-	psSuppToSupp := colstore.TranslateCodes(psSupp, st.Str("s_suppkey"))
+	psPart := pst.Codes("ps_partkey")
 
 	value := make(map[uint32]float64) // by ps_partkey code
 	var total float64
-	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	for row := 0; row < pst.Rows(); row++ {
-		scRaw, _ := csPsSupp.code(row)
-		srow := keyRow(psSuppToSupp, suppRowByCode, scRaw)
-		if srow < 0 || suppNation[srow] != int64(de) {
+	for row, srow := range pst.Join("ps_suppkey", st, "s_suppkey") {
+		if srow < 0 || suppNation[srow] != de || psPart[row] == colstore.NoCode {
 			continue
 		}
-		pc, _ := csPsPart.code(row)
 		v := cost.Get(row) * float64(qty.Get(row))
-		value[pc] += v
+		value[psPart[row]] += v
 		total += v
 	}
 
@@ -910,9 +637,8 @@ func plan11(view *colstore.View) *Result {
 	var rows [][]string
 	for pc, v := range value {
 		if v > threshold {
-			rows = append(rows, []string{psPart.Extract(pc), f2(v)})
+			rows = append(rows, []string{pst.Str("ps_partkey").Extract(pc), f2(v)})
 		}
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return parseF(a[1]) > parseF(b[1]) })
-	return &Result{Query: 11, Columns: []string{"ps_partkey", "value"}, Rows: rows}
+	return &Result{Query: 11, Columns: []string{"ps_partkey", "value"}, Rows: orderBy(rows, 0, num(1).down())}
 }

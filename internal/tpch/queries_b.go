@@ -3,6 +3,7 @@ package tpch
 // TPC-H queries 12-22.
 
 import (
+	"strconv"
 	"strings"
 
 	"strdict/internal/colstore"
@@ -24,27 +25,22 @@ import (
 func plan12(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
 	lt := view.Table("lineitem")
-	mode := lt.Str("l_shipmode")
 	ship := lt.Int("l_shipdate")
 	commit := lt.Int("l_commitdate")
 	recv := lt.Int("l_receiptdate")
-	lok := lt.Str("l_orderkey")
-
-	mailCode, mailOK := mode.Locate("MAIL")
-	shipCode, shipOK := mode.Locate("SHIP")
+	mailCode, mailOK := lt.Str("l_shipmode").Locate("MAIL")
+	shipCode, shipOK := lt.Str("l_shipmode").Locate("SHIP")
+	mode := lt.Codes("l_shipmode")
 
 	ot := view.Table("orders")
-	prio := ot.Str("o_orderpriority")
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	urgent, urgentOK := prio.Locate("1-URGENT")
-	high, highOK := prio.Locate("2-HIGH")
+	urgent, urgentOK := ot.Str("o_orderpriority").Locate("1-URGENT")
+	high, highOK := ot.Str("o_orderpriority").Locate("2-HIGH")
+	prio := ot.Codes("o_orderpriority")
 
 	type counts struct{ hi, lo int }
 	byMode := make(map[uint32]*counts)
-	csMode, csLok, csPrio := newCodeStream(mode), newCodeStream(lok), newCodeStream(prio)
-	for row := 0; row < lt.Rows(); row++ {
-		mc, _ := csMode.code(row)
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
+		mc := mode[row]
 		if !(mailOK && mc == mailCode) && !(shipOK && mc == shipCode) {
 			continue
 		}
@@ -52,21 +48,15 @@ func plan12(view *colstore.View) *Result {
 		if r < lo || r >= hi {
 			continue
 		}
-		if !(commit.Get(row) < r && ship.Get(row) < commit.Get(row)) {
+		if !(commit.Get(row) < r && ship.Get(row) < commit.Get(row)) || orow < 0 {
 			continue
 		}
-		lcRaw, _ := csLok.code(row)
-		orow := keyRow(liOrderToOrder, orderRowByCode, lcRaw)
-		if orow < 0 {
-			continue
-		}
-		pc, _ := csPrio.code(int(orow))
 		c := byMode[mc]
 		if c == nil {
 			c = &counts{}
 			byMode[mc] = c
 		}
-		if (urgentOK && pc == urgent) || (highOK && pc == high) {
+		if pc := prio[orow]; (urgentOK && pc == urgent) || (highOK && pc == high) {
 			c.hi++
 		} else {
 			c.lo++
@@ -75,10 +65,10 @@ func plan12(view *colstore.View) *Result {
 
 	var rows [][]string
 	for mc, c := range byMode {
-		rows = append(rows, []string{mode.Extract(mc), strconvItoa(c.hi), strconvItoa(c.lo)})
+		rows = append(rows, []string{lt.Str("l_shipmode").Extract(mc), strconv.Itoa(c.hi), strconv.Itoa(c.lo)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return a[0] < b[0] })
-	return &Result{Query: 12, Columns: []string{"l_shipmode", "high_line_count", "low_line_count"}, Rows: rows}
+	return &Result{Query: 12, Columns: []string{"l_shipmode", "high_line_count", "low_line_count"},
+		Rows: orderBy(rows, 0, str(0))}
 }
 
 // plan13 — Customer Distribution: histogram of order counts per customer,
@@ -94,25 +84,17 @@ func plan12(view *colstore.View) *Result {
 //	group by c_count order by custdist desc, c_count desc
 func plan13(view *colstore.View) *Result {
 	ot := view.Table("orders")
-	ocom := ot.Str("o_comment")
-	excluded := ocom.CodeSet(func(v string) bool {
+	excluded := ot.Str("o_comment").CodeSet(func(v string) bool {
 		i := strings.Index(v, "special")
 		return i >= 0 && strings.Contains(v[i:], "requests")
 	})
+	ocom := ot.Codes("o_comment")
 	ct := view.Table("customer")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
 
-	perCust := make(map[int64]int)
-	csOCom, csOCust := newCodeStream(ocom), newCodeStream(ocust)
-	for row := 0; row < ot.Rows(); row++ {
-		cc, _ := csOCom.code(row)
-		if excluded[cc] {
-			continue
-		}
-		ccRaw, _ := csOCust.code(row)
-		if c := oCustToCust[ccRaw]; c >= 0 {
-			perCust[c]++
+	perCust := make(map[int32]int) // by customer row
+	for row, crow := range ot.Join("o_custkey", ct, "c_custkey") {
+		if crow >= 0 && !excluded[ocom[row]] {
+			perCust[crow]++
 		}
 	}
 	histogram := make(map[int]int)
@@ -123,15 +105,10 @@ func plan13(view *colstore.View) *Result {
 
 	var rows [][]string
 	for n, custs := range histogram {
-		rows = append(rows, []string{strconvItoa(n), strconvItoa(custs)})
+		rows = append(rows, []string{strconv.Itoa(n), strconv.Itoa(custs)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool {
-		if a[1] != b[1] {
-			return parseF(a[1]) > parseF(b[1])
-		}
-		return parseF(a[0]) > parseF(b[0])
-	})
-	return &Result{Query: 13, Columns: []string{"c_count", "custdist"}, Rows: rows}
+	return &Result{Query: 13, Columns: []string{"c_count", "custdist"},
+		Rows: orderBy(rows, 0, num(1).down(), num(0).down())}
 }
 
 // plan14 — Promotion Effect: share of September 1995 revenue from PROMO parts.
@@ -147,33 +124,22 @@ func plan13(view *colstore.View) *Result {
 func plan14(view *colstore.View) *Result {
 	lo, hi := Date("1995-09-01"), Date("1995-10-01")
 	pt := view.Table("part")
-	ptype := pt.Str("p_type")
-	promo := ptype.CodeSet(func(v string) bool { return strings.HasPrefix(v, "PROMO") })
-	partPromo := rowFlags(pt.Rows(), ptype, func(code uint32) bool { return promo[code] })
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
+	promo := rowsIn(pt.Codes("p_type"),
+		pt.Str("p_type").CodeSet(func(v string) bool { return strings.HasPrefix(v, "PROMO") }))
 
 	lt := view.Table("lineitem")
-	lpk := lt.Str("l_partkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
 
 	var promoRev, totalRev float64
-	csLpk := newCodeStream(lpk)
-	for row := 0; row < lt.Rows(); row++ {
-		d := ship.Get(row)
-		if d < lo || d >= hi {
-			continue
-		}
-		pcRaw, _ := csLpk.code(row)
-		prow := keyRow(liPartToPart, partRowByCode, pcRaw)
-		if prow < 0 {
+	for row, prow := range lt.Join("l_partkey", pt, "p_partkey") {
+		if d := ship.Get(row); d < lo || d >= hi || prow < 0 {
 			continue
 		}
 		v := ext.Get(row) * (1 - disc.Get(row))
 		totalRev += v
-		if partPromo[prow] {
+		if promo[prow] {
 			promoRev += v
 		}
 	}
@@ -201,23 +167,14 @@ func plan15(view *colstore.View) *Result {
 	lo, hi := Date("1996-01-01"), Date("1996-04-01")
 	st := view.Table("supplier")
 	lt := view.Table("lineitem")
-	lsk := lt.Str("l_suppkey")
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
 
-	revenue := make(map[int64]float64) // by s_suppkey code
-	csLsk := newCodeStream(lsk)
-	for row := 0; row < lt.Rows(); row++ {
-		d := ship.Get(row)
-		if d < lo || d >= hi {
-			continue
-		}
-		scRaw, _ := csLsk.code(row)
-		if sc := liSuppToSupp[scRaw]; sc >= 0 {
-			revenue[sc] += ext.Get(row) * (1 - disc.Get(row))
+	revenue := make(map[int32]float64) // by supplier row
+	for row, srow := range lt.Join("l_suppkey", st, "s_suppkey") {
+		if d := ship.Get(row); d >= lo && d < hi && srow >= 0 {
+			revenue[srow] += ext.Get(row) * (1 - disc.Get(row))
 		}
 	}
 	var max float64
@@ -227,22 +184,21 @@ func plan15(view *colstore.View) *Result {
 		}
 	}
 	var rows [][]string
-	for sc, v := range revenue {
+	for suppRow, v := range revenue {
 		if v < max-1e-6 {
 			continue
 		}
-		srow := int(suppRowByCode[sc])
+		srow := int(suppRow)
 		rows = append(rows, []string{
-			st.Str("s_suppkey").Extract(uint32(sc)),
+			st.Str("s_suppkey").Get(srow),
 			st.Str("s_name").Get(srow),
 			st.Str("s_address").Get(srow),
 			st.Str("s_phone").Get(srow),
 			f2(v),
 		})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return a[0] < b[0] })
 	return &Result{Query: 15, Columns: []string{
-		"s_suppkey", "s_name", "s_address", "s_phone", "total_revenue"}, Rows: rows}
+		"s_suppkey", "s_name", "s_address", "s_phone", "total_revenue"}, Rows: orderBy(rows, 0, str(0))}
 }
 
 // plan16 — Parts/Supplier Relationship: distinct supplier counts per
@@ -263,89 +219,50 @@ func plan15(view *colstore.View) *Result {
 func plan16(view *colstore.View) *Result {
 	sizes := map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}
 	pt := view.Table("part")
-	brand := pt.Str("p_brand")
-	ptype := pt.Str("p_type")
 	psize := pt.Int("p_size")
-	excludedBrand, brandOK := brand.Locate("Brand#45")
-	badTypes := ptype.CodeSet(func(v string) bool { return strings.HasPrefix(v, "MEDIUM POLISHED") })
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
-
-	// The partsupp loop probes part rows in partkey order, not row order, so
-	// batch-decode the part-side codes once up front.
-	brandCodes := make([]uint32, pt.Rows())
-	ptypeCodes := make([]uint32, pt.Rows())
-	csBrand, csPType := newCodeStream(brand), newCodeStream(ptype)
-	for row := 0; row < pt.Rows(); row++ {
-		brandCodes[row], _ = csBrand.code(row)
-		ptypeCodes[row], _ = csPType.code(row)
-	}
+	excludedBrand, brandOK := pt.Str("p_brand").Locate("Brand#45")
+	badTypes := pt.Str("p_type").CodeSet(func(v string) bool { return strings.HasPrefix(v, "MEDIUM POLISHED") })
+	brand, ptype := pt.Codes("p_brand"), pt.Codes("p_type")
 
 	st := view.Table("supplier")
-	scom := st.Str("s_comment")
-	badSupp := scom.CodeSet(func(v string) bool {
+	badSupp := rowsIn(st.Codes("s_comment"), st.Str("s_comment").CodeSet(func(v string) bool {
 		return strings.Contains(v, "Customer Complaints")
-	})
-	suppBad := rowFlags(st.Rows(), scom, func(code uint32) bool { return badSupp[code] })
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	}))
 
 	pst := view.Table("partsupp")
-	psPart := pst.Str("ps_partkey")
-	psSupp := pst.Str("ps_suppkey")
-	psPartToPart := colstore.TranslateCodes(psPart, pt.Str("p_partkey"))
-	psSuppToSupp := colstore.TranslateCodes(psSupp, st.Str("s_suppkey"))
+	psSupp := pst.Join("ps_suppkey", st, "s_suppkey")
 
 	type gk struct {
 		brand, ptype uint32
 		size         int64
 	}
-	suppliers := make(map[gk]map[int64]bool)
-	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	for row := 0; row < pst.Rows(); row++ {
-		pcRaw, _ := csPsPart.code(row)
-		prow := int(keyRow(psPartToPart, partRowByCode, pcRaw))
-		if prow < 0 {
+	suppliers := make(map[gk]map[int32]bool) // group -> supplier rows
+	for row, prow := range pst.Join("ps_partkey", pt, "p_partkey") {
+		// A part whose brand or type has no value ID falls in no group.
+		if prow < 0 || brand[prow] == colstore.NoCode || ptype[prow] == colstore.NoCode {
 			continue
 		}
-		bc, tc := brandCodes[prow], ptypeCodes[prow]
-		sz := psize.Get(prow)
-		if (brandOK && bc == excludedBrand) || badTypes[tc] || !sizes[sz] {
+		k := gk{brand[prow], ptype[prow], psize.Get(int(prow))}
+		if (brandOK && k.brand == excludedBrand) || badTypes[k.ptype] || !sizes[k.size] {
 			continue
 		}
-		scRaw, _ := csPsSupp.code(row)
-		sc := psSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
+		if srow := psSupp[row]; srow >= 0 && !badSupp[srow] {
+			if suppliers[k] == nil {
+				suppliers[k] = make(map[int32]bool)
+			}
+			suppliers[k][srow] = true
 		}
-		if srow := suppRowByCode[sc]; srow < 0 || suppBad[srow] {
-			continue
-		}
-		k := gk{bc, tc, sz}
-		if suppliers[k] == nil {
-			suppliers[k] = make(map[int64]bool)
-		}
-		suppliers[k][sc] = true
 	}
 
 	var rows [][]string
 	for k, set := range suppliers {
 		rows = append(rows, []string{
-			brand.Extract(k.brand), ptype.Extract(k.ptype),
-			strconvItoa(int(k.size)), strconvItoa(len(set)),
+			pt.Str("p_brand").Extract(k.brand), pt.Str("p_type").Extract(k.ptype),
+			strconv.Itoa(int(k.size)), strconv.Itoa(len(set)),
 		})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool {
-		if a[3] != b[3] {
-			return parseF(a[3]) > parseF(b[3])
-		}
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return parseF(a[2]) < parseF(b[2])
-	})
-	return &Result{Query: 16, Columns: []string{"p_brand", "p_type", "p_size", "supplier_cnt"}, Rows: rows}
+	return &Result{Query: 16, Columns: []string{"p_brand", "p_type", "p_size", "supplier_cnt"},
+		Rows: orderBy(rows, 0, num(3).down(), str(0), str(1), num(2))}
 }
 
 // plan17 — Small-Quantity-Order Revenue: average yearly revenue lost if small
@@ -360,55 +277,33 @@ func plan16(view *colstore.View) *Result {
 //	       where l_partkey = p_partkey)
 func plan17(view *colstore.View) *Result {
 	pt := view.Table("part")
-	brand := pt.Str("p_brand")
-	cont := pt.Str("p_container")
-	brandCode, brandOK := brand.Locate("Brand#23")
-	contCode, contOK := cont.Locate("MED BOX")
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
+	brandCode, brandOK := pt.Str("p_brand").Locate("Brand#23")
+	contCode, contOK := pt.Str("p_container").Locate("MED BOX")
+	brand, cont := pt.Codes("p_brand"), pt.Codes("p_container")
 
 	lt := view.Table("lineitem")
-	lpk := lt.Str("l_partkey")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
-	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
-
-	// Qualifying parts, batch-decoded once: the lineitem loops probe part
-	// rows in partkey order.
-	partPass := make([]bool, pt.Rows())
-	csBrand, csCont := newCodeStream(brand), newCodeStream(cont)
-	for row := 0; row < pt.Rows(); row++ {
-		bc, _ := csBrand.code(row)
-		cc, _ := csCont.code(row)
-		partPass[row] = brandOK && contOK && bc == brandCode && cc == contCode
+	liPart := lt.Join("l_partkey", pt, "p_partkey")
+	passes := func(prow int32) bool {
+		return prow >= 0 && brandOK && contOK && brand[prow] == brandCode && cont[prow] == contCode
 	}
 
 	// avg quantity per qualifying part
-	sumQty := make(map[int64]float64)
-	cntQty := make(map[int64]int)
-	passes := func(pc int64) bool {
-		if pc < 0 {
-			return false
-		}
-		prow := partRowByCode[pc]
-		return prow >= 0 && partPass[prow]
-	}
-	csLpk := newCodeStream(lpk)
-	for row := 0; row < lt.Rows(); row++ {
-		pcRaw, _ := csLpk.code(row)
-		pc := liPartToPart[pcRaw]
-		if passes(pc) {
-			sumQty[pc] += qty.Get(row)
-			cntQty[pc]++
+	sumQty := make(map[int32]float64) // by part row
+	cntQty := make(map[int32]int)
+	for row, prow := range liPart {
+		if passes(prow) {
+			sumQty[prow] += qty.Get(row)
+			cntQty[prow]++
 		}
 	}
 	var total float64
-	for row := 0; row < lt.Rows(); row++ {
-		pcRaw, _ := csLpk.code(row)
-		pc := liPartToPart[pcRaw]
-		if !passes(pc) {
+	for row, prow := range liPart {
+		if !passes(prow) {
 			continue
 		}
-		avg := sumQty[pc] / float64(cntQty[pc])
+		avg := sumQty[prow] / float64(cntQty[prow])
 		if qty.Get(row) < 0.2*avg {
 			total += ext.Get(row)
 		}
@@ -428,56 +323,36 @@ func plan17(view *colstore.View) *Result {
 //	group by ... order by o_totalprice desc, o_orderdate limit 100
 func plan18(view *colstore.View) *Result {
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
 	qty := lt.Float("l_quantity")
 	ot := view.Table("orders")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
 
-	sumQty := make(map[int64]float64) // by o_orderkey code
-	csLok := newCodeStream(lok)
-	for row := 0; row < lt.Rows(); row++ {
-		lcRaw, _ := csLok.code(row)
-		if oc := liOrderToOrder[lcRaw]; oc >= 0 {
-			sumQty[oc] += qty.Get(row)
+	sumQty := make(map[int32]float64) // by order row
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
+		if orow >= 0 {
+			sumQty[orow] += qty.Get(row)
 		}
 	}
 
 	ct := view.Table("customer")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	custRowByCode := ct.Str("c_custkey").RowIndexByCode()
-
-	csOCust := newCodeStream(ocust)
+	oCust := ot.Join("o_custkey", ct, "c_custkey")
 	var rows [][]string
-	for oc, q := range sumQty {
-		if q <= 300 {
+	for orderRow, q := range sumQty {
+		orow, crow := int(orderRow), int(oCust[orderRow])
+		if q <= 300 || crow < 0 {
 			continue
 		}
-		orow := int(orderRowByCode[oc])
-		ccRaw, _ := csOCust.code(orow)
-		cc := oCustToCust[ccRaw]
-		if cc < 0 {
-			continue
-		}
-		crow := int(custRowByCode[cc])
 		rows = append(rows, []string{
 			ct.Str("c_name").Get(crow),
-			ct.Str("c_custkey").Extract(uint32(cc)),
-			ot.Str("o_orderkey").Extract(uint32(oc)),
+			ct.Str("c_custkey").Get(crow),
+			ot.Str("o_orderkey").Get(orow),
 			DateString(ot.Int("o_orderdate").Get(orow)),
 			f2(ot.Float("o_totalprice").Get(orow)),
 			f2(q),
 		})
 	}
-	rows = sortRows(rows, 100, func(a, b []string) bool {
-		if a[4] != b[4] {
-			return parseF(a[4]) > parseF(b[4])
-		}
-		return a[3] < b[3]
-	})
 	return &Result{Query: 18, Columns: []string{
-		"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"}, Rows: rows}
+		"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"},
+		Rows: orderBy(rows, 100, num(4).down(), str(3))}
 }
 
 // plan19 — Discounted Revenue: three brand/container/quantity disjuncts.
@@ -494,60 +369,38 @@ func plan18(view *colstore.View) *Result {
 //	  and l_shipinstruct = 'DELIVER IN PERSON'
 func plan19(view *colstore.View) *Result {
 	pt := view.Table("part")
-	brand := pt.Str("p_brand")
-	cont := pt.Str("p_container")
 	size := pt.Int("p_size")
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
-
-	sm := cont.CodeSet(func(v string) bool {
+	pcont := pt.Str("p_container")
+	sm := pcont.CodeSet(func(v string) bool {
 		return v == "SM CASE" || v == "SM BOX" || v == "SM PACK" || v == "SM PKG"
 	})
-	med := cont.CodeSet(func(v string) bool {
+	med := pcont.CodeSet(func(v string) bool {
 		return v == "MED BAG" || v == "MED BOX" || v == "MED PKG" || v == "MED PACK"
 	})
-	lg := cont.CodeSet(func(v string) bool {
+	lg := pcont.CodeSet(func(v string) bool {
 		return v == "LG CASE" || v == "LG BOX" || v == "LG PACK" || v == "LG PKG"
 	})
-	b12, _ := brand.Locate("Brand#12")
-	b23, _ := brand.Locate("Brand#23")
-	b34, _ := brand.Locate("Brand#34")
-
-	// Part-side codes, batch-decoded once for the partkey-ordered probes.
-	brandCodes := make([]uint32, pt.Rows())
-	contCodes := make([]uint32, pt.Rows())
-	csBrand, csCont := newCodeStream(brand), newCodeStream(cont)
-	for row := 0; row < pt.Rows(); row++ {
-		brandCodes[row], _ = csBrand.code(row)
-		contCodes[row], _ = csCont.code(row)
-	}
+	b12, _ := pt.Str("p_brand").Locate("Brand#12")
+	b23, _ := pt.Str("p_brand").Locate("Brand#23")
+	b34, _ := pt.Str("p_brand").Locate("Brand#34")
+	brand, cont := pt.Codes("p_brand"), pt.Codes("p_container")
 
 	lt := view.Table("lineitem")
-	lpk := lt.Str("l_partkey")
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	mode := lt.Str("l_shipmode")
-	instr := lt.Str("l_shipinstruct")
-	air, _ := mode.Locate("AIR")
-	regair, _ := mode.Locate("REG AIR")
-	deliver, _ := instr.Locate("DELIVER IN PERSON")
-	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
+	air, _ := lt.Str("l_shipmode").Locate("AIR")
+	regair, _ := lt.Str("l_shipmode").Locate("REG AIR")
+	deliver, _ := lt.Str("l_shipinstruct").Locate("DELIVER IN PERSON")
+	mode, instr := lt.Codes("l_shipmode"), lt.Codes("l_shipinstruct")
 
 	var revenue float64
-	csMode, csInstr, csLpk := newCodeStream(mode), newCodeStream(instr), newCodeStream(lpk)
-	for row := 0; row < lt.Rows(); row++ {
-		mc, _ := csMode.code(row)
-		ic, _ := csInstr.code(row)
-		if (mc != air && mc != regair) || ic != deliver {
+	for row, prow := range lt.Join("l_partkey", pt, "p_partkey") {
+		if (mode[row] != air && mode[row] != regair) || instr[row] != deliver || prow < 0 {
 			continue
 		}
-		pcRaw, _ := csLpk.code(row)
-		prow := int(keyRow(liPartToPart, partRowByCode, pcRaw))
-		if prow < 0 {
-			continue
-		}
-		bc, cc := brandCodes[prow], contCodes[prow]
-		sz := size.Get(prow)
+		bc, cc := brand[prow], cont[prow]
+		sz := size.Get(int(prow))
 		q := qty.Get(row)
 		match := (bc == b12 && sm[cc] && q >= 1 && q <= 11 && sz >= 1 && sz <= 5) ||
 			(bc == b23 && med[cc] && q >= 10 && q <= 20 && sz >= 1 && sz <= 10) ||
@@ -574,82 +427,53 @@ func plan19(view *colstore.View) *Result {
 //	  and s_nationkey = n_nationkey and n_name = 'CANADA' order by s_name
 func plan20(view *colstore.View) *Result {
 	lo, hi := Date("1994-01-01"), Date("1995-01-01")
-	ca, _, okCA := nationKeyCode(view, "CANADA")
+	ca, okCA := nationRow(view, "CANADA")
 	if !okCA {
 		return &Result{Query: 20}
 	}
 	pt := view.Table("part")
-	pname := pt.Str("p_name")
-	forest := pname.CodeSet(func(v string) bool { return strings.HasPrefix(v, "forest") })
-	partForest := rowFlags(pt.Rows(), pname, func(code uint32) bool { return forest[code] })
-	partRowByCode := pt.Str("p_partkey").RowIndexByCode()
+	forest := rowsIn(pt.Codes("p_name"),
+		pt.Str("p_name").CodeSet(func(v string) bool { return strings.HasPrefix(v, "forest") }))
 
-	// Shipped quantity in 1994 per (part, supp) in partsupp code spaces.
+	// Shipped quantity in 1994 per (part row, supplier row).
 	st := view.Table("supplier")
 	lt := view.Table("lineitem")
-	lpk := lt.Str("l_partkey")
-	lsk := lt.Str("l_suppkey")
 	ship := lt.Int("l_shipdate")
 	qty := lt.Float("l_quantity")
-	liPartToPart := colstore.TranslateCodes(lpk, pt.Str("p_partkey"))
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
-	type pair struct{ p, s int64 }
+	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
+	type pair struct{ p, s int32 }
 	shipped := make(map[pair]float64)
-	csLpk, csLsk := newCodeStream(lpk), newCodeStream(lsk)
-	for row := 0; row < lt.Rows(); row++ {
-		d := ship.Get(row)
-		if d < lo || d >= hi {
-			continue
+	for row, prow := range lt.Join("l_partkey", pt, "p_partkey") {
+		if d := ship.Get(row); d >= lo && d < hi {
+			shipped[pair{prow, liSupp[row]}] += qty.Get(row)
 		}
-		pcRaw, _ := csLpk.code(row)
-		scRaw, _ := csLsk.code(row)
-		shipped[pair{liPartToPart[pcRaw], liSuppToSupp[scRaw]}] += qty.Get(row)
 	}
 
 	pst := view.Table("partsupp")
-	psPart := pst.Str("ps_partkey")
-	psSupp := pst.Str("ps_suppkey")
 	avail := pst.Int("ps_availqty")
-	psPartToPart := colstore.TranslateCodes(psPart, pt.Str("p_partkey"))
-	psSuppToSupp := colstore.TranslateCodes(psSupp, st.Str("s_suppkey"))
-
-	candidates := make(map[int64]bool) // s_suppkey codes
-	csPsPart, csPsSupp := newCodeStream(psPart), newCodeStream(psSupp)
-	for row := 0; row < pst.Rows(); row++ {
-		pcRaw, _ := csPsPart.code(row)
-		pc := psPartToPart[pcRaw]
-		if pc < 0 {
+	psSupp := pst.Join("ps_suppkey", st, "s_suppkey")
+	candidates := make(map[int32]bool) // supplier rows
+	for row, prow := range pst.Join("ps_partkey", pt, "p_partkey") {
+		srow := psSupp[row]
+		if prow < 0 || !forest[prow] || srow < 0 {
 			continue
 		}
-		prow := partRowByCode[pc]
-		if prow < 0 || !partForest[prow] {
-			continue
-		}
-		scRaw, _ := csPsSupp.code(row)
-		sc := psSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		if float64(avail.Get(row)) > 0.5*shipped[pair{pc, sc}] && shipped[pair{pc, sc}] > 0 {
-			candidates[sc] = true
+		if q := shipped[pair{prow, srow}]; float64(avail.Get(row)) > 0.5*q && q > 0 {
+			candidates[srow] = true
 		}
 	}
 
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	suppNation := st.Join("s_nationkey", view.Table("nation"), "n_nationkey")
 	var rows [][]string
-	for sc := range candidates {
-		srow := int(suppRowByCode[sc])
-		if srow < 0 || suppNation[srow] != int64(ca) {
-			continue
+	for srow := range candidates {
+		if suppNation[srow] == ca {
+			rows = append(rows, []string{
+				st.Str("s_name").Get(int(srow)),
+				st.Str("s_address").Get(int(srow)),
+			})
 		}
-		rows = append(rows, []string{
-			st.Str("s_name").Get(srow),
-			st.Str("s_address").Get(srow),
-		})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return a[0] < b[0] })
-	return &Result{Query: 20, Columns: []string{"s_name", "s_address"}, Rows: rows}
+	return &Result{Query: 20, Columns: []string{"s_name", "s_address"}, Rows: orderBy(rows, 0, str(0))}
 }
 
 // plan21 — Suppliers Who Kept Orders Waiting: SAUDI ARABIA suppliers that were
@@ -667,87 +491,60 @@ func plan20(view *colstore.View) *Result {
 //	  and s_nationkey = n_nationkey and n_name = 'SAUDI ARABIA'
 //	group by s_name order by numwait desc, s_name limit 100
 func plan21(view *colstore.View) *Result {
-	sa, _, okSA := nationKeyCode(view, "SAUDI ARABIA")
+	sa, okSA := nationRow(view, "SAUDI ARABIA")
 	if !okSA {
 		return &Result{Query: 21}
 	}
 	st := view.Table("supplier")
-	suppNation := rowToNationCode(view, st.Str("s_nationkey"))
-	suppRowByCode := st.Str("s_suppkey").RowIndexByCode()
+	suppNation := st.Join("s_nationkey", view.Table("nation"), "n_nationkey")
 
 	ot := view.Table("orders")
-	status := ot.Str("o_orderstatus")
-	fCode, fOK := status.Locate("F")
-	orderRowByCode := ot.Str("o_orderkey").RowIndexByCode()
+	fCode, fOK := ot.Str("o_orderstatus").Locate("F")
+	status := ot.Codes("o_orderstatus")
 
 	lt := view.Table("lineitem")
-	lok := lt.Str("l_orderkey")
-	lsk := lt.Str("l_suppkey")
 	commit := lt.Int("l_commitdate")
 	recv := lt.Int("l_receiptdate")
-	liOrderToOrder := colstore.TranslateCodes(lok, ot.Str("o_orderkey"))
-	liSuppToSupp := colstore.TranslateCodes(lsk, st.Str("s_suppkey"))
+	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
 
-	// Per order: set of suppliers, set of late suppliers.
-	suppsOf := make(map[int64]map[int64]bool)
-	lateOf := make(map[int64]map[int64]bool)
-	csLok, csLsk, csStatus := newCodeStream(lok), newCodeStream(lsk), newCodeStream(status)
-	for row := 0; row < lt.Rows(); row++ {
-		lcRaw, _ := csLok.code(row)
-		oc := liOrderToOrder[lcRaw]
-		if oc < 0 {
+	// Per order row: set of supplier rows, set of late supplier rows.
+	suppsOf := make(map[int32]map[int32]bool)
+	lateOf := make(map[int32]map[int32]bool)
+	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
+		srow := liSupp[row]
+		if orow < 0 || !fOK || status[orow] != fCode || srow < 0 {
 			continue
 		}
-		orow := orderRowByCode[oc]
-		if orow < 0 {
-			continue
+		if suppsOf[orow] == nil {
+			suppsOf[orow] = make(map[int32]bool)
 		}
-		sc0, _ := csStatus.code(int(orow))
-		if !fOK || sc0 != fCode {
-			continue
-		}
-		scRaw, _ := csLsk.code(row)
-		sc := liSuppToSupp[scRaw]
-		if sc < 0 {
-			continue
-		}
-		if suppsOf[oc] == nil {
-			suppsOf[oc] = make(map[int64]bool)
-		}
-		suppsOf[oc][sc] = true
+		suppsOf[orow][srow] = true
 		if recv.Get(row) > commit.Get(row) {
-			if lateOf[oc] == nil {
-				lateOf[oc] = make(map[int64]bool)
+			if lateOf[orow] == nil {
+				lateOf[orow] = make(map[int32]bool)
 			}
-			lateOf[oc][sc] = true
+			lateOf[orow][srow] = true
 		}
 	}
 
-	waiting := make(map[int64]int) // s_suppkey code -> count
-	for oc, late := range lateOf {
-		if len(late) != 1 || len(suppsOf[oc]) < 2 {
+	waiting := make(map[int32]int) // supplier row -> count
+	for orow, late := range lateOf {
+		if len(late) != 1 || len(suppsOf[orow]) < 2 {
 			continue
 		}
-		for sc := range late {
-			srow := suppRowByCode[sc]
-			if srow >= 0 && suppNation[srow] == int64(sa) {
-				waiting[sc]++
+		for srow := range late {
+			if suppNation[srow] == sa {
+				waiting[srow]++
 			}
 		}
 	}
 
 	var rows [][]string
-	for sc, n := range waiting {
-		srow := int(suppRowByCode[sc])
-		rows = append(rows, []string{st.Str("s_name").Get(srow), strconvItoa(n)})
+	for srow, n := range waiting {
+		rows = append(rows, []string{st.Str("s_name").Get(int(srow)), strconv.Itoa(n)})
 	}
-	rows = sortRows(rows, 100, func(a, b []string) bool {
-		if a[1] != b[1] {
-			return parseF(a[1]) > parseF(b[1])
-		}
-		return a[0] < b[0]
-	})
-	return &Result{Query: 21, Columns: []string{"s_name", "numwait"}, Rows: rows}
+	return &Result{Query: 21, Columns: []string{"s_name", "numwait"},
+		Rows: orderBy(rows, 100, num(1).down(), str(0))}
 }
 
 // plan22 — Global Sales Opportunity: well-funded customers from seven country
@@ -766,17 +563,15 @@ func plan21(view *colstore.View) *Result {
 func plan22(view *colstore.View) *Result {
 	codes := map[string]bool{"13": true, "31": true, "23": true, "29": true, "30": true, "18": true, "17": true}
 	ct := view.Table("customer")
-	phone := ct.Str("c_phone")
 	bal := ct.Float("c_acctbal")
-
+	phone := ct.Str("c_phone")
 	inCodes := phone.CodeSet(func(v string) bool { return len(v) >= 2 && codes[v[:2]] })
+	phoneCodes := ct.Codes("c_phone")
 
 	// avg positive balance over customers in the code set
 	var sum float64
 	var n int
-	csPhone := newCodeStream(phone)
-	for row := 0; row < ct.Rows(); row++ {
-		pc, _ := csPhone.code(row)
+	for row, pc := range phoneCodes {
 		if inCodes[pc] && bal.Get(row) > 0 {
 			sum += bal.Get(row)
 			n++
@@ -788,15 +583,10 @@ func plan22(view *colstore.View) *Result {
 	avg := sum / float64(n)
 
 	// Customers with at least one order.
-	ot := view.Table("orders")
-	ocust := ot.Str("o_custkey")
-	oCustToCust := colstore.TranslateCodes(ocust, ct.Str("c_custkey"))
-	hasOrder := make(map[int64]bool)
-	csOCust := newCodeStream(ocust)
-	for row := 0; row < ot.Rows(); row++ {
-		ccRaw, _ := csOCust.code(row)
-		if cc := oCustToCust[ccRaw]; cc >= 0 {
-			hasOrder[cc] = true
+	hasOrder := make([]bool, ct.Rows())
+	for _, crow := range view.Table("orders").Join("o_custkey", ct, "c_custkey") {
+		if crow >= 0 {
+			hasOrder[crow] = true
 		}
 	}
 
@@ -805,16 +595,9 @@ func plan22(view *colstore.View) *Result {
 		sum float64
 	}
 	byCode := make(map[string]*agg)
-	custKey := ct.Str("c_custkey")
-	csCustKey := newCodeStream(custKey)
 	var buf []byte
-	for row := 0; row < ct.Rows(); row++ {
-		pc, _ := csPhone.code(row)
-		if !inCodes[pc] || bal.Get(row) <= avg {
-			continue
-		}
-		kc, _ := csCustKey.code(row)
-		if hasOrder[int64(kc)] {
+	for row, pc := range phoneCodes {
+		if !inCodes[pc] || bal.Get(row) <= avg || hasOrder[row] {
 			continue
 		}
 		buf = phone.AppendExtract(buf[:0], pc)
@@ -830,8 +613,7 @@ func plan22(view *colstore.View) *Result {
 
 	var rows [][]string
 	for cc, a := range byCode {
-		rows = append(rows, []string{cc, strconvItoa(a.n), f2(a.sum)})
+		rows = append(rows, []string{cc, strconv.Itoa(a.n), f2(a.sum)})
 	}
-	rows = sortRows(rows, 0, func(a, b []string) bool { return a[0] < b[0] })
-	return &Result{Query: 22, Columns: []string{"cntrycode", "numcust", "totacctbal"}, Rows: rows}
+	return &Result{Query: 22, Columns: []string{"cntrycode", "numcust", "totacctbal"}, Rows: orderBy(rows, 0, str(0))}
 }

@@ -99,7 +99,7 @@ func TestMergeDaemonOnRefreshStream(t *testing.T) {
 	sched := colstore.NewMergeScheduler(s, 50)
 	sched.Interval = time.Millisecond
 	sched.Chooser = func(snap *colstore.Snapshot, lifetimeNs float64) dict.Format {
-		return mgr.ChooseFormat(SnapshotStatsOf(snap, lifetimeNs, 1.0, 1)).Format
+		return mgr.ChooseFormat(core.SnapshotStats(snap, lifetimeNs, 1.0, 1)).Format
 	}
 	sched.Start(context.Background())
 

@@ -206,7 +206,7 @@ func NewStore() *Store { return colstore.NewStore() }
 // scheduler hands them the snapshot it decided on. Outside a Chooser, pin
 // with StringColumn.Snapshot and Release afterwards.
 func ColumnStatsOfSnapshot(s *Snapshot, lifetimeNs float64, sampleRatio float64, seed int64) ColumnStats {
-	return tpch.SnapshotStatsOf(s, lifetimeNs, sampleRatio, seed)
+	return core.SnapshotStats(s, lifetimeNs, sampleRatio, seed)
 }
 
 // Reconfigure asks the manager for a format for every string column of the
