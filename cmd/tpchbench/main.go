@@ -11,13 +11,14 @@
 //
 // Usage:
 //
-//	tpchbench [-figure both] [-sf 0.02] [-seed N] [-trace 2] [-reps 3] [-sample 0.01]
+//	tpchbench [-figure both] [-sf 0.02] [-seed N] [-trace 100] [-reps 3] [-sample 0.01] [-cpuprofile file]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"strdict/internal/experiments"
 )
@@ -26,10 +27,23 @@ func main() {
 	figure := flag.String("figure", "both", "figure to regenerate: 10, 11, both, strategies or workload")
 	sf := flag.Float64("sf", 0.02, "TPC-H scale factor")
 	seed := flag.Int64("seed", 1, "random seed")
-	trace := flag.Int("trace", 2, "workload repetitions for the trace")
+	trace := flag.Int("trace", 100, "workload repetitions for the trace")
 	reps := flag.Int("reps", 3, "repetitions per configuration measurement")
 	sample := flag.Float64("sample", 0.01, "sampling ratio for the size models")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.Parse()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tpchbench: -cpuprofile:", err)
+			os.Exit(1)
+		}
+		defer pprof.StopCPUProfile() // flushes the profile into f
+	}
 
 	e := experiments.NewTPCHExperiment(experiments.TPCHConfig{
 		ScaleFactor: *sf,

@@ -52,24 +52,20 @@ func (c *Codec) Width() uint { return c.width }
 // AlphabetSize returns the number of distinct characters (excluding EOS).
 func (c *Codec) AlphabetSize() int { return len(c.charOf) }
 
-// Encode appends the byte-aligned encoded form of src (EOS-terminated) to dst.
+// Encode appends the byte-aligned encoded form of src to dst: the code
+// sequence followed by EOS, zero-padded to a whole byte. It allocates only
+// to grow dst.
 func (c *Codec) Encode(dst []byte, src []byte) []byte {
-	var w bits.Writer
-	c.EncodeTo(&w, src)
-	w.Align()
-	return append(dst, w.Bytes()...)
-}
-
-// EncodeTo writes the unaligned code sequence for src followed by EOS.
-func (c *Codec) EncodeTo(w *bits.Writer, src []byte) {
+	nbit := 8 * uint64(len(dst))
 	for _, b := range src {
 		code := c.codeOf[b]
 		if code == 0 {
 			panic("bitcomp: encoding character absent from training corpus")
 		}
-		w.WriteBits(uint64(code), c.width)
+		dst = bits.AppendBits(dst, nbit, uint64(code), c.width)
+		nbit += uint64(c.width)
 	}
-	w.WriteBits(0, c.width) // EOS
+	return bits.AppendBits(dst, nbit, 0, c.width) // EOS
 }
 
 // Decode appends the decoded string to dst, reading codes until EOS.

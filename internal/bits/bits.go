@@ -30,6 +30,15 @@ type Writer struct {
 // WriteBits appends the n low-order bits of v, most significant first.
 // n must be at most 64.
 func (w *Writer) WriteBits(v uint64, n uint) {
+	w.buf = AppendBits(w.buf, w.nbit, v, n)
+	w.nbit += uint64(n)
+}
+
+// AppendBits is WriteBits without a Writer: it appends the n low-order bits
+// of v to the stream of nbit bits held in buf (whole bytes, the last one
+// zero-padded) and returns the extended buffer. buf flows to the result
+// only, so appending to a local array allocates nothing while it fits.
+func AppendBits(buf []byte, nbit uint64, v uint64, n uint) []byte {
 	if n > 64 {
 		panic("bits: WriteBits width > 64")
 	}
@@ -37,9 +46,9 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 		v &= (1 << n) - 1
 	}
 	for n > 0 {
-		used := uint(w.nbit & 7)
+		used := uint(nbit & 7)
 		if used == 0 {
-			w.buf = append(w.buf, 0)
+			buf = append(buf, 0)
 		}
 		free := 8 - used
 		take := n
@@ -47,10 +56,11 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 			take = free
 		}
 		chunk := byte(v >> (n - take))
-		w.buf[len(w.buf)-1] |= chunk << (free - take)
-		w.nbit += uint64(take)
+		buf[len(buf)-1] |= chunk << (free - take)
+		nbit += uint64(take)
 		n -= take
 	}
+	return buf
 }
 
 // WriteBit appends a single bit.

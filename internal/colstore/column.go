@@ -96,6 +96,11 @@ type columnVersion struct {
 	codes intcomp.Vector
 	nMain int
 
+	// dictGen identifies dict among the dictionaries this column publishes:
+	// a version with a new dictionary (fold, RestoreMain) takes the next
+	// number, one that shares its predecessor's copies it (see joinTable).
+	dictGen uint64
+
 	// zones summarizes the main code vector in zoneRows blocks (min/max
 	// code per block), built at merge/restore time. Scans skip blocks whose
 	// summary excludes the predicate's code interval.
@@ -161,6 +166,10 @@ type StringColumn struct {
 	// other: there is exactly one version publisher at a time. Readers and
 	// writers never touch it.
 	mergeMu sync.Mutex
+
+	// joinTable is the last dictionary translation Join computed with this
+	// column as the foreign key (see Snapshot.keyCodes); fold drops it.
+	joinTable atomic.Pointer[joinTable]
 
 	extracts atomic.Uint64
 	locates  atomic.Uint64
@@ -362,6 +371,7 @@ func (c *StringColumn) sealActive() *columnVersion {
 		dict:       v.dict,
 		codes:      v.codes,
 		nMain:      v.nMain,
+		dictGen:    v.dictGen,
 		zones:      v.zones,
 		sealed:     append(v.sealed[:len(v.sealed):len(v.sealed)], seg),
 		sealedRows: v.sealedRows + len(seg.rows),
@@ -428,16 +438,18 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 	}
 
 	nv := &columnVersion{
-		dict:  v.dict,
-		codes: v.codes,
-		nMain: v.nMain + foldRows,
-		zones: v.zones,
+		dict:    v.dict,
+		codes:   v.codes,
+		nMain:   v.nMain + foldRows,
+		dictGen: v.dictGen,
+		zones:   v.zones,
 		// Copied, not resliced, so the folded segments become garbage.
 		sealed:     append([]*deltaSegment(nil), v.sealed[k:]...),
 		sealedRows: v.sealedRows - foldRows,
 	}
 	if rebuild {
 		nv.dict = dict.BuildUnchecked(format, merged) // the expensive part
+		nv.dictGen++
 	}
 	switch {
 	case rewrite:
@@ -448,6 +460,9 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 		nv.zones = append(v.zones[:len(v.zones):len(v.zones)], buildZonesAt(codes, v.nMain)...)
 	}
 	c.version.Store(nv)
+	if rebuild {
+		c.joinTable.Store(nil) // translated the superseded dictionary
+	}
 	c.journalMainPart(nv.dict, nv.codes, nv.nMain)
 	return MergeResult{Folded: foldRows, Rewritten: len(codes), DictBuilt: rebuild}
 }
@@ -581,11 +596,14 @@ func deltaSegmentBytes(vals []string, rows []uint32) uint64 {
 	return b + uint64(len(rows))*4
 }
 
-// Bytes returns the column's total footprint: dictionary, code vector, and
-// delta structures (sealed and active).
+// Bytes returns the column's total footprint: dictionary, code vector,
+// delta structures (sealed and active), and the cached join translation.
 func (c *StringColumn) Bytes() uint64 {
 	v := c.version.Load()
 	b := v.dict.Bytes() + v.codes.Bytes()
+	if t := c.joinTable.Load(); t != nil {
+		b += 4 * uint64(len(t.codes))
+	}
 	for _, seg := range v.sealed {
 		b += deltaSegmentBytes(seg.vals, seg.rows)
 	}

@@ -126,10 +126,11 @@ func (c *StringColumn) RestoreMain(d dict.Dictionary, codes intcomp.Vector) {
 		panic("colstore: RestoreMain on a non-empty column")
 	}
 	c.version.Store(&columnVersion{
-		dict:  d,
-		codes: codes,
-		nMain: codes.Len(),
-		zones: zonesOfVector(codes),
+		dict:    d,
+		codes:   codes,
+		nMain:   codes.Len(),
+		dictGen: c.version.Load().dictGen + 1,
+		zones:   zonesOfVector(codes),
 	})
 	c.totalRows.Store(int64(codes.Len()))
 }

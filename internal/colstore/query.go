@@ -2,9 +2,10 @@ package colstore
 
 // Query-plan building blocks on value IDs: predicates against constants cost
 // one locate, joins translate one dictionary into the other side's code
-// space, and only final result materialization extracts strings — exactly
-// the dictionary access profile the compression manager's time model feeds
-// on. They exist on Snapshot only (DESIGN.md, "Value IDs are scoped to a
+// space — once per pair of dictionaries, the table is cached on the foreign
+// key column — and only final result materialization extracts strings:
+// exactly the dictionary access profile the compression manager's time model
+// feeds on. They exist on Snapshot only (DESIGN.md, "Value IDs are scoped to a
 // Snapshot"); a query gets its snapshots from a View, and reads whole
 // columns of value IDs and whole foreign-key joins through the two TableView
 // operators below, Codes and Join.
@@ -39,13 +40,15 @@ func (tv *TableView) Codes(name string) []uint32 {
 // when there is none — the value is absent from keyCol's main part, or the
 // fk row is in the delta and has no value ID. Key rows are main-part rows
 // below key.Rows(); where keyCol repeats a value the last such row wins. It
-// costs one dictionary translation (DictLen(fk) extracts on fk and as many
-// locates on keyCol) and no other dictionary operation.
+// costs at most one dictionary translation per (fk dictionary, keyCol
+// dictionary) pair — DictLen(fk) extracts on fk and as many locates on
+// keyCol, counted on the query that misses the cache — and no dictionary
+// operation on a hit.
 func (tv *TableView) Join(fk string, key *TableView, keyCol string) []int32 {
 	fs, ks := tv.Str(fk), key.Str(keyCol)
 	rowByKeyCode := ks.rowIndexByCode(key.rows)
 	rowByCode := make([]int32, fs.DictLen()) // fk value ID -> key row
-	for code, keyCode := range translateCodes(fs, ks) {
+	for code, keyCode := range fs.keyCodes(ks) {
 		rowByCode[code] = -1
 		if keyCode >= 0 {
 			rowByCode[code] = rowByKeyCode[keyCode]
@@ -73,6 +76,33 @@ func (s *Snapshot) mainCodes(limit int, fn func(start int, codes []uint64)) int 
 		fn(row, s.v.codes.AppendRange(buf[:0], row, min(queryChunk, nMain-row)))
 	}
 	return nMain
+}
+
+// joinTable is a cached dictionary translation: codes maps every value ID of
+// generation fkGen of the owning column's dictionary to the value ID of the
+// same string in generation keyGen of key's dictionary, or -1 — a pure
+// function of two immutable dictionaries, neither of which it pins.
+type joinTable struct {
+	fkGen  uint64
+	key    *StringColumn
+	keyGen uint64
+	codes  []int32
+}
+
+// keyCodes returns the translation of s's dictionary into key's: the
+// column's cached table when it is for this very pair of dictionaries, else
+// a fresh translateCodes that replaces it. The result is shared, read-only.
+func (s *Snapshot) keyCodes(key *Snapshot) []int32 {
+	t := s.col.joinTable.Load()
+	if t != nil && t.fkGen == s.v.dictGen && t.key == key.col && t.keyGen == key.v.dictGen {
+		return t.codes
+	}
+	t = &joinTable{fkGen: s.v.dictGen, key: key.col, keyGen: key.v.dictGen, codes: make([]int32, s.DictLen())}
+	for code, keyCode := range translateCodes(s, key) {
+		t.codes[code] = int32(keyCode)
+	}
+	s.col.joinTable.Store(t)
+	return t.codes
 }
 
 // translateCodes maps every value ID of src's dictionary to the matching

@@ -1,10 +1,14 @@
 package colstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"strdict/internal/dict"
 )
@@ -271,4 +275,186 @@ func TestJoinCost(t *testing.T) {
 	if st := key.Stats(); st != (AccessStats{Locates: 40}) {
 		t.Errorf("key side: %+v, want 40 locates and no extracts", st)
 	}
+}
+
+// wantJoin is the brute-force model of ft.Join(fk, kt, keyCol), the one
+// TestCodesAndJoinAgainstModel states: the last main-part row of the key
+// column holding the same string, else -1. It goes through the strings of
+// the view's own pinned snapshots — uncounted reads only, so it can run
+// beside a check of the access counters — and through none of Join's code.
+func wantJoin(ft *TableView, fk string, kt *TableView, keyCol string) []int32 {
+	fs, ks := ft.Str(fk), kt.Str(keyCol)
+	fkVals, keyVals := fs.DictValues(), ks.DictValues()
+	lastRowOf := make(map[string]int32)
+	for row := 0; row < kt.Rows() && row < ks.MainRows(); row++ {
+		code, _ := ks.Code(row)
+		lastRowOf[keyVals[code]] = int32(row)
+	}
+	want := make([]int32, ft.Rows())
+	for row := range want {
+		want[row] = -1
+		if code, ok := fs.Code(row); ok {
+			if keyRow, found := lastRowOf[fkVals[code]]; found {
+				want[row] = keyRow
+			}
+		}
+	}
+	return want
+}
+
+// checkedJoin joins f.fk to keyTable.key on a fresh view, compares the
+// result with wantJoin and reports the first difference.
+func checkedJoin(s *Store, keyTable string) error {
+	view := s.View()
+	defer view.Release()
+	ft, kt := view.Table("f"), view.Table(keyTable)
+	got, want := ft.Join("fk", kt, "key"), wantJoin(ft, "fk", kt, "key")
+	if len(got) != len(want) {
+		return fmt.Errorf("join to %s: %d rows, want %d", keyTable, len(got), len(want))
+	}
+	for row := range want {
+		if got[row] != want[row] {
+			return fmt.Errorf("join to %s: row %d joins key row %d, want %d", keyTable, row, got[row], want[row])
+		}
+	}
+	return nil
+}
+
+// TestJoinTranslationCache: Join translates a (fk dictionary, key column,
+// key dictionary) triple once. A repeat and a fold that shares both
+// dictionaries hit the cached table and cost no dictionary operation; a new
+// dictionary on either side, or another key column, misses and pays exactly
+// one translation; the table is part of the fk column's Bytes() until fold
+// publishes a new fk dictionary; and joins racing a merge daemon that
+// republishes both sides stay equal to the brute-force model.
+func TestJoinTranslationCache(t *testing.T) {
+	s := NewStore()
+	fk := s.AddTable("f").AddString("fk", dict.FCBlock)
+	key := s.AddTable("k").AddString("key", dict.Array)
+	other := s.AddTable("o").AddString("key", dict.Array)
+	for i := 0; i < 300; i++ {
+		fk.Append(fmt.Sprintf("k%03d", i%40))
+	}
+	for i := 0; i < 50; i++ {
+		key.Append(fmt.Sprintf("k%03d", i))
+		other.Append(fmt.Sprintf("k%03d", 2*i))
+	}
+	fk.Merge(dict.FCBlock)
+	key.Merge(dict.Array)
+	other.Merge(dict.Array)
+
+	// expect joins once and checks what the join cost: one translation —
+	// DictLen(fk) extracts on fk, as many locates on the key — or nothing.
+	expect := func(step, keyTable string, miss bool) {
+		t.Helper()
+		keyColumn := s.Table(keyTable).Str("key")
+		s.ResetStats()
+		if err := checkedJoin(s, keyTable); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		var want uint64
+		if miss {
+			want = uint64(fk.DictLen())
+		}
+		if got := fk.Stats(); got != (AccessStats{Extracts: want}) {
+			t.Fatalf("%s: fk side %+v, want %d extracts and no locates", step, got, want)
+		}
+		if got := keyColumn.Stats(); got != (AccessStats{Locates: want}) {
+			t.Fatalf("%s: key side %+v, want %d locates and no extracts", step, got, want)
+		}
+	}
+	bare := fk.Bytes()
+	expect("first join", "k", true)
+	expect("repeat", "k", false)
+	if got, want := fk.Bytes(), bare+4*uint64(fk.DictLen()); got != want {
+		t.Fatalf("fk.Bytes() = %d with a cached table, want %d", got, want)
+	}
+
+	fk.Append("k007") // known values only: the folds share the dictionaries
+	key.Append("k049")
+	if res := fk.MergePartial(1); res.DictBuilt || res.Folded != 1 {
+		t.Fatalf("fk partial fold: %+v", res)
+	}
+	if res := key.MergePartial(1); res.DictBuilt || res.Folded != 1 {
+		t.Fatalf("key partial fold: %+v", res)
+	}
+	expect("after identity-preserving partial folds", "k", false)
+
+	fk.Append("k045")
+	fk.Merge(dict.FCBlock)
+	expect("after a full merge that adds an fk value", "k", true)
+	key.Append("k050")
+	key.Merge(dict.Array)
+	expect("after a merge of the key column", "k", true)
+	fk.Rebuild(dict.ArrayHU)
+	expect("after a Rebuild of the fk column", "k", true)
+	key.Rebuild(dict.FCInline)
+	expect("after a Rebuild of the key column", "k", true)
+	expect("repeat on the rebuilt columns", "k", false)
+	expect("another key column", "o", true)
+	expect("back to the first key column", "k", true)
+
+	// fold drops the table with the dictionary it translated: rebuilt there
+	// and back, the column is byte for byte what it was without one.
+	withTable := fk.Bytes()
+	fk.Rebuild(dict.FCBlock)
+	fk.Rebuild(dict.ArrayHU)
+	if got, want := fk.Bytes(), withTable-4*uint64(fk.DictLen()); got != want {
+		t.Fatalf("fk.Bytes() = %d after fold published a new dictionary, want %d (table unreachable)", got, want)
+	}
+
+	// Joins against both key columns, on every goroutine, while a daemon
+	// folds whatever has been appended at each tick and flips every format
+	// it republishes.
+	sched := NewMergeScheduler(s, 1)
+	sched.Interval = time.Millisecond
+	sched.Chooser = func(snap *Snapshot, _ float64) dict.Format {
+		if snap.Format() == dict.Array {
+			return dict.FCBlock
+		}
+		return dict.Array
+	}
+	sched.Start(context.Background())
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50 || !stop.Load(); i++ {
+				if err := checkedJoin(s, []string{"k", "o"}[(g+i)%2]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	// Each batch brings new values to all three columns and is folded by
+	// the daemon before the next one: at least twenty republications each.
+	for batch := 0; batch < 20; batch++ {
+		for i := 0; i < 100; i++ {
+			fk.Append(fmt.Sprintf("k%03d", (7*i+batch)%(45+4*batch)))
+			if i%4 == 0 {
+				key.Append(fmt.Sprintf("k%03d", 50+batch*25+i/4))
+				other.Append(fmt.Sprintf("k%03d", (i+batch)%(100+batch)))
+			}
+		}
+		waitFor(t, "the daemon to fold the batch", func() bool {
+			return fk.DeltaRows() == 0 && key.DeltaRows() == 0 && other.DeltaRows() == 0
+		})
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := sched.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sched.ColumnMergeStats(fk.Name()); st.Full+st.Partial < 20 {
+		t.Fatalf("the daemon republished fk %d times under the joins, want 20", st.Full+st.Partial)
+	}
+	// Whichever pair the goroutines left cached, a join and its repeat on
+	// the drained columns end on a hit.
+	if err := checkedJoin(s, "k"); err != nil {
+		t.Fatal(err)
+	}
+	expect("repeat after the daemon drained", "k", false)
 }

@@ -90,21 +90,19 @@ func arrayLocate[S ~string | ~[]byte](d *arrayDict, s S) (uint32, bool) {
 		}
 		return uint32(lo), false
 	}
-	if ec, ok := d.c.(encodedComparable); ok && schemeOrderPreserving(d.format.Scheme()) {
-		if sb := []byte(s); ec.canEncodeProbe(sb) {
-			probe := ec.encodeProbe(make([]byte, 0, len(sb)+8), sb)
-			lo, hi := 0, d.n
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if bytes.Compare(d.encoded(uint32(mid)), probe) < 0 {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
+	// The probe is encoded on the stack; past 64 bytes it moves to the heap.
+	if probe, ok := encodedProbe(d.c, make([]byte, 0, 64), []byte(s)); ok {
+		lo, hi := 0, d.n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if bytes.Compare(d.encoded(uint32(mid)), probe) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
-			found := lo < d.n && bytes.Equal(d.encoded(uint32(lo)), probe)
-			return uint32(lo), found
 		}
+		found := lo < d.n && bytes.Equal(d.encoded(uint32(lo)), probe)
+		return uint32(lo), found
 	}
 	return locateByExtract(d, d.n, s)
 }

@@ -46,24 +46,25 @@ type codec interface {
 	tableBytes() uint64
 }
 
-// encodedComparable is implemented by codecs whose encoded byte strings
-// compare in the same order as the original strings, enabling locate to
-// binary-search entirely on compressed data. canEncodeProbe guards against
-// probe characters outside the trained alphabet, for which the caller falls
-// back to extraction-based search.
-type encodedComparable interface {
-	encodeProbe(dst []byte, src []byte) []byte
-	canEncodeProbe(src []byte) bool
-}
-
-// schemeOrderPreserving reports whether the scheme's encoded byte strings,
-// as built for array dictionaries, compare like the originals.
-func schemeOrderPreserving(s Scheme) bool {
-	switch s {
-	case SchemeNone, SchemeBC, SchemeHU:
-		return true
+// encodedProbe appends to dst the encoded form of a locate probe under the
+// codecs whose encoded byte strings compare like the original strings (bc,
+// and hu as built for array dictionaries), so locate can binary-search on
+// compressed data. ok is false for every other codec and for probe
+// characters outside the trained alphabet; the caller then searches by
+// extraction. The codecs are called through their concrete types: through an
+// interface method dst would escape, and with it the caller's stack buffer.
+func encodedProbe(c codec, dst, src []byte) (probe []byte, ok bool) {
+	switch c := c.(type) {
+	case bcCodec:
+		if c.c.CanEncode(src) {
+			return c.c.Encode(dst, src), true
+		}
+	case huTuckerCodec:
+		if c.c.CanEncode(src) {
+			return c.c.Encode(dst, src), true
+		}
 	}
-	return false
+	return nil, false
 }
 
 // rawCodec stores strings verbatim with a NUL terminator.
@@ -82,8 +83,6 @@ func (rawCodec) encodeProbe(dst, src []byte) []byte {
 	dst = append(dst, src...)
 	return append(dst, 0)
 }
-
-func (rawCodec) canEncodeProbe([]byte) bool { return true }
 
 func (rawCodec) tableBytes() uint64 { return 0 }
 
@@ -105,9 +104,7 @@ func (w bcCodec) decodeNext(dst, enc []byte) ([]byte, int) {
 	dst = w.c.DecodeFrom(dst, r)
 	return dst, consumedBytes(r, enc)
 }
-func (w bcCodec) encodeProbe(dst, src []byte) []byte { return w.c.Encode(dst, src) }
-func (w bcCodec) canEncodeProbe(src []byte) bool     { return w.c.CanEncode(src) }
-func (w bcCodec) tableBytes() uint64                 { return w.c.TableBytes() }
+func (w bcCodec) tableBytes() uint64 { return w.c.TableBytes() }
 
 type huTuckerCodec struct{ c *hutucker.Codec }
 
@@ -116,9 +113,7 @@ func (w huTuckerCodec) decodeNext(dst, enc []byte) ([]byte, int) {
 	dst = w.c.DecodeFrom(dst, r)
 	return dst, consumedBytes(r, enc)
 }
-func (w huTuckerCodec) encodeProbe(dst, src []byte) []byte { return w.c.Encode(dst, src) }
-func (w huTuckerCodec) canEncodeProbe(src []byte) bool     { return w.c.CanEncode(src) }
-func (w huTuckerCodec) tableBytes() uint64                 { return w.c.TableBytes() }
+func (w huTuckerCodec) tableBytes() uint64 { return w.c.TableBytes() }
 
 type huffmanCodec struct{ c *huffman.Codec }
 

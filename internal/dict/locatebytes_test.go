@@ -58,12 +58,14 @@ func TestLocateBytesMatchesLocate(t *testing.T) {
 }
 
 // TestLocateBytesZeroAlloc: the raw-scheme array formats answer byte-slice
-// probes by comparing the stored bytes in place, without allocating — the
-// property the dictionary translation inside colstore's Join depends on.
-// (Front-coding formats still need a small decode buffer per probe.)
+// probes by comparing the stored bytes in place, and the order-preserving
+// compressed ones (bc, hu) by encoding the probe into a stack buffer and
+// comparing encoded bytes — neither allocates, the property the dictionary
+// translation inside colstore's Join depends on. (Front-coding formats still
+// need a small decode buffer per probe.)
 func TestLocateBytesZeroAlloc(t *testing.T) {
 	values, _ := locateBytesCorpus()
-	for _, f := range []Format{Array, ArrayFixed} {
+	for _, f := range []Format{Array, ArrayFixed, ArrayBC, ArrayHU} {
 		t.Run(f.String(), func(t *testing.T) {
 			d, err := Build(f, values)
 			if err != nil {

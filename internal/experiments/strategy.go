@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
-	"strdict/internal/colstore"
 	"strdict/internal/core"
-	"strdict/internal/tpch"
 )
 
 // DecideWith runs the per-column selection with an explicit strategy.
@@ -46,44 +45,22 @@ func StrategyComparison(w io.Writer, e *TPCHExperiment, c float64) []TPCHPoint {
 	return points
 }
 
-// WorkloadReport prints the traced per-column dictionary operation counts —
-// the "Number of Extracts / Number of Locates" inputs of the manager's
-// information flow (the paper's Figure 7). Columns are listed by total
-// dictionary traffic, heaviest first.
-func WorkloadReport(w io.Writer, s *colstore.Store) {
-	type row struct {
-		name               string
-		extracts, locates  uint64
-		dictLen            int
-		dictBytes, vecByte uint64
-	}
-	var rows []row
-	for _, c := range s.StringColumns() {
-		st := c.Stats()
-		rows = append(rows, row{
-			name: c.Name(), extracts: st.Extracts, locates: st.Locates,
-			dictLen: c.DictLen(), dictBytes: c.DictBytes(), vecByte: c.VectorBytes(),
-		})
-	}
-	for i := 0; i < len(rows); i++ {
-		for j := i + 1; j < len(rows); j++ {
-			if rows[j].extracts+rows[j].locates > rows[i].extracts+rows[i].locates {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
-		}
-	}
+// TraceAndReport prints the per-column dictionary operation counts of the
+// experiment's trace — the "Number of Extracts / Number of Locates" inputs of
+// the manager's information flow (the paper's Figure 7), summed over the
+// Cfg.TraceReps passes, of which only the first pays the joins' dictionary
+// translations. Columns are listed by total dictionary traffic, heaviest
+// first (cmd/tpchbench -figure workload).
+func TraceAndReport(w io.Writer, e *TPCHExperiment) {
+	rows := append([]tracedColumn(nil), e.traced...)
+	sort.SliceStable(rows, func(i, j int) bool {
+		return rows[i].stats.Extracts+rows[i].stats.Locates > rows[j].stats.Extracts+rows[j].stats.Locates
+	})
+	fmt.Fprintf(w, "dictionary operations of the %d-pass trace\n", e.Cfg.TraceReps)
 	fmt.Fprintf(w, "%-24s %12s %10s %10s %12s %12s\n",
 		"column", "extracts", "locates", "distinct", "dict bytes", "vector bytes")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %12d %10d %10d %12d %12d\n",
-			r.name, r.extracts, r.locates, r.dictLen, r.dictBytes, r.vecByte)
+		fmt.Fprintf(w, "%-24s %12d %10d %10d %12d %12d\n", r.snap.Name(), r.stats.Extracts, r.stats.Locates,
+			r.snap.DictLen(), r.snap.DictBytes(), r.snap.VectorBytes())
 	}
-}
-
-// TraceAndReport runs one workload pass over a fresh trace and prints the
-// report (cmd/tpchbench -figure workload).
-func TraceAndReport(w io.Writer, e *TPCHExperiment) {
-	e.Store.ResetStats()
-	tpch.RunAll(e.Store)
-	WorkloadReport(w, e.Store)
 }

@@ -17,7 +17,7 @@ import (
 type TPCHConfig struct {
 	ScaleFactor float64   // TPC-H scale factor (paper: 1; default here: 0.02)
 	Seed        int64     //
-	TraceReps   int       // workload repetitions for the trace (paper: 100)
+	TraceReps   int       // workload repetitions for the trace (default 100, as in the paper)
 	MeasureReps int       // repetitions per configuration measurement
 	CValues     []float64 // trade-off sweep (paper: log range 1e-3..10)
 	SampleRatio float64   // sampling ratio for the size models
@@ -29,7 +29,7 @@ func (c *TPCHConfig) FillDefaults() {
 		c.ScaleFactor = 0.02
 	}
 	if c.TraceReps <= 0 {
-		c.TraceReps = 2
+		c.TraceReps = 100
 	}
 	if c.MeasureReps <= 0 {
 		c.MeasureReps = 3

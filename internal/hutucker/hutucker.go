@@ -262,26 +262,21 @@ func (c *Codec) code(s int) (uint64, uint) {
 	return c.codeOf[s], uint(c.lenOf[s])
 }
 
-// Encode appends the byte-aligned encoded form of src (EOS-terminated) to
-// dst.
+// Encode appends the byte-aligned encoded form of src to dst: the code
+// sequence followed by EOS, zero-padded to a whole byte. It allocates only
+// to grow dst.
 func (c *Codec) Encode(dst []byte, src []byte) []byte {
-	var w bits.Writer
-	c.EncodeTo(&w, src)
-	w.Align()
-	return append(dst, w.Bytes()...)
-}
-
-// EncodeTo writes the unaligned code sequence for src followed by EOS.
-func (c *Codec) EncodeTo(w *bits.Writer, src []byte) {
+	nbit := 8 * uint64(len(dst))
 	for _, b := range src {
 		v, l := c.code(symOf(b))
 		if l == 0 {
 			panic("hutucker: encoding symbol absent from training corpus")
 		}
-		w.WriteBits(v, l)
+		dst = bits.AppendBits(dst, nbit, v, l)
+		nbit += uint64(l)
 	}
 	v, l := c.code(EOS)
-	w.WriteBits(v, l)
+	return bits.AppendBits(dst, nbit, v, l)
 }
 
 // Decode appends the decoded string to dst, reading codes until EOS.

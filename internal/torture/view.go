@@ -76,7 +76,9 @@ func (h *harness) opViewJoin() error {
 // of a is not in its main part). Each row's value ID is read twice — in
 // bulk through Codes before the loop, from the view's snapshot inside it —
 // so a view that pinned a second version of a mid-round shows up as
-// shifted IDs on every later row.
+// shifted IDs on every later row. The join runs twice: the first misses
+// Join's translation cache whenever a merge just published on either side,
+// the second hits what the first stored; both must give the model's rows.
 func (h *harness) viewJoinRound(a, b *column) error {
 	view := h.s.View()
 	defer view.Release()
@@ -85,6 +87,7 @@ func (h *harness) viewJoinRound(a, b *column) error {
 		return h.fail("view join: view rows %d, model %d", tv.Rows(), len(a.model))
 	}
 	joined := tv.Join(a.name, tv, b.name)
+	warm := tv.Join(a.name, tv, b.name)
 	codes := tv.Codes(a.name)
 
 	want := make(map[string]int32)
@@ -105,9 +108,9 @@ func (h *harness) viewJoinRound(a, b *column) error {
 		if !ok || !hasCode {
 			wantRow = -1 // absent from b's main part, or a row without a value ID
 		}
-		if got != wantRow {
-			return h.fail("view join: %s row %d (%q) joins %s row %d, model says %d",
-				a.name, row, v, b.name, got, wantRow)
+		if got != wantRow || warm[row] != wantRow {
+			return h.fail("view join: %s row %d (%q) joins %s row %d, then %d from the cached translation, model says %d",
+				a.name, row, v, b.name, got, warm[row], wantRow)
 		}
 	}
 	return nil

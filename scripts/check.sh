@@ -10,10 +10,12 @@ go build ./...
 
 # Line-count ratchet: non-test Go must not grow past what the last
 # simplicity PR landed at (ROADMAP aim 2, net-negative LOC). A PR that
-# removes code lowers the literal; nothing raises it silently.
+# removes code lowers the literal; nothing raises it silently: PR 24 (Join's
+# translation cache, allocation-free array bc/hu probes, tpchbench
+# -cpuprofile) raised it from 22528 by the 37 lines it added.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 22528 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 22528"
+if [ "$lines" -gt 22565 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 22565"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
@@ -50,6 +52,10 @@ go test -race -count=1 -run 'TestTortureShort' ./internal/torture/
 # onto one colstore.View per query; fifty race-detector runs keep it from
 # coming back unnoticed.
 go test -race -count=50 -run 'TestMergeDaemonOnRefreshStream' ./internal/tpch/
+
+# Join's translation cache: hits, every invalidation, and joins racing a
+# merge daemon that republishes both sides, against the brute-force model.
+go test -race -count=20 -run TestJoinTranslationCache ./internal/colstore/
 
 # Registry completeness: every registered dictionary format must carry a
 # size model and a default cost-table entry (TestRegistryCompleteness), keep
