@@ -123,14 +123,101 @@ func newFCDict(f Format, mode fcMode, strs []string, blockSize int) *fcDict {
 	return d
 }
 
-// blockBounds returns the index range [lo, hi) of block b.
-func (d *fcDict) blockBounds(b int) (lo, hi int) {
-	lo = b * d.blockSize
-	hi = lo + d.blockSize
-	if hi > d.n {
-		hi = d.n
+// header returns where a block whose data starts at p and which holds k
+// strings keeps its parts (newFCDict writes the three layouts): its prefix
+// lengths (prev, df), its suffix-end table (df), and its first string's
+// encoding, which ends at firstEnd. Only df stores that length; the other
+// encodings end at their terminator, so their firstEnd is the data's end.
+// walk and validate both read blocks through it.
+func (d *fcDict) header(p, k int) (plens, ends, payload, firstEnd int) {
+	plens, payload, firstEnd = p, p, len(d.data)
+	switch d.mode {
+	case fcModePrev:
+		payload += k - 1
+	case fcModeFirst:
+		plens += 4
+		ends = plens + k - 1
+		payload = ends + 4*(k-1)
+		if p+4 <= len(d.data) { // else validate rejects the block: its header does not fit
+			firstEnd = payload + int(binary.LittleEndian.Uint32(d.data[p:]))
+		}
 	}
-	return lo, hi
+	return plens, ends, payload, firstEnd
+}
+
+// walk is the one front-coding reader: it seeks block b, decoding its first
+// string, then advances to string n (or the block's last), each string
+// decoded once and from the one before. It decodes into buf from its start,
+// each string replacing the one before, and returns the buffer holding the
+// last. A non-nil visit sees every string and ends the walk by returning
+// false; more is false when it did, or when a corrupt stream ran off the data.
+//
+// Corrupt (deserialized) blocks stay safe to read: a header prefix length is
+// clamped to the string it is copied from, and a stream that runs off the data
+// stops decoding and leaves the current string as it is.
+func (d *fcDict) walk(buf []byte, b, n int, visit func(id uint32, value []byte) bool) (_ []byte, more bool) {
+	lo := b * d.blockSize
+	k := min(d.blockSize, d.n-lo)
+	plens, ends, payload, firstEnd := d.header(int(d.blockPtrs.Get(b)), k)
+	data, dc := d.data, d.c
+	dst, used := dc.decodeNext(buf[:0], data[payload:firstEnd])
+	if visit != nil && !visit(uint32(lo), dst) {
+		return dst, false
+	}
+	pos, firstLen := payload+used, len(dst)
+	i, end := 0, min(n, k-1)
+	switch d.mode {
+	case fcModePrev:
+		plens := data[plens : plens+k-1]
+		for i < end {
+			pl := int(plens[i])
+			i++
+			dst = dst[:min(pl, len(dst))]
+			dst, used = dc.decodeNext(dst, data[pos:])
+			pos += used
+			if visit != nil && !visit(uint32(lo+i), dst) {
+				return dst, false
+			}
+		}
+	case fcModeFirst:
+		// In sorted input the prefix a string shares with its block's first
+		// string never grows along the block (validate rejects a block where
+		// it does), so the current string always starts with the next one's
+		// prefix. With nobody visiting the strings in between, one step
+		// jumps straight to string n through the suffix-end table.
+		plens := data[plens : plens+k-1]
+		for i < end {
+			if i++; visit == nil {
+				i = end
+			}
+			dst = dst[:min(int(plens[i-1]), firstLen)]
+			start := 0
+			if i > 1 {
+				start = int(binary.LittleEndian.Uint32(data[ends+4*(i-2):]))
+			}
+			if off := firstEnd + start; off <= len(data) {
+				dst, _ = dc.decodeNext(dst, data[off:])
+			}
+			if visit != nil && !visit(uint32(lo+i), dst) {
+				return dst, false
+			}
+		}
+	default: // fcModeInline
+		for i < end {
+			if pos >= len(data) {
+				return dst, false
+			}
+			pl := int(data[pos])
+			i++
+			dst = dst[:min(pl, len(dst))]
+			dst, used = dc.decodeNext(dst, data[pos+1:])
+			pos += 1 + used
+			if visit != nil && !visit(uint32(lo+i), dst) {
+				return dst, false
+			}
+		}
+	}
+	return dst, true
 }
 
 func (d *fcDict) Extract(id uint32) string {
@@ -141,97 +228,28 @@ func (d *fcDict) AppendExtract(dst []byte, id uint32) []byte {
 	if int(id) >= d.n {
 		panic("dict: value ID out of range")
 	}
-	return d.extractInBlock(dst, int(id)/d.blockSize, int(id)%d.blockSize)
-}
-
-// extractInBlock appends string number i of block b to dst.
-func (d *fcDict) extractInBlock(dst []byte, b, i int) []byte {
-	lo, hi := d.blockBounds(b)
-	k := hi - lo
-	p := int(d.blockPtrs.Get(b))
-	base := len(dst)
-
-	// clampPrefix bounds a header prefix length by the previously decoded
-	// string, so corrupted (deserialized) headers cannot over-extend dst.
-	clampPrefix := func(pl int, dst []byte) int {
-		if max := len(dst) - base; pl > max {
-			return max
-		}
-		return pl
-	}
-
-	switch d.mode {
-	case fcModePrev:
-		hdr := d.data[p : p+k-1]
-		pos := p + k - 1
-		var used int
-		dst, used = d.c.decodeNext(dst, d.data[pos:])
-		pos += used
-		for j := 1; j <= i; j++ {
-			pl := clampPrefix(int(hdr[j-1]), dst)
-			dst = dst[:base+pl]
-			dst, used = d.c.decodeNext(dst, d.data[pos:])
-			pos += used
-		}
-		return dst
-
-	case fcModeFirst:
-		firstLen := int(binary.LittleEndian.Uint32(d.data[p:]))
-		plens := d.data[p+4 : p+4+k-1]
-		endsOff := p + 4 + (k - 1)
-		payload := endsOff + 4*(k-1)
-		dst, _ = d.c.decodeNext(dst, d.data[payload:payload+firstLen])
-		if i == 0 {
-			return dst
-		}
-		suffArea := payload + firstLen
-		start := 0
-		if i > 1 {
-			start = int(binary.LittleEndian.Uint32(d.data[endsOff+4*(i-2):]))
-		}
-		pl := clampPrefix(int(plens[i-1]), dst)
-		dst = dst[:base+pl]
-		if off := suffArea + start; off >= 0 && off <= len(d.data) {
-			dst, _ = d.c.decodeNext(dst, d.data[off:])
-		}
-		return dst
-
-	default: // fcModeInline
-		pos := p
-		var used int
-		dst, used = d.c.decodeNext(dst, d.data[pos:])
-		pos += used
-		for j := 1; j <= i; j++ {
-			if pos >= len(d.data) {
-				return dst // corrupt stream ran off the data area
-			}
-			pl := clampPrefix(int(d.data[pos]), dst)
-			pos++
-			dst = dst[:base+pl]
-			dst, used = d.c.decodeNext(dst, d.data[pos:])
-			pos += used
-		}
-		return dst
+	// walk decodes from the start of its buffer, which keeps the offset out
+	// of every step of a ForEach: give it dst's spare capacity.
+	s, _ := d.walk(dst[len(dst):], int(id)/d.blockSize, int(id)%d.blockSize, nil)
+	switch {
+	case len(dst) == 0:
+		return s
+	case cap(s) == cap(dst)-len(dst): // s is in place after dst's bytes
+		return dst[:len(dst)+len(s)]
+	default: // s outgrew dst's spare capacity
+		return append(dst, s...)
 	}
 }
 
-// firstOfBlock appends the first string of block b to dst.
-func (d *fcDict) firstOfBlock(dst []byte, b int) []byte {
-	lo, hi := d.blockBounds(b)
-	k := hi - lo
-	p := int(d.blockPtrs.Get(b))
-	switch d.mode {
-	case fcModePrev:
-		out, _ := d.c.decodeNext(dst, d.data[p+k-1:])
-		return out
-	case fcModeFirst:
-		firstLen := int(binary.LittleEndian.Uint32(d.data[p:]))
-		payload := p + 4 + (k-1)*5
-		out, _ := d.c.decodeNext(dst, d.data[payload:payload+firstLen])
-		return out
-	default:
-		out, _ := d.c.decodeNext(dst, d.data[p:])
-		return out
+// ForEach walks every block once: k decodes per block, where repeated
+// Extract calls would re-walk the block from its head for every entry.
+func (d *fcDict) ForEach(fn func(id uint32, value []byte) bool) {
+	var buf []byte
+	for b := 0; b*d.blockSize < d.n; b++ {
+		var more bool
+		if buf, more = d.walk(buf, b, d.blockSize, fn); !more {
+			return
+		}
 	}
 }
 
@@ -246,38 +264,29 @@ func fcLocate[S ~string | ~[]byte](d *fcDict, s S) (uint32, bool) {
 	if d.n == 0 {
 		return 0, false
 	}
-	// Binary search for the last block whose first string is <= s.
-	nblocks := (d.n + d.blockSize - 1) / d.blockSize
 	var buf []byte
-	lo, hi := 0, nblocks-1
+	// Binary search for the last block whose first string is <= s.
+	lo, hi := 0, (d.n-1)/d.blockSize
 	for lo < hi {
 		mid := int(uint(lo+hi+1) >> 1)
-		buf = d.firstOfBlock(buf[:0], mid)
-		if cmpProbe(buf, s) <= 0 {
+		if buf, _ = d.walk(buf, mid, 0, nil); cmpProbe(buf, s) <= 0 {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	b := lo
-	buf = d.firstOfBlock(buf[:0], b)
-	if b == 0 && cmpProbe(buf, s) > 0 {
-		return 0, false
-	}
-	// Walk the block. Decoding sequentially is how front coding pays for
-	// its compression.
-	blo, bhi := d.blockBounds(b)
-	k := bhi - blo
-	for i := 0; i < k; i++ {
-		buf = d.extractInBlock(buf[:0], b, i)
-		switch c := cmpProbe(buf, s); {
-		case c == 0:
-			return uint32(blo + i), true
-		case c > 0:
-			return uint32(blo + i), false
+	// Walk that block up to the first string >= s. Decoding sequentially is
+	// how front coding pays for its compression.
+	var id uint32
+	var found bool
+	d.walk(buf, lo, d.blockSize, func(i uint32, value []byte) bool {
+		cmp := cmpProbe(value, s)
+		if id, found = i, cmp == 0; cmp < 0 {
+			id++ // every string so far is smaller: s belongs after them
 		}
-	}
-	return uint32(bhi), false
+		return cmp < 0
+	})
+	return id, found
 }
 
 func (d *fcDict) Len() int       { return d.n }

@@ -166,3 +166,130 @@ func TestFCSingleStringPerBlock(t *testing.T) {
 		t.Fatal("single-string df block")
 	}
 }
+
+// countingCodec counts the strings its codec decodes.
+type countingCodec struct {
+	codec
+	decodes *int
+}
+
+func (c countingCodec) decodeNext(dst, enc []byte) ([]byte, int) {
+	*c.decodes++
+	return c.codec.decodeNext(dst, enc)
+}
+
+// TestFCDecodeCounts pins the front-coding reader's work in decodes, which
+// repeat exactly where timings do not: a locate is a block-head binary search
+// plus one walk of one block, an extract walks from its block head (df jumps
+// there through its suffix-end table), and ForEach decodes every string once.
+func TestFCDecodeCounts(t *testing.T) {
+	for name, strs := range testCorpora() {
+		probes := []string{"", "\x01", "\xff\xff"}
+		for _, s := range strs {
+			probes = append(probes, s, s+"\x01")
+		}
+		for _, f := range fcFormats() {
+			for _, bs := range []int{2, 3, 16, 17} {
+				built, err := BuildWithFCBlockSize(f, strs, bs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := built.(*fcDict)
+				var decodes int
+				d.c = countingCodec{d.c, &decodes}
+				nblocks := (d.n + bs - 1) / bs
+				log2 := 0
+				for 1<<log2 < nblocks {
+					log2++
+				}
+				for _, p := range probes {
+					decodes = 0
+					d.Locate(p)
+					if max := bs + log2 + 1; decodes > max {
+						t.Fatalf("%s/%s bs=%d: Locate(%q) decoded %d strings, want <= %d", f, name, bs, p, decodes, max)
+					}
+				}
+				var buf []byte
+				for id := 0; id < d.n; id++ {
+					decodes = 0
+					buf = d.AppendExtract(buf[:0], uint32(id))
+					max := id%bs + 1
+					if d.mode == fcModeFirst {
+						max = min(max, 2)
+					}
+					if decodes > max {
+						t.Fatalf("%s/%s bs=%d: AppendExtract(%d) decoded %d strings, want <= %d", f, name, bs, id, decodes, max)
+					}
+				}
+				decodes = 0
+				d.ForEach(func(uint32, []byte) bool { return true })
+				if decodes != d.n {
+					t.Fatalf("%s/%s bs=%d: ForEach decoded %d strings, want %d", f, name, bs, decodes, d.n)
+				}
+			}
+		}
+	}
+}
+
+// TestFCForEachAllocs: a front-coding walk reuses one buffer across blocks,
+// so its allocations do not grow with the number of blocks.
+func TestFCForEachAllocs(t *testing.T) {
+	allocs := func(f Format, n int) float64 {
+		var strs []string
+		for i := 0; i < n; i++ {
+			strs = append(strs, fmt.Sprintf("key-%06d", i))
+		}
+		d, err := Build(f, strs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			d.ForEach(func(uint32, []byte) bool { return true })
+		})
+	}
+	for _, f := range fcFormats() {
+		if few, many := allocs(f, 4*DefaultFCBlockSize), allocs(f, 256*DefaultFCBlockSize); many > few {
+			t.Errorf("%s: ForEach allocates %.0f times over 256 blocks, %.0f over 4", f, many, few)
+		}
+	}
+}
+
+// TestFCAppendExtractInPlace: an extract lands right after dst's bytes both
+// when it fits dst's spare capacity and when it outgrows it.
+func TestFCAppendExtractInPlace(t *testing.T) {
+	strs := testCorpora()["prefixed words"]
+	for _, f := range fcFormats() {
+		d, err := Build(f, strs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []int{3, 64} {
+			for id, want := range strs {
+				dst := append(make([]byte, 0, c), "pre"...)
+				if got := string(d.AppendExtract(dst, uint32(id))); got != "pre"+want {
+					t.Fatalf("%s cap %d: AppendExtract(%d) = %q, want %q", f, c, id, got, "pre"+want)
+				}
+			}
+		}
+	}
+}
+
+// TestFCForEachStopsAtBlockEnd: a walk that fn stops on the last string of
+// a block does not go on into the next block.
+func TestFCForEachStopsAtBlockEnd(t *testing.T) {
+	strs := testCorpora()["exact blocks"]
+	for _, f := range fcFormats() {
+		d, err := Build(f, strs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var visited int
+		d.ForEach(func(id uint32, _ []byte) bool {
+			visited++
+			return id != DefaultFCBlockSize-1
+		})
+		if visited != DefaultFCBlockSize {
+			t.Errorf("%s: visited %d after stopping at id %d", f, visited, DefaultFCBlockSize-1)
+		}
+	}
+}

@@ -6,21 +6,11 @@ import (
 	"strdict/internal/bits"
 )
 
-// ForEach visits the array dictionary sequentially: one decode per entry.
-func (d *arrayDict) ForEach(fn func(id uint32, value []byte) bool) {
+// forEachByExtract is the sequential walk of the formats whose extract costs
+// the same at any position: one AppendExtract per entry into a reused buffer.
+func forEachByExtract(d interface{ AppendExtract([]byte, uint32) []byte }, n int, fn func(id uint32, value []byte) bool) {
 	var buf []byte
-	for id := 0; id < d.n; id++ {
-		buf, _ = d.c.decodeNext(buf[:0], d.encoded(uint32(id)))
-		if !fn(uint32(id), buf) {
-			return
-		}
-	}
-}
-
-// ForEach visits the fixed-slot dictionary sequentially.
-func (d *arrayFixed) ForEach(fn func(id uint32, value []byte) bool) {
-	var buf []byte
-	for id := 0; id < d.n; id++ {
+	for id := 0; id < n; id++ {
 		buf = d.AppendExtract(buf[:0], uint32(id))
 		if !fn(uint32(id), buf) {
 			return
@@ -28,88 +18,9 @@ func (d *arrayFixed) ForEach(fn func(id uint32, value []byte) bool) {
 	}
 }
 
-// ForEach walks every front-coding block once, reconstructing each string
-// incrementally from its predecessor — O(total suffix bytes) instead of the
-// O(blockSize) re-walk per entry that repeated Extract calls would pay.
-func (d *fcDict) ForEach(fn func(id uint32, value []byte) bool) {
-	nblocks := (d.n + d.blockSize - 1) / d.blockSize
-	var buf []byte
-	for b := 0; b < nblocks; b++ {
-		lo, hi := d.blockBounds(b)
-		k := hi - lo
-		p := int(d.blockPtrs.Get(b))
-		switch d.mode {
-		case fcModePrev:
-			hdr := d.data[p : p+k-1]
-			pos := p + k - 1
-			var used int
-			buf, used = d.c.decodeNext(buf[:0], d.data[pos:])
-			pos += used
-			if !fn(uint32(lo), buf) {
-				return
-			}
-			for j := 1; j < k; j++ {
-				pl := int(hdr[j-1])
-				if pl > len(buf) {
-					pl = len(buf)
-				}
-				buf = buf[:pl]
-				buf, used = d.c.decodeNext(buf, d.data[pos:])
-				pos += used
-				if !fn(uint32(lo+j), buf) {
-					return
-				}
-			}
-		case fcModeFirst:
-			firstLen := int(binary.LittleEndian.Uint32(d.data[p:]))
-			plens := d.data[p+4 : p+4+k-1]
-			payload := p + 4 + (k-1)*5
-			buf, _ = d.c.decodeNext(buf[:0], d.data[payload:payload+firstLen])
-			first := append([]byte(nil), buf...)
-			if !fn(uint32(lo), buf) {
-				return
-			}
-			pos := payload + firstLen
-			var used int
-			for j := 1; j < k; j++ {
-				pl := int(plens[j-1])
-				if pl > len(first) {
-					pl = len(first)
-				}
-				buf = append(buf[:0], first[:pl]...)
-				buf, used = d.c.decodeNext(buf, d.data[pos:])
-				pos += used
-				if !fn(uint32(lo+j), buf) {
-					return
-				}
-			}
-		default: // fcModeInline
-			pos := p
-			var used int
-			buf, used = d.c.decodeNext(buf[:0], d.data[pos:])
-			pos += used
-			if !fn(uint32(lo), buf) {
-				return
-			}
-			for j := 1; j < k; j++ {
-				if pos >= len(d.data) {
-					return // corrupt stream ran off the data area
-				}
-				pl := int(d.data[pos])
-				pos++
-				if pl > len(buf) {
-					pl = len(buf)
-				}
-				buf = buf[:pl]
-				buf, used = d.c.decodeNext(buf, d.data[pos:])
-				pos += used
-				if !fn(uint32(lo+j), buf) {
-					return
-				}
-			}
-		}
-	}
-}
+func (d *arrayDict) ForEach(fn func(id uint32, value []byte) bool)  { forEachByExtract(d, d.n, fn) }
+func (d *arrayFixed) ForEach(fn func(id uint32, value []byte) bool) { forEachByExtract(d, d.n, fn) }
+func (d *HashDict) ForEach(fn func(id uint32, value []byte) bool)   { forEachByExtract(d, d.n, fn) }
 
 // ForEach materializes each column-bc block once (k×m character walk) and
 // yields its strings, instead of re-walking the column headers per entry.
@@ -158,17 +69,6 @@ func (d *columnBC) ForEach(fn func(id uint32, value []byte) bool) {
 			if !fn(uint32(lo+i), strs[i]) {
 				return
 			}
-		}
-	}
-}
-
-// ForEach visits the hash baseline sequentially.
-func (d *HashDict) ForEach(fn func(id uint32, value []byte) bool) {
-	var buf []byte
-	for id := 0; id < d.n; id++ {
-		buf = d.AppendExtract(buf[:0], uint32(id))
-		if !fn(uint32(id), buf) {
-			return
 		}
 	}
 }

@@ -100,7 +100,14 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		d.Locate("probe")
 		LocateBytes(d, []byte("probe"))
-		d.ForEach(func(id uint32, value []byte) bool { return int(id) < n })
+		// One reader means one answer: a walk reads what an extract reads,
+		// even from a corrupt blob.
+		d.ForEach(func(id uint32, value []byte) bool {
+			if want := d.Extract(id); string(value) != want {
+				t.Fatalf("%s: ForEach(%d) = %q, Extract = %q", d.Format(), id, value, want)
+			}
+			return int(id) < n
+		})
 	})
 }
 
@@ -140,6 +147,23 @@ func TestConcurrentReads(t *testing.T) {
 		close(errs)
 		for f := range errs {
 			t.Fatalf("%s: concurrent read mismatch", f)
+		}
+	}
+}
+
+// TestDecodeNextStopsAtEnd: a corrupt stream that runs off its buffer before
+// EOS still decodes to a short string in every scheme. Past the end the bit
+// reader yields zeros, which n-gram, Huffman and Re-Pair decode as a
+// character, so their loops must stop at the end rather than at EOS
+// (FuzzUnmarshal found it on an fc block rp 16 blob).
+func TestDecodeNextStopsAtEnd(t *testing.T) {
+	parts := [][]byte{[]byte("abc"), []byte("abd"), []byte("\x01zz")}
+	for s := SchemeNone; s <= SchemeRP16; s++ {
+		for _, orderPreserving := range []bool{false, true} {
+			c, _ := buildCodec(s, parts, orderPreserving)
+			if out, used := c.decodeNext(nil, make([]byte, 4)); len(out) > 4*8*3 || used > 4 {
+				t.Errorf("%s: decoded %d bytes from 4 without EOS, consumed %d", s, len(out), used)
+			}
 		}
 	}
 }

@@ -123,15 +123,7 @@ func (d *lz78Dict) Bytes() uint64 {
 		d.tokens.Bytes() + d.offsets.Bytes() + arrayOverhead
 }
 
-func (d *lz78Dict) ForEach(fn func(id uint32, value []byte) bool) {
-	var buf []byte
-	for id := 0; id < d.n; id++ {
-		buf = d.AppendExtract(buf[:0], uint32(id))
-		if !fn(uint32(id), buf) {
-			return
-		}
-	}
-}
+func (d *lz78Dict) ForEach(fn func(id uint32, value []byte) bool) { forEachByExtract(d, d.n, fn) }
 
 // LZ78Stats runs the real parse over strs and reports the component counts
 // the size-prediction model needs: phrase-table entries and total tokens.

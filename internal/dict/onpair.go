@@ -216,15 +216,7 @@ func (d *onpairDict) Bytes() uint64 {
 	return 4*uint64(len(d.pairs)) + d.syms.Bytes() + d.offsets.Bytes() + arrayOverhead
 }
 
-func (d *onpairDict) ForEach(fn func(id uint32, value []byte) bool) {
-	var buf []byte
-	for id := 0; id < d.n; id++ {
-		buf = d.AppendExtract(buf[:0], uint32(id))
-		if !fn(uint32(id), buf) {
-			return
-		}
-	}
-}
+func (d *onpairDict) ForEach(fn func(id uint32, value []byte) bool) { forEachByExtract(d, d.n, fn) }
 
 // OnPairStats trains the pair table over strs and reports the components
 // the size-prediction model needs: the number of pair-table entries, the

@@ -462,10 +462,13 @@ func (d *arrayDict) validate() error {
 	if d.n < 0 || d.offsets.Len() != d.n+1 {
 		return ErrCorrupt
 	}
+	// arrayLocate strips a raw encoding's last byte as its NUL terminator,
+	// so every raw entry must have one.
+	raw := d.format.Scheme() == SchemeNone
 	prev := uint64(0)
 	for i := 0; i <= d.n; i++ {
 		off := d.offsets.Get(i)
-		if off < prev || off > uint64(len(d.data)) {
+		if off < prev || off > uint64(len(d.data)) || (raw && i > 0 && (off == prev || d.data[off-1] != 0)) {
 			return ErrCorrupt
 		}
 		prev = off
@@ -490,30 +493,21 @@ func (d *fcDict) validate() error {
 		}
 		prev = off
 	}
-	// Headers of every block must fit in the block's byte range.
+	// Headers of every block must fit in the block's byte range, and a df
+	// block's first string in the data.
 	for b := 0; b < nblocks; b++ {
-		lo, hi := d.blockBounds(b)
-		k := hi - lo
-		var header int
-		switch d.mode {
-		case fcModePrev:
-			header = k - 1
-		case fcModeFirst:
-			header = 4 + 5*(k-1)
-		default:
-			header = 0
-		}
-		if uint64(header) > d.blockPtrs.Get(b+1)-d.blockPtrs.Get(b) {
+		k := min(d.blockSize, d.n-b*d.blockSize)
+		plens, _, payload, firstEnd := d.header(int(d.blockPtrs.Get(b)), k)
+		if uint64(payload) > d.blockPtrs.Get(b+1) || firstEnd > len(d.data) {
 			return ErrCorrupt
 		}
-		if d.mode == fcModeFirst && k >= 1 {
-			p := int(d.blockPtrs.Get(b))
-			if p+4 > len(d.data) {
-				return ErrCorrupt
-			}
-			firstLen := int(binary.LittleEndian.Uint32(d.data[p:]))
-			if firstLen < 0 || p+4+(k-1)*5+firstLen > len(d.data) {
-				return ErrCorrupt
+		// A df walk truncates each string to the next one's prefix (see
+		// fcDict.walk): that holds only while prefixes do not grow.
+		if d.mode == fcModeFirst {
+			for j := plens + 1; j < plens+k-1; j++ {
+				if d.data[j] > d.data[j-1] {
+					return ErrCorrupt
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"strdict/internal/datagen"
 	"strdict/internal/dict"
@@ -23,9 +24,35 @@ func surveyOn(t *testing.T, corpus string, n int) map[dict.Format]SurveyRow {
 	return out
 }
 
+// timingReps is how many times the timing assertions measure each side.
+// Load from other processes only ever adds time, so the minimum of a few
+// round-robin measurements is stable where one sample flaked about one run
+// in ten under a parallel go test ./....
+const timingReps = 5
+
+// surveyMinOf is surveyOn with every format's extract time the minimum of
+// timingReps round-robin measurements.
+func surveyMinOf(t *testing.T, corpus string, n int) map[dict.Format]SurveyRow {
+	t.Helper()
+	rows := surveyOn(t, corpus, n)
+	strs := datagen.Generate(corpus, n, 1)
+	dicts := make(map[dict.Format]dict.Dictionary, len(rows))
+	for f := range rows {
+		dicts[f] = dict.BuildUnchecked(f, strs)
+	}
+	for i := 1; i < timingReps; i++ {
+		for f, d := range dicts {
+			r := rows[f]
+			r.ExtractNs = min(r.ExtractNs, measureExtractNs(d, 4000, 1))
+			rows[f] = r
+		}
+	}
+	return rows
+}
+
 // Figure 3's qualitative structure on src.
 func TestShapeFigure3Src(t *testing.T) {
-	rows := surveyOn(t, "src", 8000)
+	rows := surveyMinOf(t, "src", 8000)
 
 	// "Front-Coding variants are smaller ... than their array equivalents
 	// with the same string compression scheme."
@@ -66,7 +93,9 @@ func TestShapeFigure3Src(t *testing.T) {
 		}
 	}
 
-	// "fc block df is just a bit faster but larger than fc block."
+	// "fc block df is just a bit faster but larger than fc block." With
+	// min-of-5 timings df extracts in ~0.4x fc block's time on src (77 vs
+	// 189 ns on a 2-core x86 box); the ~1-in-10 flake was one-sample noise.
 	if rows[dict.FCBlockDF].ExtractNs >= rows[dict.FCBlock].ExtractNs {
 		t.Errorf("fc block df extract (%.0fns) not faster than fc block (%.0fns)",
 			rows[dict.FCBlockDF].ExtractNs, rows[dict.FCBlock].ExtractNs)
@@ -123,7 +152,10 @@ func TestShapeFigure4(t *testing.T) {
 // with array fixed clearly ahead on constant-length sets.
 func TestShapeFigure5(t *testing.T) {
 	for _, corpus := range []string{"asc", "hash", "mat", "engl", "url"} {
-		rows := surveyOn(t, corpus, 6000)
+		// Min-of-5 timings: the fastest other format takes >= 2.2x the
+		// faster array's time on these corpora (2-core x86 box), against
+		// the 0.9x this asserts.
+		rows := surveyMinOf(t, corpus, 6000)
 		fastest := rows[dict.Array].ExtractNs
 		if rows[dict.ArrayFixed].ExtractNs < fastest {
 			fastest = rows[dict.ArrayFixed].ExtractNs
@@ -174,6 +206,18 @@ func TestShapeConstructionCosts(t *testing.T) {
 	rows := make(map[dict.Format]FullSurveyRow)
 	for _, r := range FullSurvey(strs, 500, 1) {
 		rows[r.Format] = r
+	}
+	// Construction times are the minimum of timingReps builds: rp 12 builds
+	// ~39x and fc block ~1.4x slower than array per string (2-core x86 box),
+	// against the 5x and 10x asserted.
+	for i := 1; i < timingReps; i++ {
+		for _, f := range []dict.Format{dict.Array, dict.ArrayRP12, dict.FCBlock} {
+			start := time.Now()
+			dict.BuildUnchecked(f, strs)
+			r := rows[f]
+			r.ConstructNsPerStr = min(r.ConstructNsPerStr, float64(time.Since(start).Nanoseconds())/float64(len(strs)))
+			rows[f] = r
+		}
 	}
 	if rows[dict.ArrayRP12].ConstructNsPerStr < 5*rows[dict.Array].ConstructNsPerStr {
 		t.Errorf("rp 12 construction (%.0fns) suspiciously close to array (%.0fns)",

@@ -280,7 +280,9 @@ func (c *Codec) Decode(dst []byte, enc []byte) []byte {
 
 // DecodeFrom decodes one EOS-terminated string from r, appending to dst.
 func (c *Codec) DecodeFrom(dst []byte, r *bits.Reader) []byte {
-	for {
+	// A corrupt stream can run off its buffer before EOS; past the end the
+	// reader yields zeros, which decode to a symbol, forever, so stop there.
+	for r.Remaining() > 0 {
 		var s int
 		if e := c.lut[r.PeekBits(lutBits)]; e&0xff != 0 {
 			r.Skip(uint(e & 0xff))
@@ -293,6 +295,7 @@ func (c *Codec) DecodeFrom(dst []byte, r *bits.Reader) []byte {
 		}
 		dst = append(dst, byte(s))
 	}
+	return dst
 }
 
 func (c *Codec) readSymbol(r *bits.Reader) int {

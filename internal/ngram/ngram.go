@@ -146,7 +146,9 @@ func (c *Codec) Decode(dst []byte, enc []byte) []byte {
 
 // DecodeFrom decodes one EOS-terminated string from r, appending to dst.
 func (c *Codec) DecodeFrom(dst []byte, r *bits.Reader) []byte {
-	for {
+	// A corrupt stream can run off its buffer before EOS; past the end the
+	// reader yields zeros, a character code, forever, so stop there.
+	for r.Remaining() > 0 {
 		code := r.ReadBits(CodeBits)
 		switch {
 		case code < 256:
@@ -159,6 +161,7 @@ func (c *Codec) DecodeFrom(dst []byte, r *bits.Reader) []byte {
 			dst = append(dst, c.grams[code-257]...)
 		}
 	}
+	return dst
 }
 
 // TableBytes reports the in-memory footprint of the codec's tables: the gram

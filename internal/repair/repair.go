@@ -423,7 +423,9 @@ func (g *Grammar) Decode(dst []byte, enc []byte) []byte {
 // DecodeFrom decodes one EOS-terminated string from r, appending to dst.
 func (g *Grammar) DecodeFrom(dst []byte, r *bits.Reader) []byte {
 	limit := int32(firstRuleSym + len(g.rules))
-	for {
+	// A corrupt stream can run off its buffer before EOS; past the end the
+	// reader yields zeros, a terminal, forever, so stop there.
+	for r.Remaining() > 0 {
 		s := int32(r.ReadBits(g.symbolBits))
 		// EOS, or a symbol beyond the rule table (corrupt stream):
 		// terminate defensively.
@@ -432,6 +434,7 @@ func (g *Grammar) DecodeFrom(dst []byte, r *bits.Reader) []byte {
 		}
 		dst = g.Expand(dst, s)
 	}
+	return dst
 }
 
 // Encode compresses an arbitrary string with the trained grammar by applying

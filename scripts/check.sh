@@ -12,15 +12,20 @@ go build ./...
 # simplicity PR landed at (ROADMAP aim 2, net-negative LOC). A PR that
 # removes code lowers the literal; nothing raises it silently: PR 24 (Join's
 # translation cache, allocation-free array bc/hu probes, tpchbench
-# -cpuprofile) raised it from 22528 by the 37 lines it added.
+# -cpuprofile) raised it from 22528 by the 37 lines it added. The single
+# front-coding reader (fcDict.walk, and one ForEach helper for the formats
+# that walk by extract) lowered it from 22565.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 22565 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 22565"
+if [ "$lines" -gt 22461 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 22461"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
 # and the import that the stats assembly's move to core removed.
 [ "$(find internal/tpch -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 2073 ]
+# And on the dictionary formats, which the single front-coding reader took
+# from 2863 lines.
+[ "$(find internal/dict -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 2750 ]
 if go list -deps ./internal/service | grep -q internal/tpch; then # "! cmd" would not trip set -e
     echo "FAIL: internal/service depends on internal/tpch"
     exit 1
