@@ -141,17 +141,74 @@ func (s *Snapshot) rowIndexByCode(limit int) []int32 {
 	return idx
 }
 
-// CodeSet returns the set of value IDs whose strings satisfy pred. pred is
-// evaluated once per distinct value (DictLen extracts), not once per row —
-// the dictionary's second superpower after compression.
-func (s *Snapshot) CodeSet(pred func(string) bool) map[uint32]bool {
-	out := make(map[uint32]bool)
-	var buf []byte
-	for id := 0; id < s.DictLen(); id++ {
-		buf = s.AppendExtract(buf[:0], uint32(id))
-		if pred(string(buf)) {
-			out[uint32(id)] = true
+// CodeSet is a set of value IDs of one pinned dictionary, one bit per ID
+// below DictLen. NoCode, like every ID past DictLen, is in no CodeSet.
+type CodeSet []uint64
+
+func newCodeSet(dictLen int) CodeSet { return make(CodeSet, (dictLen+63)/64) }
+
+// Has reports whether id is in the set.
+func (c CodeSet) Has(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(c) && c[w]&(1<<(id&63)) != 0
+}
+
+func (c CodeSet) add(id uint32) { c[id>>6] |= 1 << (id & 63) }
+
+// CodeSet returns the set of value IDs whose strings satisfy pred. It is
+// one sequential walk of the dictionary (ForEachValue, DictLen extracts):
+// pred runs once per distinct value, not once per row — the dictionary's
+// second superpower after compression.
+func (s *Snapshot) CodeSet(pred func(string) bool) CodeSet {
+	set := newCodeSet(s.DictLen())
+	s.ForEachValue(func(id uint32, value []byte) bool {
+		if pred(string(value)) {
+			set.add(id)
+		}
+		return true
+	})
+	return set
+}
+
+// PrefixSet returns the set of value IDs whose strings start with p. Value
+// IDs are in sort order (Definition 1), so a prefix is the ID range
+// CodeRange(p, successor(p)): two locates and no extract. A prefix without
+// a successor runs to DictLen: all 0xff bytes costs one locate, the empty
+// prefix none.
+func (s *Snapshot) PrefixSet(p string) CodeSet {
+	lo, hi := uint32(0), uint32(s.DictLen())
+	if succ, ok := successor(p); ok {
+		lo, hi = s.CodeRange(p, succ)
+	} else if p != "" {
+		lo, _ = s.Locate(p)
+	}
+	set := newCodeSet(s.DictLen())
+	for id := lo; id < hi; id++ {
+		set.add(id)
+	}
+	return set
+}
+
+// successor returns the least string greater than every string that starts
+// with p: p without its trailing 0xff bytes, last byte incremented. ok is
+// false when there is none (p is empty or all 0xff).
+func successor(p string) (string, bool) {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i] != 0xff {
+			return p[:i] + string([]byte{p[i] + 1}), true
 		}
 	}
-	return out
+	return "", false
+}
+
+// ValueSet returns the set of value IDs of those of values the dictionary
+// holds — an IN-list at one locate per value.
+func (s *Snapshot) ValueSet(values ...string) CodeSet {
+	set := newCodeSet(s.DictLen())
+	for _, v := range values {
+		if id, found := s.Locate(v); found {
+			set.add(id)
+		}
+	}
+	return set
 }

@@ -64,13 +64,14 @@ func TestForEachHashDict(t *testing.T) {
 }
 
 // BenchmarkSequentialScan shows the paper's fc inline design point:
-// sequential ForEach vs per-entry Extract on front-coded formats.
+// sequential ForEach vs per-entry Extract on front-coded formats — and on
+// OnPair, whose walk expands each pair once.
 func BenchmarkSequentialScan(b *testing.B) {
 	var strs []string
 	for i := 0; i < 20000; i++ {
 		strs = append(strs, fmt.Sprintf("https://example.com/items/%08d", i))
 	}
-	for _, f := range []Format{FCInline, FCBlock, Array} {
+	for _, f := range []Format{FCInline, FCBlock, Array, OnPair} {
 		d, _ := Build(f, strs)
 		b.Run(f.String()+"/foreach", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -85,6 +85,9 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte("SDIC"))
 	f.Add([]byte{})
+	// OnPair pair j = (255+j, 255+j): each pair doubles the last, one past
+	// the depth and length a build can reach.
+	f.Add(onpairBlob(f, doublingPairs(onpairRounds+1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Unmarshal(data)

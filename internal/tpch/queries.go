@@ -104,10 +104,10 @@ func orderBy(rows [][]string, limit int, keys ...sortKey) [][]string {
 // rowsIn resolves a CodeSet predicate once per row of its table instead of
 // once per probe from the other side of a join: out[row] reports whether
 // the row's value ID is in set.
-func rowsIn(codes []uint32, set map[uint32]bool) []bool {
+func rowsIn(codes []uint32, set colstore.CodeSet) []bool {
 	out := make([]bool, len(codes))
 	for row, code := range codes {
-		out[row] = set[code]
+		out[row] = set.Has(code)
 	}
 	return out
 }

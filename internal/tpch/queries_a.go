@@ -4,7 +4,9 @@ package tpch
 // colstore engine: constants cost one dictionary locate, foreign-key joins
 // run on value IDs via dictionary translation (TableView.Join) and give key
 // rows, columns are read as value IDs in bulk (TableView.Codes), and result
-// strings are extracted only for surviving groups/rows.
+// strings are extracted only for surviving groups/rows. A group-by on a key
+// table's rows is a dense array indexed by row; a revenue term is positive
+// (quantity >= 1, discount < 1), so a zero sum is a group nothing fell in.
 
 import (
 	"strconv"
@@ -38,18 +40,14 @@ func plan1(view *colstore.View) *Result {
 		qty, base, discounted, charge, discSum float64
 		n                                      int
 	}
-	groups := make(map[uint64]*agg)
+	nls := uint32(lt.Str("l_linestatus").DictLen())
+	groups := make([]agg, int(nls)*lt.Str("l_returnflag").DictLen()) // by rf*nls + ls
 	for row := range rf {
 		// A row without value IDs (unmerged delta) falls in no group.
 		if ship.Get(row) > cutoff || rf[row] == colstore.NoCode || ls[row] == colstore.NoCode {
 			continue
 		}
-		gk := uint64(rf[row])<<32 | uint64(ls[row])
-		a := groups[gk]
-		if a == nil {
-			a = &agg{}
-			groups[gk] = a
-		}
+		a := &groups[rf[row]*nls+ls[row]]
 		q, e, d, t := qty.Get(row), ext.Get(row), disc.Get(row), tax.Get(row)
 		a.qty += q
 		a.base += e
@@ -61,10 +59,13 @@ func plan1(view *colstore.View) *Result {
 
 	var rows [][]string
 	for k, a := range groups {
+		if a.n == 0 {
+			continue
+		}
 		n := float64(a.n)
 		rows = append(rows, []string{
-			lt.Str("l_returnflag").Extract(uint32(k >> 32)),
-			lt.Str("l_linestatus").Extract(uint32(k & 0xffffffff)),
+			lt.Str("l_returnflag").Extract(uint32(k) / nls),
+			lt.Str("l_linestatus").Extract(uint32(k) % nls),
 			f2(a.qty), f2(a.base), f2(a.discounted), f2(a.charge),
 			f2(a.qty / n), f2(a.base / n), f2(a.discSum / n),
 			strconv.Itoa(a.n),
@@ -116,8 +117,9 @@ func plan2(view *colstore.View) *Result {
 	type best struct {
 		cost    float64
 		suppRow int32
+		ok      bool
 	}
-	minCost := make(map[int32]best) // by part row
+	minCost := make([]best, pt.Rows()) // by part row
 	for row, partRow := range psPart {
 		if partRow < 0 || !typeOK[partRow] || psize.Get(int(partRow)) != size {
 			continue
@@ -127,24 +129,25 @@ func plan2(view *colstore.View) *Result {
 			continue
 		}
 		c := cost.Get(row)
-		if b, ok := minCost[partRow]; !ok || c < b.cost {
-			minCost[partRow] = best{cost: c, suppRow: suppRow}
+		if b := &minCost[partRow]; !b.ok || c < b.cost {
+			*b = best{cost: c, suppRow: suppRow, ok: true}
 		}
 	}
 
 	var rows [][]string
-	for partRow, b := range minCost {
-		prow, srow := int(partRow), int(b.suppRow)
-		rows = append(rows, []string{
-			f2(st.Float("s_acctbal").Get(srow)),
-			st.Str("s_name").Get(srow),
-			nationName[suppNation[srow]],
-			pt.Str("p_partkey").Get(prow),
-			pt.Str("p_mfgr").Get(prow),
-			st.Str("s_address").Get(srow),
-			st.Str("s_phone").Get(srow),
-			st.Str("s_comment").Get(srow),
-		})
+	for prow, b := range minCost {
+		if srow := int(b.suppRow); b.ok {
+			rows = append(rows, []string{
+				f2(st.Float("s_acctbal").Get(srow)),
+				st.Str("s_name").Get(srow),
+				nationName[suppNation[srow]],
+				pt.Str("p_partkey").Get(prow),
+				pt.Str("p_mfgr").Get(prow),
+				st.Str("s_address").Get(srow),
+				st.Str("s_phone").Get(srow),
+				st.Str("s_comment").Get(srow),
+			})
+		}
 	}
 	return &Result{Query: 2, Columns: []string{
 		"s_acctbal", "s_name", "n_name", "p_partkey", "p_mfgr", "s_address",
@@ -178,7 +181,7 @@ func plan3(view *colstore.View) *Result {
 	ship := lt.Int("l_shipdate")
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
-	revenue := make(map[int32]float64) // by order row
+	revenue := make([]float64, ot.Rows()) // by order row
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		if ship.Get(row) <= cutoff || orow < 0 || odate.Get(int(orow)) >= cutoff {
 			continue
@@ -191,12 +194,14 @@ func plan3(view *colstore.View) *Result {
 
 	var rows [][]string
 	for orow, rev := range revenue {
-		rows = append(rows, []string{
-			ot.Str("o_orderkey").Get(int(orow)),
-			f2(rev),
-			DateString(odate.Get(int(orow))),
-			strconv.Itoa(int(ot.Int("o_shippriority").Get(int(orow)))),
-		})
+		if rev > 0 {
+			rows = append(rows, []string{
+				ot.Str("o_orderkey").Get(orow),
+				f2(rev),
+				DateString(odate.Get(orow)),
+				strconv.Itoa(int(ot.Int("o_shippriority").Get(orow))),
+			})
+		}
 	}
 	return &Result{Query: 3, Columns: []string{
 		"l_orderkey", "revenue", "o_orderdate", "o_shippriority"},
@@ -272,7 +277,7 @@ func plan5(view *colstore.View) *Result {
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
 	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
-	revenue := make(map[int32]float64) // by nation row
+	revenue := make([]float64, nt.Rows()) // by nation row
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		if orow < 0 {
 			continue
@@ -296,7 +301,9 @@ func plan5(view *colstore.View) *Result {
 
 	var rows [][]string
 	for sn, rev := range revenue {
-		rows = append(rows, []string{nationName[sn], f2(rev)})
+		if rev > 0 {
+			rows = append(rows, []string{nationName[sn], f2(rev)})
+		}
 	}
 	return &Result{Query: 5, Columns: []string{"n_name", "revenue"}, Rows: orderBy(rows, 0, num(1).down())}
 }
@@ -562,7 +569,7 @@ func plan10(view *colstore.View) *Result {
 	retCode, retFound := lt.Str("l_returnflag").Locate("R")
 	ret := lt.Codes("l_returnflag")
 
-	revenue := make(map[int32]float64) // by customer row
+	revenue := make([]float64, ct.Rows()) // by customer row
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		if !retFound || ret[row] != retCode || orow < 0 {
 			continue
@@ -576,8 +583,10 @@ func plan10(view *colstore.View) *Result {
 	}
 
 	var rows [][]string
-	for custRow, rev := range revenue {
-		crow := int(custRow)
+	for crow, rev := range revenue {
+		if rev == 0 {
+			continue
+		}
 		rows = append(rows, []string{
 			ct.Str("c_custkey").Get(crow),
 			ct.Str("c_name").Get(crow),

@@ -38,7 +38,7 @@ func plan12(view *colstore.View) *Result {
 	prio := ot.Codes("o_orderpriority")
 
 	type counts struct{ hi, lo int }
-	byMode := make(map[uint32]*counts)
+	byMode := make([]counts, lt.Str("l_shipmode").DictLen()) // by value ID
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		mc := mode[row]
 		if !(mailOK && mc == mailCode) && !(shipOK && mc == shipCode) {
@@ -51,11 +51,7 @@ func plan12(view *colstore.View) *Result {
 		if !(commit.Get(row) < r && ship.Get(row) < commit.Get(row)) || orow < 0 {
 			continue
 		}
-		c := byMode[mc]
-		if c == nil {
-			c = &counts{}
-			byMode[mc] = c
-		}
+		c := &byMode[mc]
 		if pc := prio[orow]; (urgentOK && pc == urgent) || (highOK && pc == high) {
 			c.hi++
 		} else {
@@ -65,7 +61,9 @@ func plan12(view *colstore.View) *Result {
 
 	var rows [][]string
 	for mc, c := range byMode {
-		rows = append(rows, []string{lt.Str("l_shipmode").Extract(mc), strconv.Itoa(c.hi), strconv.Itoa(c.lo)})
+		if c.hi+c.lo > 0 {
+			rows = append(rows, []string{lt.Str("l_shipmode").Extract(uint32(mc)), strconv.Itoa(c.hi), strconv.Itoa(c.lo)})
+		}
 	}
 	return &Result{Query: 12, Columns: []string{"l_shipmode", "high_line_count", "low_line_count"},
 		Rows: orderBy(rows, 0, str(0))}
@@ -91,9 +89,9 @@ func plan13(view *colstore.View) *Result {
 	ocom := ot.Codes("o_comment")
 	ct := view.Table("customer")
 
-	perCust := make(map[int32]int) // by customer row
+	perCust := make([]int, ct.Rows()) // by customer row
 	for row, crow := range ot.Join("o_custkey", ct, "c_custkey") {
-		if crow >= 0 && !excluded[ocom[row]] {
+		if crow >= 0 && !excluded.Has(ocom[row]) {
 			perCust[crow]++
 		}
 	}
@@ -101,7 +99,6 @@ func plan13(view *colstore.View) *Result {
 	for _, n := range perCust {
 		histogram[n]++
 	}
-	histogram[0] = ct.Rows() - len(perCust) // customers with no orders
 
 	var rows [][]string
 	for n, custs := range histogram {
@@ -124,8 +121,7 @@ func plan13(view *colstore.View) *Result {
 func plan14(view *colstore.View) *Result {
 	lo, hi := Date("1995-09-01"), Date("1995-10-01")
 	pt := view.Table("part")
-	promo := rowsIn(pt.Codes("p_type"),
-		pt.Str("p_type").CodeSet(func(v string) bool { return strings.HasPrefix(v, "PROMO") }))
+	promo := rowsIn(pt.Codes("p_type"), pt.Str("p_type").PrefixSet("PROMO"))
 
 	lt := view.Table("lineitem")
 	ship := lt.Int("l_shipdate")
@@ -171,7 +167,7 @@ func plan15(view *colstore.View) *Result {
 	ext := lt.Float("l_extendedprice")
 	disc := lt.Float("l_discount")
 
-	revenue := make(map[int32]float64) // by supplier row
+	revenue := make([]float64, st.Rows()) // by supplier row
 	for row, srow := range lt.Join("l_suppkey", st, "s_suppkey") {
 		if d := ship.Get(row); d >= lo && d < hi && srow >= 0 {
 			revenue[srow] += ext.Get(row) * (1 - disc.Get(row))
@@ -184,11 +180,10 @@ func plan15(view *colstore.View) *Result {
 		}
 	}
 	var rows [][]string
-	for suppRow, v := range revenue {
-		if v < max-1e-6 {
+	for srow, v := range revenue {
+		if v == 0 || v < max-1e-6 {
 			continue
 		}
-		srow := int(suppRow)
 		rows = append(rows, []string{
 			st.Str("s_suppkey").Get(srow),
 			st.Str("s_name").Get(srow),
@@ -221,7 +216,7 @@ func plan16(view *colstore.View) *Result {
 	pt := view.Table("part")
 	psize := pt.Int("p_size")
 	excludedBrand, brandOK := pt.Str("p_brand").Locate("Brand#45")
-	badTypes := pt.Str("p_type").CodeSet(func(v string) bool { return strings.HasPrefix(v, "MEDIUM POLISHED") })
+	badTypes := pt.Str("p_type").PrefixSet("MEDIUM POLISHED")
 	brand, ptype := pt.Codes("p_brand"), pt.Codes("p_type")
 
 	st := view.Table("supplier")
@@ -243,7 +238,7 @@ func plan16(view *colstore.View) *Result {
 			continue
 		}
 		k := gk{brand[prow], ptype[prow], psize.Get(int(prow))}
-		if (brandOK && k.brand == excludedBrand) || badTypes[k.ptype] || !sizes[k.size] {
+		if (brandOK && k.brand == excludedBrand) || badTypes.Has(k.ptype) || !sizes[k.size] {
 			continue
 		}
 		if srow := psSupp[row]; srow >= 0 && !badSupp[srow] {
@@ -285,22 +280,23 @@ func plan17(view *colstore.View) *Result {
 	qty := lt.Float("l_quantity")
 	ext := lt.Float("l_extendedprice")
 	liPart := lt.Join("l_partkey", pt, "p_partkey")
-	passes := func(prow int32) bool {
-		return prow >= 0 && brandOK && contOK && brand[prow] == brandCode && cont[prow] == contCode
+	passes := make([]bool, pt.Rows()) // by part row
+	for prow := range passes {
+		passes[prow] = brandOK && contOK && brand[prow] == brandCode && cont[prow] == contCode
 	}
 
-	// avg quantity per qualifying part
-	sumQty := make(map[int32]float64) // by part row
-	cntQty := make(map[int32]int)
+	// avg quantity per qualifying part: a part with a count passes
+	sumQty := make([]float64, pt.Rows()) // by part row
+	cntQty := make([]int, pt.Rows())
 	for row, prow := range liPart {
-		if passes(prow) {
+		if prow >= 0 && passes[prow] {
 			sumQty[prow] += qty.Get(row)
 			cntQty[prow]++
 		}
 	}
 	var total float64
 	for row, prow := range liPart {
-		if !passes(prow) {
+		if prow < 0 || cntQty[prow] == 0 {
 			continue
 		}
 		avg := sumQty[prow] / float64(cntQty[prow])
@@ -326,7 +322,7 @@ func plan18(view *colstore.View) *Result {
 	qty := lt.Float("l_quantity")
 	ot := view.Table("orders")
 
-	sumQty := make(map[int32]float64) // by order row
+	sumQty := make([]float64, ot.Rows()) // by order row
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		if orow >= 0 {
 			sumQty[orow] += qty.Get(row)
@@ -336,11 +332,11 @@ func plan18(view *colstore.View) *Result {
 	ct := view.Table("customer")
 	oCust := ot.Join("o_custkey", ct, "c_custkey")
 	var rows [][]string
-	for orderRow, q := range sumQty {
-		orow, crow := int(orderRow), int(oCust[orderRow])
-		if q <= 300 || crow < 0 {
+	for orow, q := range sumQty {
+		if q <= 300 || oCust[orow] < 0 {
 			continue
 		}
+		crow := int(oCust[orow])
 		rows = append(rows, []string{
 			ct.Str("c_name").Get(crow),
 			ct.Str("c_custkey").Get(crow),
@@ -371,15 +367,9 @@ func plan19(view *colstore.View) *Result {
 	pt := view.Table("part")
 	size := pt.Int("p_size")
 	pcont := pt.Str("p_container")
-	sm := pcont.CodeSet(func(v string) bool {
-		return v == "SM CASE" || v == "SM BOX" || v == "SM PACK" || v == "SM PKG"
-	})
-	med := pcont.CodeSet(func(v string) bool {
-		return v == "MED BAG" || v == "MED BOX" || v == "MED PKG" || v == "MED PACK"
-	})
-	lg := pcont.CodeSet(func(v string) bool {
-		return v == "LG CASE" || v == "LG BOX" || v == "LG PACK" || v == "LG PKG"
-	})
+	sm := pcont.ValueSet("SM CASE", "SM BOX", "SM PACK", "SM PKG")
+	med := pcont.ValueSet("MED BAG", "MED BOX", "MED PKG", "MED PACK")
+	lg := pcont.ValueSet("LG CASE", "LG BOX", "LG PACK", "LG PKG")
 	b12, _ := pt.Str("p_brand").Locate("Brand#12")
 	b23, _ := pt.Str("p_brand").Locate("Brand#23")
 	b34, _ := pt.Str("p_brand").Locate("Brand#34")
@@ -402,9 +392,9 @@ func plan19(view *colstore.View) *Result {
 		bc, cc := brand[prow], cont[prow]
 		sz := size.Get(int(prow))
 		q := qty.Get(row)
-		match := (bc == b12 && sm[cc] && q >= 1 && q <= 11 && sz >= 1 && sz <= 5) ||
-			(bc == b23 && med[cc] && q >= 10 && q <= 20 && sz >= 1 && sz <= 10) ||
-			(bc == b34 && lg[cc] && q >= 20 && q <= 30 && sz >= 1 && sz <= 15)
+		match := (bc == b12 && sm.Has(cc) && q >= 1 && q <= 11 && sz >= 1 && sz <= 5) ||
+			(bc == b23 && med.Has(cc) && q >= 10 && q <= 20 && sz >= 1 && sz <= 10) ||
+			(bc == b34 && lg.Has(cc) && q >= 20 && q <= 30 && sz >= 1 && sz <= 15)
 		if match {
 			revenue += ext.Get(row) * (1 - disc.Get(row))
 		}
@@ -432,8 +422,7 @@ func plan20(view *colstore.View) *Result {
 		return &Result{Query: 20}
 	}
 	pt := view.Table("part")
-	forest := rowsIn(pt.Codes("p_name"),
-		pt.Str("p_name").CodeSet(func(v string) bool { return strings.HasPrefix(v, "forest") }))
+	forest := rowsIn(pt.Codes("p_name"), pt.Str("p_name").PrefixSet("forest"))
 
 	// Shipped quantity in 1994 per (part row, supplier row).
 	st := view.Table("supplier")
@@ -452,7 +441,7 @@ func plan20(view *colstore.View) *Result {
 	pst := view.Table("partsupp")
 	avail := pst.Int("ps_availqty")
 	psSupp := pst.Join("ps_suppkey", st, "s_suppkey")
-	candidates := make(map[int32]bool) // supplier rows
+	candidates := make([]bool, st.Rows()) // by supplier row
 	for row, prow := range pst.Join("ps_partkey", pt, "p_partkey") {
 		srow := psSupp[row]
 		if prow < 0 || !forest[prow] || srow < 0 {
@@ -465,11 +454,11 @@ func plan20(view *colstore.View) *Result {
 
 	suppNation := st.Join("s_nationkey", view.Table("nation"), "n_nationkey")
 	var rows [][]string
-	for srow := range candidates {
-		if suppNation[srow] == ca {
+	for srow, ok := range candidates {
+		if ok && suppNation[srow] == ca {
 			rows = append(rows, []string{
-				st.Str("s_name").Get(int(srow)),
-				st.Str("s_address").Get(int(srow)),
+				st.Str("s_name").Get(srow),
+				st.Str("s_address").Get(srow),
 			})
 		}
 	}
@@ -507,41 +496,39 @@ func plan21(view *colstore.View) *Result {
 	recv := lt.Int("l_receiptdate")
 	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
 
-	// Per order row: set of supplier rows, set of late supplier rows.
-	suppsOf := make(map[int32]map[int32]bool)
-	lateOf := make(map[int32]map[int32]bool)
+	// Per order row, over its lineitems and over its late ones: 0 for no
+	// supplier, 1 + the row of the only one, -1 for several.
+	supp, late := make([]int32, ot.Rows()), make([]int32, ot.Rows())
+	note := func(only []int32, orow, srow int32) {
+		if only[orow] == 0 {
+			only[orow] = srow + 1
+		} else if only[orow] != srow+1 {
+			only[orow] = -1
+		}
+	}
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
 		srow := liSupp[row]
 		if orow < 0 || !fOK || status[orow] != fCode || srow < 0 {
 			continue
 		}
-		if suppsOf[orow] == nil {
-			suppsOf[orow] = make(map[int32]bool)
-		}
-		suppsOf[orow][srow] = true
+		note(supp, orow, srow)
 		if recv.Get(row) > commit.Get(row) {
-			if lateOf[orow] == nil {
-				lateOf[orow] = make(map[int32]bool)
-			}
-			lateOf[orow][srow] = true
+			note(late, orow, srow)
 		}
 	}
 
-	waiting := make(map[int32]int) // supplier row -> count
-	for orow, late := range lateOf {
-		if len(late) != 1 || len(suppsOf[orow]) < 2 {
-			continue
-		}
-		for srow := range late {
-			if suppNation[srow] == sa {
-				waiting[srow]++
-			}
+	waiting := make([]int, st.Rows()) // by supplier row
+	for orow, s := range late {
+		if s > 0 && supp[orow] < 0 && suppNation[s-1] == sa {
+			waiting[s-1]++
 		}
 	}
 
 	var rows [][]string
 	for srow, n := range waiting {
-		rows = append(rows, []string{st.Str("s_name").Get(int(srow)), strconv.Itoa(n)})
+		if n > 0 {
+			rows = append(rows, []string{st.Str("s_name").Get(srow), strconv.Itoa(n)})
+		}
 	}
 	return &Result{Query: 21, Columns: []string{"s_name", "numwait"},
 		Rows: orderBy(rows, 100, num(1).down(), str(0))}
@@ -561,18 +548,29 @@ func plan21(view *colstore.View) *Result {
 //	    and not exists (select * from orders where o_custkey = c_custkey))
 //	group by cntrycode order by cntrycode
 func plan22(view *colstore.View) *Result {
-	codes := map[string]bool{"13": true, "31": true, "23": true, "29": true, "30": true, "18": true, "17": true}
+	codes := []string{"13", "31", "23", "29", "30", "18", "17"}
 	ct := view.Table("customer")
 	bal := ct.Float("c_acctbal")
-	phone := ct.Str("c_phone")
-	inCodes := phone.CodeSet(func(v string) bool { return len(v) >= 2 && codes[v[:2]] })
-	phoneCodes := ct.Codes("c_phone")
+	// The country code of a row is the one whose prefix set holds its phone.
+	sets := make([]colstore.CodeSet, len(codes))
+	for i, cc := range codes {
+		sets[i] = ct.Str("c_phone").PrefixSet(cc)
+	}
+	codeOf := make([]int, ct.Rows()) // by customer row, -1: none of the codes
+	for row, pc := range ct.Codes("c_phone") {
+		codeOf[row] = -1
+		for i, set := range sets {
+			if set.Has(pc) {
+				codeOf[row] = i
+			}
+		}
+	}
 
 	// avg positive balance over customers in the code set
 	var sum float64
 	var n int
-	for row, pc := range phoneCodes {
-		if inCodes[pc] && bal.Get(row) > 0 {
+	for row, i := range codeOf {
+		if i >= 0 && bal.Get(row) > 0 {
 			sum += bal.Get(row)
 			n++
 		}
@@ -594,26 +592,19 @@ func plan22(view *colstore.View) *Result {
 		n   int
 		sum float64
 	}
-	byCode := make(map[string]*agg)
-	var buf []byte
-	for row, pc := range phoneCodes {
-		if !inCodes[pc] || bal.Get(row) <= avg || hasOrder[row] {
-			continue
+	byCode := make([]agg, len(codes))
+	for row, i := range codeOf {
+		if i >= 0 && bal.Get(row) > avg && !hasOrder[row] {
+			byCode[i].n++
+			byCode[i].sum += bal.Get(row)
 		}
-		buf = phone.AppendExtract(buf[:0], pc)
-		cc := string(buf[:2])
-		a := byCode[cc]
-		if a == nil {
-			a = &agg{}
-			byCode[cc] = a
-		}
-		a.n++
-		a.sum += bal.Get(row)
 	}
 
 	var rows [][]string
-	for cc, a := range byCode {
-		rows = append(rows, []string{cc, strconv.Itoa(a.n), f2(a.sum)})
+	for i, a := range byCode {
+		if a.n > 0 {
+			rows = append(rows, []string{codes[i], strconv.Itoa(a.n), f2(a.sum)})
+		}
 	}
 	return &Result{Query: 22, Columns: []string{"cntrycode", "numcust", "totacctbal"}, Rows: orderBy(rows, 0, str(0))}
 }

@@ -30,6 +30,15 @@ import (
 //	s_nationkey -> n_nationkey  N = 8   (13: 104 -> 13)
 //	c_nationkey -> n_nationkey  N = 4   (25: 100 -> 25; n_nationkey locates 204 -> 38)
 //
+// Prefix predicates then became code ranges (PrefixSet) and IN-lists value
+// sets (ValueSet), each moving its column by "N extracts -> 2 locates per
+// predicate" (N = DictLen; an IN-list is one locate per value):
+//
+//	p_type       q14 PROMO%, q16 MEDIUM POLISHED%  (137: 460 -> 186 extracts, 1 -> 5 locates)
+//	p_name       q20 forest%                       (400: 800 -> 400 extracts, 0 -> 2 locates)
+//	c_phone      q22, seven country-code prefixes  (200 + 109 per-row group-key extracts: 397 -> 88, 0 -> 14 locates)
+//	p_container  q19, three 4-value IN-lists       (40: 120 -> 0 extracts, 1 -> 13 locates)
+//
 // Every other entry — constant predicates, CodeSets, output materialization
 // — is what it was. A second, warm pass hits the cache on every join: the
 // eight foreign keys and the keys no plan prints (p_partkey, n_nationkey)
@@ -54,15 +63,15 @@ func TestAccessProfile(t *testing.T) {
 		"customer.c_name":         {Extracts: 88, Locates: 0},
 		"customer.c_address":      {Extracts: 88, Locates: 0},
 		"customer.c_nationkey":    {Extracts: 25, Locates: 0},
-		"customer.c_phone":        {Extracts: 397, Locates: 0},
+		"customer.c_phone":        {Extracts: 88, Locates: 14},
 		"customer.c_mktsegment":   {Extracts: 0, Locates: 1},
 		"customer.c_comment":      {Extracts: 88, Locates: 0},
 		"part.p_partkey":          {Extracts: 0, Locates: 800},
-		"part.p_name":             {Extracts: 800, Locates: 0},
+		"part.p_name":             {Extracts: 400, Locates: 2},
 		"part.p_mfgr":             {Extracts: 0, Locates: 0},
 		"part.p_brand":            {Extracts: 49, Locates: 5},
-		"part.p_type":             {Extracts: 460, Locates: 1},
-		"part.p_container":        {Extracts: 120, Locates: 1},
+		"part.p_type":             {Extracts: 186, Locates: 5},
+		"part.p_container":        {Extracts: 0, Locates: 13},
 		"part.p_comment":          {Extracts: 0, Locates: 0},
 		"partsupp.ps_partkey":     {Extracts: 400, Locates: 0},
 		"partsupp.ps_suppkey":     {Extracts: 20, Locates: 0},
