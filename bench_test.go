@@ -339,8 +339,8 @@ func BenchmarkSnapshotScan(b *testing.B) {
 // Each iteration is one Append against a live daemon; two extra metrics
 // are reported per variant: rewritten-rows/merge (main-part rows re-encoded
 // per merge, the write-amplification the partial path removes) and
-// stall-p99-ns (99th-percentile Append latency, dominated by backpressure
-// waits at the high-water mark). The identity-fold rewrite count is
+// stall-p99-ns (99th-percentile Append latency). The identity-fold rewrite
+// count is
 // asserted in internal/colstore/partial_test.go; end to end it is
 // colstore.rows_rewritten_per_row_folded in the bench/ harness.
 func BenchmarkPartialMergePolicy(b *testing.B) {
@@ -354,7 +354,6 @@ func BenchmarkPartialMergePolicy(b *testing.B) {
 		col := store.AddTable("bench").AddString("c", strdict.FCInline)
 		sched := strdict.NewMergeScheduler(store, 4000)
 		sched.Interval = time.Millisecond
-		sched.HighWaterMark = 8000
 		sched.PartialMerges = partial
 		sched.Start(context.Background())
 

@@ -3,9 +3,8 @@
 // budget, the feedback loop steering the trade-off parameter c, and the
 // background merge daemon: its worker pool merges due columns on its own
 // timer (no cooperative Tick calls in the ingest loop), consults the
-// manager for the format at every merge, and bounds the delta via
-// backpressure, while the columns stay readable throughout
-// (versioned read path, snapshot-build-swap).
+// manager for the format at every merge, while the columns stay readable
+// throughout (versioned read path, snapshot-build-swap).
 package main
 
 import (
@@ -32,16 +31,14 @@ func main() {
 
 	// The background merge daemon: due columns merge in parallel on a
 	// GOMAXPROCS-sized pool on the daemon's own timer, each consulting the
-	// manager for its format at merge time. The high-water mark throttles
-	// ingest if the daemon falls behind, so the delta can never grow without
-	// bound.
-	// PartialMerges keeps hot columns cheap: under backpressure the daemon
-	// folds only the oldest sealed segments (format unchanged) instead of
-	// rebuilding the whole main part; full merges — and the manager's format
-	// choice — land once a column cools down or at Close.
+	// manager for its format at merge time. Append never waits for it.
+	// PartialMerges keeps hot columns cheap: on a column appending at least
+	// a threshold's worth of rows per second the daemon folds only the
+	// oldest sealed segments (format unchanged) instead of rebuilding the
+	// whole main part; full merges — and the manager's format choice — land
+	// once a column cools down or at Close.
 	sched := strdict.NewMergeScheduler(store, 20_000)
 	sched.Interval = 5 * time.Millisecond
-	sched.HighWaterMark = 40_000
 	sched.PartialMerges = true
 	strdict.StartMergeDaemon(context.Background(), sched, mgr)
 
@@ -55,7 +52,7 @@ func main() {
 	if err := sched.Close(); err != nil { // drains every remaining delta row
 		panic(err)
 	}
-	fmt.Printf("daemon drained: status delta=%d session delta=%d\n",
+	fmt.Printf("daemon closed: status delta=%d session delta=%d\n",
 		status.DeltaRows(), session.DeltaRows())
 	store.ResetStats()
 

@@ -29,9 +29,8 @@
 // mergeMu, so there is exactly one publisher at a time; readers are never
 // blocked, not even for a swap.
 //
-// Backpressure: a merge daemon (see MergeScheduler.Start) may install a
-// high-water mark; Append then blocks once the active segment reaches that
-// many rows, kicks the daemon, and resumes when the segment is sealed.
+// Ingest: Append never blocks on merges. The delta is bounded by merge
+// throughput alone, and its bytes are counted in Store.Bytes.
 //
 // Table and Store DDL (AddTable, AddString, …) is not goroutine-safe and
 // must complete before concurrent access starts.
@@ -146,16 +145,12 @@ type StringColumn struct {
 	// parts, so Len is a single atomic load.
 	totalRows atomic.Int64
 
-	// appendMu guards the active (unsealed) delta segment below and the
-	// backpressure configuration. Critical sections are O(1); the main part
-	// is never read or written under it.
+	// appendMu guards the active (unsealed) delta segment below. Critical
+	// sections are O(1); the main part is never read or written under it.
 	appendMu    sync.Mutex
-	drained     sync.Cond // signaled when the active segment is sealed or backpressure is removed
 	activeVals  []string
 	activeIndex map[string]uint32
 	activeRows  []uint32
-	hwm         int    // active-segment high-water mark; 0 = no backpressure
-	kick        func() // wakes the merge daemon when the mark is hit
 
 	// journal, when non-nil, receives appends (under appendMu, so WAL order
 	// equals row order) and main-part publications (under mergeMu). Set via
@@ -204,7 +199,6 @@ func NewStringColumn(name string, format dict.Format) *StringColumn {
 		name:        name,
 		activeIndex: make(map[string]uint32),
 	}
-	c.drained.L = &c.appendMu
 	c.version.Store(&columnVersion{
 		dict:  dict.BuildUnchecked(format, nil),
 		codes: intcomp.PackBits(nil),
@@ -243,17 +237,10 @@ func (c *StringColumn) Format() dict.Format {
 	return c.version.Load().dict.Format()
 }
 
-// Append adds a value to the write-optimized delta part. If a merge daemon
-// installed a high-water mark and the active segment is full, Append blocks
-// until the daemon seals the segment (backpressure).
+// Append adds a value to the write-optimized delta part. It never waits for
+// a merge.
 func (c *StringColumn) Append(value string) {
 	c.appendMu.Lock()
-	for c.hwm > 0 && len(c.activeRows) >= c.hwm {
-		if c.kick != nil {
-			c.kick()
-		}
-		c.drained.Wait()
-	}
 	code, ok := c.activeIndex[value]
 	if !ok {
 		code = uint32(len(c.activeVals))
@@ -265,20 +252,6 @@ func (c *StringColumn) Append(value string) {
 	if c.journal != nil {
 		c.journal.JournalAppend(c.name, value)
 	}
-	c.appendMu.Unlock()
-}
-
-// setBackpressure installs (hwm > 0) or removes (hwm <= 0) the append
-// throttle. kick, if non-nil, is invoked — with the append mutex held, so it
-// must not call back into the column — when a blocked Append wants a merge.
-func (c *StringColumn) setBackpressure(hwm int, kick func()) {
-	c.appendMu.Lock()
-	if hwm < 0 {
-		hwm = 0
-	}
-	c.hwm = hwm
-	c.kick = kick
-	c.drained.Broadcast() // release waiters if the mark was raised or removed
 	c.appendMu.Unlock()
 }
 
@@ -356,8 +329,7 @@ func dictValuesOf(d dict.Dictionary) []string {
 
 // sealActive freezes the active segment into the published version's sealed
 // chain and starts a fresh active segment, returning the resulting version.
-// Appenders blocked on backpressure are released. The caller must hold
-// mergeMu (seal publishes a version).
+// The caller must hold mergeMu (seal publishes a version).
 func (c *StringColumn) sealActive() *columnVersion {
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
@@ -380,7 +352,6 @@ func (c *StringColumn) sealActive() *columnVersion {
 	c.activeIndex = make(map[string]uint32)
 	c.activeRows = nil
 	c.version.Store(nv)
-	c.drained.Broadcast()
 	return nv
 }
 
@@ -485,11 +456,10 @@ func (c *StringColumn) Merge(format dict.Format) MergeResult {
 
 // MergePartial folds only the oldest k sealed delta segments into the main
 // part (see fold), advancing the main/sealed boundary without draining the
-// whole delta. The active segment is sealed first — releasing any appender
-// blocked on backpressure — and becomes the newest sealed segment. The
-// dictionary format is never changed: partial folds are the hot-column path
-// where paying a format decision (and the full rebuild it may imply) per
-// backpressure kick is exactly the cost being avoided; when the folded
+// whole delta. The active segment is sealed first and becomes the newest
+// sealed segment. The dictionary format is never changed: partial folds are
+// the hot-column path where paying a format decision (and the full rebuild
+// it may imply) per pass is exactly the cost being avoided; when the folded
 // segments bring no new value, only the folded rows are re-encoded.
 //
 // k <= 0 is a no-op; k is clamped to the number of sealed segments (after

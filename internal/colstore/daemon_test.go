@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,59 +132,9 @@ func TestDaemonContextCancelStopsGoroutine(t *testing.T) {
 	}
 }
 
-// TestDaemonBackpressure exercises the high-water mark: with the timer
-// effectively disabled, only the backpressure kick path can merge, so a
-// writer pushing far past the mark must be throttled into many small sealed
-// segments — and must never deadlock or lose a row.
-func TestDaemonBackpressure(t *testing.T) {
-	const (
-		hwm  = 50
-		rows = 1000
-	)
-	s := NewStore()
-	col := s.AddTable("t").AddString("c", dict.FCBlock)
-
-	m := NewMergeScheduler(s, 1<<30) // threshold unreachable: kick path only
-	m.Interval = time.Hour           // timer effectively disabled
-	m.HighWaterMark = hwm
-	var merges atomic.Int64
-	m.Chooser = func(snap *Snapshot, lifetimeNs float64) dict.Format {
-		merges.Add(1)
-		return dict.FCBlock
-	}
-	m.Start(context.Background())
-
-	for i := 0; i < rows; i++ {
-		col.Append(fmt.Sprintf("bp-%06d", i))
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := col.Len(); got != rows {
-		t.Fatalf("Len = %d, want %d", got, rows)
-	}
-	if col.DeltaRows() != 0 {
-		t.Fatalf("delta not drained: %d", col.DeltaRows())
-	}
-	// A single writer can only run ahead one segment at a time, so the kick
-	// path must have merged many times (rows/hwm = 20 segments; allow slack
-	// for the final Flush batching the tail).
-	if n := merges.Load(); n < 5 {
-		t.Fatalf("backpressure produced only %d merges; Append was not throttled", n)
-	}
-	for i := 0; i < rows; i++ {
-		if got, want := col.Get(i), fmt.Sprintf("bp-%06d", i); got != want {
-			t.Fatalf("Get(%d) = %q, want %q", i, got, want)
-		}
-	}
-}
-
-// TestDaemonStartCloseStress races Start against Close repeatedly (run
-// under -race via scripts/check.sh). The serialized shutdown must never
-// leave two daemons running (goroutine leak), and after the final Close no
-// backpressure may linger — an append far past the high-water mark must
-// complete even though no daemon serves kicks.
+// TestDaemonStartCloseStress races Start against Close and Append
+// repeatedly (run under -race via scripts/check.sh). The serialized
+// shutdown must never leave two daemons running (goroutine leak).
 func TestDaemonStartCloseStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := NewStore()
@@ -193,7 +142,6 @@ func TestDaemonStartCloseStress(t *testing.T) {
 
 	m := NewMergeScheduler(s, 50)
 	m.Interval = time.Millisecond
-	m.HighWaterMark = 20
 
 	for round := 0; round < 40; round++ {
 		var wg sync.WaitGroup
@@ -219,53 +167,8 @@ func TestDaemonStartCloseStress(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// No daemon is running and Close stripped backpressure: pushing far
-	// past the mark must not block.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			col.Append(fmt.Sprintf("tail-%03d", i))
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("append blocked after final Close: backpressure left installed without a daemon")
+	if col.Len() != 40*30 || col.DeltaRows() != 0 {
+		t.Fatalf("after final Close: %d rows, %d in the delta; want %d, 0", col.Len(), col.DeltaRows(), 40*30)
 	}
 	checkNoGoroutineLeak(t, baseline)
-}
-
-// TestBackpressureRemovedOnClose: an Append blocked on the high-water mark
-// must be released when Close removes backpressure, even if no merge ran.
-func TestBackpressureRemovedOnClose(t *testing.T) {
-	s := NewStore()
-	col := s.AddTable("t").AddString("c", dict.Array)
-	// Install backpressure directly with a kick that never merges, modeling
-	// a daemon that dies before serving the kick.
-	col.setBackpressure(3, func() {})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			col.Append(fmt.Sprintf("v%d", i))
-		}
-	}()
-	// The writer must stall at the mark...
-	waitFor(t, "writer to hit the mark", func() bool { return col.Len() == 3 })
-	select {
-	case <-done:
-		t.Fatal("writer ran past the high-water mark")
-	case <-time.After(20 * time.Millisecond):
-	}
-	// ...and resume once backpressure is removed.
-	col.setBackpressure(0, nil)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("writer still blocked after backpressure removal")
-	}
-	if col.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", col.Len())
-	}
 }

@@ -48,23 +48,6 @@ type Journal interface {
 	JournalMainPart(column string, d dict.Dictionary, codes intcomp.Vector, nMain int)
 }
 
-// JournalHealth is an optional interface a Journal may implement to expose
-// its sticky durability failure. The merge scheduler polls it after each
-// merge so journal errors are reported (MergeScheduler.OnError) rather than
-// silently swallowed inside the no-error-return Journal contract.
-type JournalHealth interface {
-	JournalErr() error
-}
-
-// JournalErr reports the attached journal's sticky durability failure, or
-// nil when no journal is attached or it does not expose health.
-func (s *Store) JournalErr() error {
-	if h, ok := s.journal.(JournalHealth); ok {
-		return h.JournalErr()
-	}
-	return nil
-}
-
 // SetJournal attaches a journal to the store: existing tables and columns
 // are wired (and re-announced to the journal as DDL events, which
 // implementations deduplicate by name), and tables or columns defined later

@@ -23,20 +23,19 @@ const DefaultMergeInterval = 50 * time.Millisecond
 //
 // The scheduler runs in two modes. Cooperative: the ingest path calls Tick
 // periodically. Daemon: Start spawns a long-running goroutine with its own
-// timer that replaces cooperative Tick calls entirely, optionally installs
-// append backpressure (HighWaterMark), and Close shuts it down gracefully,
-// draining every remaining delta via Flush.
+// timer that replaces cooperative Tick calls entirely, and Close shuts it
+// down gracefully, draining every remaining delta via Flush. Neither mode
+// ever blocks Append: the delta is bounded by merge throughput alone.
 //
 // A policy layer picks per column between two merge kinds. A full merge
 // rebuilds the whole main part and consults the Chooser, so the dictionary
 // format may change — the right move when the threshold is crossed on a
 // cooling column, where the rebuild is amortized over a long lifetime. A
 // partial fold (PartialMerges) folds only the oldest sealed delta segments,
-// keeping the format — the right move on a hot column under backpressure,
-// where paying a full dictionary rebuild per kick is exactly the
-// access-latency cost adaptive compression tries to avoid. Hotness comes
-// from a per-column append-rate estimate (exponentially weighted, updated
-// each pass).
+// keeping the format — the right move on a hot column, where paying a full
+// dictionary rebuild per pass is exactly the access-latency cost adaptive
+// compression tries to avoid. Hotness comes from a per-column append-rate
+// estimate (exponentially weighted, updated each pass).
 //
 // Due columns merge concurrently on a bounded worker pool (Parallelism
 // workers, GOMAXPROCS by default); each column's merge follows the
@@ -45,7 +44,7 @@ const DefaultMergeInterval = 50 * time.Millisecond
 // from pool workers and must therefore be safe for concurrent use
 // (core.Manager is). Tick and Flush are serialized against each other
 // internally; bookkeeping is lock-protected and may be read concurrently
-// via LifetimeNs, ColumnMergeStats and AppendRate.
+// via LifetimeNs and ColumnMergeStats.
 type MergeScheduler struct {
 	store *Store
 	// DeltaRowThreshold triggers a merge once a column's delta holds at
@@ -61,34 +60,19 @@ type MergeScheduler struct {
 	// GOMAXPROCS, 1 restores the serial path.
 	Parallelism int
 
-	// PartialMerges enables the partial-fold path: backpressure kicks (and
-	// timer passes over hot columns, see usePartial) fold
-	// only enough oldest sealed segments to bring the delta back under the
-	// threshold, instead of draining it with a full rebuild. Flush (and
-	// therefore Close) always merges fully. Set before Start.
+	// PartialMerges enables the partial-fold path: a pass over a hot column
+	// (see usePartial) folds only enough oldest sealed segments to bring the
+	// delta back under the threshold, instead of draining it with a full
+	// rebuild. Flush (and therefore Close) always merges fully. Set before
+	// Start.
 	PartialMerges bool
 	// Interval is the daemon's timer period; 0 means DefaultMergeInterval.
 	// Set before Start.
 	Interval time.Duration
-	// HighWaterMark, when > 0, makes Append block once a column's active
-	// (unsealed) delta reaches this many rows, kicking the daemon for an
-	// immediate merge pass. Backpressure is installed by Start and removed
-	// by Close. Set before Start.
-	HighWaterMark int
-
-	// OnError, when non-nil, is invoked with the column just merged when the
-	// store's journal reports a sticky durability failure afterwards (the
-	// Journal interface has no error returns — see JournalHealth). It runs
-	// on pool workers, so it must be goroutine-safe; the same error is
-	// reported once, not once per merged column. Set before Start.
-	OnError func(column string, err error)
 
 	// tickMu serializes Tick/Flush invocations so two overlapping calls
 	// cannot dispatch the same column to two workers.
 	tickMu sync.Mutex
-
-	errMu   sync.Mutex
-	lastErr string // last journal error text reported through OnError
 
 	mu    sync.Mutex // guards stats
 	stats map[string]*colMergeState
@@ -98,12 +82,9 @@ type MergeScheduler struct {
 	// means time.NewTicker. It returns the tick channel and a stop func.
 	newTicker func(d time.Duration) (<-chan time.Time, func())
 
-	// Daemon state. kick is created once (never replaced), so Kick needs no
-	// lock and cannot deadlock against Close — Append calls Kick while
-	// holding a column's append mutex. daemonMu serializes Start and Close
-	// in full: Close holds it across the daemon wait and backpressure
-	// strip, so Start can never observe a half-closed scheduler.
-	kick     chan struct{}
+	// Daemon state. daemonMu serializes Start and Close in full: Close holds
+	// it across the daemon wait and the final drain, so Start can never
+	// observe a half-closed scheduler.
 	daemonMu sync.Mutex
 	cancel   context.CancelFunc
 	done     chan struct{}
@@ -122,11 +103,11 @@ type colMergeState struct {
 	lastRows   int64     // Len() at the last rate observation
 	lastRateAt time.Time // time of the last rate observation
 	rateValid  bool      // at least one complete measurement exists
-	ratePerSec float64   // EWMA of the append rate
+	ratePerSec float64   // EWMA of the append rate; 0 until rateValid
 }
 
 // MergeStats summarizes one column's merge history. Full and Partial count
-// only merges that actually folded rows — dispatches that found a drained
+// only merges that actually folded rows — dispatches that found an empty
 // delta are skipped and recorded nowhere.
 type MergeStats struct {
 	// Full and Partial count merges by kind.
@@ -135,12 +116,6 @@ type MergeStats struct {
 	// part; RowsRewritten the cumulative number of rows re-encoded into new
 	// code vectors (the work a merge actually pays for).
 	RowsFolded, RowsRewritten uint64
-	// LastFullInterval is the interval between the last two full merges
-	// (zero until the column has fully merged twice). Partial folds do not
-	// shrink it — see LifetimeNs.
-	LastFullInterval time.Duration
-	// AppendRate is the current append-rate estimate in rows/sec.
-	AppendRate float64
 }
 
 // NewMergeScheduler returns a scheduler over the store's string columns.
@@ -150,7 +125,6 @@ func NewMergeScheduler(s *Store, deltaRowThreshold int) *MergeScheduler {
 		DeltaRowThreshold: deltaRowThreshold,
 		stats:             make(map[string]*colMergeState),
 		now:               time.Now,
-		kick:              make(chan struct{}, 1),
 	}
 }
 
@@ -189,34 +163,18 @@ func (m *MergeScheduler) ColumnMergeStats(col string) MergeStats {
 		return MergeStats{}
 	}
 	return MergeStats{
-		Full:             st.full,
-		Partial:          st.partial,
-		RowsFolded:       st.rowsFolded,
-		RowsRewritten:    st.rowsRewritten,
-		LastFullInterval: st.lastFullInterval,
-		AppendRate:       st.ratePerSec,
+		Full:          st.full,
+		Partial:       st.partial,
+		RowsFolded:    st.rowsFolded,
+		RowsRewritten: st.rowsRewritten,
 	}
-}
-
-// AppendRate returns the column's current append-rate estimate in rows per
-// second (0 until two passes have observed it).
-func (m *MergeScheduler) AppendRate(col string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st, ok := m.stats[col]; ok && st.rateValid {
-		return st.ratePerSec
-	}
-	return 0
 }
 
 // Start launches the background merge daemon: a goroutine that runs a merge
-// pass every Interval and immediately when kicked by backpressure, without
-// any cooperative Tick calls from the ingest path. If HighWaterMark > 0 it
-// installs append backpressure on every string column of the store (columns
-// must be defined before Start, per the package DDL rule). Starting an
-// already-running daemon is a no-op; a Start concurrent with Close blocks
-// until the Close has fully finished, then starts fresh. The daemon stops
-// when ctx is cancelled or Close is called.
+// pass every Interval, without any cooperative Tick calls from the ingest
+// path. Starting an already-running daemon is a no-op; a Start concurrent
+// with Close blocks until the Close has fully finished, then starts fresh.
+// The daemon stops when ctx is cancelled or Close is called.
 func (m *MergeScheduler) Start(ctx context.Context) {
 	m.daemonMu.Lock()
 	defer m.daemonMu.Unlock()
@@ -234,11 +192,6 @@ func (m *MergeScheduler) Start(ctx context.Context) {
 			return t.C, t.Stop
 		}
 	}
-	if m.HighWaterMark > 0 {
-		for _, c := range m.store.StringColumns() {
-			c.setBackpressure(m.HighWaterMark, m.Kick)
-		}
-	}
 	ctx, m.cancel = context.WithCancel(ctx)
 	m.done = make(chan struct{})
 	go m.run(ctx, m.done, interval, newTicker)
@@ -253,43 +206,21 @@ func (m *MergeScheduler) run(ctx context.Context, done chan struct{}, interval t
 		select {
 		case <-ctx.Done():
 			return
-		case <-m.kick:
-			// Backpressure engaged: merge columns at or past the high-water
-			// mark even when below the regular threshold, so the throttled
-			// appender is released as soon as its segment seals.
-			threshold := m.DeltaRowThreshold
-			if m.HighWaterMark > 0 && m.HighWaterMark < threshold {
-				threshold = m.HighWaterMark
-			}
-			m.tickAt(threshold, modeKick)
 		case <-tick:
-			m.tickAt(m.DeltaRowThreshold, modeTimer)
+			m.pass(false)
 		}
 	}
 }
 
-// Kick requests an immediate merge pass from a running daemon. It never
-// blocks and is safe from any goroutine — including a backpressured Append
-// holding its column's append mutex.
-func (m *MergeScheduler) Kick() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Close stops the daemon goroutine (waiting for it to exit), removes append
-// backpressure, and drains every remaining delta via Flush. A scheduler
-// that was never started just flushes. The scheduler may be started again
-// afterwards.
+// Close stops the daemon goroutine (waiting for it to exit) and drains every
+// remaining delta via Flush. A scheduler that was never started just
+// flushes. The scheduler may be started again afterwards.
 //
 // Close holds the daemon lock for its entire duration, so a concurrent
 // Start cannot interleave with the shutdown: it either runs to completion
 // before Close begins, or blocks until Close has stopped the daemon and
-// stripped backpressure, then starts a fresh daemon. Without this, a Start
-// racing the wait could observe the cleared daemon state, spawn a second
-// daemon, and install a high-water mark the in-flight Close immediately
-// removes — leaving a daemon with no backpressure, or two tickers.
+// flushed, then starts a fresh daemon. Without this, a Start racing the
+// wait could observe the cleared daemon state and spawn a second daemon.
 func (m *MergeScheduler) Close() error {
 	m.daemonMu.Lock()
 	defer m.daemonMu.Unlock()
@@ -298,67 +229,43 @@ func (m *MergeScheduler) Close() error {
 		<-m.done
 		m.cancel, m.done = nil, nil
 	}
-	for _, c := range m.store.StringColumns() {
-		c.setBackpressure(0, nil)
-	}
 	m.Flush()
 	return nil
 }
-
-// mergeMode tells the merge pass what triggered it: the daemon timer, a
-// backpressure kick, or a drain (Flush/Close). The policy layer uses it —
-// kicks prefer partial folds on a hot column, drains always merge fully.
-type mergeMode int
-
-const (
-	modeTimer mergeMode = iota
-	modeKick
-	modeFlush
-)
 
 // Tick checks every string column and merges those whose delta (sealed +
 // active segments) crossed the threshold, consulting the Chooser for the
 // new format. Due columns merge in parallel on the scheduler's worker pool.
 // It returns the names of the columns that actually merged, in store order
 // — the order Store.StringColumns lists them, regardless of which worker
-// ran which merge. A column collected as due but drained by the time a
+// ran which merge. A column collected as due but emptied by the time a
 // worker claimed it (a racing scheduler or explicit Merge) is skipped and
 // not reported.
-func (m *MergeScheduler) Tick() []string {
-	return m.tickAt(m.DeltaRowThreshold, modeTimer)
-}
+func (m *MergeScheduler) Tick() []string { return m.pass(false) }
 
-// tickAt is Tick with an explicit threshold (the daemon's kick path lowers
-// it to the high-water mark) and trigger mode.
-func (m *MergeScheduler) tickAt(threshold int, mode mergeMode) []string {
+// Flush merges every column that has any delta rows, regardless of the
+// threshold (shutdown / checkpoint path). Flush always merges fully — a
+// partial fold would leave sealed segments behind, defeating the drain.
+func (m *MergeScheduler) Flush() []string { return m.pass(true) }
+
+// pass is one merge pass: Tick's (columns at or past the threshold) or, on
+// a drain, Flush's (every column with delta rows, always merged fully).
+func (m *MergeScheduler) pass(drain bool) []string {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
 	cols := m.store.StringColumns()
 	m.observeRates(cols)
+	threshold := m.DeltaRowThreshold
+	if drain {
+		threshold = 1
+	}
 	var due []*StringColumn
 	for _, c := range cols {
 		if c.DeltaRows() >= threshold {
 			due = append(due, c)
 		}
 	}
-	return m.mergeColumns(due, mode)
-}
-
-// Flush merges every column that has any delta rows, regardless of the
-// threshold (shutdown / checkpoint path). Flush always merges fully — a
-// partial fold would leave sealed segments behind, defeating the drain.
-func (m *MergeScheduler) Flush() []string {
-	m.tickMu.Lock()
-	defer m.tickMu.Unlock()
-	cols := m.store.StringColumns()
-	m.observeRates(cols)
-	var due []*StringColumn
-	for _, c := range cols {
-		if c.DeltaRows() > 0 {
-			due = append(due, c)
-		}
-	}
-	return m.mergeColumns(due, modeFlush)
+	return m.mergeColumns(due, drain)
 }
 
 // observeRates updates every column's append-rate estimate (EWMA over the
@@ -395,7 +302,7 @@ func (m *MergeScheduler) observeRates(cols []*StringColumn) {
 // they were collected, which is also the serial path's merge order. Workers
 // claim columns off an atomic cursor, so completion order varies, but the
 // returned slice does not.
-func (m *MergeScheduler) mergeColumns(due []*StringColumn, mode mergeMode) []string {
+func (m *MergeScheduler) mergeColumns(due []*StringColumn, drain bool) []string {
 	if len(due) == 0 {
 		return nil
 	}
@@ -410,7 +317,7 @@ func (m *MergeScheduler) mergeColumns(due []*StringColumn, mode mergeMode) []str
 
 	if workers <= 1 {
 		for i, c := range due {
-			merged[i] = m.mergeColumn(c, mode)
+			merged[i] = m.mergeColumn(c, drain)
 		}
 	} else {
 		var cursor atomic.Int64
@@ -424,7 +331,7 @@ func (m *MergeScheduler) mergeColumns(due []*StringColumn, mode mergeMode) []str
 					if i >= len(due) {
 						return
 					}
-					merged[i] = m.mergeColumn(due[i], mode)
+					merged[i] = m.mergeColumn(due[i], drain)
 				}
 			}()
 		}
@@ -441,24 +348,20 @@ func (m *MergeScheduler) mergeColumns(due []*StringColumn, mode mergeMode) []str
 }
 
 // usePartial decides the merge kind for one due column: partial when the
-// pass was a backpressure kick (the stalled appender is hotness made
-// manifest) or when the column is hot — it appends at least
-// DeltaRowThreshold rows/sec, refilling a whole delta every second; full
-// otherwise.
-func (m *MergeScheduler) usePartial(c *StringColumn, mode mergeMode) bool {
-	if !m.PartialMerges || mode == modeFlush {
+// column is hot — it appends at least DeltaRowThreshold rows/sec, refilling
+// a whole delta every second — and the pass is not a drain; full otherwise.
+func (m *MergeScheduler) usePartial(c *StringColumn, drain bool) bool {
+	if !m.PartialMerges || drain {
 		return false
 	}
-	if mode == modeKick {
-		return true
-	}
-	return m.AppendRate(c.Name()) >= float64(m.DeltaRowThreshold)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stat(c.Name()).ratePerSec >= float64(m.DeltaRowThreshold)
 }
 
 // partialFoldCount picks how many oldest sealed segments a partial fold
-// should cover: just enough to bring the delta back under the threshold
-// (with the seal releasing the blocked appender), and always at least one
-// segment so the boundary advances.
+// should cover: just enough to bring the delta back under the threshold,
+// and always at least one segment so the boundary advances.
 func (m *MergeScheduler) partialFoldCount(c *StringColumn) int {
 	v := c.version.Load()
 	excess := c.DeltaRows() - m.DeltaRowThreshold
@@ -478,12 +381,11 @@ func (m *MergeScheduler) partialFoldCount(c *StringColumn) int {
 
 // mergeColumn runs one column's merge under the policy layer, returning
 // whether any rows were folded.
-func (m *MergeScheduler) mergeColumn(c *StringColumn, mode mergeMode) bool {
-	// Re-check under the claim: the column may have been drained between
-	// collection and this worker claiming it (another scheduler, an
-	// explicit Merge, or the kick path racing the timer path). Running the
-	// merge anyway would rebuild the whole dictionary over an empty delta
-	// and skew the lifetime bookkeeping below.
+func (m *MergeScheduler) mergeColumn(c *StringColumn, drain bool) bool {
+	// Re-check under the claim: the column may have been emptied between
+	// collection and this worker claiming it (another scheduler or an
+	// explicit Merge). Running the merge anyway would rebuild the whole
+	// dictionary over an empty delta and skew the lifetime bookkeeping below.
 	if c.DeltaRows() == 0 {
 		return false
 	}
@@ -493,10 +395,9 @@ func (m *MergeScheduler) mergeColumn(c *StringColumn, mode mergeMode) bool {
 	// the injected test clocks only need to advance between passes).
 	start := m.now()
 
-	if m.usePartial(c, mode) {
+	if m.usePartial(c, drain) {
 		res := c.MergePartial(m.partialFoldCount(c))
 		m.record(name, start, res, false)
-		m.reportJournalErr(name)
 		return res.Folded > 0
 	}
 
@@ -512,34 +413,11 @@ func (m *MergeScheduler) mergeColumn(c *StringColumn, mode mergeMode) bool {
 	}
 	res := c.Merge(format)
 	m.record(name, start, res, true)
-	m.reportJournalErr(name)
 	return res.Folded > 0
 }
 
-// reportJournalErr surfaces a sticky journal failure through OnError after
-// a merge. The journal error is store-wide and sticky, so it is reported on
-// its first observation only, not once per merged column.
-func (m *MergeScheduler) reportJournalErr(column string) {
-	if m.OnError == nil {
-		return
-	}
-	err := m.store.JournalErr()
-	if err == nil {
-		return
-	}
-	m.errMu.Lock()
-	dup := m.lastErr == err.Error()
-	if !dup {
-		m.lastErr = err.Error()
-	}
-	m.errMu.Unlock()
-	if !dup {
-		m.OnError(column, err)
-	}
-}
-
 // record books a finished merge. Merges that folded nothing leave the
-// bookkeeping untouched: a no-op pass (or a drained-by-race dispatch) must
+// bookkeeping untouched: a no-op pass (or a dispatch emptied by a race) must
 // not shrink the observed merge interval that normalizes the manager's
 // time dimension, and partial folds are counted separately so LifetimeNs
 // keeps describing full-merge lifetimes only.

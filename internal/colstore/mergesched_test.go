@@ -110,7 +110,7 @@ func TestMergeSkipsStaleDispatch(t *testing.T) {
 	stale.Merge(stale.Format()) // racing explicit merge drains the delta
 
 	// Dispatch both directly, as Tick would have after collecting them.
-	names := m.mergeColumns([]*StringColumn{stale, live}, modeTimer)
+	names := m.mergeColumns([]*StringColumn{stale, live}, false)
 	if len(names) != 1 || names[0] != "t.live" {
 		t.Fatalf("merged %v, want [t.live]", names)
 	}
@@ -151,14 +151,15 @@ func TestLifetimeUnaffectedByPartialAndNoOp(t *testing.T) {
 		t.Fatalf("lifetime %g, want 5s", lt)
 	}
 
-	// A kick-mode pass takes the partial path; it must count as a partial
-	// fold and leave the full-merge interval alone.
-	clock = clock.Add(3 * time.Second)
+	// A hot pass takes the partial path: 8 rows in 1s lift the rate estimate
+	// to 0.5*0.8 + 0.5*8 = 4.4 rows/s, past the threshold of 4. It must
+	// count as a partial fold and leave the full-merge interval alone.
+	clock = clock.Add(time.Second)
 	appendN(8)
-	m.tickAt(4, modeKick)
+	m.Tick()
 	st := m.ColumnMergeStats("t.c")
 	if st.Partial == 0 {
-		t.Fatalf("kick pass did not fold partially: %+v", st)
+		t.Fatalf("hot pass did not fold partially: %+v", st)
 	}
 	if st.Full != 2 {
 		t.Fatalf("partial fold miscounted as full: %+v", st)
@@ -169,7 +170,7 @@ func TestLifetimeUnaffectedByPartialAndNoOp(t *testing.T) {
 
 	// A no-op pass over a drained column records nothing at all.
 	clock = clock.Add(7 * time.Second)
-	m.mergeColumns([]*StringColumn{c}, modeTimer)
+	m.mergeColumns([]*StringColumn{c}, false)
 	if got := m.ColumnMergeStats("t.c"); got.Full != st.Full || got.Partial != st.Partial {
 		t.Fatalf("no-op pass changed counters: %+v -> %+v", st, got)
 	}

@@ -220,12 +220,22 @@ func TestMergePartialEquivalenceDeterministic(t *testing.T) {
 	}
 }
 
+// hotClock is an injected scheduler clock that reads time off the column's
+// row count, as if the column appended rowsPerSec rows every second: every
+// pass that sees new rows measures exactly that rate, however the passes
+// interleave with the appender. It is safe for concurrent use.
+func hotClock(c *StringColumn, rowsPerSec int) func() time.Time {
+	return func() time.Time {
+		return time.Unix(1000, 0).Add(time.Duration(c.Len()) * time.Second / time.Duration(rowsPerSec))
+	}
+}
+
 // TestPartialPolicyEquivalenceConcurrent is the acceptance check: one
 // deterministic writer drives two identical columns — one store merged by a
-// partial-policy daemon under backpressure, the other full-merged — while
-// snapshot readers hammer both. After Close, Get, ScanEq and Snapshot
-// results must be bit-identical between the two runs. Runs under -race via
-// scripts/check.sh.
+// partial-policy daemon on a hot column (hotClock), the other full-merged —
+// while snapshot readers hammer both. The writer ticks the daemon every 500
+// rows. After Close, Get, ScanEq and Snapshot results must be bit-identical
+// between the two runs. Runs under -race via scripts/check.sh.
 func TestPartialPolicyEquivalenceConcurrent(t *testing.T) {
 	const rows = 12_000
 	value := func(i int) string { return fmt.Sprintf("eq-%05d", (i*13)%700) }
@@ -234,8 +244,9 @@ func TestPartialPolicyEquivalenceConcurrent(t *testing.T) {
 		s := NewStore()
 		col := s.AddTable("t").AddString("c", dict.FCBlock)
 		m := NewMergeScheduler(s, 2000)
-		m.Interval = time.Millisecond
-		m.HighWaterMark = 500
+		m.now = hotClock(col, 5000)
+		ticks := make(chan time.Time)
+		m.newTicker = func(time.Duration) (<-chan time.Time, func()) { return ticks, func() {} }
 		m.PartialMerges = partial
 		m.Parallelism = 2
 		m.Start(context.Background())
@@ -268,6 +279,9 @@ func TestPartialPolicyEquivalenceConcurrent(t *testing.T) {
 		}
 		for i := 0; i < rows; i++ {
 			col.Append(value(i))
+			if i%500 == 499 {
+				ticks <- time.Time{}
+			}
 		}
 		close(stop)
 		wg.Wait()
@@ -320,40 +334,74 @@ func TestPartialPolicyEquivalenceConcurrent(t *testing.T) {
 
 // TestPartialPolicyKeepsFormatUnderChooser: the partial path must not
 // consult the Chooser — a chooser that would switch formats on every merge
-// sees only full merges.
+// sees only full merges, and a hot column takes none.
 func TestPartialPolicyKeepsFormatUnderChooser(t *testing.T) {
 	s := NewStore()
 	col := s.AddTable("t").AddString("c", dict.FCBlock)
-	m := NewMergeScheduler(s, 1<<30) // threshold unreachable: kick path only
-	m.Interval = time.Hour
-	m.HighWaterMark = 100
+	m := NewMergeScheduler(s, 100)
+	m.now = hotClock(col, 5000) // 50x the threshold: every pass is hot
 	m.PartialMerges = true
 	m.Chooser = func(snap *Snapshot, _ float64) dict.Format {
 		return dict.Array // would change the format if consulted
 	}
-	m.Start(context.Background())
 	for i := 0; i < 2000; i++ {
 		col.Append(fmt.Sprintf("p%05d", i))
-	}
-	// Stop the daemon without the full-merge drain so the assertion sees
-	// only what the kick path did.
-	m.daemonMu.Lock()
-	m.cancel()
-	<-m.done
-	m.cancel, m.done = nil, nil
-	m.daemonMu.Unlock()
-	for _, c := range s.StringColumns() {
-		c.setBackpressure(0, nil)
+		if i%50 == 49 {
+			m.Tick()
+		}
 	}
 
 	st := m.ColumnMergeStats("t.c")
 	if st.Partial == 0 {
-		t.Fatalf("kick path did no partial folds: %+v", st)
+		t.Fatalf("hot column did no partial folds: %+v", st)
 	}
 	if st.Full != 0 {
-		t.Fatalf("kick path did %d full merges under the partial policy", st.Full)
+		t.Fatalf("hot column took %d full merges under the partial policy", st.Full)
 	}
 	if got := col.Format(); got != dict.FCBlock {
 		t.Fatalf("partial policy changed format to %s", got)
+	}
+}
+
+// TestHotRuleBoundary pins the one partial-fold trigger: a pass folds
+// partially iff the column's append-rate estimate is at least
+// DeltaRowThreshold rows/s, and Flush merges fully even on a hot column.
+func TestHotRuleBoundary(t *testing.T) {
+	const threshold = 10
+	// run appends threshold rows over elapsed, between a baseline pass over
+	// the empty column and one measured pass (Flush on a drain), and returns
+	// the resulting merge counters.
+	run := func(elapsed time.Duration, drain bool) MergeStats {
+		s := NewStore()
+		c := s.AddTable("t").AddString("c", dict.Array)
+		m := NewMergeScheduler(s, threshold)
+		m.PartialMerges = true
+		clock := time.Unix(1000, 0)
+		m.now = func() time.Time { return clock }
+		m.Tick()
+		for i := 0; i < threshold; i++ {
+			c.Append(fmt.Sprintf("v%02d", i))
+		}
+		clock = clock.Add(elapsed)
+		if drain {
+			m.Flush()
+		} else {
+			m.Tick()
+		}
+		return m.ColumnMergeStats("t.c")
+	}
+	for _, tc := range []struct {
+		name          string
+		elapsed       time.Duration
+		drain         bool
+		full, partial int
+	}{
+		{"at the threshold rate", time.Second, false, 0, 1},
+		{"just below it", time.Second + time.Millisecond, false, 1, 0},
+		{"flush at the threshold rate", time.Second, true, 1, 0},
+	} {
+		if st := run(tc.elapsed, tc.drain); st.Full != tc.full || st.Partial != tc.partial {
+			t.Errorf("%s: %+v, want %d full and %d partial", tc.name, st, tc.full, tc.partial)
+		}
 	}
 }

@@ -512,7 +512,3 @@ func (j *journal) err() error {
 	}
 	return nil
 }
-
-// JournalErr implements colstore.JournalHealth: the merge daemon polls it
-// after each merge to report, rather than swallow, durability failures.
-func (j *journal) JournalErr() error { return j.err() }

@@ -17,8 +17,8 @@ import (
 )
 
 // Options configures a Server. The rest of the path from an append to a
-// chosen format is fixed: scheduler-default merge interval, no high-water
-// mark, persist-default fsync cadence, model.DefaultSampleRatio with seed 0.
+// chosen format is fixed: scheduler-default merge interval, persist-default
+// fsync cadence, model.DefaultSampleRatio with seed 0.
 type Options struct {
 	// Shards is the number of independent shards; <= 0 selects 1.
 	Shards int

@@ -17,9 +17,11 @@ go build ./...
 # that walk by extract) lowered it from 22565 to 22461. The predicate
 # operators (CodeSet bitsets, PrefixSet, ValueSet: +57 in colstore) and the
 # OnPair sequential walk and pair-depth check (+30 in dict) raised it by 87.
+# Dropping the scheduler's append backpressure and OnError hook lowered it
+# from 22548.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 22548 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 22548"
+if [ "$lines" -gt 22370 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 22370"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),

@@ -307,8 +307,8 @@ func Unmarshal(data []byte) (Dictionary, error) { return dict.Unmarshal(data) }
 // Due columns merge concurrently on its bounded worker pool (Parallelism
 // field; GOMAXPROCS by default) while readers keep querying the old column
 // version until each column's atomic publish. Call Start to run it as a
-// background daemon with its own timer and append backpressure, Close for
-// graceful shutdown; or call Tick cooperatively from the ingest path.
+// background daemon with its own timer, Close for graceful shutdown; or call
+// Tick cooperatively from the ingest path. Append never waits for it.
 type MergeScheduler = colstore.MergeScheduler
 
 // MergeResult reports what a merge actually did: how many delta rows it
@@ -317,8 +317,7 @@ type MergeScheduler = colstore.MergeScheduler
 type MergeResult = colstore.MergeResult
 
 // MergeStats is a scheduler's per-column merge history: full and partial
-// merge counts, cumulative rows folded and rewritten, the interval between
-// the last two row-folding full merges, and the append-rate estimate.
+// merge counts and cumulative rows folded and rewritten.
 type MergeStats = colstore.MergeStats
 
 // NewMergeScheduler returns a scheduler that merges a column once its delta
@@ -330,10 +329,9 @@ func NewMergeScheduler(s *Store, deltaRowThreshold int) *MergeScheduler {
 
 // StartMergeDaemon starts a scheduler the caller has configured (see
 // MergeScheduler's fields) as a background daemon wired to a Manager: merges
-// run on the daemon's own timer (and immediately under backpressure), each
-// consulting the manager on a pinned snapshot of the column sampled at the
-// paper's production ratio, with no cooperative Tick calls from the ingest
-// path. A nil manager leaves the scheduler's Chooser as it is. Stop it with
+// run on the daemon's own timer, each consulting the manager on a pinned
+// snapshot of the column sampled at the paper's production ratio, with no
+// cooperative Tick calls from the ingest path. A nil manager leaves the scheduler's Chooser as it is. Stop it with
 // sched.Close (drains all deltas) or by cancelling ctx.
 func StartMergeDaemon(ctx context.Context, sched *MergeScheduler, mgr *Manager) {
 	if mgr != nil {

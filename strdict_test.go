@@ -98,17 +98,26 @@ func ExampleBuild() {
 	// Output: 2 true charlie
 }
 
-// TestFacadeDaemonReportsMergeError: the merge daemon surfaces a sticky
-// journal failure through MergeScheduler.OnError instead of swallowing
-// it — here a permanently failing checkpoint write injected via the FaultFS
-// seam in StoreOptions.
-func TestFacadeDaemonReportsMergeError(t *testing.T) {
+// TestFacadeDaemonMergeFailureReachesOnHealth: a daemon merge whose
+// checkpoint cannot be written (a permanently failing create injected via
+// the FaultFS seam) is not swallowed — the store turns read-only and the
+// transition, carrying the error, reaches StoreOptions.OnHealth.
+func TestFacadeDaemonMergeFailureReachesOnHealth(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &strdict.FaultFS{}
+	readOnly := make(chan strdict.HealthEvent, 1)
 	s, err := strdict.OpenStore(dir, strdict.StoreOptions{
 		FsyncInterval: -1,
 		FS:            ffs,
 		RetryLimit:    -1,
+		OnHealth: func(ev strdict.HealthEvent) {
+			if ev.State == strdict.StateReadOnly {
+				select {
+				case readOnly <- ev:
+				default:
+				}
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,15 +125,8 @@ func TestFacadeDaemonReportsMergeError(t *testing.T) {
 	defer s.Close()
 	col := s.AddTable("t").AddString("c", strdict.Array)
 
-	reported := make(chan error, 1)
 	sched := strdict.NewMergeScheduler(s.Store, 4)
 	sched.Interval = time.Millisecond
-	sched.OnError = func(column string, err error) {
-		select {
-		case reported <- fmt.Errorf("%s: %w", column, err):
-		default:
-		}
-	}
 	strdict.StartMergeDaemon(context.Background(), sched, nil)
 	defer sched.Close()
 
@@ -135,12 +137,12 @@ func TestFacadeDaemonReportsMergeError(t *testing.T) {
 	}
 
 	select {
-	case err := <-reported:
-		if !strings.Contains(err.Error(), "disk full") {
-			t.Fatalf("reported error = %v", err)
+	case ev := <-readOnly:
+		if ev.Err == nil || !strings.Contains(ev.Err.Error(), "disk full") {
+			t.Fatalf("read-only event error = %v", ev.Err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("merge daemon never reported the journal error")
+		t.Fatal("daemon merge failure never reached OnHealth")
 	}
 	if s.Health() != strdict.StateReadOnly {
 		t.Fatalf("health = %v, want read-only", s.Health())
