@@ -1,8 +1,7 @@
-// Root benchmark harness: one benchmark per figure of the paper's
-// evaluation (the same code paths as the cmd/* tools, so `go test -bench=.`
-// regenerates every result), plus ablation benchmarks for the design
-// decisions called out in DESIGN.md. Figure benches print their tables once
-// on the first iteration; runtime-oriented benches report per-op costs.
+// Root benchmark harness: BenchmarkFigures runs every entry of the figure
+// table cmd/figures dispatches through (so `go test -bench=.` regenerates
+// every result, printing each table once), plus ablation benchmarks for the
+// design decisions called out in DESIGN.md, which report per-op costs.
 package strdict_test
 
 import (
@@ -24,12 +23,11 @@ import (
 	"strdict/internal/dict"
 	"strdict/internal/experiments"
 	"strdict/internal/model"
-	"strdict/internal/sysstat"
 	"strdict/internal/tpch"
 )
 
-// figureOut prints a figure's table once per process, keeping -bench output
-// readable across b.N calibration runs.
+// figureWriter prints a figure's table once per process, keeping -bench
+// output readable across b.N calibration runs.
 var figurePrinted sync.Map
 
 func figureWriter(name string) io.Writer {
@@ -39,109 +37,29 @@ func figureWriter(name string) io.Writer {
 	return os.Stdout
 }
 
-func BenchmarkFigure1SystemStats(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, name := range sysstat.Names() {
-			s := sysstat.Generate(name, 1)
-			s.DecadeShares()
-		}
-	}
-	experiments.Figures1And2(figureWriter("fig1"), 1)
-}
-
-func BenchmarkFigure2MemoryShare(b *testing.B) {
-	s := sysstat.Generate("ERP System 1", 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LargeDictMemoryShare(100_000)
-	}
-	mem, cols := s.LargeDictMemoryShare(100_000)
-	fmt.Fprintf(figureWriter("fig2"),
-		"Figure 2 headline: %.1f%% of memory in >1e5-entry dictionaries (%.3f%% of columns)\n",
-		mem*100, cols*100)
-}
-
-func BenchmarkFigure3TradeoffSrc(b *testing.B) {
-	strs := datagen.Generate("src", 10000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Survey(strs, 5000, 1)
-	}
-	b.StopTimer()
-	experiments.Figure3(figureWriter("fig3"), 10000, 1)
-}
-
-func BenchmarkFigure4BestCompression(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure4(io.Discard, 4000, 1)
-	}
-	experiments.Figure4(figureWriter("fig4"), 4000, 1)
-}
-
-func BenchmarkFigure5FastestExtract(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure5(io.Discard, 4000, 1)
-	}
-	experiments.Figure5(figureWriter("fig5"), 4000, 1)
-}
-
-func BenchmarkFigure6PredictionError(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.PredictionErrors(6000, -1, 1)
-	}
-	experiments.Figure6(figureWriter("fig6"), 6000, 1)
-}
-
-func BenchmarkFigure9Selection(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure9(io.Discard, 4000, 1, 0.5)
-	}
-	experiments.Figure9(figureWriter("fig9"), 4000, 1, 0.5)
-}
-
-// tpchExperiment is shared by the two TPC-H figure benches (loading and
-// tracing dominate, and both figures reuse one trace in the paper too).
-var (
-	tpchOnce sync.Once
-	tpchExp  *experiments.TPCHExperiment
-)
-
-func sharedTPCH() *experiments.TPCHExperiment {
-	tpchOnce.Do(func() {
-		tpchExp = experiments.NewTPCHExperiment(experiments.TPCHConfig{
+// BenchmarkFigures regenerates every entry of the figure table — the one
+// cmd/figures dispatches through — at small sizes.
+func BenchmarkFigures(b *testing.B) {
+	p := experiments.Params{
+		N:    4000,
+		Seed: 1,
+		C:    0.5,
+		TPCH: experiments.TPCHConfig{
 			ScaleFactor: 0.01,
 			Seed:        1,
 			TraceReps:   1,
 			MeasureReps: 1,
 			CValues:     experiments.LogRange(1e-3, 10, 5),
 			SampleRatio: 0.05,
-		})
-	})
-	return tpchExp
-}
-
-func BenchmarkFigure10TPCHTradeoff(b *testing.B) {
-	e := sharedTPCH()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure10(figureWriter("fig10"), e)
+		},
 	}
-}
-
-func BenchmarkFigure11FormatDistribution(b *testing.B) {
-	e := sharedTPCH()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure11(figureWriter("fig11"), e)
+	for _, fig := range experiments.Figures {
+		b.Run(fig.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fig.Run(figureWriter(fig.Name), p)
+			}
+		})
 	}
 }
 

@@ -187,7 +187,7 @@ func marshalArray(e *enc, dict Dictionary) error {
 func marshalArrayFixed(e *enc, dict Dictionary) error {
 	d, ok := dict.(*arrayFixed)
 	if !ok {
-		return fmt.Errorf("dict: cannot marshal %T as %s", dict, dict.Format())
+		return errWrongType(dict)
 	}
 	e.u64(uint64(d.n))
 	e.u64(uint64(d.slot))
@@ -198,7 +198,7 @@ func marshalArrayFixed(e *enc, dict Dictionary) error {
 func marshalFC(e *enc, dict Dictionary) error {
 	d, ok := dict.(*fcDict)
 	if !ok {
-		return fmt.Errorf("dict: cannot marshal %T as %s", dict, dict.Format())
+		return errWrongType(dict)
 	}
 	e.u64(uint64(d.n))
 	e.u32(uint32(d.blockSize))
@@ -210,7 +210,7 @@ func marshalFC(e *enc, dict Dictionary) error {
 func marshalColumnBC(e *enc, dict Dictionary) error {
 	d, ok := dict.(*columnBC)
 	if !ok {
-		return fmt.Errorf("dict: cannot marshal %T as %s", dict, dict.Format())
+		return errWrongType(dict)
 	}
 	e.u64(uint64(d.n))
 	e.u32(uint32(d.blockSize))

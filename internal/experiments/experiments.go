@@ -1,15 +1,16 @@
 // Package experiments regenerates every figure of the paper's evaluation.
 // Each Figure function prints the same rows/series the paper plots, so the
 // shape of the published result (who wins, by what factor, where crossovers
-// fall) can be compared directly; cmd/* and bench_test.go are thin wrappers
-// around these functions. EXPERIMENTS.md records paper-vs-measured values.
+// fall) can be compared directly. cmd/figures and the root benchmark reach
+// them through one table, Figures. EXPERIMENTS.md records paper-vs-measured
+// values.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"strdict/internal/core"
@@ -20,55 +21,32 @@ import (
 	"strdict/internal/sysstat"
 )
 
-// measureExtractNs times random single-tuple extracts on a dictionary.
-func measureExtractNs(d dict.Dictionary, ops int, seed int64) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ids := make([]uint32, ops)
-	for i := range ids {
-		ids[i] = uint32(rng.Intn(d.Len()))
-	}
-	var buf []byte
-	start := time.Now()
-	for _, id := range ids {
-		buf = d.AppendExtract(buf[:0], id)
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(ops)
-}
-
 // SurveyRow is one dictionary variant's measured position on a data set.
 type SurveyRow struct {
 	Format          dict.Format
 	CompressionRate float64
-	ExtractNs       float64
 	Bytes           uint64
+	model.Costs
 }
 
-// Survey builds every format on the corpus and measures compression rate
-// (Definition 2) and random-extract runtime.
-func Survey(strs []string, extractOps int, seed int64) []SurveyRow {
+// Survey builds every format on the corpus and measures its compression rate
+// (Definition 2), size and runtime costs (model.Measure).
+func Survey(strs []string, seed int64) []SurveyRow {
 	rows := make([]SurveyRow, 0, dict.NumFormats())
 	for _, f := range dict.AllFormats() {
-		d := dict.BuildUnchecked(f, strs)
-		rows = append(rows, SurveyRow{
-			Format:          f,
-			CompressionRate: dict.CompressionRate(d, strs),
-			ExtractNs:       measureExtractNs(d, extractOps, seed),
-			Bytes:           d.Bytes(),
-		})
+		d, costs := model.Measure(f, strs, seed)
+		rows = append(rows, SurveyRow{f, dict.CompressionRate(d, strs), d.Bytes(), costs})
 	}
 	return rows
 }
 
 // Figures1And2 prints the dictionary-size and memory-consumption
 // distributions of the three synthetic system catalogs.
-func Figures1And2(w io.Writer, seed int64) {
+func Figures1And2(w io.Writer, p Params) {
 	fmt.Fprintln(w, "Figure 1+2: distribution of dictionary sizes and memory consumption")
 	fmt.Fprintln(w, "(share of columns / share of dictionary memory per size decade)")
 	for _, name := range sysstat.Names() {
-		s := sysstat.Generate(name, seed)
+		s := sysstat.Generate(name, p.Seed)
 		cols, mem := s.DecadeShares()
 		fmt.Fprintf(w, "\n%s (%d string columns, %.0f%% of all columns are strings)\n",
 			name, len(s.Columns), s.StringShare*100)
@@ -83,36 +61,44 @@ func Figures1And2(w io.Writer, seed int64) {
 	}
 }
 
+// srcSurvey prints one measured column of the src survey beside every
+// variant's compression rate: Figure 3 and the extended surveys.
+func srcSurvey(w io.Writer, p Params, title, column string, value func(SurveyRow) float64) {
+	strs := datagen.Generate("src", p.N, p.Seed)
+	fmt.Fprintf(w, "%s (%d strings)\n", title, len(strs))
+	fmt.Fprintf(w, "%-16s %18s %18s\n", "variant", "compression rate", column)
+	for _, r := range Survey(strs, p.Seed) {
+		fmt.Fprintf(w, "%-16s %18.2f %18.3f\n", r.Format, r.CompressionRate, value(r))
+	}
+}
+
 // Figure3 prints the compression-rate / extract-runtime trade-off of every
 // registered variant on the src data set.
-func Figure3(w io.Writer, n int, seed int64) {
-	strs := datagen.Generate("src", n, seed)
-	fmt.Fprintf(w, "Figure 3: trade-off on the src data set (%d strings)\n", len(strs))
-	fmt.Fprintf(w, "%-16s %18s %14s\n", "variant", "compression rate", "extract (us)")
-	for _, r := range Survey(strs, 20000, seed) {
-		fmt.Fprintf(w, "%-16s %18.2f %14.3f\n", r.Format, r.CompressionRate, r.ExtractNs/1000)
-	}
+func Figure3(w io.Writer, p Params) {
+	srcSurvey(w, p, "Figure 3: trade-off on the src data set", "extract (us)",
+		func(r SurveyRow) float64 { return r.ExtractNs / 1000 })
 }
 
 // Figure4 prints, per data set, the best compression rate of any variant
 // and the rates of the two reference variants fc block rp 12 and column bc.
-func Figure4(w io.Writer, n int, seed int64) {
+// It builds every variant but times nothing.
+func Figure4(w io.Writer, p Params) {
 	fmt.Fprintf(w, "Figure 4: compression rate of the smallest dictionary implementations\n")
 	fmt.Fprintf(w, "%-8s %8s %-16s %14s %10s\n", "data set", "best", "(variant)", "fc block rp 12", "column bc")
 	for _, name := range datagen.Names() {
-		strs := datagen.Generate(name, n, seed)
-		rows := Survey(strs, 2000, seed)
+		strs := datagen.Generate(name, p.N, p.Seed)
 		best, bestF := 0.0, dict.Array
 		var rp12, colbc float64
-		for _, r := range rows {
-			if r.CompressionRate > best {
-				best, bestF = r.CompressionRate, r.Format
+		for _, f := range dict.AllFormats() {
+			rate := dict.CompressionRate(dict.BuildUnchecked(f, strs), strs)
+			if rate > best {
+				best, bestF = rate, f
 			}
-			switch r.Format {
+			switch f {
 			case dict.FCBlockRP12:
-				rp12 = r.CompressionRate
+				rp12 = rate
 			case dict.ColumnBC:
-				colbc = r.CompressionRate
+				colbc = rate
 			}
 		}
 		fmt.Fprintf(w, "%-8s %8.2f %-16s %14.2f %10.2f\n", name, best, bestF.String(), rp12, colbc)
@@ -121,15 +107,14 @@ func Figure4(w io.Writer, n int, seed int64) {
 
 // Figure5 prints, per data set, the fastest extract runtime of any variant
 // and the runtimes of array and array fixed.
-func Figure5(w io.Writer, n int, seed int64) {
+func Figure5(w io.Writer, p Params) {
 	fmt.Fprintf(w, "Figure 5: extract runtime of the fastest dictionary implementations (us/op)\n")
 	fmt.Fprintf(w, "%-8s %8s %-16s %8s %12s\n", "data set", "best", "(variant)", "array", "array fixed")
 	for _, name := range datagen.Names() {
-		strs := datagen.Generate(name, n, seed)
-		rows := Survey(strs, 20000, seed)
+		strs := datagen.Generate(name, p.N, p.Seed)
 		best, bestF := 0.0, dict.Array
 		var arr, arrFixed float64
-		for _, r := range rows {
+		for _, r := range Survey(strs, p.Seed) {
 			if best == 0 || r.ExtractNs < best {
 				best, bestF = r.ExtractNs, r.Format
 			}
@@ -149,22 +134,24 @@ func Figure5(w io.Writer, n int, seed int64) {
 // (variant, data set) pair for one sampling configuration.
 // ratio < 0 selects the paper's production setting max(1%, 5000 strings).
 func PredictionErrors(n int, ratio float64, seed int64) []float64 {
+	if ratio < 0 {
+		ratio = 0.01 // TakeSample applies the 5000-string floor itself
+	}
+	return predictionErrors(n, seed, func(strs []string) *model.Sample {
+		return model.TakeSample(strs, ratio, seed)
+	})
+}
+
+// predictionErrors estimates every variant's size on every data set from the
+// sample that sample draws, against the built size.
+func predictionErrors(n int, seed int64, sample func(strs []string) *model.Sample) []float64 {
 	var errs []float64
 	for _, name := range datagen.Names() {
 		strs := datagen.Generate(name, n, seed)
-		r := ratio
-		if r < 0 {
-			r = 0.01 // TakeSample applies the 5000-string floor itself
-		}
-		s := model.TakeSample(strs, r, seed)
+		s := sample(strs)
 		for _, f := range dict.AllFormats() {
-			real := dict.BuildUnchecked(f, strs).Bytes()
-			pred := model.EstimateSize(f, s)
-			e := float64(pred) - float64(real)
-			if e < 0 {
-				e = -e
-			}
-			errs = append(errs, e/float64(real))
+			real := float64(dict.BuildUnchecked(f, strs).Bytes())
+			errs = append(errs, math.Abs(float64(model.EstimateSize(f, s))-real)/real)
 		}
 	}
 	return errs
@@ -172,8 +159,8 @@ func PredictionErrors(n int, ratio float64, seed int64) []float64 {
 
 // Figure6 prints box-plot statistics of the prediction error for the
 // paper's four sampling configurations.
-func Figure6(w io.Writer, n int, seed int64) {
-	fmt.Fprintf(w, "Figure 6: prediction error of the compression models (%d strings/corpus)\n", n)
+func Figure6(w io.Writer, p Params) {
+	fmt.Fprintf(w, "Figure 6: prediction error of the compression models (%d strings/corpus)\n", p.N)
 	fmt.Fprintf(w, "%-16s %8s %8s %8s %8s %8s %9s\n",
 		"sampling ratio", "loWhisk", "q1", "median", "q3", "hiWhisk", "outliers")
 	configs := []struct {
@@ -191,9 +178,9 @@ func Figure6(w io.Writer, n int, seed int64) {
 		// dictionaries); only the production setting applies it.
 		var errs []float64
 		if cfg.ratio > 0 && cfg.ratio < 1 {
-			errs = predictionErrorsNoFloor(n, cfg.ratio, seed)
+			errs = predictionErrorsNoFloor(p.N, cfg.ratio, p.Seed)
 		} else {
-			errs = PredictionErrors(n, cfg.ratio, seed)
+			errs = PredictionErrors(p.N, cfg.ratio, p.Seed)
 		}
 		bp := stats.Summarize(errs)
 		fmt.Fprintf(w, "%-16s %8.4f %8.4f %8.4f %8.4f %8.4f %9d\n",
@@ -205,45 +192,29 @@ func Figure6(w io.Writer, n int, seed int64) {
 // subsampling indices directly, to reproduce the paper's observation that a
 // bare 1% sample goes wrong on small dictionaries.
 func predictionErrorsNoFloor(n int, ratio float64, seed int64) []float64 {
-	var errs []float64
 	rng := rand.New(rand.NewSource(seed))
-	for _, name := range datagen.Names() {
-		strs := datagen.Generate(name, n, seed)
-		k := int(ratio * float64(len(strs)))
-		if k < 2 {
-			k = 2
-		}
+	return predictionErrors(n, seed, func(strs []string) *model.Sample {
+		k := max(int(ratio*float64(len(strs))), 2)
 		sub := make([]string, 0, k)
 		for i := 0; i < len(strs) && len(sub) < k; i++ {
-			remaining := len(strs) - i
-			needed := k - len(sub)
-			if rng.Intn(remaining) < needed {
+			if rng.Intn(len(strs)-i) < k-len(sub) {
 				sub = append(sub, strs[i])
 			}
 		}
-		// Build a Sample whose exact totals are the real ones but whose
-		// sampled strings/blocks come from the small subset.
+		// A Sample whose exact totals are the real ones but whose sampled
+		// strings/blocks come from the small subset.
 		s := model.TakeSample(sub, 1.0, seed)
 		s.N = len(strs)
 		s.RawChars = dict.RawBytes(strs)
-		for _, f := range dict.AllFormats() {
-			real := dict.BuildUnchecked(f, strs).Bytes()
-			pred := model.EstimateSize(f, s)
-			e := float64(pred) - float64(real)
-			if e < 0 {
-				e = -e
-			}
-			errs = append(errs, e/float64(real))
-		}
-	}
-	return errs
+		return s
+	})
 }
 
 // Figure9 prints a possible dictionary performance distribution on the src
 // data set with chosen access frequencies, plus the variant each strategy
-// selects at a given c — the illustration of Section 5.4.
-func Figure9(w io.Writer, n int, seed int64, c float64) {
-	strs := datagen.Generate("src", n, seed)
+// selects at p.C — the illustration of Section 5.4.
+func Figure9(w io.Writer, p Params) {
+	strs := datagen.Generate("src", p.N, p.Seed)
 	st := core.ColumnStats{
 		Name:              "src",
 		NumStrings:        uint64(len(strs)),
@@ -251,35 +222,17 @@ func Figure9(w io.Writer, n int, seed int64, c float64) {
 		Locates:           20_000,
 		LifetimeNs:        float64(60 * time.Second),
 		ColumnVectorBytes: 0,
-		Sample:            model.TakeSample(strs, 1.0, seed),
+		Sample:            model.TakeSample(strs, 1.0, p.Seed),
 	}
 	cands := core.Candidates(st, model.DefaultCostTable())
-	fmt.Fprintf(w, "Figure 9: dictionary performance distribution (src, c=%g)\n", c)
+	fmt.Fprintf(w, "Figure 9: dictionary performance distribution (src, c=%g)\n", p.C)
 	fmt.Fprintf(w, "%-16s %12s %14s\n", "variant", "size (KiB)", "rel_time")
 	for _, cand := range cands {
 		fmt.Fprintf(w, "%-16s %12.1f %14.6f\n",
 			cand.Format, float64(cand.SizeBytes)/1024, cand.RelTime)
 	}
 	for _, strat := range []core.Strategy{core.StrategyConst, core.StrategyRel, core.StrategyTilt} {
-		sel := core.Select(strat, c, cands)
+		sel := core.Select(strat, p.C, cands)
 		fmt.Fprintf(w, "selected by %-5s: %s\n", strat, sel.Format)
 	}
-}
-
-// SortedFormatCounts renders a format histogram deterministically.
-func SortedFormatCounts(counts map[dict.Format]int) string {
-	type fc struct {
-		f dict.Format
-		n int
-	}
-	var list []fc
-	for f, n := range counts {
-		list = append(list, fc{f, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].f < list[j].f })
-	out := ""
-	for _, e := range list {
-		out += fmt.Sprintf("  %-16s %d\n", e.f, e.n)
-	}
-	return out
 }

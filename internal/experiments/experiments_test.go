@@ -9,7 +9,7 @@ import (
 )
 
 func TestSurveyCoversAllFormats(t *testing.T) {
-	rows := Survey([]string{"aa", "bb", "cc"}, 100, 1)
+	rows := Survey([]string{"aa", "bb", "cc"}, 1)
 	if len(rows) != dict.NumFormats() {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -22,7 +22,7 @@ func TestSurveyCoversAllFormats(t *testing.T) {
 
 func TestFigures1And2Output(t *testing.T) {
 	var buf bytes.Buffer
-	Figures1And2(&buf, 1)
+	Figures1And2(&buf, Params{Seed: 1})
 	out := buf.String()
 	for _, want := range []string{"ERP System 1", "ERP System 2", "BW System", "share of memory"} {
 		if !strings.Contains(out, want) {
@@ -33,7 +33,7 @@ func TestFigures1And2Output(t *testing.T) {
 
 func TestFigure3Output(t *testing.T) {
 	var buf bytes.Buffer
-	Figure3(&buf, 2000, 1)
+	Figure3(&buf, Params{N: 2000, Seed: 1})
 	out := buf.String()
 	for _, f := range dict.AllFormats() {
 		if !strings.Contains(out, f.String()) {
@@ -44,8 +44,8 @@ func TestFigure3Output(t *testing.T) {
 
 func TestFigures4And5Output(t *testing.T) {
 	var buf bytes.Buffer
-	Figure4(&buf, 1000, 1)
-	Figure5(&buf, 1000, 1)
+	Figure4(&buf, Params{N: 1000, Seed: 1})
+	Figure5(&buf, Params{N: 1000, Seed: 1})
 	out := buf.String()
 	for _, ds := range []string{"asc", "engl", "hash", "url", "rand1"} {
 		if strings.Count(out, ds) < 2 {
@@ -72,7 +72,7 @@ func TestFigure6ErrorsDecreaseWithSampleSize(t *testing.T) {
 
 func TestFigure9Output(t *testing.T) {
 	var buf bytes.Buffer
-	Figure9(&buf, 2000, 1, 0.5)
+	Figure9(&buf, Params{N: 2000, Seed: 1, C: 0.5})
 	out := buf.String()
 	for _, strat := range []string{"const", "rel", "tilt"} {
 		if !strings.Contains(out, "selected by "+strat) {

@@ -6,76 +6,20 @@ package experiments
 // dictionary variants can be found in [33]"); this file regenerates them so
 // the trade-off picture is complete.
 
-import (
-	"fmt"
-	"io"
-	"math/rand"
-	"time"
-
-	"strdict/internal/datagen"
-	"strdict/internal/dict"
-)
-
-// FullSurveyRow extends SurveyRow with locate and construction times.
-type FullSurveyRow struct {
-	SurveyRow
-	LocateNs          float64
-	ConstructNsPerStr float64
-}
-
-// FullSurvey measures extract, locate and construction for every format on
-// one corpus.
-func FullSurvey(strs []string, ops int, seed int64) []FullSurveyRow {
-	rng := rand.New(rand.NewSource(seed))
-	rows := make([]FullSurveyRow, 0, dict.NumFormats())
-	for _, f := range dict.AllFormats() {
-		start := time.Now()
-		d := dict.BuildUnchecked(f, strs)
-		buildNs := float64(time.Since(start).Nanoseconds())
-
-		row := FullSurveyRow{SurveyRow: SurveyRow{
-			Format:          f,
-			CompressionRate: dict.CompressionRate(d, strs),
-			ExtractNs:       measureExtractNs(d, ops, seed),
-			Bytes:           d.Bytes(),
-		}}
-		if len(strs) > 0 {
-			row.ConstructNsPerStr = buildNs / float64(len(strs))
-			probes := make([]string, ops/4+1)
-			for i := range probes {
-				probes[i] = strs[rng.Intn(len(strs))]
-			}
-			start = time.Now()
-			for _, p := range probes {
-				d.Locate(p)
-			}
-			row.LocateNs = float64(time.Since(start).Nanoseconds()) / float64(len(probes))
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
+import "io"
 
 // FigureLocate prints the locate-time side of the trade-off on the src data
 // set (companion to Figure 3; reported in [33]).
-func FigureLocate(w io.Writer, n int, seed int64) {
-	strs := datagen.Generate("src", n, seed)
-	fmt.Fprintf(w, "Extended survey: locate runtime on src (%d strings)\n", len(strs))
-	fmt.Fprintf(w, "%-16s %18s %14s\n", "variant", "compression rate", "locate (us)")
-	for _, r := range FullSurvey(strs, 8000, seed) {
-		fmt.Fprintf(w, "%-16s %18.2f %14.3f\n", r.Format, r.CompressionRate, r.LocateNs/1000)
-	}
+func FigureLocate(w io.Writer, p Params) {
+	srcSurvey(w, p, "Extended survey: locate runtime on src", "locate (us)",
+		func(r SurveyRow) float64 { return r.LocateNs / 1000 })
 }
 
 // FigureConstruct prints the construction-time side of the trade-off on the
 // src data set (companion to Figure 3; reported in [33]). Construction time
 // matters because the merge interval bounds how much construction cost a
 // column can amortize (Section 5.2).
-func FigureConstruct(w io.Writer, n int, seed int64) {
-	strs := datagen.Generate("src", n, seed)
-	fmt.Fprintf(w, "Extended survey: construction time on src (%d strings)\n", len(strs))
-	fmt.Fprintf(w, "%-16s %18s %18s\n", "variant", "compression rate", "construct (ns/str)")
-	for _, r := range FullSurvey(strs, 2000, seed) {
-		fmt.Fprintf(w, "%-16s %18.2f %18.1f\n", r.Format, r.CompressionRate, r.ConstructNsPerStr)
-	}
+func FigureConstruct(w io.Writer, p Params) {
+	srcSurvey(w, p, "Extended survey: construction time on src", "construct (us/str)",
+		func(r SurveyRow) float64 { return r.ConstructNs / 1000 })
 }

@@ -7,52 +7,41 @@ package experiments
 
 import (
 	"testing"
-	"time"
 
 	"strdict/internal/datagen"
 	"strdict/internal/dict"
+	"strdict/internal/model"
 	"strdict/internal/sysstat"
 )
 
+// surveyOn is Survey keyed by format. Its timings are model.Measure's: the
+// minimum of a few rounds, since load from other processes only ever adds
+// time (one sample flaked about one run in ten under a parallel go test
+// ./...).
 func surveyOn(t *testing.T, corpus string, n int) map[dict.Format]SurveyRow {
 	t.Helper()
 	strs := datagen.Generate(corpus, n, 1)
 	out := make(map[dict.Format]SurveyRow, dict.NumFormats())
-	for _, r := range Survey(strs, 4000, 1) {
+	for _, r := range Survey(strs, 1) {
 		out[r.Format] = r
 	}
 	return out
 }
 
-// timingReps is how many times the timing assertions measure each side.
-// Load from other processes only ever adds time, so the minimum of a few
-// round-robin measurements is stable where one sample flaked about one run
-// in ten under a parallel go test ./....
-const timingReps = 5
-
-// surveyMinOf is surveyOn with every format's extract time the minimum of
-// timingReps round-robin measurements.
-func surveyMinOf(t *testing.T, corpus string, n int) map[dict.Format]SurveyRow {
-	t.Helper()
-	rows := surveyOn(t, corpus, n)
+// ratesOn is every format's compression rate on a corpus, untimed, as
+// Figure 4 computes it.
+func ratesOn(corpus string, n int) map[dict.Format]float64 {
 	strs := datagen.Generate(corpus, n, 1)
-	dicts := make(map[dict.Format]dict.Dictionary, len(rows))
-	for f := range rows {
-		dicts[f] = dict.BuildUnchecked(f, strs)
+	out := make(map[dict.Format]float64, dict.NumFormats())
+	for _, f := range dict.AllFormats() {
+		out[f] = dict.CompressionRate(dict.BuildUnchecked(f, strs), strs)
 	}
-	for i := 1; i < timingReps; i++ {
-		for f, d := range dicts {
-			r := rows[f]
-			r.ExtractNs = min(r.ExtractNs, measureExtractNs(d, 4000, 1))
-			rows[f] = r
-		}
-	}
-	return rows
+	return out
 }
 
 // Figure 3's qualitative structure on src.
 func TestShapeFigure3Src(t *testing.T) {
-	rows := surveyMinOf(t, "src", 8000)
+	rows := surveyOn(t, "src", 8000)
 
 	// "Front-Coding variants are smaller ... than their array equivalents
 	// with the same string compression scheme."
@@ -94,8 +83,8 @@ func TestShapeFigure3Src(t *testing.T) {
 	}
 
 	// "fc block df is just a bit faster but larger than fc block." With
-	// min-of-5 timings df extracts in ~0.4x fc block's time on src (77 vs
-	// 189 ns on a 2-core x86 box); the ~1-in-10 flake was one-sample noise.
+	// min-of-rounds timings df extracts in ~0.4x fc block's time on src (77
+	// vs 189 ns on a 2-core x86 box); the ~1-in-10 flake was one-sample noise.
 	if rows[dict.FCBlockDF].ExtractNs >= rows[dict.FCBlock].ExtractNs {
 		t.Errorf("fc block df extract (%.0fns) not faster than fc block (%.0fns)",
 			rows[dict.FCBlockDF].ExtractNs, rows[dict.FCBlock].ExtractNs)
@@ -109,42 +98,35 @@ func TestShapeFigure3Src(t *testing.T) {
 // Figure 4: column bc wins the constant-length structured sets, rp 12 the
 // redundant text sets, and both lose to raw storage on random data.
 func TestShapeFigure4(t *testing.T) {
-	for _, corpus := range []string{"asc", "mat"} {
-		rows := surveyOn(t, corpus, 6000)
-		best := 0.0
-		for _, r := range rows {
-			if r.CompressionRate > best {
-				best = r.CompressionRate
-			}
+	best := func(rates map[dict.Format]float64) float64 {
+		b := 0.0
+		for _, r := range rates {
+			b = max(b, r)
 		}
-		if rows[dict.ColumnBC].CompressionRate < best*0.999 {
-			t.Errorf("%s: column bc (%.2f) is not the best (%.2f)",
-				corpus, rows[dict.ColumnBC].CompressionRate, best)
+		return b
+	}
+	for _, corpus := range []string{"asc", "mat"} {
+		rates := ratesOn(corpus, 6000)
+		if b := best(rates); rates[dict.ColumnBC] < b*0.999 {
+			t.Errorf("%s: column bc (%.2f) is not the best (%.2f)", corpus, rates[dict.ColumnBC], b)
 		}
 	}
 	for _, corpus := range []string{"src", "url"} {
-		rows := surveyOn(t, corpus, 6000)
-		best := 0.0
-		for _, r := range rows {
-			if r.CompressionRate > best {
-				best = r.CompressionRate
-			}
-		}
-		if rows[dict.FCBlockRP12].CompressionRate < best*0.999 {
-			t.Errorf("%s: fc block rp 12 (%.2f) is not the best (%.2f)",
-				corpus, rows[dict.FCBlockRP12].CompressionRate, best)
+		rates := ratesOn(corpus, 6000)
+		if b := best(rates); rates[dict.FCBlockRP12] < b*0.999 {
+			t.Errorf("%s: fc block rp 12 (%.2f) is not the best (%.2f)", corpus, rates[dict.FCBlockRP12], b)
 		}
 	}
-	rows := surveyOn(t, "rand1", 6000)
-	if rows[dict.FCBlockRP12].CompressionRate >= 1 || rows[dict.ColumnBC].CompressionRate >= 1 {
+	rates := ratesOn("rand1", 6000)
+	if rates[dict.FCBlockRP12] >= 1 || rates[dict.ColumnBC] >= 1 {
 		t.Errorf("rand1: compressors should fall below 1.0 (rp12 %.2f, column bc %.2f)",
-			rows[dict.FCBlockRP12].CompressionRate, rows[dict.ColumnBC].CompressionRate)
+			rates[dict.FCBlockRP12], rates[dict.ColumnBC])
 	}
 	// column bc is much worse than raw on variable-length random data.
-	rows = surveyOn(t, "rand2", 6000)
-	if rows[dict.ColumnBC].CompressionRate >= rows[dict.Array].CompressionRate {
+	rates = ratesOn("rand2", 6000)
+	if rates[dict.ColumnBC] >= rates[dict.Array] {
 		t.Errorf("rand2: column bc (%.2f) should lose to array (%.2f)",
-			rows[dict.ColumnBC].CompressionRate, rows[dict.Array].CompressionRate)
+			rates[dict.ColumnBC], rates[dict.Array])
 	}
 }
 
@@ -152,10 +134,10 @@ func TestShapeFigure4(t *testing.T) {
 // with array fixed clearly ahead on constant-length sets.
 func TestShapeFigure5(t *testing.T) {
 	for _, corpus := range []string{"asc", "hash", "mat", "engl", "url"} {
-		// Min-of-5 timings: the fastest other format takes >= 2.2x the
+		// Min-of-rounds timings: the fastest other format takes >= 2.2x the
 		// faster array's time on these corpora (2-core x86 box), against
 		// the 0.9x this asserts.
-		rows := surveyMinOf(t, corpus, 6000)
+		rows := surveyOn(t, corpus, 6000)
 		fastest := rows[dict.Array].ExtractNs
 		if rows[dict.ArrayFixed].ExtractNs < fastest {
 			fastest = rows[dict.ArrayFixed].ExtractNs
@@ -203,28 +185,19 @@ func TestShapeHashBaseline(t *testing.T) {
 // the raw array; front coding construction stays cheap.
 func TestShapeConstructionCosts(t *testing.T) {
 	strs := datagen.Generate("src", 8000, 1)
-	rows := make(map[dict.Format]FullSurveyRow)
-	for _, r := range FullSurvey(strs, 500, 1) {
-		rows[r.Format] = r
+	// Construction times are model.Measure's minimum over its rounds: rp 12
+	// builds ~39x and fc block ~1.4x slower than array per string (2-core
+	// x86 box), against the 5x and 10x asserted.
+	rows := make(map[dict.Format]model.Costs)
+	for _, f := range []dict.Format{dict.Array, dict.ArrayRP12, dict.FCBlock} {
+		_, rows[f] = model.Measure(f, strs, 1)
 	}
-	// Construction times are the minimum of timingReps builds: rp 12 builds
-	// ~39x and fc block ~1.4x slower than array per string (2-core x86 box),
-	// against the 5x and 10x asserted.
-	for i := 1; i < timingReps; i++ {
-		for _, f := range []dict.Format{dict.Array, dict.ArrayRP12, dict.FCBlock} {
-			start := time.Now()
-			dict.BuildUnchecked(f, strs)
-			r := rows[f]
-			r.ConstructNsPerStr = min(r.ConstructNsPerStr, float64(time.Since(start).Nanoseconds())/float64(len(strs)))
-			rows[f] = r
-		}
-	}
-	if rows[dict.ArrayRP12].ConstructNsPerStr < 5*rows[dict.Array].ConstructNsPerStr {
+	if rows[dict.ArrayRP12].ConstructNs < 5*rows[dict.Array].ConstructNs {
 		t.Errorf("rp 12 construction (%.0fns) suspiciously close to array (%.0fns)",
-			rows[dict.ArrayRP12].ConstructNsPerStr, rows[dict.Array].ConstructNsPerStr)
+			rows[dict.ArrayRP12].ConstructNs, rows[dict.Array].ConstructNs)
 	}
-	if rows[dict.FCBlock].ConstructNsPerStr > 10*rows[dict.Array].ConstructNsPerStr {
+	if rows[dict.FCBlock].ConstructNs > 10*rows[dict.Array].ConstructNs {
 		t.Errorf("fc block construction (%.0fns) too expensive vs array (%.0fns)",
-			rows[dict.FCBlock].ConstructNsPerStr, rows[dict.Array].ConstructNsPerStr)
+			rows[dict.FCBlock].ConstructNs, rows[dict.Array].ConstructNs)
 	}
 }

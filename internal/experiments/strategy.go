@@ -7,17 +7,8 @@ import (
 	"time"
 
 	"strdict/internal/core"
+	"strdict/internal/dict"
 )
-
-// DecideWith runs the per-column selection with an explicit strategy.
-func (e *TPCHExperiment) DecideWith(strategy core.Strategy, c float64) map[string]core.Candidate {
-	out := make(map[string]core.Candidate, len(e.traced))
-	for _, tc := range e.traced {
-		cands := core.Candidates(e.statsOf(tc), e.costs)
-		out[tc.col.Name()] = core.Select(strategy, c, cands)
-	}
-	return out
-}
 
 // StrategyComparison measures the three dividing-function strategies of
 // Section 5.4 end to end at the same trade-off parameter: const ignores
@@ -29,15 +20,13 @@ func StrategyComparison(w io.Writer, e *TPCHExperiment, c float64) []TPCHPoint {
 	fmt.Fprintf(w, "%-8s %14s %12s %22s\n", "strategy", "runtime", "memory MiB", "distinct formats used")
 	var points []TPCHPoint
 	for _, strat := range []core.Strategy{core.StrategyConst, core.StrategyRel, core.StrategyTilt} {
-		decisions := e.DecideWith(strat, c)
-		for _, tc := range e.traced {
-			tc.col.Rebuild(decisions[tc.col.Name()].Format)
-		}
+		decisions := e.Decide(strat, c)
+		e.ApplyDecisions(decisions)
 		p := e.measure(strat.String())
 		points = append(points, p)
-		distinct := make(map[string]bool)
-		for _, cand := range decisions {
-			distinct[cand.Format.String()] = true
+		distinct := make(map[dict.Format]bool)
+		for _, f := range decisions {
+			distinct[f] = true
 		}
 		fmt.Fprintf(w, "%-8s %14v %12.2f %22d\n",
 			strat, p.Runtime.Round(time.Millisecond), float64(p.MemBytes)/(1<<20), len(distinct))
@@ -50,7 +39,7 @@ func StrategyComparison(w io.Writer, e *TPCHExperiment, c float64) []TPCHPoint {
 // the manager's information flow (the paper's Figure 7), summed over the
 // Cfg.TraceReps passes, of which only the first pays the joins' dictionary
 // translations. Columns are listed by total dictionary traffic, heaviest
-// first (cmd/tpchbench -figure workload).
+// first (figures -figure workload).
 func TraceAndReport(w io.Writer, e *TPCHExperiment) {
 	rows := append([]tracedColumn(nil), e.traced...)
 	sort.SliceStable(rows, func(i, j int) bool {

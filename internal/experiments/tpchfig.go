@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"strdict/internal/colstore"
@@ -124,14 +125,13 @@ func (e *TPCHExperiment) statsOf(tc tracedColumn) core.ColumnStats {
 	}
 }
 
-// Decide returns the manager's per-column format choices for one c without
-// rebuilding anything.
-func (e *TPCHExperiment) Decide(c float64) map[string]dict.Format {
-	mgr := core.NewManager(core.Options{DesiredFreeBytes: 1 << 30, Costs: e.costs})
-	mgr.SetC(c)
+// Decide returns the per-column format choices of one dividing-function
+// strategy without rebuilding anything; c is clamped to the manager's range.
+func (e *TPCHExperiment) Decide(strategy core.Strategy, c float64) map[string]dict.Format {
+	c = math.Min(math.Max(c, core.MinC), core.MaxC)
 	out := make(map[string]dict.Format, len(e.traced))
 	for _, tc := range e.traced {
-		out[tc.col.Name()] = mgr.ChooseFormat(e.statsOf(tc)).Format
+		out[tc.col.Name()] = core.Select(strategy, c, core.Candidates(e.statsOf(tc), e.costs)).Format
 	}
 	return out
 }
@@ -149,29 +149,6 @@ func (e *TPCHExperiment) measure(label string) TPCHPoint {
 	return TPCHPoint{Label: label, MemBytes: e.Store.Bytes(), Runtime: runtime}
 }
 
-// FixedFormatPoints measures every fixed-format configuration. column bc is
-// included even though (as in the paper) it lands outside the plot range on
-// TPC-H's variable-length columns.
-func (e *TPCHExperiment) FixedFormatPoints() []TPCHPoint {
-	var out []TPCHPoint
-	for _, f := range dict.AllFormats() {
-		tpch.SetAllFormats(e.Store, f)
-		out = append(out, e.measure(f.String()))
-	}
-	return out
-}
-
-// WorkloadDrivenPoints measures the manager-driven configuration for every
-// c in the sweep.
-func (e *TPCHExperiment) WorkloadDrivenPoints() []TPCHPoint {
-	var out []TPCHPoint
-	for _, c := range e.Cfg.CValues {
-		e.ApplyDecisions(e.Decide(c))
-		out = append(out, e.measure(fmt.Sprintf("c=%.4g", c)))
-	}
-	return out
-}
-
 // normalize fills RelMem/RelTime against the named baseline point.
 func normalize(points []TPCHPoint, baseline TPCHPoint) {
 	for i := range points {
@@ -184,8 +161,16 @@ func normalize(points []TPCHPoint, baseline TPCHPoint) {
 // prints the space/time trade-off, normalized against fc inline as in the
 // paper. It returns the two point sets for further analysis.
 func Figure10(w io.Writer, e *TPCHExperiment) (fixed, driven []TPCHPoint) {
-	fixed = e.FixedFormatPoints()
-	driven = e.WorkloadDrivenPoints()
+	// column bc is measured even though (as in the paper) it lands outside
+	// the plot range on TPC-H's variable-length columns.
+	for _, f := range dict.AllFormats() {
+		tpch.SetAllFormats(e.Store, f)
+		fixed = append(fixed, e.measure(f.String()))
+	}
+	for _, c := range e.Cfg.CValues {
+		e.ApplyDecisions(e.Decide(core.StrategyTilt, c))
+		driven = append(driven, e.measure(fmt.Sprintf("c=%.4g", c)))
+	}
 
 	var baseline TPCHPoint
 	for _, p := range fixed {
@@ -255,13 +240,21 @@ func Figure11(w io.Writer, e *TPCHExperiment) map[float64]map[dict.Format]int {
 	fmt.Fprintln(w, "Figure 11: dictionary formats selected by the compression manager per c")
 	out := make(map[float64]map[dict.Format]int)
 	for _, c := range e.Cfg.CValues {
-		decisions := e.Decide(c)
+		decisions := e.Decide(core.StrategyTilt, c)
 		counts := make(map[dict.Format]int)
 		for _, f := range decisions {
 			counts[f]++
 		}
 		out[c] = counts
-		fmt.Fprintf(w, "c = %-8.4g\n%s", c, SortedFormatCounts(counts))
+		fmt.Fprintf(w, "c = %-8.4g\n", c)
+		formats := make([]dict.Format, 0, len(counts))
+		for f := range counts {
+			formats = append(formats, f)
+		}
+		slices.Sort(formats)
+		for _, f := range formats {
+			fmt.Fprintf(w, "  %-16s %d\n", f, counts[f])
+		}
 	}
 	return out
 }

@@ -13,7 +13,7 @@ import (
 
 var (
 	_ = RegisterSizeModel(dict.LZ78, estimateLZ78)
-	// Measured with `dictbench -figure calibrate` on the reference machine,
+	// Measured with `figures -figure calibrate` on the reference machine,
 	// like the built-ins' defaults: parent-chain walks price extraction
 	// between the array and front-coded classes, locate is the generic
 	// binary search, and the shared-trie parse builds fast.

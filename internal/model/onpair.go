@@ -13,7 +13,7 @@ import (
 
 var (
 	_ = RegisterSizeModel(dict.OnPair, estimateOnPair)
-	// Measured with `dictbench -figure calibrate` on the reference machine,
+	// Measured with `figures -figure calibrate` on the reference machine,
 	// like the built-ins' defaults: pair expansion keeps extraction near the
 	// array formats, locate is the generic binary search, and the greedy
 	// promotion rounds dominate construction.

@@ -10,8 +10,6 @@ package model
 
 import (
 	"math"
-	"math/rand"
-	"time"
 
 	"strdict/internal/dict"
 )
@@ -32,36 +30,30 @@ type RuntimeModelError struct {
 // sorted unique corpus of about n strings with size-independent content
 // statistics.
 func CompareRuntimeModels(gen func(n int) []string, refSize int, probeSizes []int, formats []dict.Format) []RuntimeModelError {
-	rng := rand.New(rand.NewSource(1))
-
-	type calib struct{ extract, locate float64 }
-	ref := make(map[dict.Format]calib)
+	ref := make(map[dict.Format]Costs)
 	refStrs := gen(refSize)
 	for _, f := range formats {
-		d := dict.BuildUnchecked(f, refStrs)
-		e, l := measureOps(d, refStrs, rng)
-		ref[f] = calib{e, l}
+		_, ref[f] = Measure(f, refStrs, 1)
 	}
 
 	var out []RuntimeModelError
 	for _, n := range probeSizes {
 		strs := gen(n)
 		for _, f := range formats {
-			d := dict.BuildUnchecked(f, strs)
-			e, l := measureOps(d, strs, rng)
+			_, m := Measure(f, strs, 1)
 			// Constant model: the calibrated value, unchanged.
 			// Scaled model: locate grows with binary-search depth.
 			depthRatio := math.Log2(float64(len(strs))+2) / math.Log2(float64(len(refStrs))+2)
 			out = append(out,
 				RuntimeModelError{
-					Format: f, DictLen: len(strs), Op: "extract", MeasuredNs: e,
-					ConstErr:  relErrF(e, ref[f].extract),
-					ScaledErr: relErrF(e, ref[f].extract), // extract does not depend on n in either model
+					Format: f, DictLen: len(strs), Op: "extract", MeasuredNs: m.ExtractNs,
+					ConstErr:  relErrF(m.ExtractNs, ref[f].ExtractNs),
+					ScaledErr: relErrF(m.ExtractNs, ref[f].ExtractNs), // extract does not depend on n in either model
 				},
 				RuntimeModelError{
-					Format: f, DictLen: len(strs), Op: "locate", MeasuredNs: l,
-					ConstErr:  relErrF(l, ref[f].locate),
-					ScaledErr: relErrF(l, ref[f].locate*depthRatio),
+					Format: f, DictLen: len(strs), Op: "locate", MeasuredNs: m.LocateNs,
+					ConstErr:  relErrF(m.LocateNs, ref[f].LocateNs),
+					ScaledErr: relErrF(m.LocateNs, ref[f].LocateNs*depthRatio),
 				},
 			)
 		}
@@ -74,33 +66,4 @@ func relErrF(measured, predicted float64) float64 {
 		return 0
 	}
 	return math.Abs(measured-predicted) / measured
-}
-
-func measureOps(d dict.Dictionary, strs []string, rng *rand.Rand) (extractNs, locateNs float64) {
-	const ops = 3000
-	n := d.Len()
-	if n == 0 {
-		return 0, 0
-	}
-	ids := make([]uint32, ops)
-	for i := range ids {
-		ids[i] = uint32(rng.Intn(n))
-	}
-	var buf []byte
-	start := time.Now()
-	for _, id := range ids {
-		buf = d.AppendExtract(buf[:0], id)
-	}
-	extractNs = float64(time.Since(start).Nanoseconds()) / ops
-
-	probes := make([]string, ops/4)
-	for i := range probes {
-		probes[i] = strs[rng.Intn(n)]
-	}
-	start = time.Now()
-	for _, p := range probes {
-		d.Locate(p)
-	}
-	locateNs = float64(time.Since(start).Nanoseconds()) / float64(len(probes))
-	return extractNs, locateNs
 }

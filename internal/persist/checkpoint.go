@@ -297,6 +297,8 @@ func decManifest(b []byte) (seq, walSeq uint64, cols []manifestCol, err error) {
 				return 0, 0, nil, ErrCorrupt
 			}
 			c.format = f
+		} else if wire != 0 {
+			return 0, 0, nil, ErrCorrupt // only string columns carry a format
 		}
 		off += prefix
 		if c.table, off, err = readStr16(body, off); err != nil {

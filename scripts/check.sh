@@ -18,10 +18,12 @@ go build ./...
 # operators (CodeSet bitsets, PrefixSet, ValueSet: +57 in colstore) and the
 # OnPair sequential walk and pair-depth check (+30 in dict) raised it by 87.
 # Dropping the scheduler's append backpressure and OnError hook lowered it
-# from 22548.
+# from 22548. One figure command over one figure table, and one timing
+# routine (model.Measure) for the cost table and the surveys, lowered it
+# from 22370.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 22370 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 22370"
+if [ "$lines" -gt 22211 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 22211"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
@@ -40,11 +42,21 @@ go vet ./...
 go test ./...
 go test -race ./...
 
+# The figure command's dispatch: one deterministic figure through the table
+# (a few seconds).
+go run ./cmd/figures -figure 9 -n 2000 >/dev/null
+
 # Short fuzz smoke on the binary decoders: the unmarshal paths must reject
 # arbitrary bytes without panicking before any of it is fed WAL/checkpoint
 # payloads at recovery time.
 go test -run '^$' -fuzz FuzzUnmarshalPacked -fuzztime 5s ./internal/intcomp/
 go test -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s ./internal/dict/
+# The same for the persist decoders recovery feeds from disk: manifests
+# (whose accepted bytes must also re-encode identically), part files and WAL
+# segments.
+go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 5s ./internal/persist/
+go test -run '^$' -fuzz '^FuzzPart$' -fuzztime 5s ./internal/persist/
+go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime 5s ./internal/persist/
 
 # Scan-kernel smoke: the batch predicate kernels must stay bit-identical to
 # the scalar Get oracle across random vectors, probes and subranges.
