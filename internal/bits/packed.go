@@ -1,6 +1,9 @@
 package bits
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // PackedArray stores n unsigned integers of a fixed bit width contiguously.
 // It backs the pointer/offset arrays of the dictionary formats and the
@@ -123,30 +126,61 @@ func (p *PackedArray) checkRange(start, n int) {
 }
 
 // AppendRange appends entries [start, start+n) to dst and returns the
-// extended slice. It is the bulk form of Get: the word arithmetic stays in
-// registers across entries instead of being re-derived per call, so batch
-// unpacking (64-256 entries at a time) runs several times faster than a
-// Get-per-element loop.
+// extended slice. It is the bulk form of Get (Gather with no table): the
+// word arithmetic stays in registers across entries instead of being
+// re-derived per call, so batch unpacking (64-256 entries at a time) runs
+// several times faster than a Get-per-element loop.
 func (p *PackedArray) AppendRange(dst []uint64, start, n int) []uint64 {
 	p.checkRange(start, n)
-	if n == 0 {
-		return dst
-	}
-	width := p.width
-	mask := fieldMask(width)
-	words := p.words
-	bitPos := uint64(start) * uint64(width)
-	end := bitPos + uint64(n)*uint64(width)
-	for ; bitPos < end; bitPos += uint64(width) {
-		word := bitPos >> 6
-		off := uint(bitPos & 63)
-		v := words[word] >> off
-		if off+width > 64 {
-			v |= words[word+1] << (64 - off)
-		}
-		dst = append(dst, v&mask)
-	}
+	m := len(dst)
+	dst = slices.Grow(dst, n)[:m+n]
+	Gather(p, start, nil, dst[m:])
 	return dst
+}
+
+// Code is an integer type a packed code vector decodes into: a value ID,
+// a row number, or the raw entry.
+type Code interface{ int32 | uint32 | uint64 }
+
+// Gather sets out[i] = table[p.Get(start+i)] for every i < len(out), or
+// p.Get(start+i) itself when table is nil: unpack and lookup in one loop
+// over the words, with no intermediate buffer. A packed code vector gathers
+// value IDs or join rows this way.
+func Gather[T Code](p *PackedArray, start int, table []T, out []T) {
+	p.checkRange(start, len(out))
+	width, mask, words := uint64(p.width), fieldMask(p.width), p.words
+	bitPos := uint64(start) * width
+	// Two copies of the loop: with the nil test hoisted, the table's
+	// registers are not live in the one that has none.
+	if table == nil {
+		for i := range out {
+			word, off := bitPos>>6, bitPos&63
+			x := words[word] >> off
+			if off+width > 64 {
+				x |= words[word+1] << (64 - off)
+			}
+			out[i] = T(x & mask)
+			bitPos += width
+		}
+		return
+	}
+	for i := range out {
+		word, off := bitPos>>6, bitPos&63
+		x := words[word] >> off
+		if off+width > 64 {
+			x |= words[word+1] << (64 - off)
+		}
+		out[i] = table[x&mask]
+		bitPos += width
+	}
+}
+
+// Lookup returns table[x], or x itself when table is nil.
+func Lookup[T Code](table []T, x uint64) T {
+	if table == nil {
+		return T(x)
+	}
+	return table[x]
 }
 
 // swarAligned reports whether the word-at-a-time match kernels apply: the
@@ -233,18 +267,12 @@ const matchChunk = 256
 // widths whose entries straddle word boundaries.
 func (p *PackedArray) appendMatchEqUnpack(dst []int, base, start, n int, code uint64) []int {
 	var buf [matchChunk]uint64
-	for o := 0; o < n; {
-		k := n - o
-		if k > matchChunk {
-			k = matchChunk
-		}
-		tmp := p.AppendRange(buf[:0], start+o, k)
-		for j, x := range tmp {
+	for o := 0; o < n; o += matchChunk {
+		for j, x := range p.AppendRange(buf[:0], start+o, min(matchChunk, n-o)) {
 			if x == code {
 				dst = append(dst, base+start+o+j)
 			}
 		}
-		o += k
 	}
 	return dst
 }
@@ -259,18 +287,12 @@ func (p *PackedArray) CountEq(start, n int, code uint64) int {
 	if !p.swarAligned() {
 		var buf [matchChunk]uint64
 		count := 0
-		for o := 0; o < n; {
-			k := n - o
-			if k > matchChunk {
-				k = matchChunk
-			}
-			tmp := p.AppendRange(buf[:0], start+o, k)
-			for _, x := range tmp {
+		for o := 0; o < n; o += matchChunk {
+			for _, x := range p.AppendRange(buf[:0], start+o, min(matchChunk, n-o)) {
 				if x == code {
 					count++
 				}
 			}
-			o += k
 		}
 		return count
 	}
@@ -308,18 +330,12 @@ func (p *PackedArray) AppendMatchRange(dst []int, base, start, n int, lo, hi uin
 		return dst
 	}
 	var buf [matchChunk]uint64
-	for o := 0; o < n; {
-		k := n - o
-		if k > matchChunk {
-			k = matchChunk
-		}
-		tmp := p.AppendRange(buf[:0], start+o, k)
-		for j, x := range tmp {
+	for o := 0; o < n; o += matchChunk {
+		for j, x := range p.AppendRange(buf[:0], start+o, min(matchChunk, n-o)) {
 			if lo <= x && x < hi {
 				dst = append(dst, base+start+o+j)
 			}
 		}
-		o += k
 	}
 	return dst
 }

@@ -162,8 +162,8 @@ type StringColumn struct {
 	// writers never touch it.
 	mergeMu sync.Mutex
 
-	// joinTable is the last dictionary translation Join computed with this
-	// column as the foreign key (see Snapshot.keyCodes); fold drops it.
+	// joinTable is the last join map Join built with this column as the
+	// foreign key (see Snapshot.joinRows); fold drops it.
 	joinTable atomic.Pointer[joinTable]
 
 	extracts atomic.Uint64
@@ -393,18 +393,17 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 	// Codes in the merged ID space: every row below the new boundary when
 	// rewriting, only the folded rows otherwise.
 	remapped := 0
-	var oldToNew []uint32
 	if rewrite {
-		remapped, oldToNew = v.nMain, remapSorted(oldVals, merged)
+		remapped = v.nMain
 	}
 	codes := make([]uint64, remapped, remapped+foldRows)
-	for row := range codes {
-		codes[row] = uint64(oldToNew[v.codes.Get(row)])
+	if rewrite {
+		intcomp.Gather(v.codes, 0, remapSorted(oldVals, merged), codes)
 	}
 	for _, seg := range folded {
 		segToNew := remapSorted(seg.vals, merged)
 		for _, dc := range seg.rows {
-			codes = append(codes, uint64(segToNew[dc]))
+			codes = append(codes, segToNew[dc])
 		}
 	}
 
@@ -528,10 +527,10 @@ func unionSorted(a, b []string) []string {
 
 // remapSorted maps each value (all present in merged) to its ID in the
 // merged sorted value set.
-func remapSorted(vals, merged []string) []uint32 {
-	out := make([]uint32, len(vals))
+func remapSorted(vals, merged []string) []uint64 {
+	out := make([]uint64, len(vals))
 	for i, val := range vals {
-		out[i] = uint32(sort.SearchStrings(merged, val))
+		out[i] = uint64(sort.SearchStrings(merged, val))
 	}
 	return out
 }
@@ -567,12 +566,12 @@ func deltaSegmentBytes(vals []string, rows []uint32) uint64 {
 }
 
 // Bytes returns the column's total footprint: dictionary, code vector,
-// delta structures (sealed and active), and the cached join translation.
+// delta structures (sealed and active), and the cached join map.
 func (c *StringColumn) Bytes() uint64 {
 	v := c.version.Load()
 	b := v.dict.Bytes() + v.codes.Bytes()
 	if t := c.joinTable.Load(); t != nil {
-		b += 4 * uint64(len(t.codes))
+		b += 4 * uint64(len(t.rows))
 	}
 	for _, seg := range v.sealed {
 		b += deltaSegmentBytes(seg.vals, seg.rows)

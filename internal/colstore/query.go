@@ -2,107 +2,120 @@ package colstore
 
 // Query-plan building blocks on value IDs: predicates against constants cost
 // one locate, joins translate one dictionary into the other side's code
-// space — once per pair of dictionaries, the table is cached on the foreign
-// key column — and only final result materialization extracts strings:
-// exactly the dictionary access profile the compression manager's time model
-// feeds on. They exist on Snapshot only (DESIGN.md, "Value IDs are scoped to a
+// space — once per pair of dictionaries, the resulting map from value ID to
+// key row is cached on the foreign key column — and only final result
+// materialization extracts strings: exactly the dictionary access profile
+// the compression manager's time model feeds on. They exist on Snapshot only (DESIGN.md, "Value IDs are scoped to a
 // Snapshot"); a query gets its snapshots from a View, and reads whole
 // columns of value IDs and whole foreign-key joins through the two TableView
 // operators below, Codes and Join.
 
-// queryChunk is the batch size of the bulk code-decode loop (mainCodes):
-// large enough to amortize the kernel dispatch, small enough to stay in L1.
-const queryChunk = 256
+import (
+	"slices"
+
+	"strdict/internal/intcomp"
+)
 
 // NoCode is the value ID Codes reports for a row that has none: it is no ID
 // of any dictionary, so it equals no located constant and is in no CodeSet.
 const NoCode = ^uint32(0)
 
 // Codes returns the value ID of a string column at each of the view's
-// Rows() rows, batch-decoded from the code vector with no dictionary
+// Rows() rows, decoded from the code vector in one pass with no dictionary
 // operation. Rows past the column's MainRows are in the delta and have no
 // value ID: they read NoCode, never an alias of ID 0.
 func (tv *TableView) Codes(name string) []uint32 {
-	out := make([]uint32, tv.rows)
-	nMain := tv.Str(name).mainCodes(tv.rows, func(start int, codes []uint64) {
-		for j, code := range codes {
-			out[start+j] = uint32(code)
-		}
-	})
-	for row := nMain; row < len(out); row++ {
-		out[row] = NoCode
-	}
-	return out
+	return gatherMain(tv.Str(name), tv.rows, nil, NoCode)
 }
 
 // Join resolves a foreign key: for each of the view's Rows() rows, the row
 // of key whose keyCol holds the same value as this table's fk column, or -1
 // when there is none — the value is absent from keyCol's main part, or the
 // fk row is in the delta and has no value ID. Key rows are main-part rows
-// below key.Rows(); where keyCol repeats a value the last such row wins. It
-// costs at most one dictionary translation per (fk dictionary, keyCol
-// dictionary) pair — DictLen(fk) extracts on fk and as many locates on
-// keyCol, counted on the query that misses the cache — and no dictionary
-// operation on a hit.
+// below key.Rows(); where keyCol repeats a value the last such row wins.
+//
+// It is one pass over the fk code vector through the column's cached join
+// map (joinRows), which costs at most one dictionary translation per (fk
+// dictionary, keyCol dictionary) pair — DictLen(fk) extracts on fk and as
+// many locates on keyCol, counted on the query that misses the cache — and
+// no dictionary operation on a hit or, when the cached map reached every
+// key value, after an identity-preserving fold of keyCol.
 func (tv *TableView) Join(fk string, key *TableView, keyCol string) []int32 {
-	fs, ks := tv.Str(fk), key.Str(keyCol)
-	rowByKeyCode := ks.rowIndexByCode(key.rows)
-	rowByCode := make([]int32, fs.DictLen()) // fk value ID -> key row
-	for code, keyCode := range fs.keyCodes(ks) {
-		rowByCode[code] = -1
-		if keyCode >= 0 {
-			rowByCode[code] = rowByKeyCode[keyCode]
-		}
-	}
-	out := make([]int32, tv.rows)
-	nMain := fs.mainCodes(tv.rows, func(start int, codes []uint64) {
-		for j, code := range codes {
-			out[start+j] = rowByCode[code]
-		}
-	})
-	for row := nMain; row < len(out); row++ {
-		out[row] = -1
+	fs := tv.Str(fk)
+	return gatherMain(fs, tv.rows, fs.joinRows(key.Str(keyCol), key.rows), -1)
+}
+
+// gatherMain decodes the first n rows of s's code vector through table
+// (intcomp.Gather; nil reads the value IDs themselves). Rows past the main
+// part have no value ID and read none.
+func gatherMain[T int32 | uint32](s *Snapshot, n int, table []T, none T) []T {
+	out := make([]T, n)
+	nMain := min(s.v.nMain, n)
+	intcomp.Gather(s.v.codes, 0, table, out[:nMain])
+	for row := nMain; row < n; row++ {
+		out[row] = none
 	}
 	return out
 }
 
-// mainCodes batch-decodes the value IDs of the main-part rows below limit,
-// a chunk at a time: fn sees the IDs of rows start, start+1, ... in codes.
-// It returns the number of rows decoded and costs no dictionary operation.
-func (s *Snapshot) mainCodes(limit int, fn func(start int, codes []uint64)) int {
-	nMain := min(s.v.nMain, limit)
-	var buf [queryChunk]uint64
-	for row := 0; row < nMain; row += queryChunk {
-		fn(row, s.v.codes.AppendRange(buf[:0], row, min(queryChunk, nMain-row)))
-	}
-	return nMain
-}
-
-// joinTable is a cached dictionary translation: codes maps every value ID of
-// generation fkGen of the owning column's dictionary to the value ID of the
-// same string in generation keyGen of key's dictionary, or -1 — a pure
-// function of two immutable dictionaries, neither of which it pins.
+// joinTable is a cached join map: rows maps every value ID of generation
+// fkGen of the owning column's dictionary to the last row below keyRows of
+// key whose value ID in generation keyGen of key's dictionary is the same
+// string, or -1 — a pure function of two immutable dictionaries and a
+// prefix of key's code vector (a dictionary generation's code vector only
+// ever grows at the end), none of which it pins. complete records that
+// every key value ID had a row below keyRows, so a -1 means the value is
+// not in key's dictionary at all.
 type joinTable struct {
-	fkGen  uint64
-	key    *StringColumn
-	keyGen uint64
-	codes  []int32
+	fkGen    uint64
+	key      *StringColumn
+	keyGen   uint64
+	keyRows  int
+	complete bool
+	rows     []int32
 }
 
-// keyCodes returns the translation of s's dictionary into key's: the
-// column's cached table when it is for this very pair of dictionaries, else
-// a fresh translateCodes that replaces it. The result is shared, read-only.
-func (s *Snapshot) keyCodes(key *Snapshot) []int32 {
+// joinRows returns the map from s's value IDs to the rows of key below
+// keyRows that Join gathers through: the column's cached map when it is for
+// this pair of dictionaries and this row limit, else a fresh one. A map
+// between the same two dictionaries, complete and within key's main part,
+// still holds the translation — key's code vector at the cached rows — so
+// a new limit (a key-side fold that shared the dictionary) costs no
+// dictionary operation; otherwise the map costs one translateCodes. The
+// result replaces the cached map unless it would evict a complete one with
+// an incomplete one, and is shared, read-only.
+func (s *Snapshot) joinRows(key *Snapshot, keyRows int) []int32 {
+	keyRows = min(keyRows, key.v.nMain)
 	t := s.col.joinTable.Load()
-	if t != nil && t.fkGen == s.v.dictGen && t.key == key.col && t.keyGen == key.v.dictGen {
-		return t.codes
+	same := t != nil && t.fkGen == s.v.dictGen && t.key == key.col && t.keyGen == key.v.dictGen
+	if same && t.keyRows == keyRows {
+		return t.rows
 	}
-	t = &joinTable{fkGen: s.v.dictGen, key: key.col, keyGen: key.v.dictGen, codes: make([]int32, s.DictLen())}
-	for code, keyCode := range translateCodes(s, key) {
-		t.codes[code] = int32(keyCode)
+	var keyIDs []int64
+	if same && t.complete && t.keyRows <= key.v.nMain {
+		keyIDs = make([]int64, len(t.rows))
+		for id, row := range t.rows {
+			keyIDs[id] = -1
+			if row >= 0 {
+				keyIDs[id] = int64(key.v.codes.Get(int(row)))
+			}
+		}
+	} else {
+		keyIDs = translateCodes(s, key)
 	}
-	s.col.joinTable.Store(t)
-	return t.codes
+	rowOf := key.rowIndexByCode(keyRows)
+	nt := &joinTable{fkGen: s.v.dictGen, key: key.col, keyGen: key.v.dictGen, keyRows: keyRows,
+		complete: !slices.Contains(rowOf, -1), rows: make([]int32, len(keyIDs))}
+	for id, keyID := range keyIDs {
+		nt.rows[id] = -1
+		if keyID >= 0 {
+			nt.rows[id] = rowOf[keyID]
+		}
+	}
+	if nt.complete || !same || !t.complete {
+		s.col.joinTable.Store(nt)
+	}
+	return nt.rows
 }
 
 // translateCodes maps every value ID of src's dictionary to the matching
@@ -126,18 +139,16 @@ func translateCodes(src, dst *Snapshot) []int64 {
 
 // rowIndexByCode builds an index from value ID to the (single) main-part row
 // below limit holding it, or -1. Intended for key columns, where every value
-// occurs exactly once; for repeated values the last row wins. It
-// batch-decodes the code vector — no dictionary operations.
+// occurs exactly once; for repeated values the last row wins. It decodes
+// the code vector — no dictionary operations.
 func (s *Snapshot) rowIndexByCode(limit int) []int32 {
 	idx := make([]int32, s.v.dict.Len())
 	for i := range idx {
 		idx[i] = -1
 	}
-	s.mainCodes(limit, func(start int, codes []uint64) {
-		for j, code := range codes {
-			idx[code] = int32(start + j)
-		}
-	})
+	for row, code := range gatherMain(s, min(limit, s.v.nMain), nil, NoCode) {
+		idx[code] = int32(row)
+	}
 	return idx
 }
 

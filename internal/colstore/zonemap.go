@@ -71,10 +71,7 @@ func zonesOfVector(codes intcomp.Vector) []zone {
 	}
 	zones := make([]zone, 0, (n+zoneRows-1)/zoneRows)
 	for lo := 0; lo < n; lo += zoneRows {
-		k := zoneRows
-		if lo+k > n {
-			k = n - lo
-		}
+		k := min(zoneRows, n-lo)
 		min, max := intcomp.MinMax(codes, lo, k)
 		zones = append(zones, zone{start: lo, n: k, min: min, max: max})
 	}

@@ -1,10 +1,16 @@
 package dict
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"strdict/internal/bits"
+	"strdict/internal/repair"
 )
 
 // fuzzStrings derives a valid dictionary input from raw fuzz bytes.
@@ -88,6 +94,8 @@ func FuzzUnmarshal(f *testing.F) {
 	// OnPair pair j = (255+j, 255+j): each pair doubles the last, one past
 	// the depth and length a build can reach.
 	f.Add(onpairBlob(f, doublingPairs(onpairRounds+1)))
+	// Re-Pair rule i = (i-1, i-1): 2^41 bytes from 40 rules.
+	f.Add(repairDoublingBlob(f, 40))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Unmarshal(data)
@@ -112,6 +120,52 @@ func FuzzUnmarshal(f *testing.F) {
 			return int(id) < n
 		})
 	})
+}
+
+// repairDoublingBlob marshals a one-string array rp 16 dictionary whose
+// rule table doubles n times — rule 0 = ('a', 'a'), rule i = (rule i-1,
+// rule i-1), 2^(i+1) bytes — and whose string is the last rule. FromRules
+// cannot build such a grammar, so the rules are spliced into the blob of a
+// rule-less one, where the rule table ends the payload.
+func repairDoublingBlob(t testing.TB, n int) []byte {
+	g, err := repair.FromRules(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := g.EncodeSeq(nil, []int32{int32(256 + n)}) // rule n-1
+	blob, err := Marshal(&arrayDict{format: ArrayRP16, n: 1, data: data,
+		offsets: bits.PackSlice([]uint64{0, uint64(len(data))}), c: repairCodec{g}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = blob[:len(blob)-8] // the rule count (0) and the CRC
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(n))
+	for i := 0; i < n; i++ {
+		child := uint32('a')
+		if i > 0 {
+			child = uint32(256 + i)
+		}
+		blob = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(blob, child), child)
+	}
+	return binary.LittleEndian.AppendUint32(blob, crc32.Checksum(blob, crcTable))
+}
+
+// TestRepairExpansionBound: a doubling rule table reads back up to the rule
+// of repair.MaxExpansion bytes and is rejected from the next rule on, long
+// before its expansion could exhaust memory.
+func TestRepairExpansionBound(t *testing.T) {
+	d, err := Unmarshal(repairDoublingBlob(t, 16))
+	if err != nil {
+		t.Fatalf("16 doubling rules: %v", err)
+	}
+	if got := d.Extract(0); got != strings.Repeat("a", repair.MaxExpansion) {
+		t.Fatalf("16 doubling rules extract %d bytes, want %d", len(got), repair.MaxExpansion)
+	}
+	for _, n := range []int{17, 40} {
+		if _, err := Unmarshal(repairDoublingBlob(t, n)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d doubling rules: err %v, want ErrCorrupt", n, err)
+		}
+	}
 }
 
 // TestConcurrentReads verifies that a built dictionary is safe for parallel

@@ -31,11 +31,11 @@ type Vector interface {
 	Bytes() uint64
 	// AppendRange appends elements [start, start+n) to dst and returns the
 	// extended slice — the bulk-decode contract of the vectorized read
-	// path. Implementations amortize their per-element access state (word
-	// cursors for bit packing, run cursors for RLE, frame bases for FOR,
-	// part dispatch for concatenations) across the whole range, so batch
-	// unpacking 64-256 elements per call runs several times faster than a
-	// Get-per-element loop. Out-of-range [start, start+n) panics.
+	// path, Gather with no table. It amortizes the per-element access
+	// state (word cursors for bit packing, run cursors for RLE, frame bases
+	// for FOR, part dispatch for concatenations) across the whole range, so
+	// batch unpacking 64-256 elements per call runs several times faster
+	// than a Get-per-element loop. Out-of-range [start, start+n) panics.
 	AppendRange(dst []uint64, start, n int) []uint64
 }
 
@@ -54,7 +54,7 @@ func (v packedVector) Len() int         { return v.pa.Len() }
 func (v packedVector) Bytes() uint64    { return v.pa.Bytes() + 16 }
 
 func (v packedVector) AppendRange(dst []uint64, start, n int) []uint64 {
-	return v.pa.AppendRange(dst, start, n)
+	return appendGather(v, dst, start, n)
 }
 
 // rleVector stores (start, value) per run; Get binary-searches the starts.
@@ -110,24 +110,7 @@ func (v rleVector) Get(i int) uint64 {
 }
 
 func (v rleVector) AppendRange(dst []uint64, start, n int) []uint64 {
-	checkVectorRange(v.n, start, n)
-	if n == 0 {
-		return dst
-	}
-	// One binary search for the first run, then a linear run cursor: each
-	// element costs a copy instead of the O(log runs) search Get re-runs.
-	pos, end := start, start+n
-	for r := v.runAt(start); pos < end; r++ {
-		re := v.runEnd(r)
-		if re > end {
-			re = end
-		}
-		val := v.values.Get(r)
-		for ; pos < re; pos++ {
-			dst = append(dst, val)
-		}
-	}
-	return dst
+	return appendGather(v, dst, start, n)
 }
 
 func (v rleVector) Bytes() uint64 {
@@ -265,9 +248,7 @@ func Concat(a, b Vector) Vector {
 	if len(parts) > maxConcatParts {
 		flat := make([]uint64, 0, a.Len()+b.Len())
 		for _, p := range parts {
-			for i := 0; i < p.Len(); i++ {
-				flat = append(flat, p.Get(i))
-			}
+			flat = p.AppendRange(flat, 0, p.Len())
 		}
 		return PackAuto(flat)
 	}
@@ -310,17 +291,7 @@ func (v *concatVector) Get(i int) uint64 {
 }
 
 func (v *concatVector) AppendRange(dst []uint64, start, n int) []uint64 {
-	checkVectorRange(v.n, start, n)
-	pos, end := start, start+n
-	for p := v.partAt(start); pos < end; p++ {
-		pe := v.partEnd(p)
-		if pe > end {
-			pe = end
-		}
-		dst = v.parts[p].AppendRange(dst, pos-v.offs[p], pe-pos)
-		pos = pe
-	}
-	return dst
+	return appendGather(v, dst, start, n)
 }
 
 func (v *concatVector) Bytes() uint64 {
@@ -406,30 +377,7 @@ func (v *forVector) frameLen(f int) int {
 }
 
 func (v *forVector) AppendRange(dst []uint64, start, n int) []uint64 {
-	checkVectorRange(v.n, start, n)
-	for n > 0 {
-		f := start / v.frameSize
-		fo := start % v.frameSize
-		k := v.frameLen(f) - fo
-		if k > n {
-			k = n
-		}
-		base := v.bases.Get(f)
-		if v.widths[f] == 0 {
-			for i := 0; i < k; i++ {
-				dst = append(dst, base)
-			}
-		} else {
-			m := len(dst)
-			dst = v.offsets[f].AppendRange(dst, fo, k)
-			for i := m; i < len(dst); i++ {
-				dst[i] += base
-			}
-		}
-		start += k
-		n -= k
-	}
-	return dst
+	return appendGather(v, dst, start, n)
 }
 
 // checkVectorRange panics unless [start, start+n) lies within a vector of

@@ -1,16 +1,25 @@
 package intcomp
 
+import (
+	"slices"
+
+	"strdict/internal/bits"
+)
+
 // Predicate kernels over compressed vectors: equality and range scans that
 // emit matching row indices without fully unpacking the vector. Each vector
 // kind gets the cheapest strategy its representation permits — word-at-a-time
 // SWAR comparison for bit-packed data whose width tiles 64-bit words, whole
 // runs at a time for RLE, per-frame base rebasing for FOR, and per-part
-// recursion for concatenations — with a batch-unpack-then-compare fallback
-// for everything else. The scalar Get-per-element forms are kept as the
+// recursion for concatenations. The four kinds are every Vector there is
+// (the constructors and Unmarshal make no other), so the kernels have no
+// fallback. The scalar Get-per-element forms are kept as the
 // differential-testing oracle and the benchmark baseline.
 
-// kernelChunk is the stack-buffer size of the generic unpack-then-compare
-// fallback paths.
+// errKind is the kernels' panic on a Vector this package did not make.
+const errKind = "intcomp: unknown vector kind"
+
+// kernelChunk is MinMax's stack-buffer size.
 const kernelChunk = 256
 
 // ScanEq appends the index of every element in [start, start+n) equal to
@@ -54,10 +63,7 @@ func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 		// interval without touching per-element data.
 		pos, end := start, start+n
 		for r := v.runAt(start); pos < end; r++ {
-			re := v.runEnd(r)
-			if re > end {
-				re = end
-			}
+			re := min(v.runEnd(r), end)
 			if v.values.Get(r) == code {
 				for ; pos < re; pos++ {
 					dst = append(dst, base+pos)
@@ -69,12 +75,8 @@ func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 		return dst
 	case *forVector:
 		for n > 0 {
-			f := start / v.frameSize
-			fo := start % v.frameSize
-			k := v.frameLen(f) - fo
-			if k > n {
-				k = n
-			}
+			f, fo := start/v.frameSize, start%v.frameSize
+			k := min(v.frameLen(f)-fo, n)
 			fb := v.bases.Get(f)
 			switch {
 			case code < fb:
@@ -96,37 +98,14 @@ func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 	case *concatVector:
 		pos, end := start, start+n
 		for p := v.partAt(start); pos < end; p++ {
-			pe := v.partEnd(p)
-			if pe > end {
-				pe = end
-			}
+			pe := min(v.partEnd(p), end)
 			dst = scanEq(v.parts[p], code, pos-v.offs[p], pe-pos, base+v.offs[p], dst)
 			pos = pe
 		}
 		return dst
 	default:
-		return scanEqGeneric(v, code, start, n, base, dst)
+		panic(errKind)
 	}
-}
-
-// scanEqGeneric is the batch-unpack-then-compare fallback for vector kinds
-// without a specialized kernel.
-func scanEqGeneric(v Vector, code uint64, start, n int, base int, dst []int) []int {
-	var buf [kernelChunk]uint64
-	for o := 0; o < n; {
-		k := n - o
-		if k > kernelChunk {
-			k = kernelChunk
-		}
-		tmp := v.AppendRange(buf[:0], start+o, k)
-		for j, x := range tmp {
-			if x == code {
-				dst = append(dst, base+start+o+j)
-			}
-		}
-		o += k
-	}
-	return dst
 }
 
 // scanRange mirrors scanEq for half-open value intervals [lo, hi).
@@ -140,10 +119,7 @@ func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int
 	case rleVector:
 		pos, end := start, start+n
 		for r := v.runAt(start); pos < end; r++ {
-			re := v.runEnd(r)
-			if re > end {
-				re = end
-			}
+			re := min(v.runEnd(r), end)
 			if x := v.values.Get(r); lo <= x && x < hi {
 				for ; pos < re; pos++ {
 					dst = append(dst, base+pos)
@@ -155,12 +131,8 @@ func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int
 		return dst
 	case *forVector:
 		for n > 0 {
-			f := start / v.frameSize
-			fo := start % v.frameSize
-			k := v.frameLen(f) - fo
-			if k > n {
-				k = n
-			}
+			f, fo := start/v.frameSize, start%v.frameSize
+			k := min(v.frameLen(f)-fo, n)
 			fb := v.bases.Get(f)
 			switch {
 			case hi <= fb:
@@ -185,30 +157,13 @@ func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int
 	case *concatVector:
 		pos, end := start, start+n
 		for p := v.partAt(start); pos < end; p++ {
-			pe := v.partEnd(p)
-			if pe > end {
-				pe = end
-			}
+			pe := min(v.partEnd(p), end)
 			dst = scanRange(v.parts[p], lo, hi, pos-v.offs[p], pe-pos, base+v.offs[p], dst)
 			pos = pe
 		}
 		return dst
 	default:
-		var buf [kernelChunk]uint64
-		for o := 0; o < n; {
-			k := n - o
-			if k > kernelChunk {
-				k = kernelChunk
-			}
-			tmp := v.AppendRange(buf[:0], start+o, k)
-			for j, x := range tmp {
-				if lo <= x && x < hi {
-					dst = append(dst, base+start+o+j)
-				}
-			}
-			o += k
-		}
-		return dst
+		panic(errKind)
 	}
 }
 
@@ -225,10 +180,7 @@ func countEq(v Vector, code uint64, start, n int) int {
 		count := 0
 		pos, end := start, start+n
 		for r := v.runAt(start); pos < end; r++ {
-			re := v.runEnd(r)
-			if re > end {
-				re = end
-			}
+			re := min(v.runEnd(r), end)
 			if v.values.Get(r) == code {
 				count += re - pos
 			}
@@ -238,12 +190,8 @@ func countEq(v Vector, code uint64, start, n int) int {
 	case *forVector:
 		count := 0
 		for n > 0 {
-			f := start / v.frameSize
-			fo := start % v.frameSize
-			k := v.frameLen(f) - fo
-			if k > n {
-				k = n
-			}
+			f, fo := start/v.frameSize, start%v.frameSize
+			k := min(v.frameLen(f)-fo, n)
 			fb := v.bases.Get(f)
 			switch {
 			case code < fb:
@@ -262,65 +210,119 @@ func countEq(v Vector, code uint64, start, n int) int {
 		count := 0
 		pos, end := start, start+n
 		for p := v.partAt(start); pos < end; p++ {
-			pe := v.partEnd(p)
-			if pe > end {
-				pe = end
-			}
+			pe := min(v.partEnd(p), end)
 			count += countEq(v.parts[p], code, pos-v.offs[p], pe-pos)
 			pos = pe
 		}
 		return count
 	default:
-		var buf [kernelChunk]uint64
-		count := 0
-		for o := 0; o < n; {
-			k := n - o
-			if k > kernelChunk {
-				k = kernelChunk
+		panic(errKind)
+	}
+}
+
+// runBatch is the number of RLE runs whose starts and values Gather
+// unpacks at a time.
+const runBatch = 64
+
+// Gather sets out[i] = table[v.Get(start+i)] for every i < len(out), or
+// v.Get(start+i) itself when table is nil — a column's value IDs, or its
+// rows of a join through a map from value ID to key row. Each vector kind
+// decodes and looks up in one loop with no intermediate buffer: bit-packed
+// entries and FOR offsets unpack straight into the lookup, RLE looks up
+// once per run and fills the run, and concatenations recurse per part.
+// Every AppendRange is Gather with a nil table (appendGather).
+// Out-of-range [start, start+len(out)) panics.
+func Gather[T bits.Code](v Vector, start int, table []T, out []T) {
+	checkVectorRange(v.Len(), start, len(out))
+	switch v := v.(type) {
+	case packedVector:
+		bits.Gather(v.pa, start, table, out)
+	case rleVector:
+		// Run ends and values unpack runBatch runs at a time. A run of up
+		// to 8 elements is one fixed 8-wide store; what it writes past the
+		// run's end lies inside out, where the runs after it overwrite it.
+		var ends, vals [runBatch]uint64
+		nr, pos := v.starts.Len(), 0
+		for r := v.runAt(start); pos < len(out); r += runBatch {
+			k := min(runBatch, nr-r)
+			bits.Gather(v.values, r, nil, vals[:k])
+			bits.Gather(v.starts, r+1, nil, ends[:min(k, nr-r-1)])
+			if r+k == nr {
+				ends[k-1] = uint64(v.n)
 			}
-			tmp := v.AppendRange(buf[:0], start+o, k)
-			for _, x := range tmp {
-				if x == code {
-					count++
+			for j, x := range vals[:k] {
+				val, end := bits.Lookup(table, x), min(int(ends[j])-start, len(out))
+				for ; pos < end && pos+8 <= len(out); pos += 8 {
+					o := (*[8]T)(out[pos:])
+					o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = val, val, val, val, val, val, val, val
+				}
+				for ; pos < end; pos++ {
+					out[pos] = val
+				}
+				if pos = end; pos == len(out) {
+					break
 				}
 			}
-			o += k
 		}
-		return count
+	case *forVector:
+		for pos := 0; pos < len(out); {
+			f, fo := (start+pos)/v.frameSize, (start+pos)%v.frameSize
+			k := min(v.frameLen(f)-fo, len(out)-pos)
+			base, frame := v.bases.Get(f), out[pos:pos+k]
+			switch {
+			case v.widths[f] == 0:
+				x := bits.Lookup(table, base)
+				for i := range frame {
+					frame[i] = x
+				}
+			case table != nil:
+				bits.Gather(v.offsets[f], fo, table[base:], frame)
+			default:
+				bits.Gather[T](v.offsets[f], fo, nil, frame)
+				for i := range frame {
+					frame[i] += T(base)
+				}
+			}
+			pos += k
+		}
+	case *concatVector:
+		for p, pos := v.partAt(start), 0; pos < len(out); p++ {
+			lo := start + pos - v.offs[p]
+			k := min(v.parts[p].Len()-lo, len(out)-pos)
+			Gather(v.parts[p], lo, table, out[pos:pos+k])
+			pos += k
+		}
+	default:
+		panic(errKind)
 	}
+}
+
+// appendGather is AppendRange through Gather: it decodes [start, start+n)
+// onto the end of dst.
+func appendGather(v Vector, dst []uint64, start, n int) []uint64 {
+	checkVectorRange(v.Len(), start, n)
+	m := len(dst)
+	dst = slices.Grow(dst, n)[:m+n]
+	Gather(v, start, nil, dst[m:])
+	return dst
 }
 
 // MinMax returns the minimum and maximum element of [start, start+n).
 // n must be positive; out-of-range panics. It backs zone-map construction
 // when only the compressed vector is available (crash recovery).
-func MinMax(v Vector, start, n int) (min, max uint64) {
+func MinMax(v Vector, start, n int) (lo, hi uint64) {
 	checkVectorRange(v.Len(), start, n)
 	if n <= 0 {
 		panic("intcomp: MinMax of empty range")
 	}
+	lo, hi = v.Get(start), v.Get(start)
 	var buf [kernelChunk]uint64
-	first := true
-	for o := 0; o < n; {
-		k := n - o
-		if k > kernelChunk {
-			k = kernelChunk
+	for o := 0; o < n; o += kernelChunk {
+		for _, x := range v.AppendRange(buf[:0], start+o, min(kernelChunk, n-o)) {
+			lo, hi = min(lo, x), max(hi, x)
 		}
-		tmp := v.AppendRange(buf[:0], start+o, k)
-		for _, x := range tmp {
-			if first {
-				min, max, first = x, x, false
-				continue
-			}
-			if x < min {
-				min = x
-			}
-			if x > max {
-				max = x
-			}
-		}
-		o += k
 	}
-	return min, max
+	return lo, hi
 }
 
 // ScanEqScalar is the per-element Get baseline for ScanEq: the pre-kernel

@@ -183,9 +183,8 @@ func decStringPart(body []byte, rows uint64) (dict.Dictionary, intcomp.Vector, e
 	if uint64(codes.Len()) != rows {
 		return nil, nil, ErrCorrupt
 	}
-	domain := uint64(d.Len())
-	for i := 0; i < codes.Len(); i++ {
-		if codes.Get(i) >= domain {
+	if n := codes.Len(); n > 0 {
+		if _, hi := intcomp.MinMax(codes, 0, n); hi >= uint64(d.Len()) {
 			return nil, nil, ErrCorrupt
 		}
 	}

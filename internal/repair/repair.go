@@ -44,6 +44,11 @@ func (g *Grammar) SymbolBits() uint { return g.symbolBits }
 // RuleCount returns the number of rules in the grammar.
 func (g *Grammar) RuleCount() int { return len(g.rules) }
 
+// MaxExpansion bounds the bytes one rule expands to. Training never forms a
+// longer rule, and FromRules rejects one, so a rule table read from bytes
+// cannot make Expand produce 2^i bytes from i rules (rule i = (i-1, i-1)).
+const MaxExpansion = 1 << 16
+
 // MaxRules returns the rule capacity for a symbol width.
 func MaxRules(symbolBits uint) int {
 	return (1 << symbolBits) - firstRuleSym
@@ -300,6 +305,16 @@ func (tr *trainer) run(maxRules int) {
 			break
 		}
 		ti := tr.pq[0].rec
+		// Positions are input byte offsets, so an occurrence at p spans the
+		// bytes up to the position after its right symbol (a separator at
+		// the latest). A pair too long to become a rule has its occurrences
+		// unregistered, which sinks its record to a count of zero.
+		if p := tr.recs[ti].head; tr.pos[tr.pos[p].next].next-p > MaxExpansion {
+			for tr.recs[ti].head != none {
+				tr.removeOcc(tr.recs[ti].head)
+			}
+			continue
+		}
 		tr.rules = append(tr.rules, Rule{Left: tr.recs[ti].a, Right: tr.recs[ti].b})
 		newSym := int32(firstRuleSym + len(tr.rules) - 1)
 		for tr.pq[tr.recs[ti].heapIdx].count > 0 {
@@ -483,7 +498,8 @@ func (g *Grammar) Rules() []Rule {
 
 // FromRules rebuilds a grammar from a serialized rule table, validating
 // that every rule only references terminals or earlier rules (so expansion
-// always terminates) and that the symbol space fits the width.
+// always terminates), expands to at most MaxExpansion bytes, and that the
+// symbol space fits the width.
 func FromRules(symbolBits uint, rules []Rule) (*Grammar, error) {
 	if symbolBits != 12 && symbolBits != 16 {
 		return nil, fmt.Errorf("repair: symbolBits must be 12 or 16")
@@ -491,12 +507,21 @@ func FromRules(symbolBits uint, rules []Rule) (*Grammar, error) {
 	if len(rules) > MaxRules(symbolBits) {
 		return nil, fmt.Errorf("repair: %d rules exceed the %d-bit symbol space", len(rules), symbolBits)
 	}
+	lens := make([]int, len(rules))
 	for i, r := range rules {
 		limit := int32(firstRuleSym + i)
 		for _, child := range []int32{r.Left, r.Right} {
 			if child < 0 || child == EOS || child >= limit {
 				return nil, fmt.Errorf("repair: rule %d has invalid child %d", i, child)
 			}
+			if child < EOS {
+				lens[i]++ // a terminal
+			} else {
+				lens[i] += lens[child-firstRuleSym]
+			}
+		}
+		if lens[i] > MaxExpansion { // its children are within it: no overflow
+			return nil, fmt.Errorf("repair: rule %d expands to %d bytes, more than %d", i, lens[i], MaxExpansion)
 		}
 	}
 	return &Grammar{symbolBits: symbolBits, rules: append([]Rule(nil), rules...)}, nil

@@ -206,3 +206,44 @@ func BenchmarkExpand(b *testing.B) {
 		buf = g.Decode(buf[:0], enc)
 	}
 }
+
+// doublingRules is rule 0 = ('a', 'a') and rule i = (rule i-1, rule i-1):
+// rule i expands to 2^(i+1) bytes.
+func doublingRules(n int) []Rule {
+	rules := []Rule{{Left: 'a', Right: 'a'}}
+	for i := 1; i < n; i++ {
+		rules = append(rules, Rule{Left: int32(firstRuleSym + i - 1), Right: int32(firstRuleSym + i - 1)})
+	}
+	return rules
+}
+
+// TestExpansionBound: FromRules accepts a doubling rule table up to the
+// rule that expands to exactly MaxExpansion bytes and rejects it one rule
+// later, and training over a run of one byte longer than MaxExpansion
+// forms no rule past the bound, so what a build writes always reads back.
+func TestExpansionBound(t *testing.T) {
+	if _, err := FromRules(16, doublingRules(16)); err != nil { // rule 15: 2^16 bytes
+		t.Fatalf("doubling rules up to MaxExpansion bytes: %v", err)
+	}
+	if _, err := FromRules(16, doublingRules(17)); err == nil {
+		t.Fatal("FromRules accepted a rule of 2*MaxExpansion bytes")
+	}
+	if _, err := FromRules(16, doublingRules(60)); err == nil {
+		t.Fatal("FromRules accepted a rule of 2^60 bytes")
+	}
+
+	part := bytes.Repeat([]byte("a"), 3*MaxExpansion+5)
+	g, seqs := Train([][]byte{part}, 16)
+	restored, err := FromRules(16, g.Rules())
+	if err != nil {
+		t.Fatalf("FromRules rejects the rules Train built: %v", err)
+	}
+	for i := range g.Rules() {
+		if n := len(g.Expand(nil, int32(firstRuleSym+i))); n > MaxExpansion {
+			t.Fatalf("Train formed rule %d of %d bytes", i, n)
+		}
+	}
+	if got := restored.Decode(nil, g.EncodeSeq(nil, seqs[0])); !bytes.Equal(got, part) {
+		t.Fatalf("round trip of %d bytes decoded to %d", len(part), len(got))
+	}
+}

@@ -13,11 +13,8 @@ import (
 // per-query median runtimes, following Section 6.2: "the sum of the medians
 // of N executions of each of the 22 queries".
 func RunWorkload(s *colstore.Store, reps int) time.Duration {
-	if reps < 1 {
-		reps = 1
-	}
 	durations := make([][]float64, 22)
-	for r := 0; r < reps; r++ {
+	for r := 0; r < max(reps, 1); r++ {
 		for i, q := range Queries() {
 			start := time.Now()
 			q.Run(s)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"time"
 
 	"strdict/internal/colstore"
 )
@@ -46,9 +47,8 @@ func Queries() []Query {
 
 // RunAll executes all 22 queries once and returns their results.
 func RunAll(s *colstore.Store) []*Result {
-	qs := Queries()
-	out := make([]*Result, 0, len(qs))
-	for _, q := range qs {
+	var out []*Result
+	for _, q := range Queries() {
 		out = append(out, q.Run(s))
 	}
 	return out
@@ -76,25 +76,41 @@ func (k sortKey) down() sortKey {
 
 // orderBy sorts rows by the keys, most significant first, and truncates to
 // limit (limit <= 0 keeps everything). The first key whose two strings
-// differ decides — a numeric key by the numbers they parse to — so equal
-// strings are never parsed.
+// differ decides — a numeric key by the numbers they parse to, each parsed
+// once per row before the sort rather than in every comparison.
 func orderBy(rows [][]string, limit int, keys ...sortKey) [][]string {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			a, b := rows[i][k.col], rows[j][k.col]
-			if a == b {
+	type keyed struct {
+		row  []string
+		nums []float64 // nums[k] is keys[k] parsed, for a numeric key
+	}
+	ks := make([]keyed, len(rows))
+	for i, row := range rows {
+		ks[i] = keyed{row, make([]float64, len(keys))}
+		for k, key := range keys {
+			if key.numeric {
+				ks[i].nums[k] = parseF(row[key.col])
+			}
+		}
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		a, b := ks[i], ks[j]
+		for k, key := range keys {
+			if a.row[key.col] == b.row[key.col] {
 				continue
 			}
-			if k.desc {
+			if key.desc {
 				a, b = b, a
 			}
-			if k.numeric {
-				return parseF(a) < parseF(b)
+			if key.numeric {
+				return a.nums[k] < b.nums[k]
 			}
-			return a < b
+			return a.row[key.col] < b.row[key.col]
 		}
 		return false
 	})
+	for i := range rows {
+		rows[i] = ks[i].row
+	}
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
@@ -124,8 +140,7 @@ func nationsInRegion(view *colstore.View, region string) ([]bool, []string) {
 			}
 		}
 	}
-	inRegion := make([]bool, nt.Rows())
-	names := make([]string, nt.Rows())
+	inRegion, names := make([]bool, nt.Rows()), make([]string, nt.Rows())
 	want, haveRegion := nt.Str("n_regionkey").Locate(regionKey)
 	for row, code := range nt.Codes("n_regionkey") {
 		if haveRegion && code == want {
@@ -161,13 +176,7 @@ func nationNames(view *colstore.View) map[int32]string {
 }
 
 // yearOf converts a day number to its calendar year.
-func yearOf(day int64) int {
-	y, err := strconv.Atoi(DateString(day)[:4])
-	if err != nil {
-		panic(err)
-	}
-	return y
-}
+func yearOf(day int64) int { return time.Unix(day*86400, 0).UTC().Year() }
 
 func parseF(s string) float64 {
 	v, err := strconv.ParseFloat(s, 64)

@@ -279,17 +279,10 @@ func plan5(view *colstore.View) *Result {
 	liSupp := lt.Join("l_suppkey", st, "s_suppkey")
 	revenue := make([]float64, nt.Rows()) // by nation row
 	for row, orow := range lt.Join("l_orderkey", ot, "o_orderkey") {
-		if orow < 0 {
+		if orow < 0 || odate.Get(int(orow)) < lo || odate.Get(int(orow)) >= hi || liSupp[row] < 0 {
 			continue
 		}
-		if d := odate.Get(int(orow)); d < lo || d >= hi {
-			continue
-		}
-		srow := liSupp[row]
-		if srow < 0 {
-			continue
-		}
-		sn := suppNation[srow]
+		sn := suppNation[liSupp[row]]
 		if sn < 0 || !inRegion[sn] {
 			continue
 		}
