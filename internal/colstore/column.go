@@ -38,7 +38,8 @@ package colstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -369,6 +370,12 @@ func (c *StringColumn) sealActive() *columnVersion {
 // codes. A Snapshot taken at any point observes either v or its successor,
 // never a mix.
 //
+// The merged value set and every remap table come from one union
+// (unionRemap): the folded segments' values are sorted once, with their
+// segment codes attached, and one two-finger pass against the old sorted
+// values emits the union, each segment code's new ID and, when new values
+// shift old IDs, the old ID -> new ID table — no per-value search.
+//
 // The dictionary is rebuilt iff the folded segments bring new values, the
 // format changes, or compact is set; otherwise it is shared with v. Every
 // code is rewritten into one freshly packed vector iff new values shifted
@@ -386,7 +393,7 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 		return MergeResult{}
 	}
 	oldVals := dictValuesOf(v.dict)
-	merged := unionSorted(oldVals, distinctSegmentValues(folded))
+	merged, oldToNew, segToNew := unionRemap(oldVals, folded)
 	rewrite := compact || len(merged) != len(oldVals)
 	rebuild := rewrite || format != v.dict.Format()
 
@@ -398,13 +405,13 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 	}
 	codes := make([]uint64, remapped, remapped+foldRows)
 	if rewrite {
-		intcomp.Gather(v.codes, 0, remapSorted(oldVals, merged), codes)
+		intcomp.Gather(v.codes, 0, oldToNew, codes)
 	}
 	for _, seg := range folded {
-		segToNew := remapSorted(seg.vals, merged)
 		for _, dc := range seg.rows {
 			codes = append(codes, segToNew[dc])
 		}
+		segToNew = segToNew[len(seg.vals):]
 	}
 
 	nv := &columnVersion{
@@ -487,63 +494,51 @@ func (c *StringColumn) Rebuild(format dict.Format) {
 	c.fold(c.version.Load(), 0, format, false)
 }
 
-// distinctSegmentValues returns the sorted distinct values across the given
-// sealed segments. Values may repeat between segments; dedupe after sorting.
-func distinctSegmentValues(segs []*deltaSegment) []string {
-	var vals []string
+// segEntry is a folded segment value and its slot in unionRemap's segToNew.
+type segEntry struct {
+	val  string
+	slot uint32
+}
+
+// unionRemap is fold's single-sort union: the sorted union of oldVals and
+// the segments' values, segToNew (slot = segment offset + local code, in
+// segment order -> new ID) and oldToNew (old ID -> new ID; nil if none move).
+func unionRemap(oldVals []string, segs []*deltaSegment) (merged []string, oldToNew, segToNew []uint64) {
+	n := 0
 	for _, seg := range segs {
-		vals = append(vals, seg.vals...)
+		n += len(seg.vals)
 	}
-	sort.Strings(vals)
-	return dedupeSorted(vals)
-}
-
-// unionSorted merges two sorted unique slices into their sorted union.
-func unionSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b):
-			out = append(out, a[i])
-			i++
-		case i >= len(a):
-			out = append(out, b[j])
-			j++
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	entries := make([]segEntry, 0, n)
+	for _, seg := range segs {
+		for _, val := range seg.vals {
+			entries = append(entries, segEntry{val, uint32(len(entries))})
 		}
 	}
-	return out
-}
-
-// remapSorted maps each value (all present in merged) to its ID in the
-// merged sorted value set.
-func remapSorted(vals, merged []string) []uint64 {
-	out := make([]uint64, len(vals))
-	for i, val := range vals {
-		out[i] = uint64(sort.SearchStrings(merged, val))
-	}
-	return out
-}
-
-// dedupeSorted removes adjacent duplicates from a sorted slice in place.
-func dedupeSorted(s []string) []string {
-	out := s[:0]
-	for _, v := range s {
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
+	slices.SortFunc(entries, func(a, b segEntry) int { return strings.Compare(a.val, b.val) })
+	merged, segToNew = make([]string, 0, len(oldVals)+n), make([]uint64, n)
+	for i, j := 0, 0; i < len(oldVals) || j < len(entries); {
+		id := uint64(len(merged))
+		if i < len(oldVals) && (j == len(entries) || oldVals[i] <= entries[j].val) {
+			if oldToNew != nil {
+				oldToNew[i] = id
+			}
+			merged = append(merged, oldVals[i])
+			i++
+		} else {
+			if oldToNew == nil && i < len(oldVals) {
+				// The first new value below an old one: old IDs shift from i.
+				oldToNew = make([]uint64, len(oldVals))
+				for k := range i {
+					oldToNew[k] = uint64(k)
+				}
+			}
+			merged = append(merged, entries[j].val)
+		}
+		for ; j < len(entries) && entries[j].val == merged[id]; j++ {
+			segToNew[entries[j].slot] = id
 		}
 	}
-	return out
+	return merged, oldToNew, segToNew
 }
 
 // DictBytes returns the main dictionary's memory footprint.

@@ -37,11 +37,11 @@ const DefaultMergeInterval = 50 * time.Millisecond
 // compression tries to avoid. Hotness comes from a per-column append-rate
 // estimate (exponentially weighted, updated each pass).
 //
-// Due columns merge concurrently on a bounded worker pool (Parallelism
-// workers, GOMAXPROCS by default); each column's merge follows the
-// seal-build-publish protocol of StringColumn, so queries keep running
-// against the old version until the atomic publish. The Chooser is invoked
-// from pool workers and must therefore be safe for concurrent use
+// Due columns merge concurrently on the column pool (ForEachColumn), at
+// most Parallelism at a time (GOMAXPROCS by default); each column's merge
+// follows the seal-build-publish protocol of StringColumn, so queries keep
+// running against the old version until the atomic publish. The Chooser is
+// invoked from pool workers and must therefore be safe for concurrent use
 // (core.Manager is). Tick and Flush are serialized against each other
 // internally; bookkeeping is lock-protected and may be read concurrently
 // via LifetimeNs and ColumnMergeStats.
@@ -297,47 +297,51 @@ func (m *MergeScheduler) observeRates(cols []*StringColumn) {
 	}
 }
 
-// mergeColumns merges the due columns on a bounded worker pool and returns
-// the names of those that actually folded rows, in store order — the order
-// they were collected, which is also the serial path's merge order. Workers
-// claim columns off an atomic cursor, so completion order varies, but the
-// returned slice does not.
-func (m *MergeScheduler) mergeColumns(due []*StringColumn, drain bool) []string {
-	if len(due) == 0 {
-		return nil
-	}
-	merged := make([]bool, len(due))
-	workers := m.Parallelism
+// ForEachColumn calls fn(i, cols[i]) once per column on GOMAXPROCS workers
+// and returns when all calls have: the one column pool, under Load's merges,
+// store-wide rebuilds and (bounded by Parallelism) the merge scheduler. Calls
+// run concurrently; each column serializes its own merges and rebuilds.
+func ForEachColumn(cols []*StringColumn, fn func(i int, c *StringColumn)) {
+	forEachColumn(cols, 0, fn)
+}
+
+// forEachColumn is ForEachColumn on at most workers goroutines (GOMAXPROCS
+// when workers <= 0). Workers claim indexes off an atomic cursor, so the
+// order calls start in is the slice order and completion order varies.
+func forEachColumn(cols []*StringColumn, workers int, fn func(i int, c *StringColumn)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(due) {
-		workers = len(due)
-	}
-
+	workers = min(workers, len(cols))
 	if workers <= 1 {
-		for i, c := range due {
-			merged[i] = m.mergeColumn(c, drain)
+		for i, c := range cols {
+			fn(i, c)
 		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(due) {
-						return
-					}
-					merged[i] = m.mergeColumn(due[i], drain)
-				}
-			}()
-		}
-		wg.Wait()
+		return
 	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(cursor.Add(1)) - 1; i < len(cols); i = int(cursor.Add(1)) - 1 {
+				fn(i, cols[i])
+			}
+		}()
+	}
+	wg.Wait()
+}
 
+// mergeColumns merges the due columns on the column pool, at most
+// Parallelism at a time, and returns the names of those that actually folded
+// rows, in store order — the order they were collected, which is also the
+// serial path's merge order — whatever order the merges complete in.
+func (m *MergeScheduler) mergeColumns(due []*StringColumn, drain bool) []string {
+	merged := make([]bool, len(due))
+	forEachColumn(due, m.Parallelism, func(i int, c *StringColumn) {
+		merged[i] = m.mergeColumn(c, drain)
+	})
 	var names []string
 	for i, c := range due {
 		if merged[i] {

@@ -136,11 +136,11 @@ func (e *TPCHExperiment) Decide(strategy core.Strategy, c float64) map[string]di
 	return out
 }
 
-// ApplyDecisions rebuilds each column in its decided format.
+// ApplyDecisions rebuilds each column in its decided format on the pool.
 func (e *TPCHExperiment) ApplyDecisions(decisions map[string]dict.Format) {
-	for _, tc := range e.traced {
-		tc.col.Rebuild(decisions[tc.col.Name()])
-	}
+	colstore.ForEachColumn(e.Store.StringColumns(), func(_ int, c *colstore.StringColumn) {
+		c.Rebuild(decisions[c.Name()])
+	})
 }
 
 // measure runs the workload and records the point.

@@ -53,7 +53,7 @@ type FS interface {
 // osFS is the production FS: straight passthrough to the os package.
 type osFS struct{}
 
-func (osFS) Create(path string) (File, error)    { return os.Create(path) }
+func (osFS) Create(path string) (File, error)     { return os.Create(path) }
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(path string) error             { return os.Remove(path) }
 

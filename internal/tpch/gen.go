@@ -150,17 +150,10 @@ func (g *gen) address() string {
 }
 
 // Load generates the eight TPC-H tables into a fresh store and merges every
-// string column into the read-optimized part with cfg.InitialFormat.
+// string column into the read-optimized part with cfg.InitialFormat, on the
+// column pool.
 func Load(cfg Config) *colstore.Store {
 	s := colstore.NewStore()
-	LoadInto(s, cfg)
-	return s
-}
-
-// LoadInto is Load against a caller-provided empty store — the form the
-// persistence benchmark uses, where the store carries a journal and every
-// generated row must flow through it.
-func LoadInto(s *colstore.Store, cfg Config) {
 	if cfg.ScaleFactor <= 0 {
 		cfg.ScaleFactor = 0.01
 	}
@@ -179,12 +172,11 @@ func LoadInto(s *colstore.Store, cfg Config) {
 	genPartsupp(s, g, nPart, nSupp)
 	genOrdersAndLineitem(s, g, nOrd, nCust, nPart, nSupp)
 
-	for _, t := range s.Tables {
-		for _, c := range t.StringColumns() {
-			c.Merge(cfg.InitialFormat)
-		}
-	}
+	colstore.ForEachColumn(s.StringColumns(), func(_ int, c *colstore.StringColumn) {
+		c.Merge(cfg.InitialFormat)
+	})
 	s.ResetStats()
+	return s
 }
 
 func scaled(base int, sf float64) int {

@@ -44,26 +44,30 @@ func TraceWorkload(s *colstore.Store, reps int) time.Duration {
 
 // Reconfigure asks the manager for a format for every string column of the
 // store (as would happen at the columns' next merge) and rebuilds the
-// dictionaries accordingly. It returns the chosen format per column, the
-// paper's "configuration".
+// dictionaries accordingly, one column per worker of the column pool. It
+// returns the chosen format per column, the paper's "configuration".
 func Reconfigure(s *colstore.Store, mgr *core.Manager, lifetimeNs float64, sampleRatio float64, seed int64) map[string]dict.Format {
-	out := make(map[string]dict.Format)
-	for _, c := range s.StringColumns() {
+	cols := s.StringColumns()
+	formats := make([]dict.Format, len(cols))
+	colstore.ForEachColumn(cols, func(i int, c *colstore.StringColumn) {
 		snap := c.Snapshot()
-		decision := mgr.ChooseFormat(core.SnapshotStats(snap, lifetimeNs, sampleRatio, seed))
+		formats[i] = mgr.ChooseFormat(core.SnapshotStats(snap, lifetimeNs, sampleRatio, seed)).Format
 		snap.Release()
-		c.Rebuild(decision.Format)
-		out[c.Name()] = decision.Format
+		c.Rebuild(formats[i])
+	})
+	out := make(map[string]dict.Format, len(cols))
+	for i, c := range cols {
+		out[c.Name()] = formats[i]
 	}
 	return out
 }
 
 // SetAllFormats rebuilds every string column's dictionary in one fixed
-// format — the fixed-format baselines of Figure 10.
+// format on the column pool — the fixed-format baselines of Figure 10.
 func SetAllFormats(s *colstore.Store, f dict.Format) {
-	for _, c := range s.StringColumns() {
+	colstore.ForEachColumn(s.StringColumns(), func(_ int, c *colstore.StringColumn) {
 		c.Rebuild(f)
-	}
+	})
 }
 
 // DictionaryBytes sums the dictionary sizes of all string columns.
