@@ -1,4 +1,4 @@
-// Formats: survey all registered dictionary formats on one of the synthetic data
+// Formats: survey all dictionary formats on one of the synthetic data
 // sets (or a file of your own, one string per line) — size predictions
 // from a 1% sample next to the real measurements.
 package main

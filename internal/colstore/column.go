@@ -239,7 +239,8 @@ func (c *StringColumn) Format() dict.Format {
 }
 
 // Append adds a value to the write-optimized delta part. It never waits for
-// a merge.
+// a merge. The value must not contain a NUL byte: the next merge builds a
+// dictionary over it, and dict.Build requires NUL-free input.
 func (c *StringColumn) Append(value string) {
 	c.appendMu.Lock()
 	code, ok := c.activeIndex[value]

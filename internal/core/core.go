@@ -21,11 +21,10 @@
 // Manager is safe for concurrent use: the trade-off parameter and its
 // feedback-loop state live behind a mutex, so merge workers may call
 // ChooseFormat while another goroutine feeds ObserveFreeMemory. A single
-// column has one size model per registered format (dict.NumFormats(), twenty
-// today), but the models share a handful of probes memoised on the sample —
-// three part sets, one Re-Pair run per part set, one trained codec per
-// (part set, scheme), the OnPair and LZ78 parses — each computed once per
-// sample.
+// column has one size model per format (dict.NumFormats(), twenty), but the
+// models share a handful of probes memoised on the sample — three part sets,
+// one Re-Pair run per part set, one trained codec per (part set, scheme),
+// the OnPair and LZ78 parses — each computed once per sample.
 package core
 
 import (

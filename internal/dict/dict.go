@@ -1,11 +1,11 @@
-// Package dict implements compressed string dictionary formats behind a
-// registry. The built-ins are the 18 formats surveyed in Section 3 of the
+// Package dict implements compressed string dictionary formats behind one
+// format table. Eighteen are the formats surveyed in Section 3 of the
 // paper: the array and front-coding dictionary classes combined with six
 // string compression schemes (none, bit compression, Huffman/Hu-Tucker,
 // 2-gram, 3-gram, Re-Pair 12/16 bit), plus the special-purpose variants
 // inline front coding, front coding with difference-to-first, fixed-length
-// array, and column-wise bit compression. Extension formats (onpair, lz78)
-// register through the same seam; see registry.go.
+// array, and column-wise bit compression. Two extensions, lz78 and onpair,
+// follow them in the same table; see registry.go.
 //
 // A dictionary is a read-only, order-preserving mapping between the sorted
 // distinct strings of a column and dense integer value IDs (the string's
@@ -23,14 +23,13 @@ import (
 	"strings"
 )
 
-// Format is the registry handle of a dictionary variant: a dense index into
-// the format registry, assigned in registration order. It identifies a
-// format within one process only; the persisted identifier is the format's
-// WireID (see registry.go).
+// Format is the handle of a dictionary variant: a dense index into the
+// format table. It identifies a format within one process only; the
+// persisted identifier is the format's WireID (see registry.go).
 type Format int
 
 // The formats of the paper's survey occupy the first NumBuiltinFormats
-// registry slots, in this order.
+// table rows, in this order; the extensions follow.
 const (
 	Array Format = iota
 	ArrayBC
@@ -51,13 +50,19 @@ const (
 	FCInline
 	ColumnBC
 
-	// NumBuiltinFormats is the number of built-in dictionary variants from
-	// the paper's survey. Registered extensions take indexes from here up;
-	// NumFormats() counts all of them.
-	NumBuiltinFormats int = iota
+	// LZ78 is the LZ78-compressed dictionary (lz78.go).
+	LZ78
+	// OnPair is the pair-table dictionary (onpair.go).
+	OnPair
+
+	numFormats int = iota
 )
 
-// String returns the format's registered name, e.g. "fc block rp 12".
+// NumBuiltinFormats is the number of dictionary variants from the paper's
+// survey; NumFormats() counts the extensions too.
+const NumBuiltinFormats = int(LZ78)
+
+// String returns the format's name, e.g. "fc block rp 12".
 func (f Format) String() string {
 	if info, ok := formatInfo(f); ok {
 		return info.Name
@@ -66,12 +71,14 @@ func (f Format) String() string {
 }
 
 // ParseFormat converts a format name back to its Format value. Matching is
-// case- and whitespace-insensitive against the registered names; unknown
-// names yield an error that lists the registry (and suggests the nearest
-// name when one is close).
+// case- and whitespace-insensitive; unknown names yield an error that lists
+// every format (and suggests the nearest name when one is close).
 func ParseFormat(name string) (Format, error) {
-	if f, ok := byName[normalizeFormatName(name)]; ok {
-		return f, nil
+	norm := normalizeFormatName(name)
+	for f := range registry {
+		if normalizeFormatName(registry[f].Name) == norm {
+			return Format(f), nil
+		}
 	}
 	if near := nearestFormatName(name); near != "" {
 		return 0, fmt.Errorf("dict: unknown format %q (did you mean %q?)", name, near)
@@ -80,7 +87,7 @@ func ParseFormat(name string) (Format, error) {
 		name, strings.Join(RegisteredNames(), ", "))
 }
 
-// nearestFormatName returns the registered name closest to the input, or ""
+// nearestFormatName returns the format name closest to the input, or ""
 // when nothing is plausibly close.
 func nearestFormatName(name string) string {
 	norm := normalizeFormatName(name)
@@ -125,7 +132,7 @@ func min3(a, b, c int) int {
 	return a
 }
 
-// AllFormats returns every registered format in registration order.
+// AllFormats returns every format in table order.
 func AllFormats() []Format {
 	out := make([]Format, NumFormats())
 	for i := range out {

@@ -9,28 +9,13 @@ package dict
 // string; shared prefixes and repeated substrings across the sorted, highly
 // self-similar dictionary input collapse into shared phrases.
 //
-// This file is the format's complete registration: representation, build,
-// serialization, and the registry entry. Nothing outside this file (and the
-// matching size-model registration in internal/model) knows LZ78 exists.
+// This file holds the format's representation, build and serialization; its
+// row in the format table is in registry.go, and its size model and default
+// costs are in internal/model.
 
 import (
 	"strdict/internal/bits"
 )
-
-// lz78WireID is LZ78's immutable on-disk identifier (extension range).
-const lz78WireID = 33
-
-// LZ78 is the LZ78-compressed dictionary format, registered as an extension.
-var LZ78 = RegisterFormat(FormatInfo{
-	Name:   "lz78",
-	WireID: lz78WireID,
-	Scheme: SchemeNone,
-	Build: func(strs []string) Dictionary {
-		return newLZ78(strs)
-	},
-	Marshal:   marshalLZ78,
-	Unmarshal: unmarshalLZ78,
-})
 
 // lz78Dict: phrases are 1-based (token 0 never appears; parent 0 is the
 // empty root). Phrase t expands to the expansion of parents[t-1] followed by

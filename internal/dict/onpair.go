@@ -11,9 +11,9 @@ package dict
 // access close to the plain array formats while the pair table absorbs the
 // corpus's repeated bigrams, trigrams and short substrings.
 //
-// This file is the format's complete registration: representation, build,
-// serialization, and the registry entry. Nothing outside this file (and the
-// matching size-model registration in internal/model) knows OnPair exists.
+// This file holds the format's representation, build and serialization; its
+// row in the format table is in registry.go, and its size model and default
+// costs are in internal/model.
 
 import (
 	"strdict/internal/bits"
@@ -21,11 +21,6 @@ import (
 )
 
 const (
-	// onpairWireID is OnPair's immutable on-disk identifier. Deliberately
-	// not equal to the format's registry index: extensions start at 32,
-	// clear of the built-ins' 0–17 block.
-	onpairWireID = 32
-
 	// OnPairMaxPairs caps the pair table. 4096 pairs keep every symbol
 	// below 256+4096, so the packed stream never needs more than 13 bits
 	// per symbol and the table itself stays a few KiB. Exported for the
@@ -41,18 +36,6 @@ const (
 	// this often to earn a table slot, or the slot costs more than it saves.
 	onpairMinFreq = 4
 )
-
-// OnPair is the pair-table dictionary format, registered as an extension.
-var OnPair = RegisterFormat(FormatInfo{
-	Name:   "onpair",
-	WireID: onpairWireID,
-	Scheme: SchemeNone,
-	Build: func(strs []string) Dictionary {
-		return newOnPair(strs)
-	},
-	Marshal:   marshalOnPair,
-	Unmarshal: unmarshalOnPair,
-})
 
 // onpairDict stores every string as a slice of one flat symbol stream.
 // Symbols below 256 are literal bytes; symbol 256+j expands to pair j.

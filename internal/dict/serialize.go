@@ -147,11 +147,11 @@ func (d *dec) packed() *bits.PackedArray {
 }
 
 // Marshal serializes a dictionary built by this package, dispatching the
-// payload to the format's registered serializer.
+// payload to the format's serializer.
 func Marshal(dict Dictionary) ([]byte, error) {
 	info, ok := formatInfo(dict.Format())
 	if !ok {
-		return nil, fmt.Errorf("dict: cannot marshal unregistered format %d", int(dict.Format()))
+		return nil, fmt.Errorf("dict: cannot marshal unknown format %d", int(dict.Format()))
 	}
 	e := &enc{}
 	e.buf = append(e.buf, magic[:]...)
@@ -164,11 +164,10 @@ func Marshal(dict Dictionary) ([]byte, error) {
 	return e.buf, nil
 }
 
-// Per-class payload serializers, referenced by the built-in registry
-// descriptors.
+// Per-class payload serializers, referenced by the format table's rows.
 
 // errWrongType reports a dictionary handed to a serializer for a format it
-// was not built by — a registration bug, not corrupt input.
+// was not built by — a format-table bug, not corrupt input.
 func errWrongType(dict Dictionary) error {
 	return fmt.Errorf("dict: cannot marshal %T as %s", dict, dict.Format())
 }

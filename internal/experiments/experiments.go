@@ -73,7 +73,7 @@ func srcSurvey(w io.Writer, p Params, title, column string, value func(SurveyRow
 }
 
 // Figure3 prints the compression-rate / extract-runtime trade-off of every
-// registered variant on the src data set.
+// variant on the src data set.
 func Figure3(w io.Writer, p Params) {
 	srcSurvey(w, p, "Figure 3: trade-off on the src data set", "extract (us)",
 		func(r SurveyRow) float64 { return r.ExtractNs / 1000 })

@@ -1,23 +1,13 @@
 package model
 
-// Size model and default runtime costs for the LZ78 format. This is LZ78's
-// model-side registration file: together with dict/lz78.go it is everything
-// the system knows about the format.
+// Size model for the LZ78 format (dict/lz78.go). EstimateSize dispatches to
+// it; its default costs are in DefaultCostTable.
 
 import (
 	"math"
 
 	"strdict/internal/bits"
 	"strdict/internal/dict"
-)
-
-var (
-	_ = RegisterSizeModel(dict.LZ78, estimateLZ78)
-	// Measured with `figures -figure calibrate` on the reference machine,
-	// like the built-ins' defaults: parent-chain walks price extraction
-	// between the array and front-coded classes, locate is the generic
-	// binary search, and the shared-trie parse builds fast.
-	_ = RegisterDefaultCosts(dict.LZ78, Costs{ExtractNs: 176, LocateNs: 3696, ConstructNs: 201})
 )
 
 // estimateLZ78 prices the LZ78 layout: the phrase table (4-byte parent plus

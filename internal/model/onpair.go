@@ -1,23 +1,13 @@
 package model
 
-// Size model and default runtime costs for the OnPair pair-table format.
-// This is OnPair's model-side registration file: together with
-// dict/onpair.go it is everything the system knows about the format.
+// Size model for the OnPair pair-table format (dict/onpair.go). EstimateSize
+// dispatches to it; its default costs are in DefaultCostTable.
 
 import (
 	"math"
 
 	"strdict/internal/bits"
 	"strdict/internal/dict"
-)
-
-var (
-	_ = RegisterSizeModel(dict.OnPair, estimateOnPair)
-	// Measured with `figures -figure calibrate` on the reference machine,
-	// like the built-ins' defaults: pair expansion keeps extraction near the
-	// array formats, locate is the generic binary search, and the greedy
-	// promotion rounds dominate construction.
-	_ = RegisterDefaultCosts(dict.OnPair, Costs{ExtractNs: 171, LocateNs: 3631, ConstructNs: 663})
 )
 
 // estimateOnPair prices the OnPair layout: the pair table (4 bytes per

@@ -18,36 +18,21 @@ type Costs struct {
 	ConstructNs float64 // ns per string during construction
 }
 
-// CostTable maps every registered format to its runtime constants. It is
-// registry-keyed — formats registered after the table was built simply read
-// as zero until Set or a fresh Calibrate — so extension formats need no
-// resizing of any fixed array.
+// CostTable holds every format's runtime constants, indexed by Format.
 type CostTable struct {
-	costs map[dict.Format]Costs
+	costs []Costs
 }
 
-// NewCostTable returns an empty table.
+// NewCostTable returns a table with every format's constants zero.
 func NewCostTable() *CostTable {
-	return &CostTable{costs: make(map[dict.Format]Costs, dict.NumFormats())}
+	return &CostTable{costs: make([]Costs, dict.NumFormats())}
 }
 
-// Of returns the constants of a format (zero if the format has no entry).
+// Of returns the constants of a format.
 func (t *CostTable) Of(f dict.Format) Costs { return t.costs[f] }
 
 // Set installs the constants of a format.
-func (t *CostTable) Set(f dict.Format, c Costs) {
-	if t.costs == nil {
-		t.costs = make(map[dict.Format]Costs, dict.NumFormats())
-	}
-	t.costs[f] = c
-}
-
-// Has reports whether the table carries an entry for the format; the
-// registry-completeness check uses it to catch formats nobody priced.
-func (t *CostTable) Has(f dict.Format) bool {
-	_, ok := t.costs[f]
-	return ok
-}
+func (t *CostTable) Set(f dict.Format, c Costs) { t.costs[f] = c }
 
 // TimeNs computes the total time (ns) a dictionary instance of format f
 // spends in its three methods over its lifetime, per Section 5.2:
@@ -170,9 +155,12 @@ func DefaultCostTable() *CostTable {
 	set(dict.FCBlockRP16, 1391, 8052, 3626)
 	set(dict.FCInline, 159, 1357, 116)
 	set(dict.ColumnBC, 278, 4056, 471)
-	// Extension formats contribute their own defaults at registration.
-	for f, c := range extraCosts {
-		t.Set(f, c)
-	}
+	// The extensions: LZ78's parent-chain walks price extraction between the
+	// array and front-coded classes and its shared-trie parse builds fast;
+	// OnPair's pair expansion keeps extraction near the array formats and
+	// its promotion rounds dominate construction. Both locate by the
+	// generic binary search.
+	set(dict.LZ78, 176, 3696, 201)
+	set(dict.OnPair, 171, 3631, 663)
 	return t
 }

@@ -33,8 +33,7 @@ const DefaultSampleRatio = 0.01
 // Sample carries everything the size models need about a column. The size
 // models memoise what they derive from it (part sets, trained probes) on the
 // Sample itself, for as long as it lives: treat a Sample as immutable from
-// the first EstimateSize on, and register extension size models
-// (RegisterSizeModel) before it — later changes are not seen.
+// the first EstimateSize on — later changes are not seen.
 type Sample struct {
 	// Exact properties, known a priori from the dictionary input.
 	N        int    // number of strings

@@ -32,10 +32,13 @@ import (
 // part set — compute it once, whether the caller asks format by format or
 // through EstimateEach. Concurrent calls on one Sample are safe.
 func EstimateSize(f dict.Format, s *Sample) uint64 {
-	// Registered per-format models (extension formats) take precedence; the
-	// built-ins share the trait-driven models below.
-	if fn, ok := sizeModels[f]; ok {
-		return probe(s, f, func() uint64 { return fn(s) })
+	// The extensions run their build's training on the sample; the paper's
+	// formats share the trait-driven models below.
+	switch f {
+	case dict.OnPair:
+		return probe(s, f, func() uint64 { return estimateOnPair(s) })
+	case dict.LZ78:
+		return probe(s, f, func() uint64 { return estimateLZ78(s) })
 	}
 	var size float64
 	switch {

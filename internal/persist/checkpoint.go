@@ -17,7 +17,7 @@ package persist
 // A string column's format field is the dictionary format's registry wire
 // ID. Manifest version 1 stored it as a single byte (the pre-registry
 // format enum, equal to the built-ins' wire IDs); version 2 widened it to
-// u16 for registered extensions. Version 3 — the incremental-checkpoint
+// u16 for the extensions. Version 3 — the incremental-checkpoint
 // part-reference form — added walSeq: the WAL segment that was active when
 // the manifest was written. Every sealed segment with seq < walSeq predates
 // the manifest, so its schema (DDL records) is fully contained in it; WAL

@@ -21,7 +21,7 @@ package persist
 //
 // The format field of a string column is the dictionary format's registry
 // wire ID. ddlStr carries it as a single byte — enough for the built-in
-// formats but not for registered extensions — so writers emit ddlStr2 with
+// formats but not for the extensions — so writers emit ddlStr2 with
 // a u16 wire ID; ddlStr is still decoded for pre-existing logs.
 //
 // str16 is a u16 length followed by that many bytes. Columns are numbered

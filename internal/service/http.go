@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 
 	"strdict/internal/colstore"
@@ -13,7 +14,8 @@ import (
 
 // rows validates the item and returns its row count: every column must
 // carry the same number of values, at least one row, with valid names that
-// are distinct across the three maps (a table has one column per name).
+// are distinct across the three maps (a table has one column per name), and
+// no string value may hold a NUL byte (dictionaries cannot store one).
 func (it *AppendItem) rows() (int, error) {
 	if !validName(it.Tenant, true) || !validName(it.Table, false) {
 		return 0, fmt.Errorf("invalid tenant %q / table %q", it.Tenant, it.Table)
@@ -44,6 +46,13 @@ func (it *AppendItem) rows() (int, error) {
 	}
 	if err != nil {
 		return 0, err
+	}
+	for col, vals := range it.Strs {
+		for _, v := range vals {
+			if strings.IndexByte(v, 0) >= 0 {
+				return 0, fmt.Errorf("column %q holds a value with a NUL byte", col)
+			}
+		}
 	}
 	if n <= 0 {
 		return 0, fmt.Errorf("append item for %q carries no rows", it.Table)

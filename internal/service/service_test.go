@@ -1,8 +1,11 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -438,5 +441,35 @@ func TestRejectedAppendLeavesTableAligned(t *testing.T) {
 	}
 	if got := lens(); got != [4]int{2, 2, 2, 2} || tb.Rows() != 2 {
 		t.Fatalf("after a valid append: lengths %v (a b i f), Rows %d, want all 2", got, tb.Rows())
+	}
+}
+
+// TestAppendRejectsNUL: dictionaries cannot store a NUL byte, so an item
+// with one in a string value is rejected with 400 naming the column and
+// lands no row, while the rest of the batch lands. Accepted, such a value
+// made the next merge build a dictionary over input dict.Build forbids, and
+// counts and Gets on the column went wrong.
+func TestAppendRejectsNUL(t *testing.T) {
+	srv, cl := newTestServer(t, Options{Shards: 2, NoDaemons: true})
+	res, err := cl.Append([]AppendItem{
+		oneItem("acme", "nul", []string{"a\x00b", "a", "a\x00", "zz"}),
+		oneItem("acme", "ok", []string{"a", "zz"}),
+	})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("append with a NUL value: err = %v, want HTTP 400", err)
+	}
+	if len(res) != 2 || res[0].OK || !strings.Contains(res[0].Error, `"name"`) || !res[1].OK {
+		t.Fatalf("results %+v: want item 0 rejected naming column \"name\", item 1 landed", res)
+	}
+	var rows uint64
+	for i := 0; i < srv.NumShards(); i++ {
+		rows += srv.ShardRows(i)
+	}
+	if rows != 2 {
+		t.Fatalf("shards hold %d rows, want the 2 of the valid item", rows)
+	}
+	if _, err := cl.CountEq("acme", "nul", "name", "a"); err == nil {
+		t.Fatal("the rejected item created its table")
 	}
 }

@@ -123,7 +123,7 @@ func equalRows(a, b []int) bool {
 	return true
 }
 
-// opCrossFormat is oracle 3: build every registered format over one
+// opCrossFormat is oracle 3: build every dictionary format over one
 // column's current dictionary values and compare them all pairwise —
 // Extract over the full id space, Locate for present and absent probes.
 // Order preservation makes every format assign identical ids, so the

@@ -10,7 +10,7 @@
 //  1. engine vs a naive in-memory model store (per-column value slices),
 //  2. kernel ScanEq/ScanRange/CountEq vs their scalar oracles with zone
 //     pruning on,
-//  3. every registered dictionary format vs every other over the same
+//  3. every dictionary format vs every other over the same
 //     column,
 //  4. a recovered store vs the pre-crash store (durable floor ≤ recovered
 //     rows ≤ appended rows, recovered prefix bit-identical),

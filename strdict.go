@@ -5,11 +5,10 @@
 //
 // It provides three layers, mirroring the paper's three contributions:
 //
-//  1. A registry of compressed, order-preserving string dictionary formats:
-//     the paper's eighteen survey variants (Section 3) plus registered
-//     extensions such as OnPair and LZ78. Build constructs any of them over
-//     a sorted string set; every format supports single-tuple extract and
-//     locate.
+//  1. A fixed set of compressed, order-preserving string dictionary formats:
+//     the paper's eighteen survey variants (Section 3) plus two extensions,
+//     LZ78 and OnPair. Build constructs any of them over a sorted string
+//     set; every format supports single-tuple extract and locate.
 //  2. A size-prediction framework (Section 4): Sample + EstimateSize predict
 //     a format's size from a small uniform sample of the column, and
 //     CostTable models per-operation runtimes.
@@ -53,10 +52,11 @@ import (
 	"strdict/internal/tpch"
 )
 
-// Format identifies a registered dictionary variant.
+// Format identifies a dictionary variant.
 type Format = dict.Format
 
-// The dictionary formats of the paper's survey (Section 3.3).
+// The dictionary formats of the paper's survey (Section 3.3), then the
+// extensions.
 const (
 	Array       = dict.Array
 	ArrayBC     = dict.ArrayBC
@@ -76,16 +76,14 @@ const (
 	FCBlockRP16 = dict.FCBlockRP16
 	FCInline    = dict.FCInline
 	ColumnBC    = dict.ColumnBC
-)
 
-// Extension formats registered beyond the paper's survey: the OnPair-style
-// pair-table dictionary and the LZ78-compressed dictionary.
-var (
-	OnPair = dict.OnPair
+	// Extensions beyond the paper's survey: the LZ78-compressed dictionary
+	// and the OnPair-style pair-table dictionary.
 	LZ78   = dict.LZ78
+	OnPair = dict.OnPair
 )
 
-// NumFormats returns the number of registered dictionary variants.
+// NumFormats returns the number of dictionary variants.
 func NumFormats() int { return dict.NumFormats() }
 
 // Dictionary is the read-only string dictionary interface (Definition 1):
