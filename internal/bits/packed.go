@@ -183,161 +183,178 @@ func Lookup[T Code](table []T, x uint64) T {
 	return table[x]
 }
 
-// swarAligned reports whether the word-at-a-time match kernels apply: the
-// width must tile 64-bit words exactly, so that no entry straddles a word
-// boundary and a whole word of entries can be tested with a handful of ALU
-// ops (SWAR — SIMD within a register).
-func (p *PackedArray) swarAligned() bool { return 64%p.width == 0 }
+// The predicate kernels below test a window of k = ⌊64/w⌋ whole entries at
+// once with a handful of ALU ops — SWAR, SIMD within a register: Willhalm
+// et al.'s SIMD-Scan done in general-purpose registers. A window may start
+// at any entry, so its k fields straddle at most two words; the stored
+// layout has no spacer bits, so every trick keeps its carries and borrows
+// inside a field. Fields are numbered from the low bit, so match bits
+// enumerate in ascending entry order. The fewer than k entries left at the
+// end of a range go through Get.
 
-// swarConsts builds the per-word SWAR constants for the array's width:
-// code broadcast to every field, the per-field high bit H, and the
-// per-field low mask L = H-1.
-func (p *PackedArray) swarConsts(code uint64) (bcast, h, l uint64) {
-	w := p.width
-	hbit := uint64(1) << (w - 1)
-	lmask := hbit - 1
-	for sh := uint(0); sh < 64; sh += w {
-		bcast |= code << sh
-		h |= hbit << sh
-		l |= lmask << sh
+// swarConsts returns width w's window constants: the span = k·w bits of
+// the k = ⌊64/w⌋ fields of a window, and the low bit (ones) and high bit
+// (h) of each of those fields.
+func swarConsts(w uint) (span, ones, h uint64) {
+	span = 64 / uint64(w) * uint64(w)
+	for sh := uint64(0); sh < span; sh += uint64(w) {
+		ones |= 1 << sh
 	}
-	return bcast, h, l
+	return span, ones, ones << (w - 1)
 }
 
-// swarFieldClip clears the match bits of fields outside the within-word
-// field range [a, b). m holds one H bit per matching field.
-func swarFieldClip(m uint64, a, b int, w uint) uint64 {
-	if a > 0 {
-		m &^= 1<<(uint(a)*w) - 1
+// window returns the entries from bit pos of words, the first span bits of
+// them in its low bits. It reads the next word only when the window reaches
+// into it, so it never reads past the array. The bits above span are left
+// as they are: carries and borrows only run upward, out of the window, and
+// the high-bit mask drops them.
+func window(words []uint64, pos, span uint64) uint64 {
+	i, off := pos>>6, pos&63
+	x := words[i] >> off
+	if off+span > 64 {
+		// Shift by 64-off in two steps, each provably below 64, so that
+		// the compiler adds no test for a shift by 64.
+		x |= words[i+1] << 1 << (^pos & 63)
 	}
-	if uint(b)*w < 64 {
-		m &= 1<<(uint(b)*w) - 1
-	}
-	return m
+	return x
 }
 
-// AppendMatchEq appends base+i for every entry i in [start, start+n) whose
-// value equals code, in ascending order. When the width tiles 64-bit words
-// the scan runs word-at-a-time: XOR against the broadcast code turns
-// equality into per-field zero detection, resolved for all fields of a word
-// with four ALU ops. Other widths batch-unpack into a small stack buffer
-// and compare.
-func (p *PackedArray) AppendMatchEq(dst []int, base, start, n int, code uint64) []int {
-	p.checkRange(start, n)
-	if n == 0 || code&^fieldMask(p.width) != 0 {
-		return dst // a code wider than the entries can never match
-	}
-	if !p.swarAligned() {
-		return p.appendMatchEqUnpack(dst, base, start, n, code)
-	}
-	w := p.width
-	per := int(64 / w)
-	bcast, h, l := p.swarConsts(code)
-	words := p.words
-	for wi := start / per; wi*per < start+n; wi++ {
-		x := words[wi] ^ bcast
-		// High bit of each field of t is set iff the field is non-zero;
-		// (x&L)+L cannot carry across fields since both addends fit w-1 bits.
-		t := ((x & l) + l) | x
-		m := ^t & h
-		if m == 0 {
-			continue
-		}
-		lo := wi * per
-		a, b := 0, per
-		if lo < start {
-			a = start - lo
-		}
-		if lo+per > start+n {
-			b = start + n - lo
-		}
-		m = swarFieldClip(m, a, b, w)
-		for ; m != 0; m &= m - 1 {
-			f := bits.TrailingZeros64(m) / int(w)
-			dst = append(dst, base+lo+f)
-		}
-	}
-	return dst
+// swarEq returns the high bit of every field of x equal to the field of c,
+// for per-field high bits h and low masks l = h - ones.
+func swarEq(x, c, h, l uint64) uint64 {
+	y := x ^ c
+	// The high bit of each field of t is set iff the field of y is
+	// non-zero; (y&l)+l cannot carry across fields since both addends fit
+	// w-1 bits.
+	t := ((y & l) + l) | y
+	return ^t & h
 }
 
-// matchChunk is the stack-buffer size of the unpack-then-compare fallbacks.
-const matchChunk = 256
-
-// appendMatchEqUnpack is the batch-unpack-then-compare equality fallback for
-// widths whose entries straddle word boundaries.
-func (p *PackedArray) appendMatchEqUnpack(dst []int, base, start, n int, code uint64) []int {
-	var buf [matchChunk]uint64
-	for o := 0; o < n; o += matchChunk {
-		for j, x := range p.AppendRange(buf[:0], start+o, min(matchChunk, n-o)) {
-			if x == code {
-				dst = append(dst, base+start+o+j)
-			}
-		}
-	}
-	return dst
+// swarGe returns the high bit of every field of x that is >= the field of
+// y, unsigned. With equal high bits the answer is the high bit of
+// (x|h) - (y&l), whose fields cannot borrow from their neighbours.
+func swarGe(x, y, h, l uint64) uint64 {
+	return ((x &^ y) | (^(x ^ y) & ((x | h) - (y & l)))) & h
 }
 
-// CountEq returns the number of entries in [start, start+n) equal to code.
-// Word-tiling widths count with one popcount per word.
+// CountEq returns the number of entries in [start, start+n) equal to code:
+// XOR against the broadcast code turns equality into per-field zero
+// detection, and a popcount counts a window's matches.
 func (p *PackedArray) CountEq(start, n int, code uint64) int {
 	p.checkRange(start, n)
-	if n == 0 || code&^fieldMask(p.width) != 0 {
-		return 0
+	if code > fieldMask(p.width) {
+		return 0 // a code wider than the entries can never match
 	}
-	if !p.swarAligned() {
-		var buf [matchChunk]uint64
-		count := 0
-		for o := 0; o < n; o += matchChunk {
-			for _, x := range p.AppendRange(buf[:0], start+o, min(matchChunk, n-o)) {
-				if x == code {
-					count++
-				}
-			}
+	w := uint64(p.width)
+	span, ones, h := swarConsts(p.width)
+	count, pos := countEq(p.words, uint64(start)*w, uint64(start+n)*w, span, code*ones, h, h-ones)
+	for i := int(pos / w); i < start+n; i++ {
+		if p.Get(i) == code {
+			count++
 		}
-		return count
-	}
-	w := p.width
-	per := int(64 / w)
-	bcast, h, l := p.swarConsts(code)
-	words := p.words
-	count := 0
-	for wi := start / per; wi*per < start+n; wi++ {
-		x := words[wi] ^ bcast
-		t := ((x & l) + l) | x
-		m := ^t & h
-		if m == 0 {
-			continue
-		}
-		lo := wi * per
-		a, b := 0, per
-		if lo < start {
-			a = start - lo
-		}
-		if lo+per > start+n {
-			b = start + n - lo
-		}
-		count += bits.OnesCount64(swarFieldClip(m, a, b, w))
 	}
 	return count
 }
 
-// AppendMatchRange appends base+i for every entry i in [start, start+n)
-// with lo <= value < hi, in ascending order, by batch-unpacking into a
-// stack buffer and comparing.
-func (p *PackedArray) AppendMatchRange(dst []int, base, start, n int, lo, hi uint64) []int {
+// AppendMatchEq appends base+i for every entry i in [start, start+n) whose
+// value equals code, in ascending order.
+func (p *PackedArray) AppendMatchEq(dst []int, base, start, n int, code uint64) []int {
 	p.checkRange(start, n)
-	if n == 0 || lo >= hi {
+	if code > fieldMask(p.width) {
 		return dst
 	}
-	var buf [matchChunk]uint64
-	for o := 0; o < n; o += matchChunk {
-		for j, x := range p.AppendRange(buf[:0], start+o, min(matchChunk, n-o)) {
-			if lo <= x && x < hi {
-				dst = append(dst, base+start+o+j)
-			}
+	return p.appendMatch(dst, base, start, n, code, 0, true)
+}
+
+// AppendMatchRange appends base+i for every entry i in [start, start+n)
+// with lo <= value < hi, in ascending order: a field is in range when it is
+// >= the broadcast lo and not >= the broadcast hi. A lo above the field
+// mask matches nothing; a hi above it bounds nothing (a FOR frame's rebased
+// bound, or hi == DictLen == 1<<w), so only the lower compare runs.
+func (p *PackedArray) AppendMatchRange(dst []int, base, start, n int, lo, hi uint64) []int {
+	p.checkRange(start, n)
+	if lo >= hi || lo > fieldMask(p.width) {
+		return dst
+	}
+	return p.appendMatch(dst, base, start, n, lo, hi, false)
+}
+
+// appendMatch appends base+i for every entry i in [start, start+n) equal to
+// lo (eq) or in [lo, hi), window by window and then through Get. The high
+// bit of field f sits at bit f·w + w-1 of a window, so a window at bit pos
+// with match bit b holds entry (pos+b)/w.
+func (p *PackedArray) appendMatch(dst []int, base, start, n int, lo, hi uint64, eq bool) []int {
+	w, open := uint64(p.width), hi > fieldMask(p.width)
+	span, ones, h := swarConsts(p.width)
+	pos, end := uint64(start)*w, uint64(start+n)*w
+	for {
+		var m uint64
+		if eq {
+			pos, m = findEq(p.words, pos, end, span, lo*ones, h, h-ones)
+		} else {
+			pos, m = findRange(p.words, pos, end, span, lo*ones, hi*ones, h, h-ones, open)
+		}
+		if m == 0 {
+			break
+		}
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, base+int((pos+uint64(bits.TrailingZeros64(m)))/w))
+		}
+		pos += span
+	}
+	for i := int(pos / w); i < start+n; i++ {
+		if x := p.Get(i); x == lo || !eq && lo < x && x < hi {
+			dst = append(dst, base+i)
 		}
 	}
 	return dst
+}
+
+// countEq, findEq and findRange run while a whole window of span bits from
+// pos fits below end. They are functions of their own, and the find loops
+// return to their caller at each window with a match, so that only the
+// loop's own values are live across them: each one kept in a register is
+// one not reloaded per window.
+
+// countEq counts the fields equal to the broadcast c, and returns the count
+// and the bit position of the first entry left over.
+func countEq(words []uint64, pos, end, span, c, h, l uint64) (int, uint64) {
+	count := 0
+	for ; pos+span <= end; pos += span {
+		if m := swarEq(window(words, pos, span), c, h, l); m != 0 {
+			count += bits.OnesCount64(m)
+		}
+	}
+	return count, pos
+}
+
+// findEq returns the bit position of the first window from pos with a
+// field equal to the broadcast c, and its match bits. With no such window
+// the match bits are 0 and the position is that of the first entry left
+// over.
+func findEq(words []uint64, pos, end, span, c, h, l uint64) (uint64, uint64) {
+	for ; pos+span <= end; pos += span {
+		if m := swarEq(window(words, pos, span), c, h, l); m != 0 {
+			return pos, m
+		}
+	}
+	return pos, 0
+}
+
+// findRange is findEq for the fields >= the broadcast lo and, unless open,
+// not >= the broadcast hi.
+func findRange(words []uint64, pos, end, span, lo, hi, h, l uint64, open bool) (uint64, uint64) {
+	for ; pos+span <= end; pos += span {
+		x := window(words, pos, span)
+		m := swarGe(x, lo, h, l)
+		if !open {
+			m &^= swarGe(x, hi, h, l)
+		}
+		if m != 0 {
+			return pos, m
+		}
+	}
+	return pos, 0
 }
 
 // UnmarshalPackedArray parses an array serialized by AppendBinary and

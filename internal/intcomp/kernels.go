@@ -7,14 +7,14 @@ import (
 )
 
 // Predicate kernels over compressed vectors: equality and range scans that
-// emit matching row indices without fully unpacking the vector. Each vector
-// kind gets the cheapest strategy its representation permits — word-at-a-time
-// SWAR comparison for bit-packed data whose width tiles 64-bit words, whole
-// runs at a time for RLE, per-frame base rebasing for FOR, and per-part
-// recursion for concatenations. The four kinds are every Vector there is
-// (the constructors and Unmarshal make no other), so the kernels have no
-// fallback. The scalar Get-per-element forms are kept as the
-// differential-testing oracle and the benchmark baseline.
+// emit matching row indices without unpacking the vector. Each vector kind
+// gets the cheapest strategy its representation permits — SWAR comparison
+// of a window of ⌊64/w⌋ packed entries at a time for bit-packed data, at
+// every width, whole runs at a time for RLE, per-frame base rebasing for
+// FOR, and per-part recursion for concatenations. The four kinds are every
+// Vector there is (the constructors and Unmarshal make no other), so the
+// kernels have no fallback. The scalar Get-per-element oracle they are
+// tested against lives in kernels_test.go.
 
 // errKind is the kernels' panic on a Vector this package did not make.
 const errKind = "intcomp: unknown vector kind"
@@ -323,28 +323,4 @@ func MinMax(v Vector, start, n int) (lo, hi uint64) {
 		}
 	}
 	return lo, hi
-}
-
-// ScanEqScalar is the per-element Get baseline for ScanEq: the pre-kernel
-// read path, retained as the differential-testing oracle and the benchmark
-// baseline the vectorized path is gated against.
-func ScanEqScalar(v Vector, code uint64, start, n int, dst []int) []int {
-	checkVectorRange(v.Len(), start, n)
-	for i := start; i < start+n; i++ {
-		if v.Get(i) == code {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// ScanRangeScalar is the per-element Get baseline for ScanRange.
-func ScanRangeScalar(v Vector, lo, hi uint64, start, n int, dst []int) []int {
-	checkVectorRange(v.Len(), start, n)
-	for i := start; i < start+n; i++ {
-		if x := v.Get(i); lo <= x && x < hi {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }

@@ -158,7 +158,7 @@ func TestScanKernelsMatchScalar(t *testing.T) {
 				for _, code := range probes {
 					for _, r := range ranges {
 						s, k := r[0], r[1]
-						want := ScanEqScalar(v, code, s, k, nil)
+						want := scanEqScalar(v, code, s, k, nil)
 						got := ScanEq(v, code, s, k, nil)
 						if !equalInts(got, want) {
 							t.Fatalf("%s/%s/%d: ScanEq(%d,%d,%d) = %v want %v", shape, kind, n, code, s, k, got, want)
@@ -170,7 +170,7 @@ func TestScanKernelsMatchScalar(t *testing.T) {
 						los := []uint64{code, code / 2}
 						for _, lo := range los {
 							hi := lo + 1 + uint64(rng.Intn(64))
-							wantR := ScanRangeScalar(v, lo, hi, s, k, nil)
+							wantR := scanRangeScalar(v, lo, hi, s, k, nil)
 							gotR := ScanRange(v, lo, hi, s, k, nil)
 							if !equalInts(gotR, wantR) {
 								t.Fatalf("%s/%s/%d: ScanRange(%d,%d,%d,%d) = %v want %v", shape, kind, n, lo, hi, s, k, gotR, wantR)
@@ -258,30 +258,58 @@ func TestPackAutoPicksSmallest(t *testing.T) {
 	}
 }
 
+// scanEqScalar is the per-element Get oracle for ScanEq: the pre-kernel
+// read path, which the kernels are differentially tested against.
+func scanEqScalar(v Vector, code uint64, start, n int, dst []int) []int {
+	return scanScalar(v, start, n, dst, func(x uint64) bool { return x == code })
+}
+
+// scanRangeScalar is the per-element Get oracle for ScanRange.
+func scanRangeScalar(v Vector, lo, hi uint64, start, n int, dst []int) []int {
+	return scanScalar(v, start, n, dst, func(x uint64) bool { return lo <= x && x < hi })
+}
+
+func scanScalar(v Vector, start, n int, dst []int, match func(uint64) bool) []int {
+	checkVectorRange(v.Len(), start, n)
+	for i := start; i < start+n; i++ {
+		if match(v.Get(i)) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 // FuzzScanKernels drives the batch kernels against the scalar oracle on
-// fuzz-chosen data, widths, offsets and probe codes.
+// fuzz-chosen data, widths, offsets and probe codes. Each byte lands at the
+// top of a field of the chosen width, with low bits mixed from the byte and
+// the width, so a byte of 128 or more makes PackBits pack at exactly that
+// width: every width 1..64 is reachable. Besides the fuzzed code, the
+// probes hit the field's edges — a code past the mask, lo == mask, and
+// hi == mask+1, the open upper bound of a full dictionary.
 func FuzzScanKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint64(2), uint16(0), uint16(8))
 	f.Add([]byte{0, 0, 0, 0}, uint8(64), uint64(0), uint16(1), uint16(2))
 	f.Add([]byte{255, 1, 255, 1}, uint8(8), uint64(255), uint16(0), uint16(4))
+	f.Add([]byte{200, 7, 7, 130, 9, 255, 0, 128, 64, 200, 200, 3}, uint8(14), uint64(1<<14), uint16(1), uint16(11))
+	f.Add([]byte{129, 2, 250, 250, 250, 17, 255, 0, 1}, uint8(32), uint64(3), uint16(2), uint16(7))
 	f.Fuzz(func(t *testing.T, data []byte, widthSeed uint8, code uint64, startSeed, nSeed uint16) {
 		if len(data) == 0 {
 			return
 		}
 		width := uint(widthSeed%64) + 1
+		mask := ^uint64(0) >> (64 - width)
 		values := make([]uint64, len(data))
 		for i, b := range data {
-			// Spread bytes across the chosen width so wide fields and run
-			// structure both occur.
-			if width < 64 {
-				values[i] = uint64(b) % (1 << width)
-			} else {
-				values[i] = uint64(b) * 0x0101010101010101
-			}
+			top := uint64(b) << 56 >> (64 - width)
+			low := (uint64(b) | uint64(width)<<8) * 0x9E3779B97F4A7C15 >> 8 & (mask >> 8)
+			values[i] = top | low
 		}
 		n := len(values)
 		start := int(startSeed) % n
 		k := int(nSeed) % (n - start + 1)
+		type interval struct{ lo, hi uint64 }
+		codes := []uint64{code, code & mask, mask, mask + 1, values[n/2]}
+		ranges := []interval{{code / 2, code/2 + 17}, {code & mask, mask + 1}, {mask, mask + 1}, {0, mask}, {values[0], values[n-1]}}
 		for kind, v := range kernelTestVectors(t, values) {
 			got := v.AppendRange(nil, start, k)
 			for j, x := range got {
@@ -289,17 +317,20 @@ func FuzzScanKernels(f *testing.F) {
 					t.Fatalf("%s: AppendRange(%d,%d)[%d]=%d want %d", kind, start, k, j, x, want)
 				}
 			}
-			wantEq := ScanEqScalar(v, code, start, k, nil)
-			if got := ScanEq(v, code, start, k, nil); !equalInts(got, wantEq) {
-				t.Fatalf("%s: ScanEq(%d,%d,%d) = %v want %v", kind, code, start, k, got, wantEq)
+			for _, c := range codes {
+				wantEq := scanEqScalar(v, c, start, k, nil)
+				if got := ScanEq(v, c, start, k, nil); !equalInts(got, wantEq) {
+					t.Fatalf("%s: ScanEq(%d,%d,%d) = %v want %v", kind, c, start, k, got, wantEq)
+				}
+				if got := CountEq(v, c, start, k); got != len(wantEq) {
+					t.Fatalf("%s: CountEq(%d,%d,%d) = %d want %d", kind, c, start, k, got, len(wantEq))
+				}
 			}
-			if c := CountEq(v, code, start, k); c != len(wantEq) {
-				t.Fatalf("%s: CountEq(%d,%d,%d) = %d want %d", kind, code, start, k, c, len(wantEq))
-			}
-			lo, hi := code/2, code/2+17
-			wantR := ScanRangeScalar(v, lo, hi, start, k, nil)
-			if got := ScanRange(v, lo, hi, start, k, nil); !equalInts(got, wantR) {
-				t.Fatalf("%s: ScanRange(%d,%d,%d,%d) = %v want %v", kind, lo, hi, start, k, got, wantR)
+			for _, r := range ranges {
+				wantR := scanRangeScalar(v, r.lo, r.hi, start, k, nil)
+				if got := ScanRange(v, r.lo, r.hi, start, k, nil); !equalInts(got, wantR) {
+					t.Fatalf("%s: ScanRange(%d,%d,%d,%d) = %v want %v", kind, r.lo, r.hi, start, k, got, wantR)
+				}
 			}
 		}
 	})

@@ -13,7 +13,9 @@ package persist
 // under the WAL mutex and acknowledged to disk by a flusher goroutine that
 // writes and fsyncs the buffer every FsyncInterval (or inline, when the
 // interval is negative). Rows are durable — guaranteed to survive a crash —
-// only once their frame has been fsynced; Sync exposes the barrier.
+// only once their frame has been fsynced; Sync exposes the barrier. A
+// segment's first fsync also fsyncs the directory, so its name is durable
+// before any of its rows is.
 //
 // Rotation: once a segment's durable size passes segBytes, the WAL writes a
 // seal record, fsyncs, closes the file and opens the next segment. Sealed
@@ -89,6 +91,7 @@ type wal struct {
 	bufOff  int               // bytes of buf already written (partial flush)
 	counts  map[uint32]uint64 // absolute append-record count per column
 	sealed  []segmentInfo     // sealed segments still on disk, oldest first
+	dirSync bool              // the active segment's name is durable
 	err     error             // sticky write/sync failure
 	dropped uint64            // append records refused after err turned sticky
 
@@ -192,7 +195,7 @@ func (w *wal) openSegmentLocked() error {
 	if err != nil {
 		return w.failLocked("create", err)
 	}
-	w.written, w.durable = 0, 0
+	w.written, w.durable, w.dirSync = 0, 0, false
 	w.buf = append(w.buf, walMagic...)
 	w.buf = append(w.buf, walVersion)
 	w.buf = appendFrame(w.buf, encHeader(w.seq, w.counts))
@@ -281,6 +284,14 @@ func (w *wal) flushLocked() error {
 	}
 	if err := w.retry.run(w.health, "sync", func() error { return w.f.Sync() }); err != nil {
 		return w.failLocked("sync", err)
+	}
+	// A new segment's rows are durable only once its directory entry is:
+	// a power cut can otherwise lose the name of a fsynced file.
+	if !w.dirSync {
+		if err := w.retry.run(w.health, "syncdir", func() error { return w.fs.SyncDir(w.dir) }); err != nil {
+			return w.failLocked("syncdir", err)
+		}
+		w.dirSync = true
 	}
 	w.durable = w.written
 	if w.durable >= w.segBytes {

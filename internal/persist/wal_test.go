@@ -317,6 +317,47 @@ func TestWALRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
+// TestWALSyncsNewSegmentDir: every segment's directory entry is fsynced
+// before the segment's first sync returns — the first segment and each one
+// a rotation opens — so a power cut cannot lose the name of a file holding
+// acknowledged rows. After every sync-every append, the WAL directory has
+// seen one directory fsync per segment fsynced so far.
+func TestWALSyncsNewSegmentDir(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &FaultFS{}
+	synced := map[string]bool{} // segments fsynced at least once
+	dirSyncs := 0
+	ffs.SetHook(func(op Op, path string) error {
+		switch {
+		case op == OpSync && filepath.Dir(path) == dir:
+			synced[filepath.Base(path)] = true
+		case op == OpSyncDir && path == dir:
+			dirSyncs++
+		}
+		return nil
+	})
+	w, err := newWAL(walConfig{
+		dir: dir, segBytes: 256, fsync: -1,
+		fs:     ffs,
+		retry:  newRetryPolicy(-1, time.Microsecond),
+		health: newHealthTracker(nil),
+	}, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; w.activeSeq() < 3; i++ {
+		if err := w.append(encAppend(0, "row"), true, 0); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if dirSyncs != len(synced) {
+			t.Fatalf("append %d (segment %d): %d directory fsyncs for %d fsynced segments", i, w.activeSeq(), dirSyncs, len(synced))
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWriteAtomicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "x")

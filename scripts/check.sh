@@ -34,10 +34,14 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 # pool, the four union/remap helpers and tpch.LoadInto. Closing the format
 # set (OnPair and LZ78 as Format constants in one static table, no runtime
 # registration in dict or model) lowered it from 22202, net of rejecting
-# NUL-bearing values at /v1/append.
+# NUL-bearing values at /v1/append. The WAL's per-segment directory fsync
+# raised it from 22065 by its 11 lines, net of the 7 that one SWAR window
+# kernel for every code width saved: it replaced the unpack-then-compare
+# paths and the aligned-only kernels, and intcomp's scalar oracles moved to
+# its tests.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 22065 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 22065"
+if [ "$lines" -gt 22069 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 22069"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
@@ -78,8 +82,11 @@ go test -run '^$' -fuzz '^FuzzPart$' -fuzztime 5s ./internal/persist/
 go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime 5s ./internal/persist/
 
 # Scan-kernel smoke: the batch predicate kernels must stay bit-identical to
-# the scalar Get oracle across random vectors, probes and subranges.
+# the scalar Get oracle across random vectors of every width, probes and
+# subranges, and the packed window kernels to Get at every width 1..64 and
+# every start in a window's reach.
 go test -run '^$' -fuzz FuzzScanKernels -fuzztime 5s ./internal/intcomp/
+go test -count=1 -run TestPackedKernelsEveryWidth ./internal/bits/
 # The same for Gather (the Join/Codes kernel) against Get, with and without
 # a translating table.
 go test -run '^$' -fuzz FuzzGather -fuzztime 5s ./internal/intcomp/
