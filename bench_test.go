@@ -253,13 +253,12 @@ func BenchmarkSnapshotScan(b *testing.B) {
 // BenchmarkPartialMergePolicy compares the daemon's partial-fold policy
 // against the always-full-merge baseline on a hot append stream with a
 // bounded value domain (the workload the policy exists for: after warm-up
-// every fold is an identity fold that rewrites only the folded rows).
-// Each iteration is one Append against a live daemon; two extra metrics
-// are reported per variant: rewritten-rows/merge (main-part rows re-encoded
-// per merge, the write-amplification the partial path removes) and
-// stall-p99-ns (99th-percentile Append latency). The identity-fold rewrite
-// count is
-// asserted in internal/colstore/partial_test.go; end to end it is
+// every fold is an identity fold that reuses the dictionary and re-packs
+// the code vector). Each iteration is one Append against a live daemon;
+// two extra metrics are reported per variant: rewritten-rows/merge (rows
+// re-encoded per merge) and stall-p99-ns (99th-percentile Append
+// latency). The identity-fold rewrite count is asserted in
+// internal/colstore/partial_test.go; end to end it is
 // colstore.rows_rewritten_per_row_folded in the bench/ harness.
 func BenchmarkPartialMergePolicy(b *testing.B) {
 	const domain = 2000

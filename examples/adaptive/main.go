@@ -34,9 +34,10 @@ func main() {
 	// manager for its format at merge time. Append never waits for it.
 	// PartialMerges keeps hot columns cheap: on a column appending at least
 	// a threshold's worth of rows per second the daemon folds only the
-	// oldest sealed segments (format unchanged) instead of rebuilding the
-	// whole main part; full merges — and the manager's format choice — land
-	// once a column cools down or at Close.
+	// oldest sealed segments with the format unchanged, so it skips the
+	// manager's sampling and, when they bring no new value, the dictionary
+	// rebuild (the code vector is still re-packed); full merges — and the
+	// manager's format choice — land once a column cools down or at Close.
 	sched := strdict.NewMergeScheduler(store, 20_000)
 	sched.Interval = 5 * time.Millisecond
 	sched.PartialMerges = true

@@ -61,9 +61,8 @@ type MergeResult struct {
 	// Folded is the number of delta rows moved into the main part.
 	Folded int
 	// Rewritten is the number of rows whose codes were re-encoded into a new
-	// code vector. A full merge rewrites every main and delta row; a partial
-	// fold that introduces no new dictionary values rewrites only the folded
-	// rows (the main vector is extended, not rebuilt).
+	// code vector: every main and folded row whenever any row is folded (or
+	// a full merge compacts), none for a format-only Rebuild.
 	Rewritten int
 	// DictBuilt reports whether the main dictionary was reconstructed.
 	DictBuilt bool
@@ -379,11 +378,10 @@ func (c *StringColumn) sealActive() *columnVersion {
 //
 // The dictionary is rebuilt iff the folded segments bring new values, the
 // format changes, or compact is set; otherwise it is shared with v. Every
-// code is rewritten into one freshly packed vector iff new values shifted
-// the IDs (order preservation) or compact is set; otherwise the main vector
-// is shared and the folded rows are appended as one part (intcomp.Concat)
-// with their own zones. A call with nothing to fold and nothing to rebuild
-// publishes nothing.
+// code below the new boundary is rewritten into one freshly packed vector,
+// with fresh zones, iff any row is folded or compact is set; otherwise (a
+// format-only Rebuild) the vector and zones are shared. A call with nothing
+// to fold and nothing to rebuild publishes nothing.
 func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact bool) MergeResult {
 	folded := v.sealed[:k]
 	foldRows := 0
@@ -395,17 +393,13 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 	}
 	oldVals := dictValuesOf(v.dict)
 	merged, oldToNew, segToNew := unionRemap(oldVals, folded)
-	rewrite := compact || len(merged) != len(oldVals)
-	rebuild := rewrite || format != v.dict.Format()
+	rewrite := compact || foldRows > 0
+	rebuild := compact || len(merged) != len(oldVals) || format != v.dict.Format()
 
-	// Codes in the merged ID space: every row below the new boundary when
-	// rewriting, only the folded rows otherwise.
-	remapped := 0
+	// Codes in the merged ID space, every row below the new boundary.
+	var codes []uint64
 	if rewrite {
-		remapped = v.nMain
-	}
-	codes := make([]uint64, remapped, remapped+foldRows)
-	if rewrite {
+		codes = make([]uint64, v.nMain, v.nMain+foldRows)
 		intcomp.Gather(v.codes, 0, oldToNew, codes)
 	}
 	for _, seg := range folded {
@@ -429,13 +423,9 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 		nv.dict = dict.BuildUnchecked(format, merged) // the expensive part
 		nv.dictGen++
 	}
-	switch {
-	case rewrite:
+	if rewrite {
 		nv.codes = intcomp.PackAuto(codes)
-		nv.zones = buildZonesAt(codes, 0)
-	case foldRows > 0:
-		nv.codes = intcomp.Concat(v.codes, intcomp.PackAuto(codes))
-		nv.zones = append(v.zones[:len(v.zones):len(v.zones)], buildZonesAt(codes, v.nMain)...)
+		nv.zones = buildZones(codes)
 	}
 	c.version.Store(nv)
 	if rebuild {
@@ -467,7 +457,8 @@ func (c *StringColumn) Merge(format dict.Format) MergeResult {
 // sealed segment. The dictionary format is never changed: partial folds are
 // the hot-column path where paying a format decision (and the full rebuild
 // it may imply) per pass is exactly the cost being avoided; when the folded
-// segments bring no new value, only the folded rows are re-encoded.
+// segments bring no new value, the dictionary is shared as well, and the
+// fold costs one re-pack of the main code vector.
 //
 // k <= 0 is a no-op; k is clamped to the number of sealed segments (after
 // the seal).

@@ -80,8 +80,9 @@ func TestMergePartialKeepsFormat(t *testing.T) {
 }
 
 // TestMergePartialIdentityFold: folding segments whose values are all in
-// the dictionary already must reuse the dictionary (no rebuild) and rewrite
-// only the folded rows, extending the main vector instead of re-packing it.
+// the dictionary already must reuse the dictionary and its format (no
+// rebuild) and re-pack the main vector with the folded rows, every row
+// reading back unchanged.
 func TestMergePartialIdentityFold(t *testing.T) {
 	c := NewStringColumn("c", dict.FCBlock)
 	const distinct = 50
@@ -92,9 +93,14 @@ func TestMergePartialIdentityFold(t *testing.T) {
 	nMain := c.version.Load().nMain
 
 	// Two segments of repeats: no new distinct values.
+	var want []string
+	for row := 0; row < c.Len(); row++ {
+		want = append(want, c.Get(row))
+	}
 	for s := 0; s < 2; s++ {
 		for i := 0; i < 30; i++ {
-			c.Append(fmt.Sprintf("v%03d", (s*7+i*3)%distinct))
+			want = append(want, fmt.Sprintf("v%03d", (s*7+i*3)%distinct))
+			c.Append(want[len(want)-1])
 		}
 		seal(c)
 	}
@@ -106,21 +112,19 @@ func TestMergePartialIdentityFold(t *testing.T) {
 	if res.DictBuilt {
 		t.Fatal("identity fold rebuilt the dictionary")
 	}
-	if res.Rewritten != 60 {
-		t.Fatalf("identity fold rewrote %d rows, want only the 60 folded", res.Rewritten)
+	if res.Rewritten != nMain+60 {
+		t.Fatalf("identity fold rewrote %d rows, want the %d main and 60 folded", res.Rewritten, nMain)
 	}
 	v := c.version.Load()
-	if v.dict != before {
-		t.Fatal("identity fold did not reuse the dictionary value")
+	if v.dict != before || c.Format() != dict.FCBlock {
+		t.Fatal("identity fold did not reuse the dictionary value and format")
 	}
 	if v.nMain != nMain+60 {
 		t.Fatalf("boundary %d, want %d", v.nMain, nMain+60)
 	}
-	snap := c.Snapshot()
-	for row := 0; row < c.Len(); row++ {
-		got := c.Get(row)
-		if id, found := snap.Locate(got); !found || snap.Extract(id) != got {
-			t.Fatalf("row %d (%q) broken after identity fold", row, got)
+	for row, w := range want {
+		if got := c.Get(row); got != w {
+			t.Fatalf("row %d = %q after identity fold, want %q", row, got, w)
 		}
 	}
 }

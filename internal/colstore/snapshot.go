@@ -270,13 +270,6 @@ func (s *Snapshot) ScanEq(value string, out []int) []int {
 			out = intcomp.ScanEq(v.codes, code, z.start, z.n, out)
 		}
 	}
-	return s.scanDeltaEq(value, out)
-}
-
-// scanDeltaEq appends the sealed-segment and captured-tail rows equal to
-// value — the delta half shared by the kernel scan and the scalar oracle.
-func (s *Snapshot) scanDeltaEq(value string, out []int) []int {
-	v := s.v
 	off := v.nMain
 	for _, seg := range v.sealed {
 		if dcode, ok := seg.index[value]; ok {
@@ -356,15 +349,9 @@ func (s *Snapshot) ScanRange(lo, hi string, out []int) []int {
 			out = intcomp.ScanRange(v.codes, uint64(loID), uint64(hiID), z.start, z.n, out)
 		}
 	}
-	return s.scanDeltaRange(lo, hi, out)
-}
-
-// scanDeltaRange appends the sealed-segment and captured-tail rows with
-// lo <= value < hi. Sealed segments whose value bounds exclude the
-// interval are skipped whole; the others are evaluated once per distinct
-// value, then per row on the tiny per-segment code.
-func (s *Snapshot) scanDeltaRange(lo, hi string, out []int) []int {
-	v := s.v
+	// Sealed segments whose value bounds exclude the interval are skipped
+	// whole; the others are evaluated once per distinct value, then per
+	// row on the tiny per-segment code.
 	off := v.nMain
 	for _, seg := range v.sealed {
 		if seg.maxVal < lo || seg.minVal >= hi {
@@ -394,41 +381,4 @@ func (s *Snapshot) scanDeltaRange(lo, hi string, out []int) []int {
 		}
 	}
 	return out
-}
-
-// ScanEqScalar is the pre-kernel ScanEq: one Vector.Get interface call per
-// main row, no zone pruning. Retained as the differential-testing oracle
-// for the vectorized path and as the benchmark baseline it is gated
-// against.
-func (s *Snapshot) ScanEqScalar(value string, out []int) []int {
-	s.enter()
-	defer s.exit()
-	v := s.v
-	s.locates++
-	if id, found := v.dict.Locate(value); found {
-		for row := 0; row < v.nMain; row++ {
-			if uint32(v.codes.Get(row)) == id {
-				out = append(out, row)
-			}
-		}
-	}
-	return s.scanDeltaEq(value, out)
-}
-
-// ScanRangeScalar is the per-element Get oracle for ScanRange.
-func (s *Snapshot) ScanRangeScalar(lo, hi string, out []int) []int {
-	s.enter()
-	defer s.exit()
-	v := s.v
-	s.locates += 2
-	loID, _ := v.dict.Locate(lo)
-	hiID, _ := v.dict.Locate(hi)
-	if loID < hiID {
-		for row := 0; row < v.nMain; row++ {
-			if code := uint32(v.codes.Get(row)); loID <= code && code < hiID {
-				out = append(out, row)
-			}
-		}
-	}
-	return s.scanDeltaRange(lo, hi, out)
 }

@@ -33,11 +33,8 @@ func (z zone) overlapsRange(lo, hi uint64) bool {
 	return hi > z.min && lo <= z.max
 }
 
-// buildZonesAt summarizes codes into zones of zoneRows entries, with zone
-// start positions offset by base — the fold path appends zones for rows
-// [base, base+len(codes)) after an identity partial merge extends the main
-// vector in place.
-func buildZonesAt(codes []uint64, base int) []zone {
+// buildZones summarizes a main part's codes into zones of zoneRows entries.
+func buildZones(codes []uint64) []zone {
 	if len(codes) == 0 {
 		return nil
 	}
@@ -56,7 +53,7 @@ func buildZonesAt(codes []uint64, base int) []zone {
 				max = c
 			}
 		}
-		zones = append(zones, zone{start: base + lo, n: hi - lo, min: min, max: max})
+		zones = append(zones, zone{start: lo, n: hi - lo, min: min, max: max})
 	}
 	return zones
 }

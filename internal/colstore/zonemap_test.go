@@ -11,23 +11,51 @@ import (
 	"strdict/internal/dict"
 )
 
-// scanOracle compares every vectorized scan entry point against its scalar
-// oracle on one snapshot: same rows, same order, for equality, count and
-// range probes.
-func scanOracle(t *testing.T, snap *Snapshot, label, probe, lo, hi string) {
+// snapshotValues reads every row of snap through Snapshot.Get. Filtered by
+// rowsWhere, it is the scan paths' oracle: it shares no code with them (no
+// code-vector predicate, no locate, no delta-segment scan).
+func snapshotValues(snap *Snapshot) []string {
+	vals := make([]string, snap.Len())
+	for row := range vals {
+		vals[row] = snap.Get(row)
+	}
+	return vals
+}
+
+// rowsWhere returns, ascending, the rows whose value satisfies keep.
+func rowsWhere(vals []string, keep func(string) bool) []int {
+	var rows []int
+	for row, v := range vals {
+		if keep(v) {
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+func equalTo(probe string) func(string) bool { return func(v string) bool { return v == probe } }
+
+func inRange(lo, hi string) func(string) bool {
+	return func(v string) bool { return lo <= v && v < hi }
+}
+
+// scanOracle compares every scan entry point on snap against the Get
+// oracle over vals, snap's snapshotValues: same rows, same order, for
+// equality, count and range probes.
+func scanOracle(t *testing.T, snap *Snapshot, vals []string, label, probe, lo, hi string) {
 	t.Helper()
-	wantEq := snap.ScanEqScalar(probe, nil)
+	wantEq := rowsWhere(vals, equalTo(probe))
 	gotEq := snap.ScanEq(probe, nil)
 	if fmt.Sprint(gotEq) != fmt.Sprint(wantEq) {
-		t.Fatalf("%s: ScanEq(%q) = %v, scalar oracle %v", label, probe, gotEq, wantEq)
+		t.Fatalf("%s: ScanEq(%q) = %v, Get oracle %v", label, probe, gotEq, wantEq)
 	}
 	if got, want := snap.CountEq(probe), len(wantEq); got != want {
 		t.Fatalf("%s: CountEq(%q) = %d, oracle %d", label, probe, got, want)
 	}
-	wantRange := snap.ScanRangeScalar(lo, hi, nil)
+	wantRange := rowsWhere(vals, inRange(lo, hi))
 	gotRange := snap.ScanRange(lo, hi, nil)
 	if fmt.Sprint(gotRange) != fmt.Sprint(wantRange) {
-		t.Fatalf("%s: ScanRange(%q, %q) = %v, scalar oracle %v", label, lo, hi, gotRange, wantRange)
+		t.Fatalf("%s: ScanRange(%q, %q) = %v, Get oracle %v", label, lo, hi, gotRange, wantRange)
 	}
 }
 
@@ -76,13 +104,14 @@ func TestVectorizedScanMatchesScalar(t *testing.T) {
 					shape.value(0), shape.value(rows / 2), shape.value(rows - 1),
 					"zz-sealed-03", "zz-active-02", "absent-value", "",
 				}
+				vals := snapshotValues(snap)
 				for _, p := range probes {
-					scanOracle(t, snap, shape.name, p, p, p+"\xff")
+					scanOracle(t, snap, vals, shape.name, p, p, p+"\xff")
 				}
 				// Range probes: empty, narrow, wide, everything.
-				scanOracle(t, snap, shape.name, shape.value(7), "x", "a")
-				scanOracle(t, snap, shape.name, shape.value(7), shape.value(rows/3), shape.value(rows/2))
-				scanOracle(t, snap, shape.name, shape.value(7), "", "\xff")
+				scanOracle(t, snap, vals, shape.name, shape.value(7), "x", "a")
+				scanOracle(t, snap, vals, shape.name, shape.value(7), shape.value(rows/3), shape.value(rows/2))
+				scanOracle(t, snap, vals, shape.name, shape.value(7), "", "\xff")
 			})
 		}
 	}
@@ -104,7 +133,7 @@ func TestZonePruningSelective(t *testing.T) {
 	snap := c.Snapshot()
 	probe := "v00003" // lives in zone 0 only
 	got := snap.ScanEq(probe, nil)
-	want := snap.ScanEqScalar(probe, nil)
+	want := rowsWhere(snapshotValues(snap), equalTo(probe))
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("pruned ScanEq = %v, oracle %v", got, want)
 	}
@@ -164,7 +193,7 @@ func TestSnapshotStatsFlushOnRelease(t *testing.T) {
 // TestZonesCoverAllMergePaths: full merges, partial merges and format
 // rebuilds must leave a zone set that covers every main row exactly once —
 // checked behaviorally by scanning for every distinct value and comparing
-// against the scalar oracle.
+// against the Get oracle.
 func TestZonesCoverAllMergePaths(t *testing.T) {
 	c := NewStringColumn("t.c", dict.Array)
 	appendBatch := func(n, seed int) {
@@ -190,8 +219,9 @@ func TestZonesCoverAllMergePaths(t *testing.T) {
 		if covered != v.nMain {
 			t.Fatalf("%s: zones cover %d rows, main has %d", stage, covered, v.nMain)
 		}
+		vals := snapshotValues(snap)
 		for _, probe := range []string{"v00000", "v00123", "v00299", "nope"} {
-			scanOracle(t, snap, stage, probe, probe, probe+"~")
+			scanOracle(t, snap, vals, stage, probe, probe, probe+"~")
 		}
 	}
 
@@ -199,7 +229,7 @@ func TestZonesCoverAllMergePaths(t *testing.T) {
 	c.Merge(dict.Array)
 	check("full merge")
 
-	// Two sealed segments, partial-merge one of them (identity append path).
+	// Two sealed segments, partial-merge one of them (identity fold).
 	appendBatch(800, 11)
 	c.sealActive()
 	appendBatch(900, 23)
@@ -217,7 +247,7 @@ func TestZonesCoverAllMergePaths(t *testing.T) {
 // TestPruningSoundnessConcurrent is the race-detector stress for the
 // vectorized path: writers append, a merger keeps folding the delta into new
 // main parts (rebuilding zones every time), and readers continuously verify
-// that the pruned kernel scan equals the scalar oracle on their own pinned
+// that the pruned kernel scan equals the Get oracle on their own pinned
 // snapshots.
 func TestPruningSoundnessConcurrent(t *testing.T) {
 	const (
@@ -269,8 +299,9 @@ func TestPruningSoundnessConcurrent(t *testing.T) {
 			for iter := 0; iter < 300; iter++ {
 				snap := c.Snapshot()
 				probe := valueOf(rng.Intn(writers), rng.Intn(rowsPerWriter))
+				vals := snapshotValues(snap)
 				kernel := snap.ScanEq(probe, nil)
-				oracle := snap.ScanEqScalar(probe, nil)
+				oracle := rowsWhere(vals, equalTo(probe))
 				if fmt.Sprint(kernel) != fmt.Sprint(oracle) {
 					errCh <- fmt.Errorf("reader %d: ScanEq(%q) = %v, oracle %v", r, probe, kernel, oracle)
 					snap.Release()
@@ -279,7 +310,7 @@ func TestPruningSoundnessConcurrent(t *testing.T) {
 				lo := valueOf(0, rng.Intn(200))
 				hi := valueOf(writers-1, rng.Intn(200))
 				kr := snap.ScanRange(lo, hi, nil)
-				or := snap.ScanRangeScalar(lo, hi, nil)
+				or := rowsWhere(vals, inRange(lo, hi))
 				if fmt.Sprint(kr) != fmt.Sprint(or) {
 					errCh <- fmt.Errorf("reader %d: ScanRange(%q,%q) mismatch", r, lo, hi)
 					snap.Release()
@@ -316,7 +347,7 @@ func TestPruningSoundnessConcurrent(t *testing.T) {
 			t.Fatalf("row %d = %q, want %q", row, got, probe)
 		}
 	}
-	if want := snap.ScanEqScalar(probe, nil); fmt.Sprint(rows) != fmt.Sprint(want) {
+	if want := rowsWhere(snapshotValues(snap), equalTo(probe)); fmt.Sprint(rows) != fmt.Sprint(want) {
 		t.Fatalf("final ScanEq = %v, oracle %v", rows, want)
 	}
 }

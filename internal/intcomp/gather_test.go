@@ -70,8 +70,8 @@ func translation(rng *rand.Rand, domain int) []int32 {
 // translating one (a join map), equals the Get-per-element oracle on
 // bit-packed vectors of every width, RLE vectors whose runs are 1, exactly
 // 8 and more than 8 long (ranges starting and ending mid-run, in the last
-// run, across the runBatch refill), FOR vectors with constant and
-// non-constant frames, and concatenations of all three.
+// run, across the runBatch refill), and FOR vectors with constant and
+// non-constant frames.
 func TestGatherMatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	check := func(what string, values []uint64, v Vector) {

@@ -2,8 +2,8 @@
 // vectors produced by domain encoding. The paper notes that "the resulting
 // list of codes can be compressed further using integer compression
 // schemes" (citing Abadi et al. and Lemke et al.); this package implements
-// the two schemes that matter for in-memory column stores with random
-// access:
+// three, the Vector kinds that matter for in-memory column stores with
+// random access:
 //
 //   - bit packing (null suppression): every code takes exactly
 //     ceil(log2(cardinality)) bits — O(1) random access;
@@ -14,7 +14,8 @@
 //     columns loaded in order.
 //
 // PackAuto picks whichever is smallest for the column at hand, mirroring
-// how the engine picks per-column vector formats.
+// how the engine picks per-column vector formats. Every main part is one
+// such vector, packed whole at each merge; there is no composite kind.
 package intcomp
 
 import (
@@ -33,9 +34,9 @@ type Vector interface {
 	// extended slice — the bulk-decode contract of the vectorized read
 	// path, Gather with no table. It amortizes the per-element access
 	// state (word cursors for bit packing, run cursors for RLE, frame bases
-	// for FOR, part dispatch for concatenations) across the whole range, so
-	// batch unpacking 64-256 elements per call runs several times faster
-	// than a Get-per-element loop. Out-of-range [start, start+n) panics.
+	// for FOR) across the whole range, so batch unpacking 64-256 elements
+	// per call runs several times faster than a Get-per-element loop.
+	// Out-of-range [start, start+n) panics.
 	AppendRange(dst []uint64, start, n int) []uint64
 }
 
@@ -207,99 +208,6 @@ func PackAuto(values []uint64) Vector {
 // for n entries of the given width.
 func packedArrayBytes(n int, width uint) uint64 {
 	return (uint64(n)*uint64(width) + 63) / 64 * 8
-}
-
-// concatVector presents a sequence of part vectors as one logical vector.
-// It exists for partial merges: when a delta fold introduces no new
-// dictionary values, the main code vector is unchanged and the folded rows'
-// codes can be appended as a new part instead of re-packing every main row.
-// Get binary-searches the part offsets (O(log parts)); full merges rebuild a
-// flat vector, so chains stay short between them.
-type concatVector struct {
-	n     int
-	offs  []int // offs[i] = first logical index of parts[i]
-	parts []Vector
-}
-
-// maxConcatParts bounds chain growth between flat rebuilds: concatenating
-// onto a vector that already has this many parts flattens the result.
-const maxConcatParts = 64
-
-// Concat returns a vector presenting a followed by b. Nested concatenations
-// are flattened into one part list, and chains longer than maxConcatParts
-// are collapsed into a flat bit-packed vector, so lookup cost stays
-// O(log maxConcatParts) no matter how many partial folds ran since the last
-// full rebuild.
-func Concat(a, b Vector) Vector {
-	if a.Len() == 0 {
-		return b
-	}
-	if b.Len() == 0 {
-		return a
-	}
-	var parts []Vector
-	for _, v := range []Vector{a, b} {
-		if cv, ok := v.(*concatVector); ok {
-			parts = append(parts, cv.parts...)
-		} else {
-			parts = append(parts, v)
-		}
-	}
-	if len(parts) > maxConcatParts {
-		flat := make([]uint64, 0, a.Len()+b.Len())
-		for _, p := range parts {
-			flat = p.AppendRange(flat, 0, p.Len())
-		}
-		return PackAuto(flat)
-	}
-	cv := &concatVector{offs: make([]int, len(parts)), parts: parts}
-	for i, p := range parts {
-		cv.offs[i] = cv.n
-		cv.n += p.Len()
-	}
-	return cv
-}
-
-func (v *concatVector) Len() int { return v.n }
-
-// partAt returns the index of the part containing logical element i.
-func (v *concatVector) partAt(i int) int {
-	// Find the last part starting at or before i.
-	lo, hi := 0, len(v.offs)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if v.offs[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
-// partEnd returns the exclusive logical end position of part p.
-func (v *concatVector) partEnd(p int) int {
-	if p+1 < len(v.offs) {
-		return v.offs[p+1]
-	}
-	return v.n
-}
-
-func (v *concatVector) Get(i int) uint64 {
-	p := v.partAt(i)
-	return v.parts[p].Get(i - v.offs[p])
-}
-
-func (v *concatVector) AppendRange(dst []uint64, start, n int) []uint64 {
-	return appendGather(v, dst, start, n)
-}
-
-func (v *concatVector) Bytes() uint64 {
-	b := uint64(len(v.offs))*8 + 48
-	for _, p := range v.parts {
-		b += p.Bytes()
-	}
-	return b
 }
 
 // forVector is frame-of-reference delta packing for nearly-monotonic

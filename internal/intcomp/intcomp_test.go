@@ -98,80 +98,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := []uint64{3, 1, 4, 1, 5}
-	b := []uint64{9, 2, 6}
-	v := Concat(PackBits(a), PackBits(b))
-	checkVector(t, v, append(append([]uint64{}, a...), b...))
-}
-
-func TestConcatEmptySides(t *testing.T) {
-	a := PackBits([]uint64{1, 2, 3})
-	empty := PackBits(nil)
-	if got := Concat(a, empty); got != a {
-		t.Fatal("Concat with empty right side should return the left vector")
-	}
-	if got := Concat(empty, a); got != a {
-		t.Fatal("Concat with empty left side should return the right vector")
-	}
-}
-
-func TestConcatFlattensNested(t *testing.T) {
-	// Chained concats must flatten into one part list, not a deep tree.
-	v := PackBits([]uint64{0})
-	var want []uint64
-	want = append(want, 0)
-	for i := 1; i < 20; i++ {
-		v = Concat(v, PackBits([]uint64{uint64(i)}))
-		want = append(want, uint64(i))
-	}
-	cv, ok := v.(*concatVector)
-	if !ok {
-		t.Fatalf("chained Concat yielded %T", v)
-	}
-	if len(cv.parts) != 20 {
-		t.Fatalf("nested concat not flattened: %d parts, want 20", len(cv.parts))
-	}
-	checkVector(t, v, want)
-}
-
-func TestConcatCollapsesLongChains(t *testing.T) {
-	v := PackBits([]uint64{0})
-	var want []uint64
-	want = append(want, 0)
-	for i := 1; i < 3*maxConcatParts; i++ {
-		v = Concat(v, PackBits([]uint64{uint64(i), uint64(i)}))
-		want = append(want, uint64(i), uint64(i))
-	}
-	if cv, ok := v.(*concatVector); ok && len(cv.parts) > maxConcatParts {
-		t.Fatalf("chain grew to %d parts, cap is %d", len(cv.parts), maxConcatParts)
-	}
-	checkVector(t, v, want)
-}
-
-func TestConcatQuick(t *testing.T) {
-	f := func(a, b []uint64) bool {
-		v := Concat(PackAuto(a), PackAuto(b))
-		if v.Len() != len(a)+len(b) {
-			return false
-		}
-		for i, w := range a {
-			if v.Get(i) != w {
-				return false
-			}
-		}
-		for i, w := range b {
-			if v.Get(len(a)+i) != w {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkGet(b *testing.B) {
 	vals := make([]uint64, 1<<16)
 	for i := range vals {

@@ -10,11 +10,10 @@ import (
 // emit matching row indices without unpacking the vector. Each vector kind
 // gets the cheapest strategy its representation permits — SWAR comparison
 // of a window of ⌊64/w⌋ packed entries at a time for bit-packed data, at
-// every width, whole runs at a time for RLE, per-frame base rebasing for
-// FOR, and per-part recursion for concatenations. The four kinds are every
-// Vector there is (the constructors and Unmarshal make no other), so the
-// kernels have no fallback. The scalar Get-per-element oracle they are
-// tested against lives in kernels_test.go.
+// every width, whole runs at a time for RLE, and per-frame base rebasing
+// for FOR. The three kinds are every Vector there is (the constructors and
+// Unmarshal make no other), so the kernels have no fallback. The scalar
+// Get-per-element oracle they are tested against lives in kernels_test.go.
 
 // errKind is the kernels' panic on a Vector this package did not make.
 const errKind = "intcomp: unknown vector kind"
@@ -27,37 +26,12 @@ const kernelChunk = 256
 // Out-of-range [start, start+n) panics.
 func ScanEq(v Vector, code uint64, start, n int, dst []int) []int {
 	checkVectorRange(v.Len(), start, n)
-	return scanEq(v, code, start, n, 0, dst)
-}
-
-// ScanRange appends the index of every element in [start, start+n) with
-// lo <= value < hi to dst, in ascending order, and returns the extended
-// slice. Out-of-range [start, start+n) panics.
-func ScanRange(v Vector, lo, hi uint64, start, n int, dst []int) []int {
-	checkVectorRange(v.Len(), start, n)
-	if lo >= hi {
-		return dst
-	}
-	return scanRange(v, lo, hi, start, n, 0, dst)
-}
-
-// CountEq returns the number of elements in [start, start+n) equal to code.
-// Out-of-range [start, start+n) panics.
-func CountEq(v Vector, code uint64, start, n int) int {
-	checkVectorRange(v.Len(), start, n)
-	return countEq(v, code, start, n)
-}
-
-// scanEq dispatches on the concrete vector kind. Emitted indices are
-// base-relative (base + elementIndex) so concat parts and FOR frames can
-// translate positions without rewriting their children's output.
-func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 	if n == 0 {
 		return dst
 	}
 	switch v := v.(type) {
 	case packedVector:
-		return v.pa.AppendMatchEq(dst, base, start, n, code)
+		return v.pa.AppendMatchEq(dst, 0, start, n, code)
 	case rleVector:
 		// Whole runs match or don't: emit each matching run's clipped
 		// interval without touching per-element data.
@@ -66,7 +40,7 @@ func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 			re := min(v.runEnd(r), end)
 			if v.values.Get(r) == code {
 				for ; pos < re; pos++ {
-					dst = append(dst, base+pos)
+					dst = append(dst, pos)
 				}
 			} else {
 				pos = re
@@ -84,23 +58,15 @@ func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 			case v.widths[f] == 0:
 				if code == fb { // constant frame: all or nothing
 					for i := 0; i < k; i++ {
-						dst = append(dst, base+start+i)
+						dst = append(dst, start+i)
 					}
 				}
 			default:
 				// AppendMatchEq rejects offsets wider than the frame itself.
-				dst = v.offsets[f].AppendMatchEq(dst, base+f*v.frameSize, fo, k, code-fb)
+				dst = v.offsets[f].AppendMatchEq(dst, f*v.frameSize, fo, k, code-fb)
 			}
 			start += k
 			n -= k
-		}
-		return dst
-	case *concatVector:
-		pos, end := start, start+n
-		for p := v.partAt(start); pos < end; p++ {
-			pe := min(v.partEnd(p), end)
-			dst = scanEq(v.parts[p], code, pos-v.offs[p], pe-pos, base+v.offs[p], dst)
-			pos = pe
 		}
 		return dst
 	default:
@@ -108,21 +74,24 @@ func scanEq(v Vector, code uint64, start, n int, base int, dst []int) []int {
 	}
 }
 
-// scanRange mirrors scanEq for half-open value intervals [lo, hi).
-func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int {
-	if n == 0 {
+// ScanRange appends the index of every element in [start, start+n) with
+// lo <= value < hi to dst, in ascending order, and returns the extended
+// slice. Out-of-range [start, start+n) panics. It mirrors ScanEq.
+func ScanRange(v Vector, lo, hi uint64, start, n int, dst []int) []int {
+	checkVectorRange(v.Len(), start, n)
+	if n == 0 || lo >= hi {
 		return dst
 	}
 	switch v := v.(type) {
 	case packedVector:
-		return v.pa.AppendMatchRange(dst, base, start, n, lo, hi)
+		return v.pa.AppendMatchRange(dst, 0, start, n, lo, hi)
 	case rleVector:
 		pos, end := start, start+n
 		for r := v.runAt(start); pos < end; r++ {
 			re := min(v.runEnd(r), end)
 			if x := v.values.Get(r); lo <= x && x < hi {
 				for ; pos < re; pos++ {
-					dst = append(dst, base+pos)
+					dst = append(dst, pos)
 				}
 			} else {
 				pos = re
@@ -140,7 +109,7 @@ func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int
 			case v.widths[f] == 0:
 				if lo <= fb { // constant frame; hi > fb already known
 					for i := 0; i < k; i++ {
-						dst = append(dst, base+start+i)
+						dst = append(dst, start+i)
 					}
 				}
 			default:
@@ -148,18 +117,10 @@ func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int
 				if lo > fb {
 					olo = lo - fb
 				}
-				dst = v.offsets[f].AppendMatchRange(dst, base+f*v.frameSize, fo, k, olo, hi-fb)
+				dst = v.offsets[f].AppendMatchRange(dst, f*v.frameSize, fo, k, olo, hi-fb)
 			}
 			start += k
 			n -= k
-		}
-		return dst
-	case *concatVector:
-		pos, end := start, start+n
-		for p := v.partAt(start); pos < end; p++ {
-			pe := min(v.partEnd(p), end)
-			dst = scanRange(v.parts[p], lo, hi, pos-v.offs[p], pe-pos, base+v.offs[p], dst)
-			pos = pe
 		}
 		return dst
 	default:
@@ -167,9 +128,12 @@ func scanRange(v Vector, lo, hi uint64, start, n int, base int, dst []int) []int
 	}
 }
 
-// countEq mirrors scanEq but only counts, letting the packed path use one
-// popcount per word instead of iterating match bits.
-func countEq(v Vector, code uint64, start, n int) int {
+// CountEq returns the number of elements in [start, start+n) equal to code.
+// Out-of-range [start, start+n) panics. It mirrors ScanEq but only counts,
+// letting the packed path use one popcount per word instead of iterating
+// match bits.
+func CountEq(v Vector, code uint64, start, n int) int {
+	checkVectorRange(v.Len(), start, n)
 	if n == 0 {
 		return 0
 	}
@@ -206,15 +170,6 @@ func countEq(v Vector, code uint64, start, n int) int {
 			n -= k
 		}
 		return count
-	case *concatVector:
-		count := 0
-		pos, end := start, start+n
-		for p := v.partAt(start); pos < end; p++ {
-			pe := min(v.partEnd(p), end)
-			count += countEq(v.parts[p], code, pos-v.offs[p], pe-pos)
-			pos = pe
-		}
-		return count
 	default:
 		panic(errKind)
 	}
@@ -228,8 +183,8 @@ const runBatch = 64
 // v.Get(start+i) itself when table is nil — a column's value IDs, or its
 // rows of a join through a map from value ID to key row. Each vector kind
 // decodes and looks up in one loop with no intermediate buffer: bit-packed
-// entries and FOR offsets unpack straight into the lookup, RLE looks up
-// once per run and fills the run, and concatenations recurse per part.
+// entries and FOR offsets unpack straight into the lookup, and RLE looks up
+// once per run and fills the run.
 // Every AppendRange is Gather with a nil table (appendGather).
 // Out-of-range [start, start+len(out)) panics.
 func Gather[T bits.Code](v Vector, start int, table []T, out []T) {
@@ -283,13 +238,6 @@ func Gather[T bits.Code](v Vector, start int, table []T, out []T) {
 					frame[i] += T(base)
 				}
 			}
-			pos += k
-		}
-	case *concatVector:
-		for p, pos := v.partAt(start), 0; pos < len(out); p++ {
-			lo := start + pos - v.offs[p]
-			k := min(v.parts[p].Len()-lo, len(out)-pos)
-			Gather(v.parts[p], lo, table, out[pos:pos+k])
 			pos += k
 		}
 	default:

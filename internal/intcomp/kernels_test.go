@@ -5,26 +5,17 @@ import (
 	"testing"
 )
 
-// kernelTestVectors builds one vector of every kind over the same logical values,
-// so differential tests cover packed, RLE, FOR and concat with identical
+// kernelTestVectors builds one vector of every kind over the same logical
+// values, so differential tests cover packed, RLE and FOR with identical
 // expected output.
 func kernelTestVectors(t *testing.T, values []uint64) map[string]Vector {
 	t.Helper()
-	vs := map[string]Vector{
+	return map[string]Vector{
 		"bits": PackBits(values),
 		"rle":  PackRLE(values),
 		"for":  PackFOR(values),
 		"auto": PackAuto(values),
 	}
-	if len(values) >= 2 {
-		// Concat of heterogeneous parts, split off-center to hit uneven
-		// part boundaries.
-		cut := len(values)/3 + 1
-		vs["concat"] = Concat(PackBits(values[:cut]), PackRLE(values[cut:]))
-		mid := 2 * len(values) / 3
-		vs["concat3"] = Concat(Concat(PackFOR(values[:cut]), PackBits(values[cut:mid])), PackRLE(values[mid:]))
-	}
-	return vs
 }
 
 // genValues produces value distributions that steer PackAuto and the frame

@@ -4,9 +4,11 @@ package intcomp
 // main part of a column (see internal/persist) persists the dictionary and
 // the compressed code vector side by side; dictionaries already have a
 // versioned binary form (dict.Marshal), and this file gives the vectors one.
-// Every vector implementation round-trips exactly — a partial-merge concat
-// chain is persisted as its parts, so reloading a checkpoint reproduces the
-// in-memory representation, not just the logical sequence.
+// Every vector implementation round-trips exactly, so reloading a
+// checkpoint reproduces the in-memory representation, not just the logical
+// sequence. The one exception is read-only: tagConcat, a list of parts that
+// partial folds once appended to the main vector, decodes into one flat
+// vector, and nothing writes it any more.
 //
 // Layout (little-endian):
 //
@@ -32,7 +34,7 @@ const (
 	tagPacked = 1
 	tagRLE    = 2
 	tagFOR    = 3
-	tagConcat = 4
+	tagConcat = 4 // read only, see unmarshalVector
 )
 
 // ErrCorrupt is returned when serialized vector bytes fail validation.
@@ -42,6 +44,14 @@ var ErrCorrupt = errors.New("intcomp: corrupt serialized vector")
 // anything real, but small enough that length arithmetic cannot overflow.
 const maxElements = 1 << 40
 
+// maxConcatParts and maxConcatElements bound a legacy concatenation: the
+// writer collapsed longer part lists into one vector, and decoding one
+// costs 8 bytes per element (256 MiB at the bound) before it is re-packed.
+const (
+	maxConcatParts    = 64
+	maxConcatElements = 1 << 25
+)
+
 // Marshal serializes a vector produced by this package.
 func Marshal(v Vector) ([]byte, error) {
 	return AppendMarshal(nil, v)
@@ -50,13 +60,6 @@ func Marshal(v Vector) ([]byte, error) {
 // AppendMarshal appends the serialized form of v to dst.
 func AppendMarshal(dst []byte, v Vector) ([]byte, error) {
 	dst = append(dst, vectorVersion)
-	return appendVector(dst, v, true)
-}
-
-// appendVector writes the tagged body. allowConcat is cleared one level
-// down: Concat flattens nested chains at construction time, so a concat
-// part is never itself a concat.
-func appendVector(dst []byte, v Vector, allowConcat bool) ([]byte, error) {
 	switch vv := v.(type) {
 	case packedVector:
 		dst = append(dst, tagPacked)
@@ -75,19 +78,6 @@ func appendVector(dst []byte, v Vector, allowConcat bool) ([]byte, error) {
 			dst = append(dst, w)
 			if w > 0 {
 				dst = vv.offsets[f].AppendBinary(dst)
-			}
-		}
-		return dst, nil
-	case *concatVector:
-		if !allowConcat {
-			return nil, errors.New("intcomp: cannot marshal nested concat vector")
-		}
-		dst = append(dst, tagConcat)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vv.parts)))
-		var err error
-		for _, p := range vv.parts {
-			if dst, err = appendVector(dst, p, false); err != nil {
-				return nil, err
 			}
 		}
 		return dst, nil
@@ -211,34 +201,39 @@ func unmarshalVector(b []byte, allowConcat bool) (Vector, int, error) {
 		return v, off, nil
 
 	case tagConcat:
-		if !allowConcat {
-			return nil, 0, ErrCorrupt
-		}
-		if len(b) < off+4 {
+		// Identity partial folds once appended the folded rows to the main
+		// vector as a new part, and checkpoints written then still hold
+		// that list. Its parts decode into one flat vector, as a full merge
+		// would have packed them. The checks are the writer's invariants:
+		// 1..maxConcatParts non-empty parts, none itself a concatenation,
+		// and at most maxConcatElements elements in all, since the flat
+		// vector is built from a decoded copy of every element.
+		if !allowConcat || len(b) < off+4 {
 			return nil, 0, ErrCorrupt
 		}
 		nparts := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
-		// Concat collapses chains past maxConcatParts; a longer list (or an
-		// empty one) cannot have been produced by this package.
 		if nparts == 0 || nparts > maxConcatParts {
 			return nil, 0, ErrCorrupt
 		}
-		cv := &concatVector{}
-		for i := 0; i < nparts; i++ {
+		parts := make([]Vector, nparts)
+		total := 0
+		for i := range parts {
 			p, n, err := unmarshalVector(b[off:], false)
 			if err != nil {
 				return nil, 0, err
 			}
 			off += n
-			if p.Len() == 0 || uint64(cv.n)+uint64(p.Len()) > maxElements {
+			if p.Len() == 0 || total+p.Len() > maxConcatElements {
 				return nil, 0, ErrCorrupt
 			}
-			cv.offs = append(cv.offs, cv.n)
-			cv.parts = append(cv.parts, p)
-			cv.n += p.Len()
+			parts[i], total = p, total+p.Len()
 		}
-		return cv, off, nil
+		flat := make([]uint64, 0, total)
+		for _, p := range parts {
+			flat = p.AppendRange(flat, 0, p.Len())
+		}
+		return PackAuto(flat), off, nil
 
 	default:
 		return nil, 0, ErrCorrupt

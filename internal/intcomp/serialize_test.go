@@ -2,6 +2,7 @@ package intcomp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -74,24 +75,45 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcatRoundTrip(t *testing.T) {
+// legacyConcat is Marshal(Concat(Concat(PackAuto(a), PackRLE(b)),
+// PackFOR(c))) with a, b and c as in TestLegacyConcatDecodes, as written by
+// the builds whose identity partial folds appended codes to the main vector
+// as parts: tag 4, three parts (packed, RLE, FOR). Nothing writes that tag
+// any more; never regenerate these bytes.
+var legacyConcat = []byte{
+	0x01, 0x04, 0x03, 0x00, 0x00, 0x00, 0x01, 0x03, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0xd1, 0x58, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+	0x07, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x08, 0x08, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0xc8, 0x00, 0x00,
+	0x00, 0x00, 0x00,
+}
+
+// TestLegacyConcatDecodes: a concatenation written by earlier builds
+// decodes to its parts' values in order, as one flat vector that
+// re-marshals without the concat tag.
+func TestLegacyConcatDecodes(t *testing.T) {
 	a := []uint64{1, 2, 3, 4, 5}
 	b := []uint64{9, 9, 9, 9, 9, 9, 9, 9}
 	c := []uint64{100, 200, 300}
-	v := Concat(Concat(PackAuto(a), PackRLE(b)), PackFOR(c))
 	want := append(append(append([]uint64{}, a...), b...), c...)
 
-	blob, err := Marshal(v)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got, err := Unmarshal(blob)
+	got, err := Unmarshal(legacyConcat)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
 	assertEqualVector(t, want, got)
-	if _, ok := got.(*concatVector); !ok {
-		t.Fatalf("concat chain decoded as %T, want *concatVector", got)
+	blob, err := Marshal(got)
+	if err != nil {
+		t.Fatalf("re-Marshal: %v", err)
+	}
+	if blob[1] == tagConcat {
+		t.Fatal("decoded legacy concatenation re-marshals as a concatenation")
+	}
+	if want, _ := Marshal(PackAuto(want)); !bytes.Equal(blob, want) {
+		t.Fatal("legacy concatenation did not decode to PackAuto of its values")
 	}
 }
 
@@ -100,12 +122,22 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 		nil,
 		{},
 		{vectorVersion},
-		{99, tagPacked},                        // bad version
-		{vectorVersion, 77},                    // bad tag
-		{vectorVersion, tagRLE},                // truncated header
-		{vectorVersion, tagFOR},                // truncated header
-		{vectorVersion, tagConcat, 0, 0, 0, 0}, // empty concat
+		{99, tagPacked},                         // bad version
+		{vectorVersion, 77},                     // bad tag
+		{vectorVersion, tagRLE},                 // truncated header
+		{vectorVersion, tagFOR},                 // truncated header
+		{vectorVersion, tagConcat, 0, 0, 0, 0},  // empty concat
+		{vectorVersion, tagConcat, 65, 0, 0, 0}, // more parts than the writer made
 	}
+	// A nested concatenation, an empty part and a total past
+	// maxConcatElements, each in an otherwise valid one-part list.
+	onePart := func(part []byte) []byte {
+		return append([]byte{vectorVersion, tagConcat, 1, 0, 0, 0}, part[1:]...)
+	}
+	empty, _ := Marshal(PackBits(nil))
+	huge, _ := Marshal(PackRLE([]uint64{7}))
+	binary.LittleEndian.PutUint64(huge[2:], maxConcatElements+1)
+	cases = append(cases, onePart(legacyConcat), onePart(empty), onePart(huge))
 	for i, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
 			t.Errorf("case %d: corrupt input accepted", i)
@@ -117,9 +149,11 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := Unmarshal(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for _, b := range [][]byte{blob, legacyConcat} {
+		for cut := 0; cut < len(b); cut++ {
+			if _, err := Unmarshal(b[:cut]); err == nil {
+				t.Fatalf("truncation at %d of %d bytes accepted", cut, len(b))
+			}
 		}
 	}
 	// Trailing bytes are rejected too.
@@ -149,8 +183,9 @@ func TestUnmarshalRejectsBadRuns(t *testing.T) {
 }
 
 // FuzzUnmarshalPacked fuzzes the vector deserializer, seeded from real code
-// vectors in every packed representation. Unmarshal must never panic; on
-// success, Get over the full length must stay in bounds.
+// vectors in every packed representation and from the legacy
+// concatenation. Unmarshal must never panic; on success, Get over the full
+// length must stay in bounds.
 func FuzzUnmarshalPacked(f *testing.F) {
 	for _, values := range testVectors() {
 		for _, pack := range []func([]uint64) Vector{PackBits, PackRLE, PackFOR} {
@@ -159,9 +194,7 @@ func FuzzUnmarshalPacked(f *testing.F) {
 			}
 		}
 	}
-	if blob, err := Marshal(Concat(PackBits([]uint64{1, 2}), PackRLE([]uint64{3, 3, 3}))); err == nil {
-		f.Add(blob)
-	}
+	f.Add(legacyConcat)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -378,5 +379,36 @@ func TestOpenReadDirFaultFails(t *testing.T) {
 	ffs.FailNext(OpReadDir, 1, errInjected, nil)
 	if _, err := Open(dir, Options{FsyncInterval: -1, FS: ffs}); !errors.Is(err, errInjected) {
 		t.Fatalf("open with readdir fault: err = %v, want injected", err)
+	}
+}
+
+// TestOpenSyncsCreatedDirs: Open on a path whose last levels do not exist
+// creates them and fsyncs the parent of each, so a power cut cannot lose
+// the store directory's name and with it every WAL segment inside; a
+// directory that already exists costs no parent fsync.
+func TestOpenSyncsCreatedDirs(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b")
+	var parentSyncs []string
+	ffs := &FaultFS{}
+	ffs.SetHook(func(op Op, path string) error {
+		if op == OpSyncDir && path != dir {
+			parentSyncs = append(parentSyncs, path)
+		}
+		return nil
+	})
+	for _, want := range [][]string{{root, filepath.Join(root, "a")}, nil} {
+		parentSyncs = nil
+		s, err := Open(dir, Options{FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(parentSyncs)
+		if !slices.Equal(parentSyncs, want) {
+			t.Fatalf("Open fsynced directories %q, want %q", parentSyncs, want)
+		}
 	}
 }

@@ -12,7 +12,9 @@ package persist
 // is still injected directly on the files; the seam injects I/O errors.
 
 import (
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -92,6 +94,29 @@ func (osFS) SyncDir(dir string) error {
 
 // OS is the default filesystem used when Options.FS is nil.
 var OS FS = osFS{}
+
+// mkdirDurable creates dir and any missing parents, then fsyncs the parent
+// of every level it created, so the new directory's name survives a power
+// cut as the WAL segments inside it do. Levels that already existed cost
+// nothing.
+func mkdirDurable(fsys FS, dir string) error {
+	var created []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) || filepath.Dir(d) == d {
+			break
+		}
+		created = append(created, d)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range created {
+		if err := fsys.SyncDir(filepath.Dir(d)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // writeAtomicFS makes data appear at path all-or-nothing: tmp file, fsync,
 // rename, directory fsync. Idempotent — a failed attempt leaves at worst a

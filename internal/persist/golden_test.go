@@ -11,6 +11,8 @@ package persist
 // code did not write it.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,11 +20,11 @@ import (
 	"strdict/internal/dict"
 )
 
-// copyGoldenStore clones the frozen fixture into a temp dir so recovery's
-// side effects (WAL continuation, new manifests) cannot touch it.
-func copyGoldenStore(t *testing.T) string {
+// copyGoldenStore clones the named frozen fixture into a temp dir so
+// recovery's side effects (WAL continuation, new manifests) cannot touch it.
+func copyGoldenStore(t *testing.T, name string) string {
 	t.Helper()
-	src := filepath.Join("testdata", "golden-store-v1")
+	src := filepath.Join("testdata", name)
 	dir := t.TempDir()
 	ents, err := os.ReadDir(src)
 	if err != nil {
@@ -48,7 +50,7 @@ func TestGoldenStoreV1Recovers(t *testing.T) {
 	}
 	const ckptRows = 13 // rows covered by the v1 manifest; the rest replay
 
-	dir := copyGoldenStore(t)
+	dir := copyGoldenStore(t, "golden-store-v1")
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("open golden store: %v", err)
@@ -140,21 +142,7 @@ func colName(i int) string {
 // WAL-only; synced and crashed. Never regenerate it — its value is that
 // current code did not write it.
 func TestGoldenStoreV2Recovers(t *testing.T) {
-	src := filepath.Join("testdata", "golden-store-v2")
-	dir := t.TempDir()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatalf("golden store fixture: %v", err)
-	}
-	for _, e := range ents {
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyGoldenStore(t, "golden-store-v2")
 
 	const nRows = 18
 	verify := func(s *Store, ctx string) {
@@ -219,3 +207,78 @@ func TestGoldenStoreV2Recovers(t *testing.T) {
 	defer s2.Close()
 	verify(s2, "v3 round-trip")
 }
+
+// testdata/golden-store-concat is a frozen store whose one part file holds
+// a concat-tagged code vector, the layout identity partial folds wrote
+// before they re-packed the main vector: 40 rows of legacyConcatRow into
+// t.s (fc block), Merge, 15 more rows of values already in the dictionary,
+// MergePartial(1) (which appended those 15 codes as a second vector part),
+// Checkpoint and Close. Never regenerate it — nothing writes that layout
+// any more, so its value is that current code did not write it.
+func TestGoldenStoreConcatRecovers(t *testing.T) {
+	dir := copyGoldenStore(t, "golden-store-concat")
+
+	// The part still holds the legacy layout: header (14 bytes), dictionary
+	// length and bytes, then the vector's version byte and its tag, 4 for
+	// a concatenation.
+	b, err := os.ReadFile(filepath.Join(dir, "p00000001.part"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, body, err := decPart(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dl := binary.LittleEndian.Uint32(body); body[4+dl+1] != 4 {
+		t.Fatalf("fixture part's vector tag = %d, want 4 (concat)", body[4+dl+1])
+	}
+
+	const nRows = 55
+	verify := func(s *Store, ctx string, nRows int) {
+		t.Helper()
+		c := s.Table("t").Str("s")
+		if c.Format() != dict.FCBlock || c.Len() != nRows || c.DeltaRows() != 0 {
+			t.Fatalf("%s: format %v, %d rows (%d delta), want fc block, %d rows, all main",
+				ctx, c.Format(), c.Len(), c.DeltaRows(), nRows)
+		}
+		for i := 0; i < nRows; i++ {
+			if got, want := c.Get(i), legacyConcatRow(i); got != want {
+				t.Fatalf("%s: row %d = %q, want %q", ctx, i, got, want)
+			}
+		}
+	}
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open concat store: %v", err)
+	}
+	info := s.Recovery()
+	if !info.ManifestLoaded || info.ManifestFallbacks != 0 || info.LostRows != 0 || len(info.Quarantined) != 0 {
+		t.Fatalf("concat store not cleanly recovered: %+v", info)
+	}
+	if info.CheckpointRows != nRows {
+		t.Errorf("CheckpointRows = %d, want %d", info.CheckpointRows, nRows)
+	}
+	verify(s, "recovery", nRows)
+
+	// One more row and a merge rewrite the part in today's layout;
+	// reopening must serve the same rows.
+	c := s.Table("t").Str("s")
+	c.Append(legacyConcatRow(nRows))
+	c.Merge(dict.FCBlock)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after recovery: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after checkpoint: %v", err)
+	}
+	defer s2.Close()
+	verify(s2, "round-trip", nRows+1)
+}
+
+// legacyConcatRow is row i of golden-store-concat.
+func legacyConcatRow(i int) string { return fmt.Sprintf("gamma-%02d", (i*5)%9) }

@@ -15,7 +15,6 @@ package persist
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"strdict/internal/colstore"
@@ -75,12 +74,12 @@ type Store struct {
 // store reflects every row that was durable — fsynced — before the previous
 // process stopped; see Recovery for what was found.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OS
+	}
+	if err := mkdirDurable(fsys, dir); err != nil {
+		return nil, err
 	}
 	r, err := recoverDir(dir, fsys)
 	if err != nil {

@@ -5,6 +5,8 @@ package torture
 // step, and 4 inside the crash/recover scenario in scenarios.go.
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"strdict/internal/colstore"
@@ -65,62 +67,62 @@ func (h *harness) sampleRows(n int) []int {
 }
 
 // checkKernels is oracle 2: the vectorized ScanEq/ScanRange/CountEq paths
-// (zone pruning on) agree with the scalar oracles on one snapshot per
+// (zone pruning on) agree with the per-row Get oracle on one snapshot per
 // column, for probes both present in and absent from the corpus.
 func (h *harness) checkKernels() error {
 	tb := h.s.Table("t")
 	for _, c := range h.cols {
+		probes := []string{
+			c.pool[h.rng.Intn(len(c.pool))],
+			c.pool[h.rng.Intn(len(c.pool))],
+			c.pool[h.rng.Intn(len(c.pool))] + "\x01absent", // never in any corpus
+		}
+		lo := c.pool[h.rng.Intn(len(c.pool))]
+		hi := c.pool[h.rng.Intn(len(c.pool))]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
 		snap := tb.Str(c.name).Snapshot()
-		err := h.checkKernelsOnSnapshot(snap, c)
+		err := kernelsMatchGet(snap, probes, lo, hi)
 		snap.Release()
 		if err != nil {
-			return err
+			return h.fail("kernels: %s %v", c.name, err)
 		}
 	}
 	return nil
 }
 
-// checkKernelsOnSnapshot runs oracle 2's comparisons against one pinned
-// snapshot (also reused by the burst readers and the post-recovery check).
-func (h *harness) checkKernelsOnSnapshot(snap *colstore.Snapshot, c *column) error {
-	probes := []string{
-		c.pool[h.rng.Intn(len(c.pool))],
-		c.pool[h.rng.Intn(len(c.pool))],
-		c.pool[h.rng.Intn(len(c.pool))] + "\x01absent", // never in any corpus
+// kernelsMatchGet checks ScanEq and CountEq for every probe, and
+// ScanRange(lo, hi), against an oracle that reads each row of snap through
+// Snapshot.Get and compares strings. The oracle shares no code with the
+// scans: no code-vector predicate, no locate, no delta-segment scan.
+func kernelsMatchGet(snap *colstore.Snapshot, probes []string, lo, hi string) error {
+	vals := make([]string, snap.Len())
+	for row := range vals {
+		vals[row] = snap.Get(row)
+	}
+	getScan := func(keep func(string) bool) (rows []int) {
+		for row, v := range vals {
+			if keep(v) {
+				rows = append(rows, row)
+			}
+		}
+		return rows
 	}
 	for _, p := range probes {
-		kern := snap.ScanEq(p, nil)
-		scal := snap.ScanEqScalar(p, nil)
-		if !equalRows(kern, scal) {
-			return h.fail("kernels: %s ScanEq(%q) kernel=%d rows scalar=%d rows", c.name, p, len(kern), len(scal))
+		want := getScan(func(v string) bool { return v == p })
+		if got := snap.ScanEq(p, nil); !slices.Equal(got, want) {
+			return fmt.Errorf("ScanEq(%q) kernel=%d rows Get oracle=%d rows", p, len(got), len(want))
 		}
-		if got := snap.CountEq(p); got != len(scal) {
-			return h.fail("kernels: %s CountEq(%q)=%d scalar=%d", c.name, p, got, len(scal))
+		if got := snap.CountEq(p); got != len(want) {
+			return fmt.Errorf("CountEq(%q)=%d Get oracle=%d", p, got, len(want))
 		}
 	}
-	lo := c.pool[h.rng.Intn(len(c.pool))]
-	hi := c.pool[h.rng.Intn(len(c.pool))]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	kern := snap.ScanRange(lo, hi, nil)
-	scal := snap.ScanRangeScalar(lo, hi, nil)
-	if !equalRows(kern, scal) {
-		return h.fail("kernels: %s ScanRange(%q,%q) kernel=%d rows scalar=%d rows", c.name, lo, hi, len(kern), len(scal))
+	want := getScan(func(v string) bool { return lo <= v && v < hi })
+	if got := snap.ScanRange(lo, hi, nil); !slices.Equal(got, want) {
+		return fmt.Errorf("ScanRange(%q,%q) kernel=%d rows Get oracle=%d rows", lo, hi, len(got), len(want))
 	}
 	return nil
-}
-
-func equalRows(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // opCrossFormat is oracle 3: build every dictionary format over one

@@ -70,39 +70,26 @@ func (h *harness) opConcurrentBurst() error {
 			}
 		}(c.name, vals[i])
 	}
-	// One reader per column: repeated snapshots, kernel vs scalar on each.
-	// A snapshot is a single-goroutine handle, so each reader pins its own.
+	// One reader per column: repeated snapshots, kernels vs the Get oracle
+	// on each. A snapshot is a single-goroutine handle, so each reader pins
+	// its own.
 	for i, c := range h.cols {
 		wg.Add(1)
 		go func(name string, ps []string) {
 			defer wg.Done()
 			ec := tb.Str(name)
+			lo, hi := ps[0], ps[1]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
 			for round := 0; round < 4; round++ {
 				snap := ec.Snapshot()
-				for _, p := range ps {
-					kern := snap.ScanEq(p, nil)
-					scal := snap.ScanEqScalar(p, nil)
-					if !equalRows(kern, scal) {
-						errs <- h.fail("burst: %s ScanEq(%q) kernel=%d scalar=%d rows", name, p, len(kern), len(scal))
-						snap.Release()
-						return
-					}
-					if got := snap.CountEq(p); got != len(scal) {
-						errs <- h.fail("burst: %s CountEq(%q)=%d scalar=%d", name, p, got, len(scal))
-						snap.Release()
-						return
-					}
-				}
-				lo, hi := ps[0], ps[1]
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if !equalRows(snap.ScanRange(lo, hi, nil), snap.ScanRangeScalar(lo, hi, nil)) {
-					errs <- h.fail("burst: %s ScanRange(%q,%q) kernel != scalar", name, lo, hi)
-					snap.Release()
+				err := kernelsMatchGet(snap, ps, lo, hi)
+				snap.Release()
+				if err != nil {
+					errs <- h.fail("burst: %s %v", name, err)
 					return
 				}
-				snap.Release()
 			}
 		}(c.name, probes[i])
 	}

@@ -2,6 +2,7 @@ package torture
 
 import (
 	"net/http/httptest"
+	"slices"
 
 	"strdict/internal/colstore"
 	"strdict/internal/service"
@@ -73,7 +74,7 @@ func (h *harness) checkServiceColumn(cl *service.Client, snap *colstore.Snapshot
 		}
 		// The response carries at most MaxScanRows indices; the prefix must
 		// match the engine's row list exactly.
-		if !equalRows(sc.Rows, engine[:len(sc.Rows)]) {
+		if !slices.Equal(sc.Rows, engine[:len(sc.Rows)]) {
 			return h.fail("service: ScanEq(%s, %q) rows diverge from engine", c.name, p)
 		}
 		code, found, err := cl.Locate("", "t", c.name, p)

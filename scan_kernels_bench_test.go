@@ -11,8 +11,8 @@ import (
 
 // BenchmarkScanKernels gates the vectorized read path: predicate scans over
 // the packed code vector via the batch kernels (SWAR equality and range
-// compares, zone-map pruning) against the pre-kernel scalar path that paid
-// one Vector.Get interface call per row.
+// compares, zone-map pruning) against a scalar baseline that pays one
+// Snapshot.Code call, and so one Vector.Get interface call, per row.
 //
 // Three column shapes:
 //   - 8bit: 250 distinct values shuffled evenly — a bit-packed vector of
@@ -34,6 +34,16 @@ func BenchmarkScanKernels(b *testing.B) {
 		col.Merge(dict.Array)
 		return col, col.Snapshot()
 	}
+	// scalarScan appends the main rows whose code lies in [lo, hi); the
+	// columns are fully merged, so there is no delta half.
+	scalarScan := func(snap *colstore.Snapshot, lo, hi uint32, out []int) []int {
+		for row := 0; row < snap.MainRows(); row++ {
+			if code, _ := snap.Code(row); lo <= code && code < hi {
+				out = append(out, row)
+			}
+		}
+		return out
+	}
 	var out []int
 	for _, distinct := range []int{250, 20000} {
 		_, uniform := build(func(i int) int { return (i * 2654435761) % distinct })
@@ -44,7 +54,8 @@ func BenchmarkScanKernels(b *testing.B) {
 		b.Run(shape+"/eq/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out = uniform.ScanEqScalar(probe, out[:0])
+				id, _ := uniform.Locate(probe)
+				out = scalarScan(uniform, id, id+1, out[:0])
 			}
 		})
 		b.Run(shape+"/eq/kernel", func(b *testing.B) {
@@ -56,7 +67,8 @@ func BenchmarkScanKernels(b *testing.B) {
 		b.Run(shape+"/count/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = len(uniform.ScanEqScalar(probe, out[:0]))
+				id, _ := uniform.Locate(probe)
+				_ = len(scalarScan(uniform, id, id+1, out[:0]))
 			}
 		})
 		b.Run(shape+"/count/kernel", func(b *testing.B) {
@@ -68,7 +80,8 @@ func BenchmarkScanKernels(b *testing.B) {
 		b.Run(shape+"/range/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out = uniform.ScanRangeScalar(loVal, hiVal, out[:0])
+				lo, hi := uniform.CodeRange(loVal, hiVal)
+				out = scalarScan(uniform, lo, hi, out[:0])
 			}
 		})
 		b.Run(shape+"/range/kernel", func(b *testing.B) {

@@ -38,10 +38,13 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 # raised it from 22065 by its 11 lines, net of the 7 that one SWAR window
 # kernel for every code width saved: it replaced the unpack-then-compare
 # paths and the aligned-only kernels, and intcomp's scalar oracles moved to
-# its tests.
+# its tests. Partial folds re-packing the main vector (no concat vector kind,
+# no concat kernel or wire-write case) and the scalar scans leaving
+# colstore for a Get oracle in the tests lowered it from 22069, net of the
+# durable directory creation in persist.Open.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 22069 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 22069"
+if [ "$lines" -gt 21873 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 21873"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
@@ -56,6 +59,9 @@ fi
 # And on the models, which the closed format table (no size-model or
 # default-cost registration) took from 917 lines.
 [ "$(find internal/model -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 830 ]
+# And on the integer vectors, which dropping the concat kind (three kinds:
+# packed, RLE, FOR; a legacy concat decodes flat) took from 998 lines.
+[ "$(find internal/intcomp -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 849 ]
 if go list -deps ./internal/service | grep -q internal/tpch; then # "! cmd" would not trip set -e
     echo "FAIL: internal/service depends on internal/tpch"
     exit 1
@@ -90,6 +96,12 @@ go test -count=1 -run TestPackedKernelsEveryWidth ./internal/bits/
 # The same for Gather (the Join/Codes kernel) against Get, with and without
 # a translating table.
 go test -run '^$' -fuzz FuzzGather -fuzztime 5s ./internal/intcomp/
+# The legacy concat vector layout, which nothing writes any more: the frozen
+# blob and store directory decode to their values, and fold's pinned results
+# (every main-part producer, partial folds re-packing) stay bit-identical.
+go test -count=1 -run 'TestLegacyConcatDecodes' ./internal/intcomp/
+go test -count=1 -run 'TestGoldenStoreConcatRecovers' ./internal/persist/
+go test -count=1 -run 'TestFoldMatchesParent' ./internal/colstore/
 # And fold's single-sort union against the sort-merge-and-search reference.
 go test -run '^$' -fuzz FuzzUnionRemap -fuzztime 5s ./internal/colstore/
 # The /v1/append JSON body: no panic, 200 or 400, the accepted items' rows
