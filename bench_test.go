@@ -67,10 +67,12 @@ func BenchmarkFigures(b *testing.B) {
 // a store of eight delta-heavy columns over different string distributions
 // is flushed through the merge scheduler, whose chooser runs the manager's
 // full 18-format evaluation per column (the Re-Pair probes being the long
-// pole). workers=1 is the serial baseline; the parallel variant fans columns
-// across the scheduler pool. The resulting per-column formats and dictionary
-// bytes are verified identical across worker counts once, before timing, so
-// the speedup is measured on provably equivalent work.
+// pole). The pool runs GOMAXPROCS workers, so each variant sets GOMAXPROCS
+// around its flushes and restores it afterwards: workers=1 is the serial
+// baseline; the parallel variant fans columns across the pool. The
+// resulting per-column formats and dictionary bytes are verified identical
+// across worker counts once, before timing, so the speedup is measured on
+// provably equivalent work.
 func BenchmarkParallelMerge(b *testing.B) {
 	const rowsPerCol = 6000
 	distributions := []string{"url", "src", "engl", "mat", "asc", "1gram", "hash", "rand1"}
@@ -84,10 +86,9 @@ func BenchmarkParallelMerge(b *testing.B) {
 		colRows[i] = rows
 	}
 
-	// setup returns a store whose columns hold all rows in the delta, plus a
-	// scheduler configured for the given worker count; Flush is the timed
-	// unit of work.
-	setup := func(workers int) (*strdict.Store, *strdict.MergeScheduler) {
+	// setup returns a store whose columns hold all rows in the delta, plus
+	// its scheduler; Flush is the timed unit of work.
+	setup := func() (*strdict.Store, *strdict.MergeScheduler) {
 		store := strdict.NewStore()
 		tbl := store.AddTable("bench")
 		for i := range colRows {
@@ -98,7 +99,6 @@ func BenchmarkParallelMerge(b *testing.B) {
 		}
 		mgr := strdict.NewManager(strdict.ManagerOptions{DesiredFreeBytes: 1 << 30})
 		sched := strdict.NewMergeScheduler(store, 1)
-		sched.Parallelism = workers
 		sched.Chooser = func(snap *strdict.Snapshot, lifetimeNs float64) strdict.Format {
 			return mgr.ChooseFormat(strdict.ColumnStatsOfSnapshot(snap, lifetimeNs, 1.0, 1)).Format
 		}
@@ -108,14 +108,14 @@ func BenchmarkParallelMerge(b *testing.B) {
 	// On a multi-core machine the parallel variant uses every core; on a
 	// smaller one it still drives at least four workers so the pooled code
 	// path is what gets measured.
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers < 4 {
-		parWorkers = 4
-	}
+	parWorkers := max(runtime.GOMAXPROCS(0), 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	serialStore, serialSched := setup(1)
+	serialStore, serialSched := setup()
+	runtime.GOMAXPROCS(1)
 	serialSched.Flush()
-	parStore, parSched := setup(parWorkers)
+	parStore, parSched := setup()
+	runtime.GOMAXPROCS(parWorkers)
 	parSched.Flush()
 	sCols, pCols := serialStore.StringColumns(), parStore.StringColumns()
 	for i := range sCols {
@@ -132,9 +132,10 @@ func BenchmarkParallelMerge(b *testing.B) {
 	for _, workers := range []int{1, parWorkers} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			runtime.GOMAXPROCS(workers)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				_, sched := setup(workers)
+				_, sched := setup()
 				b.StartTimer()
 				sched.Flush()
 			}

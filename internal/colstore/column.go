@@ -75,12 +75,6 @@ type deltaSegment struct {
 	vals  []string          // segment code -> value, insertion order
 	index map[string]uint32 // value -> segment code
 	rows  []uint32          // per row: segment code
-
-	// Lexicographic bounds over vals, computed at seal time: the segment's
-	// zone-map summary (segment codes are local, so value bounds are the
-	// comparable form). Range scans skip segments whose bounds exclude the
-	// predicate interval.
-	minVal, maxVal string
 }
 
 // columnVersion is the immutable read state of a column: the read-optimized
@@ -99,11 +93,6 @@ type columnVersion struct {
 	// a version with a new dictionary (fold, RestoreMain) takes the next
 	// number, one that shares its predecessor's copies it (see joinTable).
 	dictGen uint64
-
-	// zones summarizes the main code vector in zoneRows blocks (min/max
-	// code per block), built at merge/restore time. Scans skip blocks whose
-	// summary excludes the predicate's code interval.
-	zones []zone
 
 	// Sealed delta segments, oldest first. Their rows follow the main part
 	// in row-position order; sealedRows caches their total length.
@@ -168,29 +157,20 @@ type StringColumn struct {
 
 	extracts atomic.Uint64
 	locates  atomic.Uint64
-
-	// Zone-map outcome counters: blocks scanned vs. pruned across all scans
-	// on this column. Flushed from per-snapshot accumulators on Release.
-	zonesScanned atomic.Uint64
-	zonesSkipped atomic.Uint64
 }
 
-// ScanStats counts zone-map outcomes on a column: how many main-part
-// blocks scans actually decoded versus skipped via their min/max summary.
+// ScanStats is a stub that always reads zero: there are no zone maps, and
+// every scan reads the whole main vector in one kernel call. It stays only
+// because bench/ (tpch.go, svctrace.go) reports colstore.zones_scanned and
+// colstore.zones_skipped from it, and goes with those two metrics when the
+// benchmark drops them.
 type ScanStats struct {
 	ZonesScanned uint64
 	ZonesSkipped uint64
 }
 
-// ScanStats returns the cumulative zone-map counters. Like AccessStats the
-// counters are trace data; snapshots accumulate locally and flush on
-// Release, so read them after the scanning snapshots are released.
-func (c *StringColumn) ScanStats() ScanStats {
-	return ScanStats{
-		ZonesScanned: c.zonesScanned.Load(),
-		ZonesSkipped: c.zonesSkipped.Load(),
-	}
-}
+// ScanStats returns the zero ScanStats; see the type.
+func (c *StringColumn) ScanStats() ScanStats { return ScanStats{} }
 
 // NewStringColumn returns an empty column whose main part uses the given
 // dictionary format.
@@ -312,8 +292,6 @@ func (c *StringColumn) Stats() AccessStats {
 func (c *StringColumn) ResetStats() {
 	c.extracts.Store(0)
 	c.locates.Store(0)
-	c.zonesScanned.Store(0)
-	c.zonesSkipped.Store(0)
 }
 
 // dictValuesOf walks an (immutable) dictionary outside any lock. It bypasses
@@ -339,13 +317,11 @@ func (c *StringColumn) sealActive() *columnVersion {
 		return v
 	}
 	seg := &deltaSegment{vals: c.activeVals, index: c.activeIndex, rows: c.activeRows}
-	seg.minVal, seg.maxVal = segValueBounds(seg.vals)
 	nv := &columnVersion{
 		dict:       v.dict,
 		codes:      v.codes,
 		nMain:      v.nMain,
 		dictGen:    v.dictGen,
-		zones:      v.zones,
 		sealed:     append(v.sealed[:len(v.sealed):len(v.sealed)], seg),
 		sealedRows: v.sealedRows + len(seg.rows),
 	}
@@ -378,10 +354,10 @@ func (c *StringColumn) sealActive() *columnVersion {
 //
 // The dictionary is rebuilt iff the folded segments bring new values, the
 // format changes, or compact is set; otherwise it is shared with v. Every
-// code below the new boundary is rewritten into one freshly packed vector,
-// with fresh zones, iff any row is folded or compact is set; otherwise (a
-// format-only Rebuild) the vector and zones are shared. A call with nothing
-// to fold and nothing to rebuild publishes nothing.
+// code below the new boundary is rewritten into one freshly packed vector
+// iff any row is folded or compact is set; otherwise (a format-only Rebuild)
+// the vector is shared. A call with nothing to fold and nothing to rebuild
+// publishes nothing.
 func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact bool) MergeResult {
 	folded := v.sealed[:k]
 	foldRows := 0
@@ -414,7 +390,6 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 		codes:   v.codes,
 		nMain:   v.nMain + foldRows,
 		dictGen: v.dictGen,
-		zones:   v.zones,
 		// Copied, not resliced, so the folded segments become garbage.
 		sealed:     append([]*deltaSegment(nil), v.sealed[k:]...),
 		sealedRows: v.sealedRows - foldRows,
@@ -425,7 +400,6 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 	}
 	if rewrite {
 		nv.codes = intcomp.PackAuto(codes)
-		nv.zones = buildZones(codes)
 	}
 	c.version.Store(nv)
 	if rebuild {

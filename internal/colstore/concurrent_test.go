@@ -3,6 +3,7 @@ package colstore
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -24,12 +25,13 @@ func TestConcurrentMergeStress(t *testing.T) {
 		rowsPerWriter = 3000
 		readers       = 3
 	)
+	// At least two pool workers, whatever the host's core count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	s := NewStore()
 	tb := s.AddTable("t")
 	col := tb.AddString("c", dict.FCBlock)
 
 	sched := NewMergeScheduler(s, 400)
-	sched.Parallelism = 2
 	// Rotate through a few formats so merges also exercise format changes.
 	formats := []dict.Format{dict.FCBlock, dict.Array, dict.FCInline, dict.ArrayBC}
 	var mergeCount atomic.Int64
@@ -199,12 +201,12 @@ func TestSnapshotReadersVsDaemon(t *testing.T) {
 		rowsPerWriter = 2500
 		readers       = 4
 	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	s := NewStore()
 	tb := s.AddTable("t")
 	col := tb.AddString("c", dict.FCBlock)
 
 	sched := NewMergeScheduler(s, 300)
-	sched.Parallelism = 2
 	sched.Interval = time.Millisecond
 	formats := []dict.Format{dict.FCBlock, dict.Array, dict.FCInline, dict.ArrayBC}
 	var mergeCount atomic.Int64
@@ -314,8 +316,8 @@ func TestSnapshotReadersVsDaemon(t *testing.T) {
 }
 
 // TestParallelMergeIdenticalDictionaries asserts the acceptance invariant:
-// merging a store serially or on the worker pool yields identical
-// dictionary bytes per column.
+// merging a store serially (GOMAXPROCS 1) or on a pool of four workers
+// (GOMAXPROCS 4) yields identical dictionary bytes per column.
 func TestParallelMergeIdenticalDictionaries(t *testing.T) {
 	build := func() *Store {
 		s := NewStore()
@@ -344,15 +346,13 @@ func TestParallelMergeIdenticalDictionaries(t *testing.T) {
 
 	serialStore := build()
 	serialSched := NewMergeScheduler(serialStore, 1)
-	serialSched.Parallelism = 1
 	serialSched.Chooser = chooser
-	serialSched.Flush()
+	withProcs(1, func() { serialSched.Flush() })
 
 	parStore := build()
 	parSched := NewMergeScheduler(parStore, 1)
-	parSched.Parallelism = 4
 	parSched.Chooser = chooser
-	parSched.Flush()
+	withProcs(4, func() { parSched.Flush() })
 
 	sc := serialStore.StringColumns()
 	pc := parStore.StringColumns()
@@ -367,4 +367,11 @@ func TestParallelMergeIdenticalDictionaries(t *testing.T) {
 			t.Fatalf("%s: vector bytes %d vs %d", sc[i].Name(), sb, pb)
 		}
 	}
+}
+
+// withProcs runs fn with GOMAXPROCS, and so the column pool's worker count,
+// set to n, and restores it afterwards.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
 }

@@ -113,7 +113,6 @@ func (c *StringColumn) RestoreMain(d dict.Dictionary, codes intcomp.Vector) {
 		codes:   codes,
 		nMain:   codes.Len(),
 		dictGen: c.version.Load().dictGen + 1,
-		zones:   zonesOfVector(codes),
 	})
 	c.totalRows.Store(int64(codes.Len()))
 }

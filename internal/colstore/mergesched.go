@@ -38,9 +38,9 @@ const DefaultMergeInterval = 50 * time.Millisecond
 // estimate (exponentially weighted, updated each pass).
 //
 // Due columns merge concurrently on the column pool (ForEachColumn), at
-// most Parallelism at a time (GOMAXPROCS by default); each column's merge
-// follows the seal-build-publish protocol of StringColumn, so queries keep
-// running against the old version until the atomic publish. The Chooser is
+// most GOMAXPROCS at a time; each column's merge follows the
+// seal-build-publish protocol of StringColumn, so queries keep running
+// against the old version until the atomic publish. The Chooser is
 // invoked from pool workers and must therefore be safe for concurrent use
 // (core.Manager is). Tick and Flush are serialized against each other
 // internally; bookkeeping is lock-protected and may be read concurrently
@@ -53,12 +53,9 @@ type MergeScheduler struct {
 	// Chooser decides the format at merge time from a snapshot pinning the
 	// column's pre-merge state (dictionary, counters, sizes); nil keeps each
 	// column's current format (fixed-format operation). It runs on pool
-	// workers, so it must be goroutine-safe when Parallelism != 1. Partial
+	// workers, so it must be goroutine-safe when GOMAXPROCS > 1. Partial
 	// folds never consult it: they keep the current format by design.
 	Chooser func(snap *Snapshot, lifetimeNs float64) dict.Format
-	// Parallelism bounds the worker pool merging due columns; 0 means
-	// GOMAXPROCS, 1 restores the serial path.
-	Parallelism int
 
 	// PartialMerges enables the partial-fold path: a pass over a hot column
 	// (see usePartial) folds only enough oldest sealed segments to bring the
@@ -299,20 +296,12 @@ func (m *MergeScheduler) observeRates(cols []*StringColumn) {
 
 // ForEachColumn calls fn(i, cols[i]) once per column on GOMAXPROCS workers
 // and returns when all calls have: the one column pool, under Load's merges,
-// store-wide rebuilds and (bounded by Parallelism) the merge scheduler. Calls
-// run concurrently; each column serializes its own merges and rebuilds.
+// store-wide rebuilds and the merge scheduler. Calls run concurrently; each
+// column serializes its own merges and rebuilds. Workers claim indexes off
+// an atomic cursor, so the order calls start in is the slice order and
+// completion order varies.
 func ForEachColumn(cols []*StringColumn, fn func(i int, c *StringColumn)) {
-	forEachColumn(cols, 0, fn)
-}
-
-// forEachColumn is ForEachColumn on at most workers goroutines (GOMAXPROCS
-// when workers <= 0). Workers claim indexes off an atomic cursor, so the
-// order calls start in is the slice order and completion order varies.
-func forEachColumn(cols []*StringColumn, workers int, fn func(i int, c *StringColumn)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(cols))
+	workers := min(runtime.GOMAXPROCS(0), len(cols))
 	if workers <= 1 {
 		for i, c := range cols {
 			fn(i, c)
@@ -333,13 +322,13 @@ func forEachColumn(cols []*StringColumn, workers int, fn func(i int, c *StringCo
 	wg.Wait()
 }
 
-// mergeColumns merges the due columns on the column pool, at most
-// Parallelism at a time, and returns the names of those that actually folded
-// rows, in store order — the order they were collected, which is also the
-// serial path's merge order — whatever order the merges complete in.
+// mergeColumns merges the due columns on the column pool and returns the
+// names of those that actually folded rows, in store order — the order they
+// were collected, which is also the serial path's merge order — whatever
+// order the merges complete in.
 func (m *MergeScheduler) mergeColumns(due []*StringColumn, drain bool) []string {
 	merged := make([]bool, len(due))
-	forEachColumn(due, m.Parallelism, func(i int, c *StringColumn) {
+	ForEachColumn(due, func(i int, c *StringColumn) {
 		merged[i] = m.mergeColumn(c, drain)
 	})
 	var names []string

@@ -54,9 +54,9 @@ func TestMergeOrderStoreOrderParallel(t *testing.T) {
 		want = append(want, c.Name())
 	}
 	m := NewMergeScheduler(s, 1)
-	m.Parallelism = 4
 	for round := 0; round < 5; round++ {
-		got := m.Tick()
+		var got []string
+		withProcs(4, func() { got = m.Tick() })
 		if len(got) != len(want) {
 			t.Fatalf("round %d: merged %v, want %v", round, got, want)
 		}

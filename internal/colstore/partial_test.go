@@ -3,6 +3,7 @@ package colstore
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +243,7 @@ func hotClock(c *StringColumn, rowsPerSec int) func() time.Time {
 // between the two runs. Runs under -race via scripts/check.sh.
 func TestPartialPolicyEquivalenceConcurrent(t *testing.T) {
 	const rows = 12_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	value := func(i int) string { return fmt.Sprintf("eq-%05d", (i*13)%700) }
 
 	run := func(partial bool) *StringColumn {
@@ -252,7 +254,6 @@ func TestPartialPolicyEquivalenceConcurrent(t *testing.T) {
 		ticks := make(chan time.Time)
 		m.newTicker = func(time.Duration) (<-chan time.Time, func()) { return ticks, func() {} }
 		m.PartialMerges = partial
-		m.Parallelism = 2
 		m.Start(context.Background())
 
 		var wg sync.WaitGroup

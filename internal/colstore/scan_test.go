@@ -60,19 +60,18 @@ func scanOracle(t *testing.T, snap *Snapshot, vals []string, label, probe, lo, h
 }
 
 // TestVectorizedScanMatchesScalar runs the kernel scan path against the
-// per-row Get oracle on columns that span several zones and all three
-// storage classes (main, sealed segment, active tail), across value shapes
-// that exercise every vector kind the merge can choose and several
-// dictionary formats.
+// per-row Get oracle on columns that span all three storage classes (main,
+// sealed segment, active tail), across value shapes that exercise every
+// vector kind the merge can choose and several dictionary formats.
 func TestVectorizedScanMatchesScalar(t *testing.T) {
-	const rows = 3*zoneRows + 137 // four zones, last one partial
+	const rows = 12425
 	shapes := []struct {
 		name  string
 		value func(i int) string
 	}{
-		// Sorted runs: merge picks RLE, zones have tight disjoint bounds.
+		// Sorted runs: merge picks RLE.
 		{"clustered", func(i int) string { return fmt.Sprintf("v%05d", i/1024) }},
-		// Uniform shuffle: packed vector, every zone spans the full domain.
+		// Uniform shuffle: packed vector.
 		{"uniform", func(i int) string { return fmt.Sprintf("v%05d", (i*2654435761)%512) }},
 		// Single value: constant column, one-code dictionary.
 		{"constant", func(i int) string { return "only" }},
@@ -117,52 +116,6 @@ func TestVectorizedScanMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestZonePruningSelective: on a clustered column, an equality probe for a
-// value confined to one cluster must skip most zones — and still return
-// exactly the oracle rows. Verifies the counters flow through Release into
-// ScanStats.
-func TestZonePruningSelective(t *testing.T) {
-	const rows = 4 * zoneRows
-	c := NewStringColumn("t.c", dict.Array)
-	for i := 0; i < rows; i++ {
-		c.Append(fmt.Sprintf("v%05d", i/512)) // sorted: zone n covers codes [8n, 8n+8)
-	}
-	c.Merge(dict.Array)
-	c.ResetStats()
-
-	snap := c.Snapshot()
-	probe := "v00003" // lives in zone 0 only
-	got := snap.ScanEq(probe, nil)
-	want := rowsWhere(snapshotValues(snap), equalTo(probe))
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("pruned ScanEq = %v, oracle %v", got, want)
-	}
-	if len(got) != 512 {
-		t.Fatalf("ScanEq returned %d rows, want 512", len(got))
-	}
-	snap.Release()
-
-	st := c.ScanStats()
-	if st.ZonesSkipped < 3 {
-		t.Fatalf("ZonesSkipped = %d, want >= 3 (selective probe on 4+ zones)", st.ZonesSkipped)
-	}
-	if st.ZonesScanned == 0 {
-		t.Fatal("ZonesScanned = 0, want at least the matching zone")
-	}
-	// An absent-but-in-range value locates to an insertion point; a miss
-	// must not scan anything beyond the zones whose bounds admit it.
-	before := c.ScanStats()
-	snap = c.Snapshot()
-	if n := len(snap.ScanEq("v99999", nil)); n != 0 {
-		t.Fatalf("absent probe matched %d rows", n)
-	}
-	snap.Release()
-	after := c.ScanStats()
-	if after.ZonesScanned != before.ZonesScanned {
-		t.Fatalf("absent probe scanned %d zones", after.ZonesScanned-before.ZonesScanned)
-	}
-}
-
 // TestSnapshotStatsFlushOnRelease: snapshot reads accumulate locally and hit
 // the column's counters only on Release, exactly once.
 func TestSnapshotStatsFlushOnRelease(t *testing.T) {
@@ -190,11 +143,9 @@ func TestSnapshotStatsFlushOnRelease(t *testing.T) {
 	}
 }
 
-// TestZonesCoverAllMergePaths: full merges, partial merges and format
-// rebuilds must leave a zone set that covers every main row exactly once —
-// checked behaviorally by scanning for every distinct value and comparing
-// against the Get oracle.
-func TestZonesCoverAllMergePaths(t *testing.T) {
+// TestScansMatchGetAcrossMergePaths: after full merges, partial merges and
+// format rebuilds, every scan entry point still agrees with the Get oracle.
+func TestScansMatchGetAcrossMergePaths(t *testing.T) {
 	c := NewStringColumn("t.c", dict.Array)
 	appendBatch := func(n, seed int) {
 		for i := 0; i < n; i++ {
@@ -205,27 +156,13 @@ func TestZonesCoverAllMergePaths(t *testing.T) {
 		t.Helper()
 		snap := c.Snapshot()
 		defer snap.Release()
-		v := snap.v
-		covered := 0
-		for i, z := range v.zones {
-			if z.start != covered {
-				t.Fatalf("%s: zone %d starts at %d, want %d", stage, i, z.start, covered)
-			}
-			if z.n <= 0 {
-				t.Fatalf("%s: zone %d empty", stage, i)
-			}
-			covered += z.n
-		}
-		if covered != v.nMain {
-			t.Fatalf("%s: zones cover %d rows, main has %d", stage, covered, v.nMain)
-		}
 		vals := snapshotValues(snap)
 		for _, probe := range []string{"v00000", "v00123", "v00299", "nope"} {
 			scanOracle(t, snap, vals, stage, probe, probe, probe+"~")
 		}
 	}
 
-	appendBatch(zoneRows+500, 0)
+	appendBatch(4596, 0)
 	c.Merge(dict.Array)
 	check("full merge")
 
@@ -244,12 +181,11 @@ func TestZonesCoverAllMergePaths(t *testing.T) {
 	check("rebuild")
 }
 
-// TestPruningSoundnessConcurrent is the race-detector stress for the
+// TestScanSoundnessConcurrent is the race-detector stress for the
 // vectorized path: writers append, a merger keeps folding the delta into new
-// main parts (rebuilding zones every time), and readers continuously verify
-// that the pruned kernel scan equals the Get oracle on their own pinned
-// snapshots.
-func TestPruningSoundnessConcurrent(t *testing.T) {
+// main parts, and readers continuously verify that the kernel scan equals
+// the Get oracle on their own pinned snapshots.
+func TestScanSoundnessConcurrent(t *testing.T) {
 	const (
 		writers       = 2
 		rowsPerWriter = 4000

@@ -8,11 +8,11 @@ import (
 )
 
 // Snapshot pins one consistent, immutable view of a StringColumn: the
-// published version (dictionary, code vector, zone maps, sealed delta
-// segments) plus a frozen prefix of the active delta segment captured at
-// snapshot time. It is the only type through which a value ID can be
-// obtained or consumed (DESIGN.md, "Value IDs are scoped to a Snapshot");
-// a query pins each column once, through a View.
+// published version (dictionary, code vector, sealed delta segments) plus a
+// frozen prefix of the active delta segment captured at snapshot time. It
+// is the only type through which a value ID can be obtained or consumed
+// (DESIGN.md, "Value IDs are scoped to a Snapshot"); a query pins each
+// column once, through a View.
 //
 //   - Consistency: value IDs, row values and Len never change for the
 //     snapshot's lifetime, whatever appends, merges or rebuilds run
@@ -42,10 +42,8 @@ type Snapshot struct {
 	// Plain fields: the whole point is that a tight scan loop bumps a local
 	// word instead of a cache line shared with every other scanning
 	// goroutine.
-	locates      uint64
-	extracts     uint64
-	zonesScanned uint64
-	zonesSkipped uint64
+	locates  uint64
+	extracts uint64
 
 	// inUse backs the misuse assertion compiled into race builds (see
 	// snapshot_guard_race.go): counter-bumping methods CAS it 0->1 on entry
@@ -94,14 +92,6 @@ func (s *Snapshot) Release() {
 		s.col.extracts.Add(s.extracts)
 		s.extracts = 0
 	}
-	if s.zonesScanned != 0 {
-		s.col.zonesScanned.Add(s.zonesScanned)
-		s.zonesScanned = 0
-	}
-	if s.zonesSkipped != 0 {
-		s.col.zonesSkipped.Add(s.zonesSkipped)
-		s.zonesSkipped = 0
-	}
 }
 
 // Name returns the column name.
@@ -132,6 +122,18 @@ func (s *Snapshot) VectorBytes() uint64 { return s.v.codes.Bytes() }
 // DictValues materializes the sorted distinct values of the pinned
 // dictionary; see dictValuesOf for why the access counters do not move.
 func (s *Snapshot) DictValues() []string { return dictValuesOf(s.v.dict) }
+
+// DictRawBytes returns the summed length of the pinned dictionary's
+// distinct values, the uncompressed size it is measured against. Like
+// DictValues it is a maintenance read: the access counters do not move.
+func (s *Snapshot) DictRawBytes() uint64 {
+	var raw uint64
+	s.v.dict.ForEach(func(_ uint32, value []byte) bool {
+		raw += uint64(len(value))
+		return true
+	})
+	return raw
+}
 
 // Stats returns the column's cumulative access counters. The counters are
 // live (they keep advancing as others read the column) and exclude this
@@ -251,24 +253,16 @@ func (s *Snapshot) CodeRange(lo, hi string) (uint32, uint32) {
 }
 
 // ScanEq appends to out the rows whose value equals value: the main part
-// via the packed-domain equality kernel (one locate) over the zones whose
-// min/max admit the code, sealed segments through their interned indexes,
-// and the captured active prefix by direct comparison.
+// via one packed-domain equality kernel call (one locate), sealed segments
+// through their interned indexes, and the captured active prefix by direct
+// comparison.
 func (s *Snapshot) ScanEq(value string, out []int) []int {
 	s.enter()
 	defer s.exit()
 	v := s.v
 	s.locates++
 	if id, found := v.dict.Locate(value); found {
-		code := uint64(id)
-		for _, z := range v.zones {
-			if !z.overlapsEq(code) {
-				s.zonesSkipped++
-				continue
-			}
-			s.zonesScanned++
-			out = intcomp.ScanEq(v.codes, code, z.start, z.n, out)
-		}
+		out = intcomp.ScanEq(v.codes, uint64(id), 0, v.nMain, out)
 	}
 	off := v.nMain
 	for _, seg := range v.sealed {
@@ -290,8 +284,8 @@ func (s *Snapshot) ScanEq(value string, out []int) []int {
 }
 
 // CountEq returns the number of rows whose value equals value (one
-// locate). The main part is counted with the packed-domain popcount kernel
-// under zone pruning; no row indices are materialized.
+// locate). The main part is counted with one packed-domain popcount kernel
+// call; no row indices are materialized.
 func (s *Snapshot) CountEq(value string) int {
 	s.enter()
 	defer s.exit()
@@ -299,15 +293,7 @@ func (s *Snapshot) CountEq(value string) int {
 	s.locates++
 	count := 0
 	if id, found := v.dict.Locate(value); found {
-		code := uint64(id)
-		for _, z := range v.zones {
-			if !z.overlapsEq(code) {
-				s.zonesSkipped++
-				continue
-			}
-			s.zonesScanned++
-			count += intcomp.CountEq(v.codes, code, z.start, z.n)
-		}
+		count = intcomp.CountEq(v.codes, uint64(id), 0, v.nMain)
 	}
 	for _, seg := range v.sealed {
 		if dcode, ok := seg.index[value]; ok {
@@ -329,9 +315,9 @@ func (s *Snapshot) CountEq(value string) int {
 // ScanRange appends to out the rows whose value lies in [lo, hi). Order
 // preservation turns the string interval into the code interval
 // [loID, hiID) (two locates, Definition 1 insertion points), so the main
-// part is a pure code-range kernel scan under zone pruning; sealed
-// segments are skipped via their value bounds, the rest of the delta
-// compares strings.
+// part is one code-range kernel call; sealed segments evaluate the
+// predicate once per distinct value, and the active prefix compares
+// strings.
 func (s *Snapshot) ScanRange(lo, hi string, out []int) []int {
 	s.enter()
 	defer s.exit()
@@ -340,24 +326,12 @@ func (s *Snapshot) ScanRange(lo, hi string, out []int) []int {
 	loID, _ := v.dict.Locate(lo)
 	hiID, _ := v.dict.Locate(hi)
 	if loID < hiID {
-		for _, z := range v.zones {
-			if !z.overlapsRange(uint64(loID), uint64(hiID)) {
-				s.zonesSkipped++
-				continue
-			}
-			s.zonesScanned++
-			out = intcomp.ScanRange(v.codes, uint64(loID), uint64(hiID), z.start, z.n, out)
-		}
+		out = intcomp.ScanRange(v.codes, uint64(loID), uint64(hiID), 0, v.nMain, out)
 	}
-	// Sealed segments whose value bounds exclude the interval are skipped
-	// whole; the others are evaluated once per distinct value, then per
+	// Each sealed segment is evaluated once per distinct value, then per
 	// row on the tiny per-segment code.
 	off := v.nMain
 	for _, seg := range v.sealed {
-		if seg.maxVal < lo || seg.minVal >= hi {
-			off += len(seg.rows)
-			continue
-		}
 		match := make([]bool, len(seg.vals))
 		any := false
 		for i, val := range seg.vals {

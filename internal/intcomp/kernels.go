@@ -256,8 +256,8 @@ func appendGather(v Vector, dst []uint64, start, n int) []uint64 {
 }
 
 // MinMax returns the minimum and maximum element of [start, start+n).
-// n must be positive; out-of-range panics. It backs zone-map construction
-// when only the compressed vector is available (crash recovery).
+// n must be positive; out-of-range panics. It backs recovery's check that
+// every code of a loaded vector indexes into its dictionary.
 func MinMax(v Vector, start, n int) (lo, hi uint64) {
 	checkVectorRange(v.Len(), start, n)
 	if n <= 0 {

@@ -313,12 +313,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				snap := srv.pin(c)
 				st.Formats[snap.Format().String()]++
 				st.DictBytes += snap.DictBytes()
-				var raw uint64
-				snap.ForEachValue(func(id uint32, value []byte) bool {
-					raw += uint64(len(value))
-					return true
-				})
-				st.DictRaw += raw
+				st.DictRaw += snap.DictRawBytes()
 				srv.unpin(snap)
 			}
 		}

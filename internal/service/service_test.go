@@ -388,6 +388,52 @@ func TestStatsRacesAppends(t *testing.T) {
 	}
 }
 
+// TestStatsLeavesAccessTrace: /v1/stats sums each dictionary's raw bytes,
+// a maintenance read. The merge-time format choice prices a column's
+// extract and locate counters as query work, so three stats calls must
+// leave every column's counters where they were, and report the same raw
+// size each time.
+func TestStatsLeavesAccessTrace(t *testing.T) {
+	st := colstore.NewStore()
+	srv := NewWithStores([]*colstore.Store{st}, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := &Client{Base: ts.URL, HTTP: ts.Client()}
+
+	names := []string{"alpha", "beta", "gamma", "delta"}
+	if _, err := cl.Append([]AppendItem{oneItem("acme", "orders", names)}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	cols := st.StringColumns()
+	if len(cols) != 1 {
+		t.Fatalf("store has %d string columns, want 1", len(cols))
+	}
+	for _, c := range cols {
+		c.Merge(c.Format())
+	}
+	before := make([]colstore.AccessStats, len(cols))
+	for i, c := range cols {
+		before[i] = c.Stats()
+	}
+	const wantRaw = len("alpha") + len("beta") + len("gamma") + len("delta")
+	for call := 0; call < 3; call++ {
+		out, err := cl.Stats()
+		if err != nil {
+			t.Fatalf("stats %d: %v", call, err)
+		}
+		shard := out["shards"].([]any)[0].(map[string]any)
+		if raw := shard["dict_raw_bytes"]; raw != float64(wantRaw) {
+			t.Fatalf("stats %d: dict_raw_bytes = %v, want %d", call, raw, wantRaw)
+		}
+	}
+	for i, c := range cols {
+		if got := c.Stats(); got != before[i] {
+			t.Fatalf("column %s: /v1/stats moved the access counters from %+v to %+v", c.Name(), before[i], got)
+		}
+	}
+}
+
 // TestRejectedAppendLeavesTableAligned holds the append contract: an item is
 // applied to all of its columns or to none. An item whose column set has the
 // schema's arity but names an unknown column — in any of the three maps, or

@@ -67,8 +67,7 @@ func (h *harness) sampleRows(n int) []int {
 }
 
 // checkKernels is oracle 2: the vectorized ScanEq/ScanRange/CountEq paths
-// (zone pruning on) agree with the per-row Get oracle on one snapshot per
-// column, for probes both present in and absent from the corpus.
+// agree with the per-row Get oracle on one snapshot per column, for probes both present in and absent from the corpus.
 func (h *harness) checkKernels() error {
 	tb := h.s.Table("t")
 	for _, c := range h.cols {

@@ -8,8 +8,7 @@
 // killed mid-flight by a fault — and checks six oracles after every step:
 //
 //  1. engine vs a naive in-memory model store (per-column value slices),
-//  2. kernel ScanEq/ScanRange/CountEq vs their scalar oracles with zone
-//     pruning on,
+//  2. kernel ScanEq/ScanRange/CountEq vs their scalar oracles,
 //  3. every dictionary format vs every other over the same
 //     column,
 //  4. a recovered store vs the pre-crash store (durable floor ≤ recovered

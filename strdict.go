@@ -302,9 +302,9 @@ func Unmarshal(data []byte) (Dictionary, error) { return dict.Unmarshal(data) }
 
 // MergeScheduler drives delta-to-main merges and tracks per-column merge
 // intervals (the lifetime that normalizes the manager's time dimension).
-// Due columns merge concurrently on its bounded worker pool (Parallelism
-// field; GOMAXPROCS by default) while readers keep querying the old column
-// version until each column's atomic publish. Call Start to run it as a
+// Due columns merge concurrently on the column pool (GOMAXPROCS workers)
+// while readers keep querying the old column version until each column's
+// atomic publish. Call Start to run it as a
 // background daemon with its own timer, Close for graceful shutdown; or call
 // Tick cooperatively from the ingest path. Append never waits for it.
 type MergeScheduler = colstore.MergeScheduler
