@@ -224,6 +224,21 @@ func TestBytesBreakdown(t *testing.T) {
 	if c.VectorBytes() == 0 || c.DictBytes() == 0 {
 		t.Fatal("zero component size")
 	}
+
+	// The first count builds the count table, which Bytes then includes; a
+	// merge that rewrites the codes leaves it behind with the old vector.
+	s := c.Snapshot()
+	s.CountEq("value-00007")
+	s.Release()
+	table := *c.version.Load().counts.built.Load()
+	if got, want := c.Bytes(), c.DictBytes()+c.VectorBytes()+table.Bytes(); got != want || table.Bytes() == 0 {
+		t.Fatalf("Bytes %d after a count, want dict + vector + table %d = %d", got, table.Bytes(), want)
+	}
+	c.Append("value-00001")
+	c.Merge(dict.Array)
+	if c.Bytes() != c.DictBytes()+c.VectorBytes() {
+		t.Fatalf("Bytes %d after a rewriting merge, want dict %d + vector %d", c.Bytes(), c.DictBytes(), c.VectorBytes())
+	}
 }
 
 func TestTableAndStore(t *testing.T) {

@@ -94,6 +94,10 @@ type columnVersion struct {
 	// number, one that shares its predecessor's copies it (see joinTable).
 	dictGen uint64
 
+	// counts holds codes' per-value-ID row counts. Versions that share
+	// codes share it; a version with a new code vector gets an empty one.
+	counts *countTable
+
 	// Sealed delta segments, oldest first. Their rows follow the main part
 	// in row-position order; sealedRows caches their total length.
 	sealed     []*deltaSegment
@@ -102,6 +106,25 @@ type columnVersion struct {
 
 // rows returns the number of rows covered by this version (main + sealed).
 func (v *columnVersion) rows() int { return v.nMain + v.sealedRows }
+
+// countTable is a main part's per-value-ID row-count table, built by the
+// first CountEq or ScanEq that needs it and kept for the code vector's
+// lifetime. No column lock is held while it is built, so appends and merges
+// never wait on it; it is derived state and never persisted.
+type countTable struct {
+	once  sync.Once
+	built atomic.Pointer[intcomp.Vector] // nil until built; read by Bytes
+}
+
+// count returns the number of main rows with value ID id, building v's
+// table on first use.
+func (v *columnVersion) count(id uint32) int {
+	v.counts.once.Do(func() {
+		t := intcomp.Counts(v.codes, v.dict.Len())
+		v.counts.built.Store(&t)
+	})
+	return int((*v.counts.built.Load()).Get(int(id)))
+}
 
 // sealedValue returns the value at delta offset off (row - nMain).
 func (v *columnVersion) sealedValue(off int) string {
@@ -180,8 +203,9 @@ func NewStringColumn(name string, format dict.Format) *StringColumn {
 		activeIndex: make(map[string]uint32),
 	}
 	c.version.Store(&columnVersion{
-		dict:  dict.BuildUnchecked(format, nil),
-		codes: intcomp.PackBits(nil),
+		dict:   dict.BuildUnchecked(format, nil),
+		codes:  intcomp.PackBits(nil),
+		counts: new(countTable),
 	})
 	return c
 }
@@ -322,6 +346,7 @@ func (c *StringColumn) sealActive() *columnVersion {
 		codes:      v.codes,
 		nMain:      v.nMain,
 		dictGen:    v.dictGen,
+		counts:     v.counts,
 		sealed:     append(v.sealed[:len(v.sealed):len(v.sealed)], seg),
 		sealedRows: v.sealedRows + len(seg.rows),
 	}
@@ -356,8 +381,8 @@ func (c *StringColumn) sealActive() *columnVersion {
 // format changes, or compact is set; otherwise it is shared with v. Every
 // code below the new boundary is rewritten into one freshly packed vector
 // iff any row is folded or compact is set; otherwise (a format-only Rebuild)
-// the vector is shared. A call with nothing to fold and nothing to rebuild
-// publishes nothing.
+// the vector and its count table are shared. A call with nothing to fold and
+// nothing to rebuild publishes nothing.
 func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact bool) MergeResult {
 	folded := v.sealed[:k]
 	foldRows := 0
@@ -390,6 +415,7 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 		codes:   v.codes,
 		nMain:   v.nMain + foldRows,
 		dictGen: v.dictGen,
+		counts:  v.counts,
 		// Copied, not resliced, so the folded segments become garbage.
 		sealed:     append([]*deltaSegment(nil), v.sealed[k:]...),
 		sealedRows: v.sealedRows - foldRows,
@@ -400,6 +426,7 @@ func (c *StringColumn) fold(v *columnVersion, k int, format dict.Format, compact
 	}
 	if rewrite {
 		nv.codes = intcomp.PackAuto(codes)
+		nv.counts = new(countTable)
 	}
 	c.version.Store(nv)
 	if rebuild {
@@ -527,10 +554,14 @@ func deltaSegmentBytes(vals []string, rows []uint32) uint64 {
 }
 
 // Bytes returns the column's total footprint: dictionary, code vector,
-// delta structures (sealed and active), and the cached join map.
+// delta structures (sealed and active), the cached join map and the count
+// table once built.
 func (c *StringColumn) Bytes() uint64 {
 	v := c.version.Load()
 	b := v.dict.Bytes() + v.codes.Bytes()
+	if t := v.counts.built.Load(); t != nil {
+		b += (*t).Bytes()
+	}
 	if t := c.joinTable.Load(); t != nil {
 		b += 4 * uint64(len(t.rows))
 	}

@@ -315,6 +315,91 @@ func TestSnapshotReadersVsDaemon(t *testing.T) {
 	}
 }
 
+// TestCountTableConcurrent races the lazy count-table build: each round,
+// readers on their own snapshots of one fresh version (table unbuilt) call
+// CountEq together while an appender feeds a merge daemon that republishes
+// the column, and every answer must equal the Get oracle on the reader's
+// snapshot. Runs under -race via scripts/check.sh.
+func TestCountTableConcurrent(t *testing.T) {
+	const readers = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	s := NewStore()
+	col := s.AddTable("t").AddString("c", dict.Array)
+	valueOf := func(i int) string { return fmt.Sprintf("v%04d", i*7919%(50+i/40)) }
+	for i := range 2000 {
+		col.Append(valueOf(i))
+	}
+	col.Merge(dict.Array)
+
+	sched := NewMergeScheduler(s, 1)
+	sched.Interval = time.Millisecond
+	sched.Start(context.Background())
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 2000; !stop.Load(); i++ {
+			col.Append(valueOf(i))
+			if i%50 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+
+	for round := 0; round < 10; round++ {
+		var snaps []*Snapshot
+		waitFor(t, "a fresh version", func() bool {
+			snaps = snaps[:0]
+			for range readers {
+				snaps = append(snaps, col.Snapshot())
+			}
+			v := snaps[0].v
+			for _, snap := range snaps {
+				if snap.v != v {
+					return false
+				}
+			}
+			return v.counts.built.Load() == nil
+		})
+		var rg sync.WaitGroup
+		for _, snap := range snaps {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				defer snap.Release()
+				values := append(snap.DictValues(), "absent")
+				got := make([]int, len(values))
+				for i, val := range values {
+					got[i] = snap.CountEq(val)
+				}
+				want := make(map[string]int)
+				for row := range snap.Len() {
+					want[snap.Get(row)]++
+				}
+				for i, val := range values {
+					if got[i] != want[val] {
+						t.Errorf("round %d: CountEq(%q) = %d, Get oracle %d", round, val, got[i], want[val])
+						return
+					}
+				}
+				for val, n := range want { // the delta's values too
+					if got := snap.CountEq(val); got != n {
+						t.Errorf("round %d: CountEq(%q) = %d, Get oracle %d", round, val, got, n)
+						return
+					}
+				}
+			}()
+		}
+		rg.Wait()
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := sched.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestParallelMergeIdenticalDictionaries asserts the acceptance invariant:
 // merging a store serially (GOMAXPROCS 1) or on a pool of four workers
 // (GOMAXPROCS 4) yields identical dictionary bytes per column.

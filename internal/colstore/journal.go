@@ -113,6 +113,7 @@ func (c *StringColumn) RestoreMain(d dict.Dictionary, codes intcomp.Vector) {
 		codes:   codes,
 		nMain:   codes.Len(),
 		dictGen: c.version.Load().dictGen + 1,
+		counts:  new(countTable),
 	})
 	c.totalRows.Store(int64(codes.Len()))
 }

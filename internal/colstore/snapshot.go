@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"strdict/internal/dict"
@@ -253,16 +254,16 @@ func (s *Snapshot) CodeRange(lo, hi string) (uint32, uint32) {
 }
 
 // ScanEq appends to out the rows whose value equals value: the main part
-// via one packed-domain equality kernel call (one locate), sealed segments
-// through their interned indexes, and the captured active prefix by direct
-// comparison.
+// via one packed-domain equality kernel call (one locate) into out grown by
+// the value's count-table entry, sealed segments through their interned
+// indexes, and the captured active prefix by direct comparison.
 func (s *Snapshot) ScanEq(value string, out []int) []int {
 	s.enter()
 	defer s.exit()
 	v := s.v
 	s.locates++
 	if id, found := v.dict.Locate(value); found {
-		out = intcomp.ScanEq(v.codes, uint64(id), 0, v.nMain, out)
+		out = intcomp.ScanEq(v.codes, uint64(id), 0, v.nMain, slices.Grow(out, v.count(id)))
 	}
 	off := v.nMain
 	for _, seg := range v.sealed {
@@ -284,8 +285,8 @@ func (s *Snapshot) ScanEq(value string, out []int) []int {
 }
 
 // CountEq returns the number of rows whose value equals value (one
-// locate). The main part is counted with one packed-domain popcount kernel
-// call; no row indices are materialized.
+// locate). The main part's count is one lookup in the version's count
+// table (see countTable); the code vector is not scanned.
 func (s *Snapshot) CountEq(value string) int {
 	s.enter()
 	defer s.exit()
@@ -293,7 +294,7 @@ func (s *Snapshot) CountEq(value string) int {
 	s.locates++
 	count := 0
 	if id, found := v.dict.Locate(value); found {
-		count = intcomp.CountEq(v.codes, uint64(id), 0, v.nMain)
+		count = v.count(id)
 	}
 	for _, seg := range v.sealed {
 		if dcode, ok := seg.index[value]; ok {

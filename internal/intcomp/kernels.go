@@ -18,7 +18,7 @@ import (
 // errKind is the kernels' panic on a Vector this package did not make.
 const errKind = "intcomp: unknown vector kind"
 
-// kernelChunk is MinMax's stack-buffer size.
+// kernelChunk is MinMax's and Counts' stack-buffer size.
 const kernelChunk = 256
 
 // ScanEq appends the index of every element in [start, start+n) equal to
@@ -131,7 +131,8 @@ func ScanRange(v Vector, lo, hi uint64, start, n int, dst []int) []int {
 // CountEq returns the number of elements in [start, start+n) equal to code.
 // Out-of-range [start, start+n) panics. It mirrors ScanEq but only counts,
 // letting the packed path use one popcount per word instead of iterating
-// match bits.
+// match bits. colstore answers a main part's counts from its Counts table
+// instead; this kernel stays as that table's oracle and for bench/.
 func CountEq(v Vector, code uint64, start, n int) int {
 	checkVectorRange(v.Len(), start, n)
 	if n == 0 {
@@ -173,6 +174,22 @@ func CountEq(v Vector, code uint64, start, n int) int {
 	default:
 		panic(errKind)
 	}
+}
+
+// Counts returns, for every code below domain, the number of elements of v
+// equal to it, packed by PackAuto: a main part's per-value-ID row counts,
+// from one windowed Gather pass. A code at or above domain panics.
+func Counts(v Vector, domain int) Vector {
+	tally := make([]uint64, domain)
+	var buf [kernelChunk]uint64
+	for o := 0; o < v.Len(); o += kernelChunk {
+		w := buf[:min(kernelChunk, v.Len()-o)]
+		Gather(v, o, nil, w)
+		for _, x := range w {
+			tally[x]++
+		}
+	}
+	return PackAuto(tally)
 }
 
 // runBatch is the number of RLE runs whose starts and values Gather

@@ -213,6 +213,41 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestCountsMatchCountEq: every entry of Counts equals the CountEq kernel
+// over the whole vector, and the entries sum to Len, on every vector kind,
+// at code widths 1 to 13 and on the empty vector.
+func TestCountsMatchCountEq(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, w := range []uint{1, 3, 7, 10, 13} {
+		domain := 1 << w
+		for _, n := range []int{0, 1, 257, 3000} {
+			for _, shape := range []string{"runs", "clustered", "uniform"} {
+				values := genValues(rng, n, shape)
+				for i := range values {
+					values[i] %= uint64(domain)
+				}
+				for kind, v := range kernelTestVectors(t, values) {
+					counts := Counts(v, domain)
+					if counts.Len() != domain {
+						t.Fatalf("w%d/%d/%s/%s: Counts Len = %d", w, n, shape, kind, counts.Len())
+					}
+					sum := 0
+					for code := range domain {
+						got, want := int(counts.Get(code)), CountEq(v, uint64(code), 0, n)
+						if got != want {
+							t.Fatalf("w%d/%d/%s/%s: Counts[%d] = %d, CountEq %d", w, n, shape, kind, code, got, want)
+						}
+						sum += got
+					}
+					if sum != n {
+						t.Fatalf("w%d/%d/%s/%s: counts sum to %d, want %d", w, n, shape, kind, sum, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPackAutoPicksSmallest verifies the single-pass size estimation agrees
 // with materializing all three candidates: the chosen vector's footprint
 // must equal the minimum of the three, with the historical tie-break order

@@ -20,6 +20,9 @@ import (
 //   - 15bit: the same with 20,000 distinct values, the size of a service
 //     benchmark table: 15-bit codes, four to a kernel window and straddling
 //     words.
+//
+// count/kernel is Snapshot.CountEq, which answers from the main part's
+// per-value count table (built by its first call) without a kernel scan.
 func BenchmarkScanKernels(b *testing.B) {
 	const rows = 1 << 18
 	value := func(code int) string { return fmt.Sprintf("val-%05d", code) }

@@ -42,10 +42,12 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 # no concat kernel or wire-write case) and the scalar scans leaving
 # colstore for a Get oracle in the tests lowered it from 22069, net of the
 # durable directory creation in persist.Open. Deleting zone maps and the
-# merge scheduler's Parallelism knob lowered it from 21873.
+# merge scheduler's Parallelism knob lowered it from 21873. The main part's
+# per-value count table (CountEq answers with one lookup; intcomp.Counts
+# builds it) raised it from 21711 by the 50 lines it added.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 21711 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 21711"
+if [ "$lines" -gt 21761 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 21761"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
@@ -61,11 +63,13 @@ fi
 # default-cost registration) took from 917 lines.
 [ "$(find internal/model -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 830 ]
 # And on the integer vectors, which dropping the concat kind (three kinds:
-# packed, RLE, FOR; a legacy concat decodes flat) took from 998 lines.
-[ "$(find internal/intcomp -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 849 ]
+# packed, RLE, FOR; a legacy concat decodes flat) took from 998 lines;
+# Counts, the count-table builder, raised it from 849 by 17.
+[ "$(find internal/intcomp -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 866 ]
 # And on the column store, which deleting zone maps and sealed-segment value
-# bounds (one kernel call per scan) took from 2360 lines.
-[ "$(find internal/colstore -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 2205 ]
+# bounds (one kernel call per scan) took from 2360 lines; the lazily built
+# count table behind CountEq raised it from 2205 by 33.
+[ "$(find internal/colstore -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" -le 2238 ]
 if go list -deps ./internal/service | grep -q internal/tpch; then # "! cmd" would not trip set -e
     echo "FAIL: internal/service depends on internal/tpch"
     exit 1
@@ -129,6 +133,9 @@ go test -race -count=50 -run 'TestMergeDaemonOnRefreshStream' ./internal/tpch/
 # Join's translation cache: hits, every invalidation, and joins racing a
 # merge daemon that republishes both sides, against the brute-force model.
 go test -race -count=20 -run TestJoinTranslationCache ./internal/colstore/
+# The count table's lazy build: readers on snapshots of one fresh version
+# count together while a merge daemon republishes, against the Get oracle.
+go test -race -count=20 -run TestCountTableConcurrent ./internal/colstore/
 
 # Predicate oracle: CodeSet, PrefixSet and ValueSet against pred(Extract)
 # and strings.HasPrefix on every format, with their locate/extract costs.
