@@ -55,8 +55,12 @@ func (c *Client) do(req *http.Request, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *ScanResult:
+		*out, err = parseScanBody(body)
+		return err
 	}
 	return json.Unmarshal(body, out)
 }
@@ -115,7 +119,8 @@ func queryArgs(tenant, table, col string) url.Values {
 	return url.Values{"tenant": {tenant}, "table": {table}, "col": {col}}
 }
 
-// ScanResult is a /v1/scan response.
+// ScanResult is a /v1/scan response. The body has one fixed shape
+// (appendScanBody), and the client reads no other.
 type ScanResult struct {
 	Shard     int   `json:"shard"`
 	Count     int   `json:"count"`
@@ -127,9 +132,7 @@ type ScanResult struct {
 func (c *Client) ScanEq(tenant, table, col, value string) (ScanResult, error) {
 	q := queryArgs(tenant, table, col)
 	q.Set("eq", value)
-	var out ScanResult
-	err := c.get("/v1/scan", q, &out)
-	return out, err
+	return c.scan(q)
 }
 
 // ScanRange returns the rows with lo <= value < hi.
@@ -137,6 +140,10 @@ func (c *Client) ScanRange(tenant, table, col, lo, hi string) (ScanResult, error
 	q := queryArgs(tenant, table, col)
 	q.Set("lo", lo)
 	q.Set("hi", hi)
+	return c.scan(q)
+}
+
+func (c *Client) scan(q url.Values) (ScanResult, error) {
 	var out ScanResult
 	err := c.get("/v1/scan", q, &out)
 	return out, err

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"strdict/internal/dict"
@@ -138,6 +140,58 @@ func FuzzAppendBody(f *testing.F) {
 		}
 		if tables != len(rows) {
 			t.Fatalf("%d tables exist, %d received accepted rows", tables, len(rows))
+		}
+	})
+}
+
+// FuzzScanBody holds the client's scan-body parser to encoding/json and to
+// the server's encoder. On arbitrary bytes parseScanBody must not panic, and
+// whatever it accepts json.Unmarshal must accept as an equal ScanResult.
+// Every body appendScanBody writes from fuzzed (rows, count, shard,
+// truncated), rows taken as 8-byte little-endian words, must equal what
+// json.Encoder writes for the same keys in a map and parse back exactly.
+func FuzzScanBody(f *testing.F) {
+	for _, body := range []string{
+		`{"count":2,"rows":[0,2],"shard":1,"truncated":false}` + "\n",
+		`{"count":0,"rows":[],"shard":0,"truncated":false}` + "\n",
+		`{"count":10001,"rows":[4294967296],"shard":12,"truncated":true}` + "\n",
+		`{"count":-0,"rows":[-9223372036854775808,9223372036854775807],"shard":-1,"truncated":true}` + "\n",
+		`{"count":1,"rows":[9223372036854775808],"shard":0,"truncated":false}` + "\n",
+		`{"count":1,"rows":[01],"shard":0,"truncated":false}` + "\n",
+		`{"count":1,"rows":[1e3],"shard":0,"truncated":false}` + "\n",
+		`{"count":1,"rows":[1,],"shard":0,"truncated":false}` + "\n",
+		`{"count":0,"rows":null,"shard":0,"truncated":false}` + "\n",
+		`{"count": 1, "rows": [1], "shard": 0, "truncated": false}`,
+		`{"error":"scan needs eq= or lo=/hi="}` + "\n",
+	} {
+		f.Add([]byte(body), []byte{1, 0, 0, 0, 0, 0, 0, 0}, 1, 0, false)
+	}
+	f.Add([]byte{}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80}, 10001, 17, true)
+
+	f.Fuzz(func(t *testing.T, body, rowBytes []byte, count, shard int, truncated bool) {
+		if got, err := parseScanBody(body); err == nil {
+			var want ScanResult
+			if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("parseScanBody(%q) = %+v; json.Unmarshal = %+v, %v", body, got, want, err)
+			}
+		}
+
+		res := ScanResult{Shard: shard, Count: count, Rows: make([]int, len(rowBytes)/8), Truncated: truncated}
+		for i := range res.Rows {
+			res.Rows[i] = int(binary.LittleEndian.Uint64(rowBytes[8*i:]))
+		}
+		enc := appendScanBody(nil, res)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]any{
+			"shard": res.Shard, "count": res.Count, "rows": res.Rows, "truncated": res.Truncated,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, want.Bytes()) {
+			t.Fatalf("appendScanBody(%+v) = %q, encoding/json writes %q", res, enc, want.Bytes())
+		}
+		if got, err := parseScanBody(enc); err != nil || !reflect.DeepEqual(got, res) {
+			t.Fatalf("parseScanBody(%q) = %+v, %v; want %+v", enc, got, err, res)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 
@@ -176,8 +177,9 @@ func (srv *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, appendResponse{Results: results, Rows: rows})
 }
 
-// queryColumn resolves the query target and pins the request's snapshot.
-// The returned release func must run on every exit path.
+// queryColumn parses the query string, resolves the query target and pins
+// the request's snapshot. The returned querySnap's release must run on
+// every exit path.
 func (srv *Server) queryColumn(w http.ResponseWriter, r *http.Request) (*querySnap, bool) {
 	q := r.URL.Query()
 	tenant, table, col := q.Get("tenant"), q.Get("table"), q.Get("col")
@@ -194,13 +196,14 @@ func (srv *Server) queryColumn(w http.ResponseWriter, r *http.Request) (*querySn
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return nil, false
 	}
-	return &querySnap{srv: srv, shard: shardID, snap: srv.pin(c)}, true
+	return &querySnap{srv: srv, shard: shardID, snap: srv.pin(c), q: q}, true
 }
 
 type querySnap struct {
 	srv   *Server
 	shard int
 	snap  *colstore.Snapshot
+	q     url.Values // the request's parsed query string
 }
 
 func (qs *querySnap) release() { qs.srv.unpin(qs.snap) }
@@ -211,7 +214,8 @@ func (qs *querySnap) release() { qs.srv.unpin(qs.snap) }
 const MaxScanRows = 10000
 
 // handleScan returns the row indices matching eq=<value> or
-// lo=<lo>&hi=<hi> (half-open range), capped at MaxScanRows indices; the
+// lo=<lo>&hi=<hi> (half-open range; a missing lo is "", the smallest
+// string, and a missing hi is a 400), capped at MaxScanRows indices; the
 // uncapped match count is always reported.
 func (srv *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	qs, ok := srv.queryColumn(w, r)
@@ -219,32 +223,24 @@ func (srv *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer qs.release()
-	q := r.URL.Query()
 	var rows []int
-	switch {
+	switch q := qs.q; {
 	case q.Has("eq"):
 		rows = qs.snap.ScanEq(q.Get("eq"), nil)
-	case q.Has("lo") || q.Has("hi"):
+	case q.Has("hi"):
 		rows = qs.snap.ScanRange(q.Get("lo"), q.Get("hi"), nil)
+	case q.Has("lo"):
+		writeErr(w, http.StatusBadRequest, "scan range needs hi=")
+		return
 	default:
 		writeErr(w, http.StatusBadRequest, "scan needs eq= or lo=/hi=")
 		return
 	}
-	count := len(rows)
-	truncated := false
-	if count > MaxScanRows {
-		rows = rows[:MaxScanRows]
-		truncated = true
+	res := ScanResult{Shard: qs.shard, Count: len(rows), Rows: rows}
+	if res.Count > MaxScanRows {
+		res.Rows, res.Truncated = rows[:MaxScanRows], true
 	}
-	if rows == nil {
-		rows = []int{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"shard":     qs.shard,
-		"count":     count,
-		"rows":      rows,
-		"truncated": truncated,
-	})
+	writeScanBody(w, res)
 }
 
 // handleCount returns the number of rows equal to value=.
@@ -256,7 +252,7 @@ func (srv *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	defer qs.release()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"shard": qs.shard,
-		"count": qs.snap.CountEq(r.URL.Query().Get("value")),
+		"count": qs.snap.CountEq(qs.q.Get("value")),
 	})
 }
 
@@ -267,7 +263,7 @@ func (srv *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer qs.release()
-	code, found := qs.snap.Locate(r.URL.Query().Get("value"))
+	code, found := qs.snap.Locate(qs.q.Get("value"))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"shard": qs.shard,
 		"found": found,

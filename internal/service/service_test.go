@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -517,5 +521,69 @@ func TestAppendRejectsNUL(t *testing.T) {
 	}
 	if _, err := cl.CountEq("acme", "nul", "name", "a"); err == nil {
 		t.Fatal("the rejected item created its table")
+	}
+}
+
+// TestScanRangeNeedsHi: a range scan with lo= alone is a 400 naming hi=.
+// Read as hi="", it matched nothing and answered 200 with count 0 over
+// values that lie above lo. A missing lo is "", the smallest string.
+func TestScanRangeNeedsHi(t *testing.T) {
+	srv, cl := newTestServer(t, Options{Shards: 2, NoDaemons: true})
+	if _, err := cl.Append([]AppendItem{oneItem("a", "t", []string{"alpha", "beta", "gamma"})}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	q := queryArgs("a", "t", "name")
+	q.Set("lo", "b")
+	var out ScanResult
+	err := cl.get("/v1/scan", q, &out)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Body, "hi=") {
+		t.Fatalf("scan with lo=b alone: %+v err = %v, want HTTP 400 naming hi=", out, err)
+	}
+	q = queryArgs("a", "t", "name")
+	q.Set("hi", "c")
+	if err := cl.get("/v1/scan", q, &out); err != nil || out.Count != 2 || !slices.Equal(out.Rows, []int{0, 1}) {
+		t.Fatalf("scan with hi=c alone: %+v err = %v, want rows 0 and 1", out, err)
+	}
+	if live := srv.PinnedSnapshots(); live != 0 {
+		t.Fatalf("pinned snapshots leaked: %d", live)
+	}
+}
+
+// TestScanBodyMatchesEncodingJSON pins appendScanBody to the bytes
+// json.Encoder writes for the same keys in a map, which was the body
+// before it, and parseScanBody to reading them back.
+func TestScanBodyMatchesEncodingJSON(t *testing.T) {
+	capped := make([]int, MaxScanRows)
+	for i := range capped {
+		capped[i] = 3 * i
+	}
+	cases := map[string]ScanResult{
+		"no rows":      {Shard: 1, Rows: nil},
+		"one row":      {Count: 1, Rows: []int{7}},
+		"truncated":    {Shard: 3, Count: MaxScanRows + 1, Rows: capped, Truncated: true},
+		"shard >= 10":  {Shard: 12, Count: 2, Rows: []int{0, 99}},
+		"rows >= 2^31": {Shard: 5, Count: 3, Rows: []int{1 << 31, 1<<31 + 1, 1 << 40}},
+	}
+	for name, res := range cases {
+		rows := res.Rows
+		if rows == nil {
+			rows = []int{}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]any{
+			"shard": res.Shard, "count": res.Count, "rows": rows, "truncated": res.Truncated,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := appendScanBody(nil, res)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: appendScanBody wrote\n%.200s\nencoding/json writes\n%.200s", name, got, want.Bytes())
+		}
+		back, err := parseScanBody(got)
+		res.Rows = rows
+		if err != nil || !reflect.DeepEqual(back, res) {
+			t.Fatalf("%s: parseScanBody = %+v, %v; want %+v", name, back, err, res)
+		}
 	}
 }

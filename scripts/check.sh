@@ -44,10 +44,14 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 # durable directory creation in persist.Open. Deleting zone maps and the
 # merge scheduler's Parallelism knob lowered it from 21873. The main part's
 # per-value count table (CountEq answers with one lookup; intcomp.Counts
-# builds it) raised it from 21711 by the 50 lines it added.
+# builds it) raised it from 21711 by the 50 lines it added. The /v1/scan
+# body written by hand (appendScanBody on the server, the client's
+# one-pass parseScanBody in place of encoding/json: svc-read's p99 fell
+# by two thirds) raised it from 21761 by the 158 lines it added, net of
+# handleScan's nil-rows case.
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l)
-if [ "$lines" -gt 21761 ]; then
-    echo "FAIL: $lines non-test Go lines, ratchet is 21761"
+if [ "$lines" -gt 21919 ]; then
+    echo "FAIL: $lines non-test Go lines, ratchet is 21919"
     exit 1
 fi
 # The same ratchet on the TPC-H plans alone (ROADMAP, operator-layer item),
@@ -116,6 +120,10 @@ go test -run '^$' -fuzz FuzzUnionRemap -fuzztime 5s ./internal/colstore/
 # land aligned, and every accepted value counts right after an fc block
 # merge (a NUL-bearing value once broke exactly that).
 go test -run '^$' -fuzz FuzzAppendBody -fuzztime 5s ./internal/service/
+# The /v1/scan body: the client's hand-written parser never panics, accepts
+# only what encoding/json reads the same way, and the server's appended
+# bodies stay byte-identical to encoding/json's and parse back exactly.
+go test -run '^$' -fuzz FuzzScanBody -fuzztime 5s ./internal/service/
 
 # Torture smoke: the pinned seeds in internal/torture/testdata/seeds.txt
 # replayed deterministically under the race detector (~10s). Every seed
