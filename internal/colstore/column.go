@@ -159,10 +159,8 @@ type StringColumn struct {
 
 	// appendMu guards the active (unsealed) delta segment below. Critical
 	// sections are O(1); the main part is never read or written under it.
-	appendMu    sync.Mutex
-	activeVals  []string
-	activeIndex map[string]uint32
-	activeRows  []uint32
+	appendMu sync.Mutex
+	active   deltaSegment
 
 	// journal, when non-nil, receives appends (under appendMu, so WAL order
 	// equals row order) and main-part publications (under mergeMu). Set via
@@ -198,10 +196,7 @@ func (c *StringColumn) ScanStats() ScanStats { return ScanStats{} }
 // NewStringColumn returns an empty column whose main part uses the given
 // dictionary format.
 func NewStringColumn(name string, format dict.Format) *StringColumn {
-	c := &StringColumn{
-		name:        name,
-		activeIndex: make(map[string]uint32),
-	}
+	c := &StringColumn{name: name, active: deltaSegment{index: make(map[string]uint32)}}
 	c.version.Store(&columnVersion{
 		dict:   dict.BuildUnchecked(format, nil),
 		codes:  intcomp.PackBits(nil),
@@ -246,13 +241,14 @@ func (c *StringColumn) Format() dict.Format {
 // dictionary over it, and dict.Build requires NUL-free input.
 func (c *StringColumn) Append(value string) {
 	c.appendMu.Lock()
-	code, ok := c.activeIndex[value]
+	a := &c.active
+	code, ok := a.index[value]
 	if !ok {
-		code = uint32(len(c.activeVals))
-		c.activeVals = append(c.activeVals, value)
-		c.activeIndex[value] = code
+		code = uint32(len(a.vals))
+		a.vals = append(a.vals, value)
+		a.index[value] = code
 	}
-	c.activeRows = append(c.activeRows, code)
+	a.rows = append(a.rows, code)
 	c.totalRows.Add(1)
 	if c.journal != nil {
 		c.journal.JournalAppend(c.name, value)
@@ -262,49 +258,34 @@ func (c *StringColumn) Append(value string) {
 
 // Get returns the value at the given row, reading the main part through the
 // dictionary (counted as an extract). Main and sealed rows are served
-// lock-free from the current version.
+// lock-free from the current version, active rows under the append mutex:
+// the boundary between published and active rows only moves at seal time,
+// which also holds it, so the version reloaded under it gives a stable
+// offset, and a row sealed (or merged) since the first load is served from
+// the newer version.
 func (c *StringColumn) Get(row int) string {
 	v := c.version.Load()
+	if row >= v.rows() {
+		c.appendMu.Lock()
+		defer c.appendMu.Unlock()
+		if v = c.version.Load(); row >= v.rows() {
+			return c.active.vals[c.active.rows[row-v.rows()]]
+		}
+	}
 	if row < v.nMain {
 		c.extracts.Add(1)
 		return v.dict.Extract(uint32(v.codes.Get(row)))
 	}
-	if row < v.rows() {
-		return v.sealedValue(row - v.nMain)
-	}
-	return c.activeValue(row)
-}
-
-// activeValue serves a row from the active segment under the append mutex.
-// The boundary between published rows and active rows only moves at seal
-// time, which also holds the append mutex, so reloading the version under
-// the lock yields a stable offset. A row that was sealed (or merged) between
-// the caller's version load and ours is served from the newer version.
-func (c *StringColumn) activeValue(row int) string {
-	c.appendMu.Lock()
-	defer c.appendMu.Unlock()
-	v := c.version.Load()
-	if row < v.nMain {
-		c.extracts.Add(1)
-		return v.dict.Extract(uint32(v.codes.Get(row)))
-	}
-	if row < v.rows() {
-		return v.sealedValue(row - v.nMain)
-	}
-	return c.activeVals[c.activeRows[row-v.rows()]]
+	return v.sealedValue(row - v.nMain)
 }
 
 // AppendGet appends the value at row to dst (allocation-free main-part read).
 func (c *StringColumn) AppendGet(dst []byte, row int) []byte {
-	v := c.version.Load()
-	if row < v.nMain {
+	if v := c.version.Load(); row < v.nMain {
 		c.extracts.Add(1)
 		return v.dict.AppendExtract(dst, uint32(v.codes.Get(row)))
 	}
-	if row < v.rows() {
-		return append(dst, v.sealedValue(row-v.nMain)...)
-	}
-	return append(dst, c.activeValue(row)...)
+	return append(dst, c.Get(row)...)
 }
 
 // Stats returns the cumulative dictionary access counters.
@@ -337,22 +318,20 @@ func (c *StringColumn) sealActive() *columnVersion {
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
 	v := c.version.Load()
-	if len(c.activeRows) == 0 {
+	if len(c.active.rows) == 0 {
 		return v
 	}
-	seg := &deltaSegment{vals: c.activeVals, index: c.activeIndex, rows: c.activeRows}
+	seg := c.active
+	c.active = deltaSegment{index: make(map[string]uint32)}
 	nv := &columnVersion{
 		dict:       v.dict,
 		codes:      v.codes,
 		nMain:      v.nMain,
 		dictGen:    v.dictGen,
 		counts:     v.counts,
-		sealed:     append(v.sealed[:len(v.sealed):len(v.sealed)], seg),
+		sealed:     append(v.sealed[:len(v.sealed):len(v.sealed)], &seg),
 		sealedRows: v.sealedRows + len(seg.rows),
 	}
-	c.activeVals = nil
-	c.activeIndex = make(map[string]uint32)
-	c.activeRows = nil
 	c.version.Store(nv)
 	return nv
 }
@@ -544,13 +523,13 @@ func (c *StringColumn) VectorBytes() uint64 {
 	return c.version.Load().codes.Bytes()
 }
 
-// deltaSegmentBytes estimates a delta segment's footprint.
-func deltaSegmentBytes(vals []string, rows []uint32) uint64 {
+// bytes estimates the segment's footprint.
+func (seg *deltaSegment) bytes() uint64 {
 	var b uint64
-	for _, v := range vals {
+	for _, v := range seg.vals {
 		b += uint64(len(v)) + 16 + 8 // payload + header + map entry
 	}
-	return b + uint64(len(rows))*4
+	return b + uint64(len(seg.rows))*4
 }
 
 // Bytes returns the column's total footprint: dictionary, code vector,
@@ -566,10 +545,10 @@ func (c *StringColumn) Bytes() uint64 {
 		b += 4 * uint64(len(t.rows))
 	}
 	for _, seg := range v.sealed {
-		b += deltaSegmentBytes(seg.vals, seg.rows)
+		b += seg.bytes()
 	}
 	c.appendMu.Lock()
-	b += deltaSegmentBytes(c.activeVals, c.activeRows)
+	b += c.active.bytes()
 	c.appendMu.Unlock()
 	return b
 }

@@ -183,8 +183,11 @@ func TestScansMatchGetAcrossMergePaths(t *testing.T) {
 
 // TestScanSoundnessConcurrent is the race-detector stress for the
 // vectorized path: writers append, a merger keeps folding the delta into new
-// main parts, and readers continuously verify that the kernel scan equals
-// the Get oracle on their own pinned snapshots.
+// main parts, and readers continuously verify that the kernel scan and count
+// equal the Get oracle on their own pinned snapshots. Every fourth row is a
+// value no earlier row holds, and readers also probe those next to each
+// writer's progress, so the active-index probe runs while Append adds the
+// same value to the same segment and seals hand the index on.
 func TestScanSoundnessConcurrent(t *testing.T) {
 	const (
 		writers       = 2
@@ -192,10 +195,16 @@ func TestScanSoundnessConcurrent(t *testing.T) {
 		readers       = 3
 	)
 	c := NewStringColumn("t.c", dict.Array)
-	valueOf := func(w, i int) string { return fmt.Sprintf("w%d-%04d", w, i%200) }
+	valueOf := func(w, i int) string {
+		if i%4 == 0 {
+			return fmt.Sprintf("w%d-new-%05d", w, i)
+		}
+		return fmt.Sprintf("w%d-%04d", w, i%200)
+	}
 
 	var wg sync.WaitGroup
 	var writersDone atomic.Bool
+	var progress [writers]atomic.Int64
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -203,6 +212,7 @@ func TestScanSoundnessConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rowsPerWriter; i++ {
 				c.Append(valueOf(w, i))
+				progress[w].Store(int64(i))
 			}
 		}(w)
 	}
@@ -234,12 +244,21 @@ func TestScanSoundnessConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)))
 			for iter := 0; iter < 300; iter++ {
 				snap := c.Snapshot()
-				probe := valueOf(rng.Intn(writers), rng.Intn(rowsPerWriter))
+				w := rng.Intn(writers)
+				probe := valueOf(w, rng.Intn(rowsPerWriter))
+				if iter%2 == 1 { // a fresh value just appended or about to be
+					probe = valueOf(w, (int(progress[w].Load())/4+rng.Intn(3))*4)
+				}
 				vals := snapshotValues(snap)
 				kernel := snap.ScanEq(probe, nil)
 				oracle := rowsWhere(vals, equalTo(probe))
 				if fmt.Sprint(kernel) != fmt.Sprint(oracle) {
 					errCh <- fmt.Errorf("reader %d: ScanEq(%q) = %v, oracle %v", r, probe, kernel, oracle)
+					snap.Release()
+					return
+				}
+				if n := snap.CountEq(probe); n != len(oracle) {
+					errCh <- fmt.Errorf("reader %d: CountEq(%q) = %d, oracle %d", r, probe, n, len(oracle))
 					snap.Release()
 					return
 				}

@@ -33,11 +33,12 @@ type Snapshot struct {
 	col *StringColumn
 	v   *columnVersion
 
-	// Frozen prefix of the active segment at snapshot time. The backing
-	// arrays are append-only, so capturing length-capped slices pins a
-	// consistent prefix while the writer keeps appending.
-	tailVals []string
-	tailRows []uint32
+	// The active segment's prefix frozen at snapshot time: vals and rows are
+	// length-capped slices of append-only arrays the writer keeps appending
+	// to; index is the live map they came from, read only by deltaCode.
+	tail deltaSegment
+
+	match []bool // ScanRange's scratch: per segment code, in range or not
 
 	// Deferred trace counters, flushed to the column's atomics by Release.
 	// Plain fields: the whole point is that a tight scan loop bumps a local
@@ -69,13 +70,10 @@ func (c *StringColumn) Snapshot() *Snapshot {
 	defer c.appendMu.Unlock()
 	// Reload under the lock: the version/active boundary only moves at seal
 	// time, which also holds appendMu, so this pair is consistent.
-	v = c.version.Load()
-	return &Snapshot{
-		col:      c,
-		v:        v,
-		tailVals: c.activeVals[:len(c.activeVals):len(c.activeVals)],
-		tailRows: c.activeRows[:len(c.activeRows):len(c.activeRows)],
-	}
+	a := c.active
+	return &Snapshot{col: c, v: c.version.Load(), tail: deltaSegment{
+		vals: a.vals[:len(a.vals):len(a.vals)], index: a.index, rows: a.rows[:len(a.rows):len(a.rows)],
+	}}
 }
 
 // Release flushes the snapshot's accumulated trace counters to the column
@@ -99,14 +97,14 @@ func (s *Snapshot) Release() {
 func (s *Snapshot) Name() string { return s.col.name }
 
 // Len returns the number of rows visible in the snapshot.
-func (s *Snapshot) Len() int { return s.v.rows() + len(s.tailRows) }
+func (s *Snapshot) Len() int { return s.v.rows() + len(s.tail.rows) }
 
 // MainRows returns the number of rows in the read-optimized main part.
 func (s *Snapshot) MainRows() int { return s.v.nMain }
 
 // DeltaRows returns the number of delta rows (sealed + captured active
 // prefix) visible in the snapshot.
-func (s *Snapshot) DeltaRows() int { return s.v.sealedRows + len(s.tailRows) }
+func (s *Snapshot) DeltaRows() int { return s.v.sealedRows + len(s.tail.rows) }
 
 // Format returns the pinned main dictionary's format.
 func (s *Snapshot) Format() dict.Format { return s.v.dict.Format() }
@@ -154,7 +152,7 @@ func (s *Snapshot) Get(row int) string {
 	if row < v.rows() {
 		return v.sealedValue(row - v.nMain)
 	}
-	return s.tailVals[s.tailRows[row-v.rows()]]
+	return s.tail.vals[s.tail.rows[row-v.rows()]]
 }
 
 // AppendGet appends the value at row to dst (allocation-free main-part
@@ -170,7 +168,7 @@ func (s *Snapshot) AppendGet(dst []byte, row int) []byte {
 	if row < v.rows() {
 		return append(dst, v.sealedValue(row-v.nMain)...)
 	}
-	return append(dst, s.tailVals[s.tailRows[row-v.rows()]]...)
+	return append(dst, s.tail.vals[s.tail.rows[row-v.rows()]]...)
 }
 
 // Code returns the main-part value ID at a row; rows in the delta return
@@ -255,8 +253,8 @@ func (s *Snapshot) CodeRange(lo, hi string) (uint32, uint32) {
 
 // ScanEq appends to out the rows whose value equals value: the main part
 // via one packed-domain equality kernel call (one locate) into out grown by
-// the value's count-table entry, sealed segments through their interned
-// indexes, and the captured active prefix by direct comparison.
+// the value's count-table entry, and every delta segment by one probe of
+// its value index and a segment-code comparison per row.
 func (s *Snapshot) ScanEq(value string, out []int) []int {
 	s.enter()
 	defer s.exit()
@@ -265,28 +263,22 @@ func (s *Snapshot) ScanEq(value string, out []int) []int {
 	if id, found := v.dict.Locate(value); found {
 		out = intcomp.ScanEq(v.codes, uint64(id), 0, v.nMain, slices.Grow(out, v.count(id)))
 	}
-	off := v.nMain
-	for _, seg := range v.sealed {
-		if dcode, ok := seg.index[value]; ok {
-			for i, dc := range seg.rows {
-				if dc == dcode {
+	s.forDelta(func(seg *deltaSegment, off int) {
+		if dc, ok := s.deltaCode(seg, value); ok {
+			for i, c := range seg.rows {
+				if c == dc {
 					out = append(out, off+i)
 				}
 			}
 		}
-		off += len(seg.rows)
-	}
-	for i, dc := range s.tailRows {
-		if s.tailVals[dc] == value {
-			out = append(out, off+i)
-		}
-	}
+	})
 	return out
 }
 
 // CountEq returns the number of rows whose value equals value (one
 // locate). The main part's count is one lookup in the version's count
-// table (see countTable); the code vector is not scanned.
+// table (see countTable); the code vector is not scanned. Delta segments
+// count as in ScanEq.
 func (s *Snapshot) CountEq(value string) int {
 	s.enter()
 	defer s.exit()
@@ -296,29 +288,24 @@ func (s *Snapshot) CountEq(value string) int {
 	if id, found := v.dict.Locate(value); found {
 		count = v.count(id)
 	}
-	for _, seg := range v.sealed {
-		if dcode, ok := seg.index[value]; ok {
-			for _, dc := range seg.rows {
-				if dc == dcode {
+	s.forDelta(func(seg *deltaSegment, _ int) {
+		if dc, ok := s.deltaCode(seg, value); ok {
+			for _, c := range seg.rows {
+				if c == dc {
 					count++
 				}
 			}
 		}
-	}
-	for _, dc := range s.tailRows {
-		if s.tailVals[dc] == value {
-			count++
-		}
-	}
+	})
 	return count
 }
 
 // ScanRange appends to out the rows whose value lies in [lo, hi). Order
 // preservation turns the string interval into the code interval
 // [loID, hiID) (two locates, Definition 1 insertion points), so the main
-// part is one code-range kernel call; sealed segments evaluate the
-// predicate once per distinct value, and the active prefix compares
-// strings.
+// part is one code-range kernel call; every delta segment tests the
+// predicate once per distinct value into a reusable match set, then looks
+// up each row's segment code.
 func (s *Snapshot) ScanRange(lo, hi string, out []int) []int {
 	s.enter()
 	defer s.exit()
@@ -329,31 +316,47 @@ func (s *Snapshot) ScanRange(lo, hi string, out []int) []int {
 	if loID < hiID {
 		out = intcomp.ScanRange(v.codes, uint64(loID), uint64(hiID), 0, v.nMain, out)
 	}
-	// Each sealed segment is evaluated once per distinct value, then per
-	// row on the tiny per-segment code.
-	off := v.nMain
-	for _, seg := range v.sealed {
-		match := make([]bool, len(seg.vals))
-		any := false
+	s.forDelta(func(seg *deltaSegment, off int) {
+		match, hit := slices.Grow(s.match[:0], len(seg.vals))[:len(seg.vals)], false
 		for i, val := range seg.vals {
-			if lo <= val && val < hi {
-				match[i] = true
-				any = true
+			match[i] = lo <= val && val < hi
+			hit = hit || match[i]
+		}
+		if s.match = match; !hit {
+			return
+		}
+		for i, dc := range seg.rows {
+			if match[dc] {
+				out = append(out, off+i)
 			}
 		}
-		if any {
-			for i, dc := range seg.rows {
-				if match[dc] {
-					out = append(out, off+i)
-				}
-			}
-		}
+	})
+	return out
+}
+
+// forDelta calls fn on each delta segment in row order, the sealed chain
+// then the captured active prefix, with the row position of its first row.
+func (s *Snapshot) forDelta(fn func(seg *deltaSegment, off int)) {
+	off := s.v.nMain
+	for _, seg := range s.v.sealed {
+		fn(seg, off)
 		off += len(seg.rows)
 	}
-	for i, dc := range s.tailRows {
-		if val := s.tailVals[dc]; lo <= val && val < hi {
-			out = append(out, off+i)
-		}
+	fn(&s.tail, off)
+}
+
+// deltaCode returns seg's segment code for value, if a row of seg holds
+// it. The active prefix probes the live active index under appendMu, as
+// Append writes it until sealActive hands it on, never to be written again;
+// a code past the prefix was first appended after the snapshot.
+func (s *Snapshot) deltaCode(seg *deltaSegment, value string) (uint32, bool) {
+	if len(seg.vals) == 0 {
+		return 0, false
 	}
-	return out
+	if seg == &s.tail {
+		s.col.appendMu.Lock()
+		defer s.col.appendMu.Unlock()
+	}
+	dc, ok := seg.index[value]
+	return dc, ok && int(dc) < len(seg.vals)
 }

@@ -183,7 +183,7 @@ func TestSnapshotFastPathNoTail(t *testing.T) {
 	}
 	c.Merge(dict.FCBlock)
 	snap := c.Snapshot()
-	if snap.tailRows != nil || snap.tailVals != nil {
+	if snap.tail.rows != nil || snap.tail.vals != nil {
 		t.Fatal("fast-path snapshot captured a tail")
 	}
 	if snap.Len() != 64 || snap.DeltaRows() != 0 {
@@ -192,4 +192,64 @@ func TestSnapshotFastPathNoTail(t *testing.T) {
 	if got := snap.Get(63); got != "x0063" {
 		t.Fatalf("Get(63) = %q", got)
 	}
+}
+
+// TestSnapshotTailEdgeCases pins every scan of the captured active prefix
+// to the Get oracle where the prefix and the live active index it probes
+// part ways (values appended after the snapshot, the index sealed and
+// folded away) or the prefix is degenerate: values only the tail holds,
+// range bounds between them, empty ranges, an empty tail.
+func TestSnapshotTailEdgeCases(t *testing.T) {
+	probes := []string{"m1", "m3", "t2", "t4", "t6", "t3", "late", "after", ""}
+	ranges := [][2]string{
+		{"t1", "t3"}, {"t2", "t4"}, {"t3", "t5"}, {"t21", "t3"}, {"t5", "t6"},
+		{"t4", "t4"}, {"t6", "t2"}, {"m3", "t2"}, {"", "\xff"},
+	}
+	check := func(label string, snap *Snapshot, vals []string) {
+		t.Helper()
+		for _, p := range probes {
+			for _, r := range ranges {
+				scanOracle(t, snap, vals, label, p, r[0], r[1])
+			}
+			if n, rows := snap.CountEq(p), snap.ScanEq(p, nil); n != len(rows) {
+				t.Fatalf("%s: CountEq(%q) = %d, len(ScanEq) = %d", label, p, n, len(rows))
+			}
+		}
+	}
+
+	c := NewStringColumn("t.c", dict.FCBlock)
+	for _, v := range []string{"m1", "m3", "m5", "m3"} {
+		c.Append(v)
+	}
+	c.Merge(dict.FCBlock)
+	empty := c.Snapshot()
+	check("empty tail", empty, snapshotValues(empty))
+	for _, v := range []string{"t2", "t4", "t2", "m3", "t6"} {
+		c.Append(v)
+	}
+	snap := c.Snapshot()
+	vals := snapshotValues(snap)
+	check("tail-only values", snap, vals)
+
+	// New values and new rows of old values in the same active segment: the
+	// live index now holds codes past the snapshot's prefix.
+	for _, v := range []string{"late", "t2", "t3", "m1"} {
+		c.Append(v)
+	}
+	check("appended after the snapshot", snap, vals)
+	fresh := c.Snapshot()
+	check("fresh snapshot", fresh, snapshotValues(fresh))
+
+	// The prefix's index is handed to a sealed segment and folded away; a
+	// new active segment starts with an index the old snapshot never saw.
+	c.Merge(dict.Array)
+	c.Append("after")
+	check("tail sealed and folded", snap, vals)
+	if snap.Len() != len(vals) {
+		t.Fatalf("snapshot Len moved: %d -> %d", len(vals), snap.Len())
+	}
+
+	c.sealActive()
+	sealedOnly := c.Snapshot()
+	check("sealed segment, empty tail", sealedOnly, snapshotValues(sealedOnly))
 }

@@ -42,15 +42,25 @@ func IsUnavailable(err error) bool {
 	return ok && se.Code == http.StatusServiceUnavailable
 }
 
+// maxSizedBody bounds the buffer do allocates up front from a response's
+// Content-Length; a longer or unsized body grows through io.ReadAll.
+const maxSizedBody = 1 << 20
+
 func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	var body []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("service: reading %s response: %w", req.URL.Path, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		return &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}

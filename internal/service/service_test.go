@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -585,5 +586,66 @@ func TestScanBodyMatchesEncodingJSON(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(back, res) {
 			t.Fatalf("%s: parseScanBody = %+v, %v; want %+v", name, back, err, res)
 		}
+	}
+}
+
+// lengthRecorder is a RoundTripper that keeps the Content-Length of the
+// last response it saw (-1 when the body was sent without one).
+type lengthRecorder struct {
+	http.RoundTripper
+	last int64
+}
+
+func (l *lengthRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := l.RoundTripper.RoundTrip(r)
+	if err == nil {
+		l.last = resp.ContentLength
+	}
+	return resp, err
+}
+
+// TestClientReadsSizedChunkedAndShortBodies: the client reads a body into
+// a buffer of its Content-Length, falls back to reading a chunked body
+// whole, and reports a body shorter than its Content-Length as an error
+// rather than waiting for bytes that never come.
+func TestClientReadsSizedChunkedAndShortBodies(t *testing.T) {
+	want := ScanResult{Shard: 1, Count: 3, Rows: []int{2, 5, 9}}
+	body := appendScanBody(nil, want)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("eq") {
+		case "sized":
+			writeScanBody(w, want)
+		case "chunked":
+			w.Write(body[:5])
+			w.(http.Flusher).Flush() // headers go out before the length is known
+			w.Write(body[5:])
+		case "short":
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)+10))
+			w.Write(body)
+		}
+	}))
+	defer ts.Close()
+	rec := &lengthRecorder{RoundTripper: ts.Client().Transport}
+	cl := &Client{Base: ts.URL, HTTP: &http.Client{Transport: rec, Timeout: 10 * time.Second}}
+
+	for _, c := range []struct {
+		probe  string
+		length int64
+	}{{"sized", int64(len(body))}, {"chunked", -1}} {
+		got, err := cl.ScanEq("t", "x", "c", c.probe)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s body: ScanEq = %+v, %v; want %+v", c.probe, got, err, want)
+		}
+		if rec.last != c.length {
+			t.Fatalf("%s body: Content-Length %d, want %d", c.probe, rec.last, c.length)
+		}
+	}
+	start := time.Now()
+	_, err := cl.ScanEq("t", "x", "c", "short")
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("short body took %v to fail", d)
 	}
 }
